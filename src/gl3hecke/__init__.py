@@ -11,7 +11,6 @@ from .hecke import (
     PrimeLocalData,
     SatakeTriple,
     coeff_from_satake,
-    extend_multiplicative,
     hecke_residual,
     mobius_expand,
     schur_eval,
@@ -37,7 +36,6 @@ from .measures import (
     density,
     h_T_eval,
     integrate,
-    sample,
     spec_density,
     weyl_poincare,
 )
@@ -65,9 +63,7 @@ from .signstats import (
 from .dirichlet import (
     DirichletPolynomial,
     build_MKD,
-    dirichlet_eval,
     euler_factor_check,
-    mvt_ratio,
 )
 from .tau import ramanujan_tau
 

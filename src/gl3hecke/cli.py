@@ -8,28 +8,28 @@ with the same seed produces byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import dirichlet as dmod
 from . import hecke, klpoly, measures, schuralg, signstats, suites, tau
 from .arith import is_prime
+from .csvio import IngestError, read_csv, write_csv
 
 
-@dataclass
-class RunConfig:
-    command: str
-    seed: int = 0
-    tol: float = 1e-8
-    out: str | None = None
-    params: dict = field(default_factory=dict)
+def _gl2_row(row) -> tuple[int, float]:
+    p = int(row[0])
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    return p, float(row[1])
 
 
-class IngestError(ValueError):
-    pass
+def _seq_row(row) -> tuple[int, float]:
+    m = int(row[0])
+    if m < 1:
+        raise ValueError(f"index m = {m} < 1")
+    return m, float(row[1])
 
 
 def ingest(path: str, fmt: str):
@@ -39,27 +39,7 @@ def ingest(path: str, fmt: str):
     |lambda| <= 2; seqcsv returns a RealSequence (missing indices are zero).
     """
     if fmt == "gl2csv":
-        pairs: list[tuple[int, float]] = []
-        seen: set[int] = set()
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = csv.reader(fh)
-            header = next(rows, None)
-            if header is None or [h.strip() for h in header] != ["p", "lambda"]:
-                raise IngestError(f"{path}:1: expected header 'p,lambda'")
-            for lineno, row in enumerate(rows, start=2):
-                if not row:
-                    continue
-                try:
-                    p = int(row[0])
-                    lam = float(row[1])
-                except (ValueError, IndexError) as exc:
-                    raise IngestError(f"{path}:{lineno}: malformed row {row!r}") from exc
-                if not is_prime(p):
-                    raise IngestError(f"{path}:{lineno}: p = {p} is not prime")
-                if p in seen:
-                    raise IngestError(f"{path}:{lineno}: duplicate prime {p}")
-                seen.add(p)
-                pairs.append((p, lam))
+        pairs = list(read_csv(path, ("p", "lambda"), "prime", _gl2_row).items())
         ramanujan = all(abs(lam) <= 2.0 for _, lam in pairs)
         if not ramanujan:
             print(f"warning: {path} has |lambda| > 2; ramanujan flag is false",
@@ -67,25 +47,7 @@ def ingest(path: str, fmt: str):
         return hecke.GL2FormData(pairs, ramanujan=ramanujan)
 
     if fmt == "seqcsv":
-        values: dict[int, float] = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = csv.reader(fh)
-            header = next(rows, None)
-            if header is None or [h.strip() for h in header] != ["m", "value"]:
-                raise IngestError(f"{path}:1: expected header 'm,value'")
-            for lineno, row in enumerate(rows, start=2):
-                if not row:
-                    continue
-                try:
-                    m = int(row[0])
-                    v = float(row[1])
-                except (ValueError, IndexError) as exc:
-                    raise IngestError(f"{path}:{lineno}: malformed row {row!r}") from exc
-                if m < 1:
-                    raise IngestError(f"{path}:{lineno}: index m = {m} < 1")
-                if m in values:
-                    raise IngestError(f"{path}:{lineno}: duplicate index {m}")
-                values[m] = v
+        values = read_csv(path, ("m", "value"), "index", _seq_row)
         top = max(values) if values else 0
         return signstats.RealSequence(
             [values.get(m, 0.0) for m in range(1, top + 1)], label=path
@@ -131,45 +93,27 @@ def cmd_verify(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.what == "tau":
-        values = tau.ramanujan_tau(args.N)
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["m", "value"])
-            for m, v in enumerate(values, start=1):
-                w.writerow([m, v])
+        write_csv(args.out, ("m", "value"), enumerate(tau.ramanujan_tau(args.N), start=1))
         return 0
     if args.what == "gl2":
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["p", "lambda"])
-            for p, lam in tau.tau_prime_eigenvalues(args.N):
-                w.writerow([p, repr(lam)])
+        write_csv(args.out, ("p", "lambda"), tau.tau_prime_eigenvalues(args.N))
         return 0
     if args.what == "table":
-        table = hecke.extend_multiplicative(tau.sym2_tau_locals(args.N), args.N, args.bound_n)
+        table = hecke.CoefficientTable(tau.sym2_tau_locals(args.N), args.N, args.bound_n)
         table.export_csv(args.out)
         return 0
+    spec = (measures.MeasureSpec.plancherel(args.p) if args.measure == "plancherel"
+            else measures.MeasureSpec.sato_tate())
     if args.what == "samples":
-        spec = (measures.MeasureSpec.plancherel(args.p) if args.measure == "plancherel"
-                else measures.MeasureSpec.sato_tate())
-        t1, t2 = measures.sample_angles(spec, args.count, args.seed)
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["theta1", "theta2"])
-            for a, b in zip(t1, t2):
-                w.writerow([repr(float(a)), repr(float(b))])
+        write_csv(args.out, ("theta1", "theta2"),
+                  zip(*measures.sample_angles(spec, args.count, args.seed)))
         return 0
     if args.what == "density":
-        spec = (measures.MeasureSpec.plancherel(args.p) if args.measure == "plancherel"
-                else measures.MeasureSpec.sato_tate())
-        grid = measures.QuadratureGrid(args.K)
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["theta1", "theta2", "density"])
-            for a in grid.nodes:
-                for b in grid.nodes:
-                    d = measures.density(spec, measures.TorusPoint(float(a), float(b)))
-                    w.writerow([repr(float(a)), repr(float(b)), repr(float(d))])
+        nodes = measures.QuadratureGrid(args.K).nodes
+        write_csv(args.out, ("theta1", "theta2", "density"), (
+            (a, b, measures.density(spec, measures.TorusPoint(float(a), float(b))))
+            for a in nodes for b in nodes
+        ))
         return 0
     raise IngestError(f"unknown generator {args.what!r}")
 
@@ -324,17 +268,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _config_error(args) -> str | None:
+    """The first argument that no command can run with, or None."""
+    tol = getattr(args, "tol", None)
+    if tol is not None and not tol > 0:
+        return "field 'tol' must be positive"
+    if getattr(args, "source", None) == "csv" and args.path is None:
+        return "--source csv needs --path"
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        seed=getattr(args, "seed", 0),
-        tol=getattr(args, "tol", None) or 1e-8,
-        out=getattr(args, "out", None),
-        params=vars(args),
-    )
-    if config.tol <= 0:
-        print("error: field 'tol' must be positive", file=sys.stderr)
+    problem = _config_error(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     try:
         return args.fn(args)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import factorize, mobius
+from .csvio import read_csv, write_csv
 from .hecke import PrimeLocalData, schur_from_elementary
 
 
@@ -50,41 +51,23 @@ class DirichletPolynomial:
         return DirichletPolynomial(out)
 
 
-def dirichlet_eval(poly: DirichletPolynomial, s: complex) -> complex:
-    """F(s) as an exact finite sum; n^{-s} computed via exp(-s log n)."""
-    return poly.eval(s)
+def _term_row(row) -> tuple[int, complex]:
+    n = int(row[0])
+    if n < 1:
+        raise ValueError(f"frequency n = {n} < 1")
+    return n, complex(float(row[1]), float(row[2]))
 
 
 def poly_to_csv(poly: DirichletPolynomial, path: str) -> None:
     """Write the terms as rows n,re,im."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "re", "im"])
-        for n in sorted(poly.terms):
-            c = poly.terms[n]
-            writer.writerow([n, repr(c.real), repr(c.imag)])
+    write_csv(path, ("n", "re", "im"),
+              ((n, c.real, c.imag) for n, c in sorted(poly.terms.items())))
 
 
 def poly_from_csv(path: str) -> DirichletPolynomial:
     """Read a polynomial written by poly_to_csv."""
-    import csv
-
-    terms: dict = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        if header is None or [h.strip() for h in header] != ["n", "re", "im"]:
-            raise ValueError(f"{path}:1: expected header 'n,re,im'")
-        for lineno, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            try:
-                terms[int(row[0])] = complex(float(row[1]), float(row[2]))
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from exc
-    return DirichletPolynomial(terms, range_desc=path)
+    return DirichletPolynomial(read_csv(path, ("n", "re", "im"), "frequency", _term_row),
+                               range_desc=path)
 
 
 def build_MKD(table, X: int, M: int) -> dict:
@@ -244,17 +227,9 @@ def second_moment_many(polys: list[DirichletPolynomial], T: float) -> list[float
     return [float(v) for v in out]
 
 
-def second_moment(poly: DirichletPolynomial, T: float) -> float:
-    return second_moment_many([poly], T)[0]
-
-
-def mvt_ratio(poly: DirichletPolynomial, T: float) -> dict:
-    """Observed second moment against the mean-value bound (N + T) times
-    sum |a_n|^2 / n, with N the smallest frequency of the support."""
-    return mvt_ratio_many([poly], T)[0]
-
-
 def mvt_ratio_many(polys: list[DirichletPolynomial], T: float) -> list[dict]:
+    """Observed second moment of each polynomial against the mean-value bound
+    (N + T) sum |a_n|^2 / n, with N the smallest frequency of the support."""
     nonempty = [p for p in polys if p.terms]
     moments = iter(second_moment_many(nonempty, T) if nonempty else [])
     out = []

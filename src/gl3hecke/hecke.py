@@ -9,11 +9,11 @@ multiplicativity across coprime prime powers.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
 
 from .arith import divisors, factorize, is_prime, mobius, primes_upto, spf_sieve
+from .csvio import write_csv
 
 PRODUCT_TOL = 1e-12
 UNIT_TOL = 1e-12
@@ -218,20 +218,9 @@ class CoefficientTable:
 
     def export_csv(self, path: str):
         """Write the full rectangle as rows m,n,re,im."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m", "n", "re", "im"])
-            for m in range(1, self.bound_m + 1):
-                for n in range(1, self.bound_n + 1):
-                    v = self.value(m, n)
-                    writer.writerow([m, n, repr(v.real), repr(v.imag)])
-
-
-def extend_multiplicative(
-    locals_: list[PrimeLocalData], bound_m: int, bound_n: int
-) -> CoefficientTable:
-    """Build the coefficient table generated multiplicatively by the locals."""
-    return CoefficientTable(locals_, bound_m, bound_n)
+        cells = ((m, n, self.value(m, n))
+                 for m in range(1, self.bound_m + 1) for n in range(1, self.bound_n + 1))
+        write_csv(path, ("m", "n", "re", "im"), ((m, n, v.real, v.imag) for m, n, v in cells))
 
 
 def hecke_residual(table: CoefficientTable, m: int, m1: int, m2: int) -> float:

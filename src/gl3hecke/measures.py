@@ -127,30 +127,15 @@ def density(spec: MeasureSpec, pt: TorusPoint):
     return plancherel_constant(p) * vandermonde / denom / TWO_PI ** 2
 
 
-def _evaluate_on_grid(f, grid: QuadratureGrid) -> np.ndarray:
-    t1, t2 = grid.mesh()
-    pt = TorusPoint(t1, t2)
-    try:
-        vals = np.asarray(f(pt))
-        if vals.shape in ((), t1.shape):
-            return np.broadcast_to(vals, t1.shape)
-    except (TypeError, ValueError, AttributeError):
-        pass
-    # scalar-only integrand: evaluate node by node
-    out = np.empty(t1.shape, dtype=complex)
-    for i in range(t1.shape[0]):
-        for j in range(t1.shape[1]):
-            out[i, j] = f(TorusPoint(float(t1[i, j]), float(t2[i, j])))
-    return out
-
-
 def integrate(spec: MeasureSpec, f, grid: QuadratureGrid) -> complex:
     """Integral of f against the measure by the periodic trapezoid rule;
-    spectrally accurate for smooth integrands."""
-    vals = _evaluate_on_grid(f, grid)
-    t1, t2 = grid.mesh()
-    dens = density(spec, TorusPoint(t1, t2))
-    return complex(np.sum(vals * dens) * grid.cell_weight)
+    spectrally accurate for smooth integrands.
+
+    f is called once, on the whole mesh (a TorusPoint of arrays); a scalar
+    return broadcasts.  Wrap a scalar-only integrand in np.vectorize."""
+    pt = TorusPoint(*grid.mesh())
+    vals = np.asarray(f(pt))
+    return complex(np.sum(vals * density(spec, pt)) * grid.cell_weight)
 
 
 def integrate_adaptive(
@@ -220,12 +205,6 @@ def sample_angles(spec: MeasureSpec, count: int, seed: int) -> tuple[np.ndarray,
     out1 = np.concatenate(got1)[:count]
     out2 = np.concatenate(got2)[:count]
     return out1, out2
-
-
-def sample(spec: MeasureSpec, count: int, seed: int) -> list[TorusPoint]:
-    """I.i.d. draws from the measure; deterministic given seed."""
-    t1, t2 = sample_angles(spec, count, seed)
-    return [TorusPoint(float(a), float(b)) for a, b in zip(t1, t2)]
 
 
 def child_seed(seed: int, index: int) -> int:

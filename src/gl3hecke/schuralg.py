@@ -21,6 +21,17 @@ from .hecke import SatakeTriple, schur_from_elementary
 MAX_SCHUR_DEGREE = 24
 
 
+def _clean_terms(terms) -> tuple:
+    """Sorted ((a, b), Fraction) pairs from a dict or an iterable of pairs,
+    with repeated keys summed and zero coefficients dropped."""
+    cleaned = {}
+    for (a, b), c in (terms.items() if isinstance(terms, dict) else terms):
+        c = Fraction(c)
+        if c:
+            cleaned[(a, b)] = cleaned.get((a, b), Fraction(0)) + c
+    return tuple(sorted((k, v) for k, v in cleaned.items() if v))
+
+
 @dataclass(frozen=True)
 class EPoly:
     """Polynomial in the elementary symmetric values (e1, e2) with e3 = 1;
@@ -29,14 +40,7 @@ class EPoly:
     terms: tuple
 
     def __init__(self, terms=()):
-        cleaned = {}
-        for (a, b), c in (terms.items() if isinstance(terms, dict) else terms):
-            c = Fraction(c)
-            if c:
-                cleaned[(a, b)] = cleaned.get((a, b), Fraction(0)) + c
-        object.__setattr__(
-            self, "terms", tuple(sorted((k, v) for k, v in cleaned.items() if v))
-        )
+        object.__setattr__(self, "terms", _clean_terms(terms))
 
     def as_dict(self) -> dict:
         return dict(self.terms)
@@ -91,14 +95,7 @@ class WInvariantLaurent:
     schur_coeffs: tuple
 
     def __init__(self, coeffs=()):
-        cleaned = {}
-        for (a, b), c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-            c = Fraction(c)
-            if c:
-                cleaned[(a, b)] = cleaned.get((a, b), Fraction(0)) + c
-        object.__setattr__(
-            self, "schur_coeffs", tuple(sorted((k, v) for k, v in cleaned.items() if v))
-        )
+        object.__setattr__(self, "schur_coeffs", _clean_terms(coeffs))
 
     def as_dict(self) -> dict:
         return dict(self.schur_coeffs)
@@ -245,16 +242,15 @@ class EmpiricalDistribution:
             raise ValueError("sampled S_{1,1} values strayed outside [-1, 8]")
 
 
-def sample_app(p: int, count: int, seed: int) -> EmpiricalDistribution:
-    """Draw A(p, p) values under the p-adic Plancherel measure."""
-    t1, t2 = measures.sample_angles(measures.MeasureSpec.plancherel(p), count, seed)
-    e1 = np.exp(1j * t1) + np.exp(1j * t2) + np.exp(-1j * (t1 + t2))
-    return EmpiricalDistribution(np.abs(e1) ** 2 - 1.0, p, seed)
-
-
 def _s11_values(theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
     e1 = np.exp(1j * theta1) + np.exp(1j * theta2) + np.exp(-1j * (theta1 + theta2))
     return np.abs(e1) ** 2 - 1.0
+
+
+def sample_app(p: int, count: int, seed: int) -> EmpiricalDistribution:
+    """Draw A(p, p) values under the p-adic Plancherel measure."""
+    t1, t2 = measures.sample_angles(measures.MeasureSpec.plancherel(p), count, seed)
+    return EmpiricalDistribution(_s11_values(t1, t2), p, seed)
 
 
 def indicator_mass(

@@ -8,6 +8,7 @@ normally a hecke.CoefficientTable.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -137,30 +138,34 @@ def short_interval_sums(table, cfg: ShortIntervalConfig, x: int) -> dict:
 def interval_change_scan(table, cfg: ShortIntervalConfig, zero_tol: float = 1e-12) -> dict:
     """Scan x over [X, 2X] on a stride of max(1, H//4) and report how many
     windows [x, x+H] contain a sign change of A(., 1), plus the number of
-    disjoint changed windows (a lower bound for the total change count)."""
+    disjoint changed windows (a lower bound for the total change count).
+
+    Reads A(m, 1) once for every m in [X, x_last + H], x_last the last x of
+    the stride, so the table must reach 2X + H.  The nonzero entries inside a
+    window are consecutive nonzero entries of that range, so a window holds a
+    change exactly when it contains both ends of some change pair of
+    count_sign_changes over the range.
+    """
     stride = max(1, cfg.H // 4)
-    total = with_change = disjoint = 0
+    xs = range(cfg.X, 2 * cfg.X + 1, stride)
+    seq = RealSequence([real_part(table.value(m, 1), f"A({m},1)")
+                        for m in range(cfg.X, xs[-1] + cfg.H + 1)])
+    offset = cfg.X - 1  # sequence index i holds A(offset + i, 1)
+    pairs = [(offset + a, offset + b)
+             for a, b in count_sign_changes(seq, zero_tol).positions]
+    starts = [a for a, _ in pairs]
+    with_change = disjoint = 0
     next_free = 0
-    for x in range(cfg.X, 2 * cfg.X + 1, stride):
-        total += 1
-        last_sign = 0
-        changed = False
-        for m in range(x, x + cfg.H + 1):
-            v = real_part(table.value(m, 1), f"A({m},1)")
-            if abs(v) <= zero_tol:
-                continue
-            sign = 1 if v > 0 else -1
-            if last_sign and sign != last_sign:
-                changed = True
-                break
-            last_sign = sign
-        if changed:
+    for x in xs:
+        # the first pair starting in the window has the smallest end among them
+        i = bisect.bisect_left(starts, x)
+        if i < len(pairs) and pairs[i][1] <= x + cfg.H:
             with_change += 1
             if x >= next_free:
                 disjoint += 1
                 next_free = x + cfg.H + 1
     return {
-        "total_x": total,
+        "total_x": len(xs),
         "with_change": with_change,
         "lower_bound_estimate": float(disjoint),
     }

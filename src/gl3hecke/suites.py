@@ -63,7 +63,7 @@ def suite_hecke(seed: int = 0, tol: float = 1e-8) -> list[Check]:
     from .arith import primes_upto
 
     bound = 2500  # indices m1*c3/c1 reach 50 * 50
-    table = hecke.extend_multiplicative(
+    table = hecke.CoefficientTable(
         random_tempered_locals(primes_upto(bound), rng), bound, bound
     )
     worst = 0.0
@@ -237,7 +237,7 @@ def suite_satotate(seed: int = 0, tol: float = 0.01, n_samples: int = 100_000) -
 def sym2_tau_table(X: int) -> hecke.CoefficientTable:
     """Coefficient table of the symmetric-square lift of the tau form,
     covering A(m, n) for m <= X (diagonal entries available on demand)."""
-    return hecke.extend_multiplicative(tau.sym2_tau_locals(X), X, X)
+    return hecke.CoefficientTable(tau.sym2_tau_locals(X), X, X)
 
 
 def suite_signs(seed: int = 0, tol: float = 0.0, X: int = 100_000) -> list[Check]:
@@ -338,7 +338,7 @@ def suite_mvt(seed: int = 0, tol: float = 8.0) -> list[Check]:
 
     worst = 0.0
     for M in (100, 1000):
-        table = hecke.extend_multiplicative(
+        table = hecke.CoefficientTable(
             random_tempered_locals(primes_upto(2 * M), rng), 2 * M, 1
         )
         dpoly = dmod.build_MKD(table, 10 * M, M)["D"]

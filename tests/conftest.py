@@ -23,7 +23,7 @@ def random_table_2500():
     up to 50 (divisor sums reach 2500)."""
     rng = random.Random(20240)
     locs = suites.random_tempered_locals(primes_upto(2500), rng)
-    return hecke.extend_multiplicative(locs, 2500, 2500)
+    return hecke.CoefficientTable(locs, 2500, 2500)
 
 
 @pytest.fixture()

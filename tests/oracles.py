@@ -129,3 +129,34 @@ def freudenthal_multiplicities(lam: Weight) -> dict[Weight, int]:
         assert val.denominator == 1, "Freudenthal recursion must be integral"
         mult[mu] = int(val)
     return {Weight(mu): m for mu, m in mult.items() if m > 0}
+
+
+def interval_change_scan_walk(table, cfg, zero_tol: float = 1e-12) -> dict:
+    """Window scan by walking each window [x, x+H] separately, x on a stride
+    of max(1, H//4) over [X, 2X]: O(X/stride * H) reads of A(m, 1)."""
+    stride = max(1, cfg.H // 4)
+    total = with_change = disjoint = 0
+    next_free = 0
+    for x in range(cfg.X, 2 * cfg.X + 1, stride):
+        total += 1
+        last_sign = 0
+        changed = False
+        for m in range(x, x + cfg.H + 1):
+            v = table.value(m, 1).real
+            if abs(v) <= zero_tol:
+                continue
+            sign = 1 if v > 0 else -1
+            if last_sign and sign != last_sign:
+                changed = True
+                break
+            last_sign = sign
+        if changed:
+            with_change += 1
+            if x >= next_free:
+                disjoint += 1
+                next_free = x + cfg.H + 1
+    return {
+        "total_x": total,
+        "with_change": with_change,
+        "lower_bound_estimate": float(disjoint),
+    }

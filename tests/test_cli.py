@@ -181,9 +181,22 @@ class TestErrorPaths:
     def test_missing_file_is_config_error(self):
         assert run(["signs", "--source", "csv", "--path", "/nonexistent.csv"]) == 2
 
-    def test_bad_tol_is_config_error(self, capsys):
-        assert run(["kato", "--l1", "1", "--l2", "1", "--p", "2", "--tol", "-1"]) == 2
-        assert "tol" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["verify", "kato", "satotate", "mvt"])
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_bad_tol_is_config_error(self, capsys, tol, command):
+        argv = {
+            "verify": ["verify", "--suite", "schur"],
+            "kato": ["kato", "--l1", "1", "--l2", "1", "--p", "2"],
+            "satotate": ["satotate", "--p", "2", "--samples", "200"],
+            "mvt": ["mvt", "--N", "8", "--T", "8", "--draws", "1"],
+        }[command]
+        assert run(argv + ["--tol", tol]) == 2
+        assert "field 'tol' must be positive" in capsys.readouterr().err
+
+    def test_csv_source_without_path_is_config_error(self, capsys):
+        assert run(["signs", "--source", "csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--path" in err
 
 
 class TestCrossProcessDeterminism:

@@ -10,17 +10,15 @@ from gl3hecke.dirichlet import (
     DirichletPolynomial,
     build_MKD,
     d_estimate_ratio,
-    dirichlet_eval,
     euler_factor_check,
-    mvt_ratio,
     mvt_ratio_many,
-    second_moment,
+    second_moment_many,
 )
 from gl3hecke.hecke import (
+    CoefficientTable,
     GL2FormData,
     PrimeLocalData,
     SatakeTriple,
-    extend_multiplicative,
     sym2_lift,
 )
 
@@ -29,16 +27,16 @@ class TestEvaluation:
     def test_constant_term_only(self):
         poly = DirichletPolynomial({1: 1.0})
         for s in (0.0, 2.0 + 3.0j, -1.5j):
-            assert dirichlet_eval(poly, s) == 1.0
+            assert poly.eval(s) == 1.0
 
     def test_counting_at_zero(self):
         poly = DirichletPolynomial({n: 1.0 for n in range(1, 11)})
-        assert dirichlet_eval(poly, 0.0) == pytest.approx(10.0)
+        assert poly.eval(0.0) == pytest.approx(10.0)
 
     def test_matches_direct_summation(self):
         poly = DirichletPolynomial({n: 1.0 / n for n in range(1, 101)})
         direct = sum(1.0 / n ** 2 for n in range(1, 101))
-        assert dirichlet_eval(poly, 1.0) == pytest.approx(direct, rel=1e-14)
+        assert poly.eval(1.0) == pytest.approx(direct, rel=1e-14)
 
     def test_rejects_bad_frequency(self):
         with pytest.raises(ValueError):
@@ -48,7 +46,7 @@ class TestEvaluation:
 def tempered_table(bound, seed=5):
     rng = random.Random(seed)
     locs = suites.random_tempered_locals(primes_upto(bound), rng)
-    return extend_multiplicative(locs, bound, 1)
+    return CoefficientTable(locs, bound, 1)
 
 
 class TestBuildMKD:
@@ -98,7 +96,7 @@ class TestBuildMKD:
         rng = random.Random(31)
         for M in (100, 1000):
             locs = suites.random_tempered_locals(primes_upto(2 * M), rng)
-            table = extend_multiplicative(locs, 2 * M, 1)
+            table = CoefficientTable(locs, 2 * M, 1)
             dpoly = build_MKD(table, 10 * M, M)["D"]
             for sigma in (0.5, 0.75, 1.0):
                 for t in (0.0, 1.0, 10.0):
@@ -150,12 +148,12 @@ class TestEulerFactor:
 
 class TestMeanValue:
     def test_zero_polynomial(self):
-        rec = mvt_ratio(DirichletPolynomial({}), 64.0)
+        (rec,) = mvt_ratio_many([DirichletPolynomial({})], 64.0)
         assert rec == {"lhs": 0.0, "rhs": 0.0, "ratio": 0.0}
 
     def test_single_term_exact(self):
         for N, T in ((64, 64.0), (256, 32.0)):
-            rec = mvt_ratio(DirichletPolynomial({N: 1.0}), T)
+            (rec,) = mvt_ratio_many([DirichletPolynomial({N: 1.0})], T)
             assert rec["lhs"] == pytest.approx(2.0 * T / N, rel=1e-10)
             assert rec["ratio"] == pytest.approx(2.0 * T / (N + T), rel=1e-10)
             assert rec["ratio"] <= 2.0
@@ -177,7 +175,7 @@ class TestMeanValue:
         poly = DirichletPolynomial(
             {n: float(rng.choice((-1.0, 1.0))) for n in range(64, 129)}
         )
-        single = second_moment(poly, 64.0)
+        (single,) = second_moment_many([poly], 64.0)
         (rec,) = mvt_ratio_many([poly], 64.0)
         assert rec["lhs"] == pytest.approx(single, rel=1e-14)
 
@@ -198,4 +196,20 @@ class TestCsvRoundTrip:
         from gl3hecke.dirichlet import poly_from_csv
 
         with pytest.raises(ValueError, match="header"):
+            poly_from_csv(str(path))
+
+    def test_duplicate_frequency_rejected_with_line(self, tmp_path):
+        from gl3hecke.dirichlet import poly_from_csv
+
+        path = tmp_path / "poly.csv"
+        path.write_text("n,re,im\n2,1.0,0.0\n2,0.5,0.0\n")
+        with pytest.raises(ValueError, match=f"{path}:3: duplicate frequency 2"):
+            poly_from_csv(str(path))
+
+    def test_zero_frequency_rejected_with_line(self, tmp_path):
+        from gl3hecke.dirichlet import poly_from_csv
+
+        path = tmp_path / "poly.csv"
+        path.write_text("n,re,im\n1,1.0,0.0\n\n0,0.5,0.0\n")
+        with pytest.raises(ValueError, match=f"{path}:4: frequency n = 0 < 1"):
             poly_from_csv(str(path))

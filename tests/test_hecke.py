@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_tempered_triple
 from gl3hecke.hecke import (
+    CoefficientTable,
     ExponentPair,
     GL2FormData,
     IndexBoundsError,
@@ -13,8 +14,7 @@ from gl3hecke.hecke import (
     PrimeLocalData,
     SatakeTriple,
     coeff_from_satake,
-    extend_multiplicative,
-    hecke_residual,
+        hecke_residual,
     mobius_expand,
     schur_eval,
     sym2_lift,
@@ -133,7 +133,7 @@ class TestCoeffFromSatake:
 
 class TestCoefficientTable:
     def test_multiplicative_extension_degenerate(self):
-        table = extend_multiplicative(degenerate_locals(10), 10, 10)
+        table = CoefficientTable(degenerate_locals(10), 10, 10)
         assert table.value(6, 1) == pytest.approx(9.0)  # A(2,1) * A(3,1)
         assert table.value(1, 1) == 1.0
 
@@ -144,7 +144,7 @@ class TestCoefficientTable:
 
     def test_missing_prime_is_reported(self):
         with pytest.raises(MissingPrimeError, match="3"):
-            extend_multiplicative([PrimeLocalData(2, DEGENERATE)], 10, 1)
+            CoefficientTable([PrimeLocalData(2, DEGENERATE)], 10, 1)
 
     def test_out_of_bounds_is_reported(self, random_table_2500):
         with pytest.raises(IndexBoundsError, match=r"\(2501, 1\)"):
@@ -169,7 +169,7 @@ class TestCoefficientTable:
             assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(rhs))
 
     def test_csv_export_round_trip(self, tmp_path):
-        table = extend_multiplicative(degenerate_locals(6), 6, 2)
+        table = CoefficientTable(degenerate_locals(6), 6, 2)
         path = tmp_path / "table.csv"
         table.export_csv(str(path))
         lines = path.read_text().strip().splitlines()
@@ -197,7 +197,7 @@ class TestHeckeResidual:
             assert hecke_residual(random_table_2500, m, m1, m2) <= 1e-8
 
     def test_out_of_bounds_names_offending_index(self):
-        table = extend_multiplicative(degenerate_locals(10), 10, 10)
+        table = CoefficientTable(degenerate_locals(10), 10, 10)
         # the divisor sum needs A(25, 1), which lies outside the bounds
         with pytest.raises(IndexBoundsError, match=r"\(25, 1\)"):
             hecke_residual(table, 5, 5, 1)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gl3hecke.hecke import PrimeLocalData, SatakeTriple, extend_multiplicative
+from gl3hecke.hecke import CoefficientTable, PrimeLocalData, SatakeTriple
 from gl3hecke.arith import factorize, primes_upto
 from gl3hecke.signstats import (
     RealSequence,
@@ -17,14 +17,14 @@ from gl3hecke.signstats import (
     short_interval_sums,
     sign_balance,
 )
-from oracles import d3
+from oracles import d3, interval_change_scan_walk
 
 DEGENERATE = SatakeTriple(1.0 + 0j, 1.0 + 0j, 1.0 + 0j)
 
 
 def degenerate_table(bound_m, bound_n=1):
     locs = [PrimeLocalData(p, DEGENERATE) for p in primes_upto(max(bound_m, bound_n))]
-    return extend_multiplicative(locs, bound_m, bound_n)
+    return CoefficientTable(locs, bound_m, bound_n)
 
 
 class ToyTable:
@@ -150,6 +150,28 @@ class TestIntervalChangeScan:
         scan = interval_change_scan(tau_table_100k, cfg)
         assert scan["lower_bound_estimate"] <= scan["with_change"]
 
+    def test_matches_window_walk_on_lift(self, tau_table_100k):
+        for X, H in ((10_000, 5), (10_000, 10), (2_000, 3), (1_000, 40), (30_000, 8)):
+            cfg = ShortIntervalConfig(X=X, H=H, M=2)
+            assert interval_change_scan(tau_table_100k, cfg) == \
+                interval_change_scan_walk(tau_table_100k, cfg)
+
+    def test_matches_window_walk_with_vanishing_primes(self):
+        # A(m, 1) = 0 whenever 2 or 3 divides m; the rest alternate in sign
+        # along the nonzero entries, so windows need the zero-skipping walk
+        class Table:
+            def value(self, m, n):
+                if m % 2 == 0 or m % 3 == 0:
+                    return 0.0 + 0.0j
+                return complex((-1) ** (m // 6))
+
+        for X, H in ((100, 2), (100, 3), (500, 5), (500, 9), (1_000, 16)):
+            cfg = ShortIntervalConfig(X=X, H=H, M=1)
+            assert interval_change_scan(Table(), cfg) == interval_change_scan_walk(Table(), cfg)
+        cfg = ShortIntervalConfig(X=400, H=12, M=2)
+        toy = ToyTable([2, 5], 2 * cfg.X + cfg.H)
+        assert interval_change_scan(toy, cfg) == interval_change_scan_walk(toy, cfg)
+
 
 class TestNonvanishingDensity:
     def test_no_vanishing_primes(self):
@@ -238,6 +260,6 @@ class TestCalibrations:
             PrimeLocalData(p, SatakeTriple.from_angles(0.4, 1.3))
             for p in primes_upto(50)
         ]
-        table = extend_multiplicative(locs, 50, 1)
+        table = CoefficientTable(locs, 50, 1)
         with pytest.raises(ValueError):
             sequence_from_table(table, 50)
