@@ -65,13 +65,14 @@ def write_report(obj, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _auto_window(X: int, H_arg: str, M_arg: str) -> tuple[int, int]:
-    H = math.ceil(X ** (1.0 / 6.0)) if H_arg == "auto" else int(H_arg)
-    if M_arg == "auto":
-        M = min(math.ceil(X ** 0.1), H - 1)
-    else:
-        M = int(M_arg)
-    return H, max(1, M)
+def _int_or_auto(text: str):
+    return text if text == "auto" else int(text)
+
+
+def _auto_window(X: int, H_arg, M_arg) -> tuple[int, int]:
+    H = math.ceil(X ** (1.0 / 6.0)) if H_arg == "auto" else H_arg
+    M = min(math.ceil(X ** 0.1), H - 1) if M_arg == "auto" else M_arg
+    return H, M
 
 
 def cmd_verify(args) -> int:
@@ -251,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", default="sym2-tau", choices=["sym2-tau", "csv"])
     p.add_argument("--path", default=None, help="input file for --source csv")
     p.add_argument("--X", type=int, default=10_000)
-    p.add_argument("--H", default="auto")
-    p.add_argument("--M", default="auto")
+    p.add_argument("--H", type=_int_or_auto, default="auto")
+    p.add_argument("--M", type=_int_or_auto, default="auto")
     p.add_argument("--zero-tol", type=float, default=1e-12)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_signs)
@@ -273,6 +274,17 @@ def _config_error(args) -> str | None:
     tol = getattr(args, "tol", None)
     if tol is not None and not tol > 0:
         return "field 'tol' must be positive"
+    if args.command == "mvt":
+        if args.N < 1:
+            return "field 'N' must be at least 1"
+        if args.T <= 0:
+            return "field 'T' must be positive"
+        if args.draws < 1:
+            return "field 'draws' must be at least 1"
+    if getattr(args, "cells", 0) < 0:
+        return "field 'cells' must be non-negative"
+    if getattr(args, "M", "auto") != "auto" and args.M < 1:
+        return "field 'M' must be at least 1"
     if getattr(args, "source", None) == "csv" and args.path is None:
         return "--source csv needs --path"
     return None

@@ -181,63 +181,44 @@ def euler_factor_check(
     }
 
 
-def _simpson_grid(lo: float, hi: float, N: int) -> tuple[np.ndarray, np.ndarray]:
-    step_cap = min(0.01, 1.0 / (10.0 * math.log(max(N, 2))))
-    panels = max(2, math.ceil((hi - lo) / step_cap))
-    if panels % 2:
-        panels += 1
-    t = np.linspace(lo, hi, panels + 1)
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= ((hi - lo) / panels) / 3.0
-    return t, w
+_KERNEL_ROWS = 64
 
 
 def second_moment_many(polys: list[DirichletPolynomial], T: float) -> list[float]:
-    """Simpson integrals of |F(1/2 + it)|^2 over [-T, T], sharing one phase
-    grid across polynomials (chunked so memory stays modest).
+    """Exact integrals of |F(1/2 + it)|^2 over [-T, T] by the mean-value
+    identity sum_{m,n} a_m conj(a_n) (mn)^{-1/2} K_T(log m/n), where
+    K_T(x) = 2 sin(Tx)/x = 2T sinc(Tx/pi) and K_T(0) = 2T.
 
-    For all-real coefficients F(1/2 - it) = conj F(1/2 + it), so |F|^2 is
-    even in t and only [0, T] is evaluated.
+    The kernel is built _KERNEL_ROWS rows at a time over the union of the
+    supports, so memory stays O(support x rows).  K_T is real and symmetric,
+    so Re(conj(a) K a) = Re(a) K Re(a) + Im(a) K Im(a).  The reduction is
+    einsum rather than a matrix product: its summation order does not depend
+    on the number of BLAS threads, so reports stay byte-identical.
     """
-    support = sorted(set().union(*(set(p.terms) for p in polys)) or {1})
-    n_arr = np.array(support, dtype=float)
-    log_n = np.log(n_arr)
-    amp = n_arr ** -0.5
+    support = np.array(sorted(set().union(*(p.terms for p in polys))), dtype=float)
+    log_n = np.log(support)
     coef = np.zeros((len(support), len(polys)), dtype=complex)
-    index = {n: i for i, n in enumerate(support)}
     for j, poly in enumerate(polys):
-        for n, c in poly.terms.items():
-            coef[index[n], j] = c * amp[index[n]]
-    all_real = bool(np.all(coef.imag == 0.0))
-    n_big = max(max(p.terms) for p in polys if p.terms) if any(p.terms for p in polys) else 2
-    if all_real:
-        t, w = _simpson_grid(0.0, T, n_big)
-        w = 2.0 * w
-    else:
-        t, w = _simpson_grid(-T, T, n_big)
-    out = np.zeros(len(polys))
-    chunk = max(1, 4_000_000 // max(1, len(support)))
-    for lo in range(0, len(t), chunk):
-        tc = t[lo : lo + chunk]
-        phases = np.exp(-1j * np.outer(tc, log_n))
-        vals = phases @ coef
-        out += w[lo : lo + chunk] @ (np.abs(vals) ** 2)
-    return [float(v) for v in out]
+        rows = np.searchsorted(support, list(poly.terms))
+        coef[rows, j] = list(poly.terms.values())
+    coef /= np.sqrt(support)[:, None]
+    parts = np.concatenate([coef.real, coef.imag], axis=1)
+    quad = np.zeros(2 * len(polys))
+    for lo in range(0, len(support), _KERNEL_ROWS):
+        diff = log_n[lo : lo + _KERNEL_ROWS, None] - log_n[None, :]
+        kernel = 2.0 * T * np.sinc(diff * (T / math.pi))
+        quad += np.einsum("ik,ij,jk->k", parts[lo : lo + _KERNEL_ROWS], kernel, parts)
+    return [float(v) for v in quad[: len(polys)] + quad[len(polys) :]]
 
 
 def mvt_ratio_many(polys: list[DirichletPolynomial], T: float) -> list[dict]:
     """Observed second moment of each polynomial against the mean-value bound
     (N + T) sum |a_n|^2 / n, with N the smallest frequency of the support."""
-    nonempty = [p for p in polys if p.terms]
-    moments = iter(second_moment_many(nonempty, T) if nonempty else [])
     out = []
-    for poly in polys:
+    for poly, lhs in zip(polys, second_moment_many(polys, T)):
         if not poly.terms:
             out.append({"lhs": 0.0, "rhs": 0.0, "ratio": 0.0})
             continue
-        lhs = next(moments)
         N = min(poly.terms)
         rhs = (N + T) * sum(abs(c) ** 2 / n for n, c in poly.terms.items())
         out.append({"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs else 0.0})

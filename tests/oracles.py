@@ -1,11 +1,15 @@
 """Independent reference implementations used only to cross-check the
 library: determinant-ratio Schur values, naive eta-product expansion,
-divisor counting, brute-force root-partition enumeration, and the
-Freudenthal multiplicity recursion."""
+divisor counting, brute-force root-partition enumeration, the Freudenthal
+multiplicity recursion, the Simpson-rule second moment, and the per-window
+sign-change walk."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+import numpy as np
 
 from gl3hecke.klpoly import Weight
 
@@ -160,3 +164,47 @@ def interval_change_scan_walk(table, cfg, zero_tol: float = 1e-12) -> dict:
         "with_change": with_change,
         "lower_bound_estimate": float(disjoint),
     }
+
+
+def _simpson_grid(lo: float, hi: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    step_cap = min(0.01, 1.0 / (10.0 * math.log(max(N, 2))))
+    panels = max(2, math.ceil((hi - lo) / step_cap))
+    if panels % 2:
+        panels += 1
+    t = np.linspace(lo, hi, panels + 1)
+    w = np.ones(panels + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= ((hi - lo) / panels) / 3.0
+    return t, w
+
+
+def second_moment_simpson(polys, T: float) -> list[float]:
+    """Simpson integrals of |F(1/2 + it)|^2 over [-T, T], sharing one phase
+    grid across polynomials, with step min(0.01, 1/(10 log N)) for the
+    largest frequency N.  For all-real coefficients |F|^2 is even in t and
+    only [0, T] is evaluated."""
+    support = sorted(set().union(*(set(p.terms) for p in polys)) or {1})
+    n_arr = np.array(support, dtype=float)
+    log_n = np.log(n_arr)
+    amp = n_arr ** -0.5
+    coef = np.zeros((len(support), len(polys)), dtype=complex)
+    index = {n: i for i, n in enumerate(support)}
+    for j, poly in enumerate(polys):
+        for n, c in poly.terms.items():
+            coef[index[n], j] = c * amp[index[n]]
+    all_real = bool(np.all(coef.imag == 0.0))
+    n_big = max(max(p.terms) for p in polys if p.terms) if any(p.terms for p in polys) else 2
+    if all_real:
+        t, w = _simpson_grid(0.0, T, n_big)
+        w = 2.0 * w
+    else:
+        t, w = _simpson_grid(-T, T, n_big)
+    out = np.zeros(len(polys))
+    chunk = max(1, 4_000_000 // max(1, len(support)))
+    for lo in range(0, len(t), chunk):
+        tc = t[lo : lo + chunk]
+        phases = np.exp(-1j * np.outer(tc, log_n))
+        vals = phases @ coef
+        out += w[lo : lo + chunk] @ (np.abs(vals) ** 2)
+    return [float(v) for v in out]

@@ -51,7 +51,7 @@ class TestGenAndIngest:
     def test_tau_csv(self, tmp_path):
         path = tmp_path / "tau.csv"
         assert run(["gen", "--what", "tau", "--N", "10", "--out", str(path)]) == 0
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["m", "value"]
         assert rows[1] == ["1", "1"]
         assert rows[2] == ["2", "-24"]
@@ -59,7 +59,7 @@ class TestGenAndIngest:
     def test_table_csv(self, tmp_path):
         path = tmp_path / "table.csv"
         assert run(["gen", "--what", "table", "--N", "20", "--out", str(path)]) == 0
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["m", "n", "re", "im"]
         assert len(rows) == 21
 
@@ -69,7 +69,7 @@ class TestGenAndIngest:
             "gen", "--what", "samples", "--measure", "plancherel", "--p", "5",
             "--count", "64", "--seed", "3", "--out", str(path),
         ]) == 0
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["theta1", "theta2"]
         assert len(rows) == 65
 
@@ -79,7 +79,7 @@ class TestGenAndIngest:
             "gen", "--what", "density", "--measure", "sato-tate", "--K", "8",
             "--out", str(path),
         ]) == 0
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["theta1", "theta2", "density"]
         assert len(rows) == 1 + 64
         total = sum(float(r[2]) for r in rows[1:]) * (2 * 3.141592653589793 / 8) ** 2
@@ -193,6 +193,21 @@ class TestErrorPaths:
         assert run(argv + ["--tol", tol]) == 2
         assert "field 'tol' must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,field", [
+        (["mvt", "--T", "-5"], "T"),
+        (["mvt", "--T", "0"], "T"),
+        (["mvt", "--N", "-3"], "N"),
+        (["mvt", "--N", "0"], "N"),
+        (["mvt", "--draws", "0"], "draws"),
+        (["satotate", "--p", "5", "--cells", "-1"], "cells"),
+        (["signs", "--X", "2000", "--M", "0"], "M"),
+    ], ids=["mvt-T-neg", "mvt-T-zero", "mvt-N-neg", "mvt-N-zero", "mvt-draws-zero",
+            "satotate-cells-neg", "signs-M-zero"])
+    def test_bad_size_is_config_error(self, capsys, argv, field):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"field '{field}'" in err
+
     def test_csv_source_without_path_is_config_error(self, capsys):
         assert run(["signs", "--source", "csv"]) == 2
         err = capsys.readouterr().err
@@ -200,19 +215,25 @@ class TestErrorPaths:
 
 
 class TestCrossProcessDeterminism:
-    def test_fresh_interpreter_matches_in_process(self, tmp_path):
+    @pytest.mark.parametrize("args,env", [
+        (["satotate", "--p", "2", "--samples", "3000", "--seed", "6",
+          "--a", "-1.0", "--b", "2.0"], {}),
+        # the subprocess runs single-threaded BLAS, the test process its default
+        (["mvt", "--N", "1024", "--T", "1024", "--draws", "5", "--seed", "3"],
+         {"OPENBLAS_NUM_THREADS": "1"}),
+    ], ids=["satotate", "mvt-single-blas-thread"])
+    def test_fresh_interpreter_matches_in_process(self, tmp_path, args, env):
         # guards against any dependence on per-process cache warm-up order
+        import os
         import subprocess
         import sys
 
-        args = ["satotate", "--p", "2", "--samples", "3000", "--seed", "6",
-                "--a", "-1.0", "--b", "2.0"]
         out1 = tmp_path / "inproc.json"
         assert run(args + ["--out", str(out1)]) == 0
         out2 = tmp_path / "subproc.json"
         proc = subprocess.run(
             [sys.executable, "-m", "gl3hecke.cli", *args, "--out", str(out2)],
-            capture_output=True,
+            capture_output=True, env={**os.environ, **env},
         )
         assert proc.returncode == 0, proc.stderr
         assert out1.read_bytes() == out2.read_bytes()
