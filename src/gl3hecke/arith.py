@@ -5,19 +5,43 @@ from __future__ import annotations
 from functools import lru_cache
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The least strong pseudoprime to all twelve bases above (Sorenson and
+# Webster, Math. Comp. 2017): below it Miller-Rabin on them is a proof.
+_MR_PROOF_BOUND = 318_665_857_834_031_151_167_461
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division (desk-scale inputs only)."""
+    """Deterministic for n < 3.18e23: trial division by the primes <= 37, then
+    Miller-Rabin with bases (2, 3) below 1,373,653, (2, 3, 5, 7) below
+    3,215,031,751 and the twelve primes <= 37 above.  Larger n raise
+    ValueError rather than get a probable answer."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_PROOF_BOUND:
+        raise ValueError(f"is_prime is proven only below {_MR_PROOF_BOUND}, got {n}")
+    if n < 1_373_653:
+        bases = _SMALL_PRIMES[:2]
+    elif n < 3_215_031_751:
+        bases = _SMALL_PRIMES[:4]
+    else:
+        bases = _SMALL_PRIMES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

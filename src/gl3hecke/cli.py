@@ -283,6 +283,8 @@ def _config_error(args) -> str | None:
             return "field 'draws' must be at least 1"
     if getattr(args, "cells", 0) < 0:
         return "field 'cells' must be non-negative"
+    if getattr(args, "H", "auto") != "auto" and args.H < 2:
+        return "field 'H' must be at least 2"
     if getattr(args, "M", "auto") != "auto" and args.M < 1:
         return "field 'M' must be at least 1"
     if getattr(args, "source", None) == "csv" and args.path is None:

@@ -1,14 +1,26 @@
 """Ramanujan tau(n) from the 24th power of the Dedekind eta q-series.
 
-All coefficient arithmetic is exact (Python integers).  Dense truncated
-polynomial squaring is done by Kronecker substitution: pack the coefficients
-into one big integer, square it, and read the slots back out.  tau(n) is the
-coefficient of q^{n-1} in prod_{k>=1} (1 - q^k)^24.
+tau(n) is the coefficient of q^{n-1} in prod_{k>=1} (1 - q^k)^24: Jacobi's
+sparse series for the cube, squared three times.  Each truncated squaring is
+one exact product of big decimals with the coefficients in fixed-width digit
+slots; libmpdec, the C core of `decimal`, multiplies numbers this large by a
+number-theoretic transform, where CPython's int product is Karatsuba.  The
+pure-Python `_pydecimal` has no such transform, so the import fails without
+the C module rather than run orders of magnitude slower.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+try:
+    from _decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
+except ImportError as exc:
+    raise ImportError("gl3hecke.tau needs the C decimal module (libmpdec), "
+                      "which this interpreter lacks") from exc
+
+# Every product of big decimals below is exact in this context.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def eta_cubed_coeffs(N: int) -> list[int]:
@@ -22,40 +34,27 @@ def eta_cubed_coeffs(N: int) -> list[int]:
     return out
 
 
-def _pack(coeffs: list[int], slot: int) -> int:
-    pos = bytearray(len(coeffs) * slot)
-    neg = bytearray(len(coeffs) * slot)
-    for i, c in enumerate(coeffs):
-        if c > 0:
-            pos[i * slot : i * slot + slot] = c.to_bytes(slot, "little")
-        elif c < 0:
-            neg[i * slot : i * slot + slot] = (-c).to_bytes(slot, "little")
-    return int.from_bytes(bytes(pos), "little") - int.from_bytes(bytes(neg), "little")
-
-
-def _unpack(m: int, full_len: int, keep: int, slot: int) -> list[int]:
-    # Adding 2^(8*slot-1) per slot makes every balanced digit non-negative,
-    # so the plain base-2^(8*slot) digits are coefficient + half.
-    half = 1 << (8 * slot - 1)
-    offset = int.from_bytes((bytes(slot - 1) + b"\x80") * full_len, "little")
-    raw = (m + offset).to_bytes(full_len * slot + slot, "little")
-    return [
-        int.from_bytes(raw[i * slot : i * slot + slot], "little") - half
-        for i in range(keep)
-    ]
-
-
 def square_trunc(coeffs: list[int], N: int) -> list[int]:
     """Exact coefficients of the square of the polynomial, truncated to N."""
-    peak = max((abs(c) for c in coeffs), default=0)
-    if peak == 0:
+    bound = sum(c * c for c in coeffs)
+    if bound == 0:
         return [0] * N
-    bound = len(coeffs) * peak * peak
-    slot = (bound.bit_length() + 2 + 7) // 8
-    packed = _pack(coeffs, slot)
+    # By Cauchy-Schwarz the square's coefficients are at most bound in size, so
+    # slots of `width` digits, 10^width > 2 bound, hold each as c + half, half =
+    # 10^width / 2.  So does each input coefficient (c^2 <= bound), in exactly
+    # `width` digits.  Digits go through Decimal: str(int) and int(str) stop at
+    # 4300 digits.
+    width = Decimal(2 * bound).adjusted() + 1
+    half = 5 * 10 ** (width - 1)
+    halves = "5" + "0" * (width - 1)
+    slots = "".join(str(Decimal(c + half)) for c in reversed(coeffs))
+    packed = _EXACT.subtract(Decimal(slots), Decimal(halves * len(coeffs)))
     full_len = 2 * len(coeffs) - 1
-    out = _unpack(packed * packed, full_len, min(N, full_len), slot)
-    out.extend([0] * (N - len(out)))
+    keep = min(N, full_len)
+    digits = format(_EXACT.fma(packed, packed, Decimal(halves * full_len)), "f")
+    out = [int(Decimal(digits[j - width : j])) - half
+           for j in range(len(digits), len(digits) - keep * width, -width)]
+    out.extend([0] * (N - keep))
     return out
 
 

@@ -1,8 +1,9 @@
 """Independent reference implementations used only to cross-check the
 library: determinant-ratio Schur values, naive eta-product expansion,
 divisor counting, brute-force root-partition enumeration, the Freudenthal
-multiplicity recursion, the Simpson-rule second moment, and the per-window
-sign-change walk."""
+multiplicity recursion, the Simpson-rule second moment, the per-window
+sign-change walk, primality by trial division, and the truncated square by
+Kronecker substitution on Python ints."""
 
 from __future__ import annotations
 
@@ -208,3 +209,58 @@ def second_moment_simpson(polys, T: float) -> list[float]:
         vals = phases @ coef
         out += w[lo : lo + chunk] @ (np.abs(vals) ** 2)
     return [float(v) for v in out]
+
+
+def is_prime_trial(n: int) -> bool:
+    """Primality by trial division by 2 and the odd numbers up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def _pack(coeffs: list[int], slot: int) -> int:
+    pos = bytearray(len(coeffs) * slot)
+    neg = bytearray(len(coeffs) * slot)
+    for i, c in enumerate(coeffs):
+        if c > 0:
+            pos[i * slot : i * slot + slot] = c.to_bytes(slot, "little")
+        elif c < 0:
+            neg[i * slot : i * slot + slot] = (-c).to_bytes(slot, "little")
+    return int.from_bytes(bytes(pos), "little") - int.from_bytes(bytes(neg), "little")
+
+
+def _unpack(m: int, full_len: int, keep: int, slot: int) -> list[int]:
+    # Adding 2^(8*slot-1) per slot makes every balanced digit non-negative,
+    # so the plain base-2^(8*slot) digits are coefficient + half.
+    half = 1 << (8 * slot - 1)
+    offset = int.from_bytes((bytes(slot - 1) + b"\x80") * full_len, "little")
+    raw = (m + offset).to_bytes(full_len * slot + slot, "little")
+    return [
+        int.from_bytes(raw[i * slot : i * slot + slot], "little") - half
+        for i in range(keep)
+    ]
+
+
+def square_trunc_kronecker(coeffs: list[int], N: int) -> list[int]:
+    """Truncated square by Kronecker substitution on Python ints: pack the
+    coefficients into byte slots of one big integer, square it with CPython's
+    int product, and read the slots back out."""
+    peak = max((abs(c) for c in coeffs), default=0)
+    if peak == 0:
+        return [0] * N
+    bound = len(coeffs) * peak * peak
+    slot = (bound.bit_length() + 2 + 7) // 8
+    packed = _pack(coeffs, slot)
+    full_len = 2 * len(coeffs) - 1
+    out = _unpack(packed * packed, full_len, min(N, full_len), slot)
+    out.extend([0] * (N - len(out)))
+    return out

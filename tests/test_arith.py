@@ -1,0 +1,49 @@
+"""Primality by deterministic Miller-Rabin against trial division."""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gl3hecke.arith import is_prime
+from oracles import is_prime_trial
+
+# Each is the least strong pseudoprime to the primes up to the named base,
+# so each catches a base set cut one prime too short.
+STRONG_PSEUDOPRIMES = {
+    3: 1_373_653,
+    7: 3_215_031_751,
+    11: 2_152_302_898_747,
+    13: 3_474_749_660_383,
+    17: 341_550_071_728_321,
+    23: 3_825_123_056_546_413_051,
+}
+
+
+def test_agrees_with_trial_division_below_4e5():
+    assert [n for n in range(400_000) if is_prime(n) != is_prime_trial(n)] == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-5, 10**12))
+@example(1_373_653)
+@example(3_215_031_751)
+@example(999_999_999_989)  # the largest prime below 10^12
+def test_agrees_with_trial_division_below_1e12(n):
+    assert is_prime(n) == is_prime_trial(n)
+
+
+@pytest.mark.parametrize("base,n", sorted(STRONG_PSEUDOPRIMES.items()))
+def test_strong_pseudoprimes_are_composite(base, n):
+    assert not is_prime(n)
+
+
+def test_large_primes():
+    assert is_prime(2**61 - 1)
+    assert is_prime(2**31 - 1)
+    assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
+
+
+def test_refuses_beyond_the_proven_range():
+    # the least strong pseudoprime to all twelve prime bases <= 37
+    with pytest.raises(ValueError, match="proven only below"):
+        is_prime(318_665_857_834_031_151_167_461)

@@ -201,8 +201,10 @@ class TestErrorPaths:
         (["mvt", "--draws", "0"], "draws"),
         (["satotate", "--p", "5", "--cells", "-1"], "cells"),
         (["signs", "--X", "2000", "--M", "0"], "M"),
+        (["signs", "--X", "2000", "--H", "0"], "H"),
+        (["signs", "--X", "2000", "--H", "1"], "H"),
     ], ids=["mvt-T-neg", "mvt-T-zero", "mvt-N-neg", "mvt-N-zero", "mvt-draws-zero",
-            "satotate-cells-neg", "signs-M-zero"])
+            "satotate-cells-neg", "signs-M-zero", "signs-H-zero", "signs-H-one"])
     def test_bad_size_is_config_error(self, capsys, argv, field):
         assert run(argv) == 2
         err = capsys.readouterr().err

@@ -1,7 +1,19 @@
+import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import _decimal
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gl3hecke import tau
-from oracles import naive_eta_power
+from gl3hecke.arith import primes_upto
+from oracles import naive_eta_power, square_trunc_kronecker
 
 
 def test_first_value_is_one():
@@ -53,3 +65,86 @@ def test_normalized_eigenvalues_are_tempered():
 
 def test_repeat_call_is_consistent():
     assert tau.ramanujan_tau(50) == tau.ramanujan_tau(50)
+
+
+def test_decimal_is_the_c_module():
+    assert tau.Decimal is _decimal.Decimal
+
+
+def test_import_fails_without_c_decimal():
+    # With _decimal blocked, `decimal` would fall back to _pydecimal.
+    code = ("import sys; sys.modules['_decimal'] = None\n"
+            "try:\n    import gl3hecke.tau\nexcept ImportError as exc:\n    print(exc)")
+    env = {**os.environ, "PYTHONPATH": str(Path(tau.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert "libmpdec" in proc.stdout
+
+
+coefficient = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.integers(-(10**40), 10**40),
+    # beyond the 4300-digit limit of int <-> str
+    st.integers(10**4400, 10**4401).flatmap(lambda c: st.sampled_from([c, -c])),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(coefficient, max_size=10), st.integers(0, 22))
+@example([], 3)
+@example([0, 0, 0], 2)
+@example([7], 1)
+@example([0, 0, -5], 7)
+@example([3, -2, 0, 7], 4)
+@example([10**4400 + 1, -3, 0, 2], 7)
+@example([-(10**4400), 10**4400], 4)
+def test_square_trunc_matches_kronecker(coeffs, N):
+    # N runs below, at and above the 2 len - 1 terms of the full square
+    assert tau.square_trunc(coeffs, N) == square_trunc_kronecker(coeffs, N)
+
+
+def test_eta24_squarings_match_kronecker():
+    n = 20_000
+    f = tau.eta_cubed_coeffs(n)
+    for _ in range(3):
+        g = tau.square_trunc(f, n)
+        assert g == square_trunc_kronecker(f, n)
+        f = g
+    assert tuple(f) == tau._eta24_coeffs(n)
+
+
+def _sigma11_mod691(N: int) -> np.ndarray:
+    """sigma_11(m) mod 691 for 0 <= m <= N, from the divisor pairs (a, b),
+    a <= b, ab = m."""
+    d = np.arange(N + 1, dtype=np.int64)
+    pow11 = np.ones(N + 1, dtype=np.int64)
+    for _ in range(11):
+        pow11 = pow11 * d % 691
+    sigma = np.zeros(N + 1, dtype=np.int64)
+    for a in range(1, math.isqrt(N) + 1):
+        b = np.arange(a, N // a + 1)
+        sigma[a * b] += pow11[a] + pow11[b]
+        sigma[a * a] -= pow11[a]
+    return sigma % 691
+
+
+def test_full_range():
+    N = 10**6
+    try:
+        values = tau.ramanujan_tau(N)
+        assert values[: 10**5] == tau.ramanujan_tau(10**5)
+    finally:
+        tau._eta24_coeffs.cache_clear()
+    # Ramanujan's congruence tau(n) = sigma_11(n) mod 691
+    assert [t % 691 for t in values] == _sigma11_mod691(N)[1:].tolist()
+    rng = random.Random(691)
+    pairs = 0
+    while pairs < 2000:
+        m = rng.randrange(2, 1001)
+        n = rng.randrange(2, N // m + 1)
+        if math.gcd(m, n) == 1:
+            assert values[m * n - 1] == values[m - 1] * values[n - 1]
+            pairs += 1
+    for p in primes_upto(1000):
+        assert values[p * p - 1] == values[p - 1] ** 2 - p**11
