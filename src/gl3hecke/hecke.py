@@ -11,12 +11,18 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .arith import divisors, factorize, is_prime, mobius, primes_upto, spf_sieve
 from .csvio import write_csv
 
 PRODUCT_TOL = 1e-12
 UNIT_TOL = 1e-12
+
+A_M1 = "A_m1"   # row selector: A(m, 1)
+A_MM = "A_mm"   # row selector: A(m, m)
 
 
 class MissingPrimeError(KeyError):
@@ -160,11 +166,12 @@ def coeff_from_satake(local: PrimeLocalData, max_exp: int) -> dict[tuple[int, in
 class CoefficientTable:
     """Coefficients A(m, n) for 1 <= m <= bound_m, 1 <= n <= bound_n.
 
-    Entries are generated from the local data by multiplicativity and cached
-    on access; the declared bounds are a hard contract and requests outside
-    them raise IndexBoundsError.  The table is logically immutable: reads
-    only fill the internal memo (atomic dict updates), so concurrent readers
-    are safe.
+    Entries are generated from the local data by multiplicativity: value()
+    one at a time into a memo, row() the dense rows A(m, 1) and A(m, m) by
+    one sieve each.  The declared bounds are a hard contract and requests
+    outside them raise IndexBoundsError.  The table is logically immutable:
+    reads only fill the internal memos (atomic dict updates), so concurrent
+    readers are safe.
     """
 
     def __init__(self, locals_: list[PrimeLocalData], bound_m: int, bound_n: int):
@@ -178,9 +185,14 @@ class CoefficientTable:
         missing = [p for p in primes_upto(top) if p not in self._by_prime]
         if missing:
             raise MissingPrimeError(f"no local data for prime {missing[0]}")
-        self._spf = spf_sieve(top)
         self.entries: dict[tuple[int, int], complex] = {(1, 1): 1.0 + 0.0j}
         self._local_powers: dict[tuple[int, int, int], complex] = {}
+        self._rows: dict[str, np.ndarray] = {}
+
+    @cached_property
+    def _spf(self) -> list[int]:
+        """Smallest prime factors for value(), which rows never need."""
+        return spf_sieve(max(self.bound_m, self.bound_n))
 
     def _local_value(self, p: int, a: int, b: int) -> complex:
         key = (p, a, b)
@@ -211,10 +223,66 @@ class CoefficientTable:
         self.entries[(m, n)] = val
         return val
 
-    def materialize(self):
-        for m in range(1, self.bound_m + 1):
-            for n in range(1, self.bound_n + 1):
-                self.value(m, n)
+    def row(self, X: int, which: str = A_M1) -> np.ndarray:
+        """A(m, 1) (which = A_M1) or A(m, m) (which = A_MM) for m = 1..X as a
+        read-only complex128 array; entry i holds the coefficient at m = i+1.
+
+        The whole row, to bound_m or to min(bound_m, bound_n), is sieved on
+        the first request and kept; its entries are bit-identical to value().
+        """
+        if which == A_M1:
+            top = self.bound_m
+        elif which == A_MM:
+            top = min(self.bound_m, self.bound_n)
+        else:
+            raise ValueError(f"unknown selector {which!r}")
+        if not 0 <= X <= top:
+            m = top + 1 if X > top else X
+            raise IndexBoundsError(f"index ({m}, {1 if which == A_M1 else m}) outside bounds "
+                                   f"({self.bound_m}, {self.bound_n})")
+        full = self._rows.get(which)
+        if full is None:
+            full = self._rows[which] = self._sieve_row(top, which == A_MM)
+        return full[1:X + 1]
+
+    def _sieve_row(self, N: int, diagonal: bool) -> np.ndarray:
+        """Entries 0..N of a row (entry 0 unused) by A(m) = A(m/q) L(q), q the
+        full power of the largest prime of m, filled in rounds of equal
+        number of distinct primes omega(m).  The largest prime goes last, so
+        every product is value()'s ascending-prime product.  It is spelled out
+        in real parts, as Python multiplies complex numbers; numpy's complex
+        multiply may round differently (fused multiply-add)."""
+        top = np.ones(N + 1, dtype=np.int64)      # q(m)
+        omega = np.zeros(N + 1, dtype=np.int8)
+        local = np.zeros(N + 1, dtype=complex)    # L(q) at the prime powers q
+        primes = sorted(p for p in self._by_prime if p <= N)
+        root = math.isqrt(N)
+        small = [p for p in primes if p <= root]
+        for p in small:  # ascending, so a larger prime's powers overwrite top
+            omega[p::p] += 1
+            q, e = p, 1
+            while q <= N:
+                top[q::q] = q
+                local[q] = self._local_value(p, e, e if diagonal else 0)
+                q, e = q * p, e + 1
+        big = np.array(primes[len(small):], dtype=np.int64)
+        local[big] = [self._local_value(p, 1, 1 if diagonal else 0) for p in big.tolist()]
+        # m = k p with p > sqrt(N) has k < p, so p is its largest prime, to the first power
+        k_max = N // int(big[0]) if len(big) else 0
+        for k in range(1, k_max + 1):
+            ps = big[: np.searchsorted(big, N // k, side="right")]
+            top[k * ps] = ps
+            omega[k * ps] += 1
+        rest = np.arange(N + 1) // top
+        row = np.zeros(N + 1, dtype=complex)
+        row[1] = 1.0
+        for k in range(1, int(omega.max(initial=0)) + 1):
+            idx = np.flatnonzero(omega == k)
+            a, b = row[rest[idx]], local[top[idx]]
+            row.real[idx] = a.real * b.real - a.imag * b.imag
+            row.imag[idx] = a.real * b.imag + a.imag * b.real
+        row.flags.writeable = False
+        return row
 
     def export_csv(self, path: str):
         """Write the full rectangle as rows m,n,re,im."""

@@ -1,9 +1,10 @@
 """Independent reference implementations used only to cross-check the
 library: determinant-ratio Schur values, naive eta-product expansion,
 divisor counting, brute-force root-partition enumeration, the Freudenthal
-multiplicity recursion, the Simpson-rule second moment, the per-window
-sign-change walk, primality by trial division, and the truncated square by
-Kronecker substitution on Python ints."""
+multiplicity recursion, the Simpson-rule second moment, the per-entry
+sign-change count, the per-window sign-change walk, primality by trial
+division, and the truncated square by Kronecker substitution on Python
+ints."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from gl3hecke.klpoly import Weight
+from gl3hecke.signstats import SignChangeReport
 
 
 def det3(rows):
@@ -134,6 +136,33 @@ def freudenthal_multiplicities(lam: Weight) -> dict[Weight, int]:
         assert val.denominator == 1, "Freudenthal recursion must be integral"
         mult[mu] = int(val)
     return {Weight(mu): m for mu, m in mult.items() if m > 0}
+
+
+def count_sign_changes_loop(values, zero_tol: float = 1e-12) -> SignChangeReport:
+    """Sign changes along the entries with |a| > zero_tol, one entry at a
+    time; zeros are skipped, never counted as changes."""
+    if zero_tol < 0:
+        raise ValueError("zero_tol must be non-negative")
+    changes = 0
+    positions: list[tuple[int, int]] = []
+    positives = negatives = zeros = 0
+    last_sign = 0
+    last_index = 0
+    for idx, v in enumerate(values, start=1):
+        if abs(v) <= zero_tol:
+            zeros += 1
+            continue
+        sign = 1 if v > 0 else -1
+        if sign > 0:
+            positives += 1
+        else:
+            negatives += 1
+        if last_sign and sign != last_sign:
+            changes += 1
+            positions.append((last_index, idx))
+        last_sign = sign
+        last_index = idx
+    return SignChangeReport(changes, positions, positives, negatives, zeros)
 
 
 def interval_change_scan_walk(table, cfg, zero_tol: float = 1e-12) -> dict:

@@ -114,7 +114,7 @@ class TestGenAndIngest:
         path = tmp_path / "seq.csv"
         path.write_text("m,value\n1,1.0\n2,-2.0\n4,0.5\n")
         seq = cli.ingest(str(path), "seqcsv")
-        assert seq.values == [1.0, -2.0, 0.0, 0.5]
+        assert seq.values.tolist() == [1.0, -2.0, 0.0, 0.5]
 
 
 class TestSignsCommand:

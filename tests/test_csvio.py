@@ -34,7 +34,7 @@ def test_gl2_round_trip(path, lam):
 def test_seq_round_trip(path, values):
     write_csv(path, ("m", "value"), values.items())
     seq = cli.ingest(path, "seqcsv")
-    assert seq.values == [values.get(m, 0.0) for m in range(1, max(values, default=0) + 1)]
+    assert seq.values.tolist() == [values.get(m, 0.0) for m in range(1, max(values, default=0) + 1)]
 
 
 @round_trip

@@ -1,10 +1,15 @@
 import cmath
 import math
+import random
 
+import numpy as np
 import pytest
 
 from conftest import random_tempered_triple
+from gl3hecke.arith import primes_upto
 from gl3hecke.hecke import (
+    A_M1,
+    A_MM,
     CoefficientTable,
     ExponentPair,
     GL2FormData,
@@ -19,6 +24,7 @@ from gl3hecke.hecke import (
     schur_eval,
     sym2_lift,
 )
+from gl3hecke.suites import random_tempered_locals
 from oracles import vandermonde_schur
 
 DEGENERATE = SatakeTriple(1.0 + 0j, 1.0 + 0j, 1.0 + 0j)
@@ -175,6 +181,46 @@ class TestCoefficientTable:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "m,n,re,im"
         assert len(lines) == 1 + 6 * 2
+
+
+def value_walk(table, X, which):
+    return np.array([table.value(m, 1 if which == A_M1 else m) for m in range(1, X + 1)])
+
+
+class TestRow:
+    @pytest.mark.parametrize("which", [A_M1, A_MM])
+    def test_matches_value_walk_on_lift(self, tau_table_100k, which):
+        row = tau_table_100k.row(100_000, which)
+        walk = value_walk(tau_table_100k, 100_000, which)
+        assert np.array_equal(row.real, walk.real)
+        assert np.array_equal(row.imag, walk.imag)
+
+    def test_matches_value_walk_on_random_tempered(self):
+        X = 30_000
+        table = CoefficientTable(random_tempered_locals(primes_upto(X), random.Random(31)), X, X)
+        for which in (A_MM, A_M1):
+            row, walk = table.row(X, which), value_walk(table, X, which)
+            assert np.array_equal(row.real, walk.real)
+            assert np.array_equal(row.imag, walk.imag)
+
+    def test_bounds(self):
+        table = CoefficientTable(degenerate_locals(50), 50, 1)
+        assert len(table.row(50)) == 50
+        assert len(table.row(0)) == 0
+        assert table.row(1, A_MM).tolist() == [1.0]
+        with pytest.raises(IndexBoundsError, match=r"\(51, 1\)"):
+            table.row(51)
+        with pytest.raises(IndexBoundsError, match=r"\(2, 2\)"):
+            table.row(2, A_MM)
+        with pytest.raises(ValueError, match="unknown selector"):
+            table.row(5, "A_1m")
+
+    def test_built_once_and_read_only(self):
+        table = CoefficientTable(degenerate_locals(100), 100, 100)
+        head = table.row(10)
+        assert np.shares_memory(head, table.row(100))
+        with pytest.raises(ValueError):
+            head[0] = 2.0
 
 
 class TestHeckeResidual:

@@ -1,9 +1,21 @@
 import math
+import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gl3hecke.hecke import CoefficientTable, PrimeLocalData, SatakeTriple
+from gl3hecke.hecke import (
+    A_M1,
+    A_MM,
+    CoefficientTable,
+    IndexBoundsError,
+    PrimeLocalData,
+    SatakeTriple,
+)
 from gl3hecke.arith import factorize, primes_upto
+from gl3hecke.suites import random_tempered_locals
 from gl3hecke.signstats import (
     RealSequence,
     ShortIntervalConfig,
@@ -11,15 +23,17 @@ from gl3hecke.signstats import (
     interval_change_scan,
     nonvanishing_density,
     partial_sum_abs,
-    prime_power_abs_sum,
     rankin_selberg_ratio,
     sequence_from_table,
     short_interval_sums,
     sign_balance,
 )
-from oracles import d3, interval_change_scan_walk
+from oracles import count_sign_changes_loop, d3, interval_change_scan_walk
 
 DEGENERATE = SatakeTriple(1.0 + 0j, 1.0 + 0j, 1.0 + 0j)
+TOL = 1e-12
+# entries that sit in the zero band, on its edges, or repeat one sign
+EDGE_ENTRIES = st.sampled_from([0.0, -0.0, TOL, -TOL, 1e-15, 2e-12, -2e-12, 1.0, -1.0, 3.5])
 
 
 def degenerate_table(bound_m, bound_n=1):
@@ -27,7 +41,15 @@ def degenerate_table(bound_m, bound_n=1):
     return CoefficientTable(locs, bound_m, bound_n)
 
 
-class ToyTable:
+class RowFromValue:
+    """row() of a toy table, assembled entry by entry from its value()."""
+
+    def row(self, X, which=A_M1):
+        return np.array([self.value(m, 1 if which == A_M1 else m) for m in range(1, X + 1)],
+                        dtype=complex)
+
+
+class ToyTable(RowFromValue):
     """Fully multiplicative toy coefficients: value 0 at powers of the listed
     primes, 1 elsewhere; value(m, m) mirrors value(m, 1)."""
 
@@ -42,7 +64,7 @@ class ToyTable:
         return 1.0 + 0.0j
 
 
-class AlternatingTable:
+class AlternatingTable(RowFromValue):
     """value(m, 1) = (-1)^m; not multiplicative, used for window scanning."""
 
     def __init__(self, bound):
@@ -91,6 +113,17 @@ class TestCountSignChanges:
         rep = count_sign_changes(RealSequence([1.0, 1e-15, -1.0]), zero_tol=1e-12)
         assert rep.changes == 1
         assert rep.zeros == 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(EDGE_ENTRIES, st.floats()), max_size=80),
+           st.sampled_from([0.0, TOL, 0.5]))
+    @example([], TOL)
+    @example([0.0, -0.0, 0.0], TOL)
+    @example([TOL, -TOL, 1.0, TOL, -1.0, -TOL], TOL)
+    @example([1.0, 1.0, 2.0, -1.0, -3.0, -3.0, 0.0, 5.0, 5.0], TOL)
+    def test_matches_entry_loop(self, values, zero_tol):
+        got = count_sign_changes(RealSequence(values), zero_tol)
+        assert got == count_sign_changes_loop(values, zero_tol)
 
 
 class TestShortIntervalSums:
@@ -159,7 +192,7 @@ class TestIntervalChangeScan:
     def test_matches_window_walk_with_vanishing_primes(self):
         # A(m, 1) = 0 whenever 2 or 3 divides m; the rest alternate in sign
         # along the nonzero entries, so windows need the zero-skipping walk
-        class Table:
+        class Table(RowFromValue):
             def value(self, m, n):
                 if m % 2 == 0 or m % 3 == 0:
                     return 0.0 + 0.0j
@@ -210,14 +243,39 @@ class TestPartialSums:
         X = 100_000
         assert partial_sum_abs(tau_table_100k, X) >= X ** 0.9
 
-    def test_prime_power_sum_matches_direct_loop(self):
-        table = degenerate_table(200)
-        direct = 0.0
-        for q in range(100, 201):
-            facs = factorize(q)
-            if len(facs) == 1:
-                direct += abs(table.value(q, 1))
-        assert prime_power_abs_sum(table, 100) == pytest.approx(direct)
+
+def left_sum(values, start):
+    for v in values:
+        start += v
+    return start
+
+
+@pytest.fixture(scope="module")
+def complex_table():
+    """Random tempered table: A(m, 1) complex for m <= 20_000."""
+    X = 20_000
+    return CoefficientTable(random_tempered_locals(primes_upto(X), random.Random(7)), X, 1)
+
+
+class TestComplexSums:
+    """On complex A(m, 1) the row sums equal the entry-by-entry loops bit for bit."""
+
+    def test_partial_sum_abs(self, complex_table):
+        want = left_sum((abs(complex_table.value(m, 1)) for m in range(1, 20_001)), 0.0)
+        assert partial_sum_abs(complex_table, 20_000) == want
+
+    def test_rankin_selberg_ratio(self, complex_table):
+        for X in (1, 999, 20_000):
+            squares = (abs(complex_table.value(m, 1)) ** 2 for m in range(1, X + 1))
+            assert rankin_selberg_ratio(complex_table, X) == left_sum(squares, 0.0) / X
+
+    def test_short_interval_sums(self, complex_table):
+        cfg = ShortIntervalConfig(X=5_000, H=300, M=6)
+        for x in (5_000, 7_321, 10_000):
+            vals = [complex_table.value(m * k, 1) for m in range(6, 13)
+                    for k in range(-(-x // m), (x + 300) // m + 1) if math.gcd(m, k) == 1]
+            want = {"S1": abs(left_sum(vals, 0j)), "S2": left_sum(map(abs, vals), 0.0)}
+            assert short_interval_sums(complex_table, cfg, x) == want
 
 
 class TestSignBalance:
@@ -255,6 +313,22 @@ class TestCalibrations:
         rep = count_sign_changes(seq)
         assert rep.changes >= X ** (5.0 / 6.0) / 10.0
 
+    def test_complex_entry_is_named(self):
+        # real A(m, 1) and A(m, m) below 7: self-dual triples (e^{it}, 1, e^{-it});
+        # at 7 a non-tempered triple whose A(7, 1) and A(7, 7) are complex
+        locs = [PrimeLocalData(p, SatakeTriple.from_angles(0.3 * p, 0.0))
+                for p in primes_upto(60) if p != 7]
+        locs.append(PrimeLocalData(7, SatakeTriple(2.0, 0.5j, -1j, tempered=False)))
+        table = CoefficientTable(locs, 60, 60)
+        with pytest.raises(ValueError, match=r"^A\(7,1\) has non-negligible imaginary part"):
+            sequence_from_table(table, 60)
+        with pytest.raises(ValueError, match=r"^A\(7,7\) has non-negligible imaginary part"):
+            sign_balance(table, 60, A_MM)
+        # the scan reads m in [10, 28]; its first complex entry is A(14, 1)
+        with pytest.raises(ValueError, match=r"^A\(14,1\) has non-negligible imaginary part"):
+            interval_change_scan(table, ShortIntervalConfig(X=10, H=8, M=2))
+        assert len(sequence_from_table(table, 6)) == 6
+
     def test_sequence_extraction_rejects_complex(self):
         locs = [
             PrimeLocalData(p, SatakeTriple.from_angles(0.4, 1.3))
@@ -263,3 +337,28 @@ class TestCalibrations:
         table = CoefficientTable(locs, 50, 1)
         with pytest.raises(ValueError):
             sequence_from_table(table, 50)
+
+
+class TestBounds:
+    """degenerate_table(50) has bound_n = 1, so A(m, m) stops at m = 1."""
+
+    @pytest.mark.parametrize("call", [
+        lambda t: sequence_from_table(t, 51),
+        lambda t: sequence_from_table(t, 2, A_MM),
+        lambda t: sign_balance(t, 2, A_MM),
+        lambda t: nonvanishing_density(t, 51),
+        lambda t: partial_sum_abs(t, 51),
+        lambda t: rankin_selberg_ratio(t, 51),
+        # the window reaches mk = 51 = 3 * 17
+        lambda t: short_interval_sums(t, ShortIntervalConfig(X=30, H=25, M=2), 30),
+        # the last window is [40, 56]
+        lambda t: interval_change_scan(t, ShortIntervalConfig(X=20, H=16, M=2)),
+    ], ids=["seq", "seq-mm", "balance-mm", "density", "abs-sum", "rankin", "short", "scan"])
+    def test_past_the_bound_is_an_index_error(self, call):
+        with pytest.raises(IndexBoundsError):
+            call(degenerate_table(50))
+
+    def test_at_the_bound(self):
+        table = degenerate_table(50)
+        assert len(sequence_from_table(table, 50)) == 50
+        assert sequence_from_table(table, 1, A_MM).values.tolist() == [1.0]
