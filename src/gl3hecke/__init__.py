@@ -10,7 +10,6 @@ from .hecke import (
     NonTemperedError,
     PrimeLocalData,
     SatakeTriple,
-    coeff_from_satake,
     hecke_residual,
     mobius_expand,
     schur_eval,
@@ -27,24 +26,17 @@ from .klpoly import (
 from .measures import (
     EnvelopeError,
     MeasureSpec,
-    PoleError,
     QuadratureError,
     QuadratureGrid,
-    SpectralPoint,
     TorusPoint,
-    WeightParams,
     density,
-    h_T_eval,
     integrate,
-    spec_density,
     weyl_poincare,
 )
 from .schuralg import (
     EPoly,
     WInvariantLaurent,
-    bernstein_approx,
     bernstein_coeffs,
-    bernstein_rate_diagnostic,
     effective_st_compare,
     expand_in_schur,
     schur_to_epoly,

@@ -14,7 +14,7 @@ import sys
 
 from . import dirichlet as dmod
 from . import hecke, klpoly, measures, schuralg, signstats, suites, tau
-from .arith import is_prime
+from .arith import _MR_PROOF_BOUND, is_prime
 from .csvio import IngestError, read_csv, write_csv
 
 
@@ -269,8 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _prime_error(p: int) -> str | None:
+    if not (p < _MR_PROOF_BOUND and is_prime(p)):
+        return f"field 'p' must be a prime below {_MR_PROOF_BOUND}, got {p}"
+    return None
+
+
 def _config_error(args) -> str | None:
-    """The first argument that no command can run with, or None."""
+    """The first argument that its command cannot run with, or None."""
     tol = getattr(args, "tol", None)
     if tol is not None and not tol > 0:
         return "field 'tol' must be positive"
@@ -281,14 +287,44 @@ def _config_error(args) -> str | None:
             return "field 'T' must be positive"
         if args.draws < 1:
             return "field 'draws' must be at least 1"
-    if getattr(args, "cells", 0) < 0:
-        return "field 'cells' must be non-negative"
-    if getattr(args, "H", "auto") != "auto" and args.H < 2:
-        return "field 'H' must be at least 2"
-    if getattr(args, "M", "auto") != "auto" and args.M < 1:
-        return "field 'M' must be at least 1"
-    if getattr(args, "source", None) == "csv" and args.path is None:
-        return "--source csv needs --path"
+    if args.command == "kato":
+        for name in ("l1", "l2"):
+            if not 0 <= getattr(args, name) <= 6:
+                return f"field '{name}' must lie in [0, 6]"
+        return _prime_error(args.p)
+    if args.command == "satotate":
+        if args.samples < 100:
+            return "field 'samples' must be at least 100"
+        if args.cells < 0:
+            return "field 'cells' must be non-negative"
+        if not args.cells and not -1.0 <= args.a <= args.b <= 8.0:
+            return "fields 'a' and 'b' must satisfy -1 <= a <= b <= 8"
+        return _prime_error(args.p)
+    if args.command == "gen":
+        if args.what in ("tau", "gl2", "table") and not 1 <= args.N <= 10**6:
+            return "field 'N' must lie in [1, 10^6]"
+        if args.what == "table" and not 1 <= args.bound_n <= args.N:
+            return "field 'bound-n' must lie in [1, N]"
+        if args.what == "samples" and args.count < 1:
+            return "field 'count' must be at least 1"
+        if args.what == "density" and args.K < 8:
+            return "field 'K' must be at least 8"
+        if args.what in ("samples", "density") and args.measure == "plancherel":
+            return _prime_error(args.p)
+    if args.command == "signs":
+        if not args.zero_tol >= 0:
+            return "field 'zero-tol' must be non-negative"
+        if args.H != "auto" and args.H < 2:
+            return "field 'H' must be at least 2"
+        if args.M != "auto" and args.M < 1:
+            return "field 'M' must be at least 1"
+        if args.source == "csv":
+            return None if args.path is not None else "--source csv needs --path"
+        if not 1 <= args.X <= 10**6:
+            return "field 'X' must lie in [1, 10^6]"
+        H, M = _auto_window(args.X, args.H, args.M)
+        if not M < H <= (args.X - H) // 2:
+            return f"the scan window needs M < H <= (X - H) / 2, got M={M} H={H} X={args.X}"
     return None
 
 
@@ -300,7 +336,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except (IngestError, OSError, ValueError) as exc:
+    except (IngestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -152,17 +152,6 @@ def schur_eval(pair: ExponentPair, x: SatakeTriple) -> complex:
     return complex(schur_from_elementary(pair.beta1, pair.beta2, x.e1, x.e2))
 
 
-def coeff_from_satake(local: PrimeLocalData, max_exp: int) -> dict[tuple[int, int], complex]:
-    """Table of local coefficients A(p^a, p^b) for 0 <= a, b <= max_exp."""
-    if max_exp < 0:
-        raise ValueError("max_exp must be >= 0")
-    out: dict[tuple[int, int], complex] = {}
-    for a in range(max_exp + 1):
-        for b in range(max_exp + 1):
-            out[(a, b)] = schur_eval(ExponentPair(a, b), local.satake)
-    return out
-
-
 class CoefficientTable:
     """Coefficients A(m, n) for 1 <= m <= bound_m, 1 <= n <= bound_n.
 

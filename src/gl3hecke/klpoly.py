@@ -173,12 +173,12 @@ def kato_moment(l1: int, l2: int, p: int) -> Fraction:
     return lusztig_q_analog(hw_weight(l1, l2), ZERO)(Fraction(1, p))
 
 
-def kato_check(l1: int, l2: int, p: int, grid=None, tol: float = 1e-8) -> dict:
+def kato_check(l1: int, l2: int, p: int, tol: float = 1e-8) -> dict:
     """Compare the exact combinatorial moment with quadrature of the matching
     Schur basis element against the p-adic Plancherel measure.
 
-    The quadrature grid doubles until two successive values agree within tol;
-    QuadratureError is raised past resolution 1024.
+    The quadrature grid doubles from resolution 64 until two successive
+    values agree within tol; QuadratureError is raised past resolution 1024.
     """
     if l1 > 6 or l2 > 6:
         raise ValueError("indices above 6 are blocked (combinatorial blow-up)")
@@ -190,7 +190,6 @@ def kato_check(l1: int, l2: int, p: int, grid=None, tol: float = 1e-8) -> dict:
     def integrand(pt):
         return measures.schur_on_torus(l1, l2, pt.theta1, pt.theta2).real
 
-    start = grid.resolution if grid is not None else 64
-    rhs, _ = measures.integrate_adaptive(spec, integrand, tol=tol, start_resolution=start)
+    rhs, _ = measures.integrate_adaptive(spec, integrand, tol=tol)
     rhs = float(rhs.real if isinstance(rhs, complex) else rhs)
     return {"lhs": lhs, "rhs": rhs, "diff": abs(lhs - rhs)}

@@ -1,6 +1,6 @@
 """Sato-Tate and p-adic Plancherel measures on the SL(3) torus quotient:
-exact densities, spectrally accurate quadrature, seeded rejection sampling,
-and the spectral-side weight and density evaluators.
+exact densities, spectrally accurate quadrature and seeded rejection
+sampling.
 
 Angular coordinates are (theta1, theta2) in [0, 2pi) with theta3 implied as
 -(theta1 + theta2).  Densities are reported against plain d(theta1) d(theta2),
@@ -9,7 +9,6 @@ so every measure here integrates to one over [0, 2pi)^2.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -17,7 +16,6 @@ import numpy as np
 
 from .arith import is_prime
 from .hecke import schur_from_elementary
-from .klpoly import WEYL as _PERMS
 from .klpoly import QPolynomial, weyl_lengths
 
 TWO_PI = 2.0 * math.pi
@@ -32,10 +30,6 @@ class EnvelopeError(RuntimeError):
 
 class QuadratureError(RuntimeError):
     """Grid doubling failed to stabilize within the resolution cap."""
-
-
-class PoleError(ValueError):
-    """Spectral density evaluated at a tangent pole."""
 
 
 @dataclass(frozen=True)
@@ -208,30 +202,10 @@ def sample_angles(spec: MeasureSpec, count: int, seed: int) -> tuple[np.ndarray,
 
 
 def child_seed(seed: int, index: int) -> int:
-    """Fixed splitting rule for per-worker seeds: entropy is the pair
+    """Fixed splitting rule for child seeds: entropy is the pair
     (seed, index), so child streams are reproducible and independent."""
     ss = np.random.SeedSequence((seed, index))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def sample_chunked(
-    spec: MeasureSpec, count: int, seed: int, chunks: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw `count` points split across `chunks` child-seeded streams and
-    concatenated in chunk order; chunk i may run on worker i, and the result
-    is identical to a serial run."""
-    if chunks < 1:
-        raise ValueError("chunks must be >= 1")
-    per = [count // chunks + (1 if i < count % chunks else 0) for i in range(chunks)]
-    parts = [
-        sample_angles(spec, n, child_seed(seed, i))
-        for i, n in enumerate(per)
-        if n > 0
-    ]
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-    )
 
 
 def schur_on_torus(l1: int, l2: int, theta1, theta2):
@@ -254,101 +228,3 @@ def weyl_poincare(q=None):
         coeffs[ell] += 1
     poly = QPolynomial(coeffs)
     return poly if q is None else poly(q)
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """Spectral parameters (nu1, nu2); nu3 = -nu1 - nu2 is implied."""
-
-    nu1: complex
-    nu2: complex
-
-    @property
-    def nu3(self) -> complex:
-        return -self.nu1 - self.nu2
-
-    def triple(self) -> tuple[complex, complex, complex]:
-        return (self.nu1, self.nu2, self.nu3)
-
-    def langlands(self) -> tuple[complex, complex, complex]:
-        """(2 nu1 + nu2, nu2 - nu1, -nu1 - 2 nu2); coordinates sum to zero."""
-        return (
-            2 * self.nu1 + self.nu2,
-            self.nu2 - self.nu1,
-            -self.nu1 - 2 * self.nu2,
-        )
-
-
-def spectral_norm(nu: SpectralPoint) -> float:
-    """Euclidean norm of the Langlands triple."""
-    return math.sqrt(sum(abs(a) ** 2 for a in nu.langlands()))
-
-
-@dataclass(frozen=True)
-class WeightParams:
-    """Parameters of the spectral localizing weight: window center T*nu0,
-    window width T^(1-eta), and pole-clearing degree A."""
-
-    T: float
-    nu0: SpectralPoint
-    eta: float = 0.05
-    A: int = 4
-
-    def __post_init__(self):
-        if not self.T > 1:
-            raise ValueError("T must exceed 1")
-        if not 0 < self.eta < 0.1:
-            raise ValueError("eta must lie in (0, 1/10)")
-        if self.A < 1:
-            raise ValueError("A must be a positive integer")
-        for a in (self.nu0.nu1, self.nu0.nu2):
-            if abs(a.real) > 1e-12:
-                raise ValueError("nu0 must be purely imaginary")
-
-
-def _psi(x: tuple[complex, complex, complex]) -> complex:
-    return cmath.exp(3.0 * (x[0] ** 2 + x[1] ** 2 + x[2] ** 2))
-
-
-def h_T_eval(nu: SpectralPoint, params: WeightParams):
-    """Localizing weight P(nu)^2 (sum_w psi((w.nu - T nu0) / T^(1-eta)))^2.
-
-    The Weyl group permutes the Langlands triple; psi(x) = exp(3 sum x_j^2)
-    decays as a Gaussian on the tempered (purely imaginary) locus.  Real and
-    non-negative there; returned as float when the imaginary part vanishes.
-    """
-    poly = 1.0 + 0.0j
-    for n in range(params.A + 1):
-        pole = (1.0 + 2.0 * n) ** 2 / 9.0
-        for v in nu.triple():
-            poly *= (v * v - pole) / params.T ** 2
-    scale = params.T ** (1.0 - params.eta)
-    center = tuple(params.T * a for a in params.nu0.langlands())
-    alpha = nu.langlands()
-    total = 0.0 + 0.0j
-    for sigma, _sign in _PERMS:
-        x = tuple((alpha[i] - center[k]) / scale for k, i in enumerate(sigma))
-        total += _psi(x)
-    val = poly ** 2 * total ** 2
-    if abs(val.imag) <= 1e-12 * (1.0 + abs(val.real)):
-        return float(val.real)
-    return val
-
-
-def spec_density(nu: SpectralPoint) -> complex:
-    """Spectral (Weyl-law) density 3/(256 pi^5) * prod_j (-3 nu_j tan(3 pi
-    nu_j / 2)), orientation fixed so the tempered locus (purely imaginary
-    nu_j, where tan turns into tanh) gets non-negative values.
-
-    Raises PoleError when some nu_j sits at a tangent pole, i.e. at a real
-    odd multiple of 1/3.
-    """
-    prod = 1.0 + 0.0j
-    for v in nu.triple():
-        v = complex(v)
-        if abs(v.imag) < 1e-12:
-            nearest = round(v.real * 3.0 / 2.0 - 0.5)
-            if abs(v.real * 3.0 / 2.0 - 0.5 - nearest) < 1e-9:
-                raise PoleError(f"nu_j = {v} is a pole of tan(3 pi nu_j / 2)")
-        prod *= -3.0 * v * cmath.tan(1.5 * math.pi * v)
-    return prod * 3.0 / (256.0 * math.pi ** 5)

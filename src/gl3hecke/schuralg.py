@@ -1,9 +1,12 @@
 """Exact algebra of Weyl-invariant Laurent polynomials in the Schur basis,
-the Bernstein-polynomial machinery for effective equidistribution, and the
-sampled-versus-quadrature distribution comparison for A(p, p).
+the Bernstein coefficient bound for effective equidistribution, and the
+sampled-versus-exact distribution comparison for A(p, p).
 
 All basis changes run in exact rational arithmetic; floats appear only at
-evaluation time.
+evaluation time.  The masses of A(p, p) = |e1|^2 - 1 come from pushing the
+Sato-Tate and Plancherel measures forward to |e1| in closed form, so the
+only error left is that of a one-dimensional quadrature, reported with each
+mass.
 """
 
 from __future__ import annotations
@@ -178,53 +181,6 @@ def bernstein_coeffs(l: int) -> WInvariantLaurent:
     return expand_in_schur(monomial)
 
 
-def bernstein_approx(w_samples, x: float) -> float:
-    """Bernstein polynomial sum_j w(j/n) C(n,j) x^j (1-x)^(n-j) given the
-    n+1 samples w(0), w(1/n), ..., w(1); logarithmic binomials above n = 60."""
-    n = len(w_samples) - 1
-    if n < 1:
-        raise ValueError("need samples at j/n for j = 0..n with n >= 1")
-    if x <= 0.0:
-        return float(w_samples[0])
-    if x >= 1.0:
-        return float(w_samples[-1])
-    if n <= 60:
-        acc = 0.0
-        for j, w in enumerate(w_samples):
-            acc += w * math.comb(n, j) * x ** j * (1.0 - x) ** (n - j)
-        return acc
-    lx, l1x = math.log(x), math.log1p(-x)
-    lgn = math.lgamma(n + 1)
-    acc = 0.0
-    for j, w in enumerate(w_samples):
-        if w == 0.0:
-            continue
-        log_term = (
-            lgn - math.lgamma(j + 1) - math.lgamma(n - j + 1) + j * lx + (n - j) * l1x
-        )
-        acc += w * math.exp(log_term)
-    return acc
-
-
-def smoothstep_plateau(support: tuple[float, float], plateau: tuple[float, float]):
-    """Piecewise-cubic bump: 0 outside `support`, 1 on `plateau`, smoothstep
-    ramps between; derivative bounded by 3/(2*ramp) <= 3/delta."""
-    lo, hi = support
-    plo, phi = plateau
-    if not lo < plo <= phi < hi:
-        raise ValueError("need support_lo < plateau_lo <= plateau_hi < support_hi")
-
-    def w(t: float) -> float:
-        if t <= lo or t >= hi:
-            return 0.0
-        if plo <= t <= phi:
-            return 1.0
-        u = (t - lo) / (plo - lo) if t < plo else (hi - t) / (hi - phi)
-        return u * u * (3.0 - 2.0 * u)
-
-    return w
-
-
 @dataclass
 class EmpiricalDistribution:
     """Sampled values of A(p, p) = S_{1,1} drawn from the p-adic Plancherel
@@ -242,26 +198,102 @@ class EmpiricalDistribution:
             raise ValueError("sampled S_{1,1} values strayed outside [-1, 8]")
 
 
-def _s11_values(theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
-    e1 = np.exp(1j * theta1) + np.exp(1j * theta2) + np.exp(-1j * (theta1 + theta2))
-    return np.abs(e1) ** 2 - 1.0
-
-
 def sample_app(p: int, count: int, seed: int) -> EmpiricalDistribution:
-    """Draw A(p, p) values under the p-adic Plancherel measure."""
+    """Draw A(p, p) = |e1|^2 - 1 under the p-adic Plancherel measure."""
     t1, t2 = measures.sample_angles(measures.MeasureSpec.plancherel(p), count, seed)
-    return EmpiricalDistribution(_s11_values(t1, t2), p, seed)
+    e1 = np.exp(1j * t1) + np.exp(1j * t2) + np.exp(-1j * (t1 + t2))
+    return EmpiricalDistribution(np.abs(e1) ** 2 - 1.0, p, seed)
 
 
-def indicator_mass(
-    measure, interval: tuple[float, float], base_resolution: int = 256
-) -> tuple[float, float]:
+# Gauss-Legendre orders of the two rules behind every mass: the finer one
+# gives the value, its distance to the coarser one the quadrature error.
+_ORDERS = (48, 96)
+# Added to every error: the rules' sums of O(1) positive terms carry a few
+# ulps of rounding that their difference does not show.
+_ROUNDING = 64 * np.finfo(float).eps
+
+
+def _macdonald_p(q, s, re3):
+    """P_q = prod_{i != j} (1 - q z_i / z_j) at a tempered point, written in
+    s = |e1|^2 and re3 = Re e1^3; the p-adic Plancherel density is 6 c_p / P_q
+    times the Sato-Tate density, q = 1/p (Macdonald 1971)."""
+    return (1.0 + q ** 6 + (q + q ** 5) * (3.0 - s)
+            + (q ** 2 + q ** 4) * (2.0 * re3 - 5.0 * s + 6.0)
+            + q ** 3 * (4.0 * re3 - s * s - 6.0 * s + 7.0))
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n-point Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    t, w = (x + 1.0) / 2.0, w / 2.0
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+def _pushforward_rule(
+    spec: measures.MeasureSpec, R: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes r in [0, R] and weights w such that sum(w g(r)) is the integral
+    of g(|e1|) over {|e1| <= R} under spec, for smooth g.
+
+    The Weyl integration formula pushes Sato-Tate forward to the density
+    |Delta| / (2 pi^2) in the e1-plane, where |Delta|^2 = 27 - 18 s
+    + 8 Re e1^3 - s^2 = 8 r^3 (cos psi - kappa) for e1 = r e^{i psi / 3} and
+    kappa = (r^4 + 18 r^2 - 27) / (8 r^3).  With 1 - kappa = (3 - r)^3 (r + 1)
+    / (8 r^3) and 1 + kappa = (r - 1)(r + 3)^3 / (8 r^3), the support in psi
+    is |psi| <= alpha: the whole circle (alpha = pi) for r <= 1, three arcs
+    closing at the cusps r = 3 above.  Each angular integral runs over
+    psi = alpha sin(theta), which takes out the square-root edge of the arcs
+    and maps every arc onto one theta-interval; at the cusps alpha^2 vanishes
+    like (3 - r)^3, and the angular integral is alpha^2 times a smooth
+    function of alpha^2, so the cusp leaves the radial integrand smooth.  The
+    radial integral is split at the kink r = 1 and runs over
+    v = |r - 1|^(1/3), which smooths the (r - 1) log|r - 1| term there.  Every
+    integral is an n-point Gauss-Legendre rule, summed without BLAS.
+    """
+    t, gw = _gauss_legendre(n)
+    theta = t * (math.pi / 2.0)
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    pieces = ([(-1.0, (1.0 - R) ** (1.0 / 3.0), 1.0)] if R <= 1.0
+              else [(-1.0, 0.0, 1.0), (1.0, 0.0, (R - 1.0) ** (1.0 / 3.0))])
+    nodes, weights = [], []
+    for side, v0, v1 in pieces:
+        v = v0 + (v1 - v0) * t
+        r = (1.0 + side * v ** 3)[:, None]
+        alpha = 2.0 * np.arctan2(np.sqrt((3.0 - r) ** 3 * (r + 1.0)),
+                                 np.sqrt(np.maximum(r - 1.0, 0.0) * (r + 3.0) ** 3))
+        psi = alpha * sin_t
+        # 8 r^3 (cos psi - cos alpha) + 8 r^3 (cos alpha - kappa), as products
+        delta_sq = (16.0 * r ** 3 * np.sin((alpha + psi) / 2.0)
+                    * np.sin(alpha * cos_t ** 2 / (2.0 * (1.0 + sin_t)))
+                    + np.maximum(1.0 - r, 0.0) * (r + 3.0) ** 3)
+        dens = np.sqrt(delta_sq) / (2.0 * math.pi ** 2)
+        if spec.kind == measures.PLANCHEREL:
+            q = 1.0 / spec.p
+            dens = dens * (6.0 * measures.plancherel_constant(spec.p)
+                           / _macdonald_p(q, r * r, r ** 3 * np.cos(psi)))
+        # the integral over phi in [0, 2 pi) is 2 times that over psi in [0, alpha]
+        ring = math.pi * alpha[:, 0] * np.sum(dens * (gw * cos_t), axis=1)
+        nodes.append(r[:, 0])
+        weights.append(gw * (v1 - v0) * 3.0 * v * v * r[:, 0] * ring)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _radius_cdf(spec: measures.MeasureSpec, R: float) -> tuple[float, float]:
+    """Mass of {|e1| <= R} and its a-posteriori error."""
+    coarse, fine = (float(np.sum(_pushforward_rule(spec, R, n)[1])) for n in _ORDERS)
+    return fine, abs(fine - coarse) + _ROUNDING
+
+
+def indicator_mass(measure, interval: tuple[float, float]) -> tuple[float, float]:
     """Mass of {S_{1,1} in [a, b]} under the given measure (a MeasureSpec, or
-    a prime p meaning the p-adic Plancherel measure) by midpoint quadrature.
+    a prime p meaning the p-adic Plancherel measure) and its error bound.
 
-    Cells whose corner/center values straddle a boundary of the interval are
-    refined twice (4 subcells each pass); the mass of still-straddling
-    subcells is returned as an uncertainty bound on the quadrature value.
+    S_{1,1} = |e1|^2 - 1, so the mass is F(sqrt(b + 1)) - F(sqrt(a + 1)) for
+    the distribution function F of |e1|, each value integrated exactly up to
+    quadrature error by `_pushforward_rule`.  The error is the sum of both
+    values' errors; it is never zero, and the mass is not renormalized.
     """
     a, b = interval
     if not -1.0 <= a <= b <= 8.0:
@@ -271,84 +303,9 @@ def indicator_mass(
         if isinstance(measure, measures.MeasureSpec)
         else measures.MeasureSpec.plancherel(measure)
     )
-
-    def pass_masses(c1, c2, half):
-        """(decided inside-mass, straddle list) for square cells centered at
-        (c1, c2) with half-width `half`."""
-        corners = [
-            _s11_values(c1 + dx, c2 + dy)
-            for dx in (-half, half)
-            for dy in (-half, half)
-        ]
-        center = _s11_values(c1, c2)
-        vmin = np.minimum.reduce(corners + [center])
-        vmax = np.maximum.reduce(corners + [center])
-        straddle = (vmin < a) & (vmax >= a) | (vmin < b) & (vmax >= b)
-        inside = ~straddle & (center >= a) & (center <= b)
-        dens = measures.density(spec, measures.TorusPoint(c1, c2))
-        w = (2.0 * half) ** 2
-        mass = float(np.sum(dens[inside]) * w)
-        return mass, c1[straddle], c2[straddle], dens[straddle], w
-
-    k = base_resolution
-    step = measures.TWO_PI / k
-    centers = step * (np.arange(k) + 0.5)
-    c1, c2 = np.meshgrid(centers, centers, indexing="ij")
-    mass, s1, s2, _, _ = pass_masses(c1.ravel(), c2.ravel(), step / 2.0)
-
-    half = step / 2.0
-    for _ in range(2):
-        if s1.size == 0:
-            break
-        quarter = half / 2.0
-        sub1 = np.concatenate([s1 + dx for dx in (-quarter, quarter) for _ in (0, 1)])
-        sub2 = np.concatenate([s2 + dy for _ in (0, 1) for dy in (-quarter, quarter)])
-        m, s1, s2, dens_left, w_left = pass_masses(sub1, sub2, quarter)
-        mass += m
-        half = quarter
-    uncertainty = float(np.sum(dens_left) * w_left) if s1.size else 0.0
-    return mass, uncertainty
-
-
-def _lambert_w(x: float) -> float:
-    """Principal branch for x > 0 by Newton iteration."""
-    w = math.log(1.0 + x)
-    for _ in range(64):
-        ew = math.exp(w)
-        step = (w * ew - x) / (ew * (1.0 + w))
-        w -= step
-        if abs(step) < 1e-14 * (1.0 + abs(w)):
-            break
-    return w
-
-
-def bernstein_rate_diagnostic(
-    p: int, T: float, A: float = 1.0, eta_prime: float = 0.01
-) -> dict:
-    """Report the three error terms of the equidistribution argument at the
-    coupled parameter choice delta = n^(-1/5), n picked through the Lambert W
-    function.  Purely diagnostic: the implied constants are not pinned, so
-    nothing here is asserted against a bound.
-
-    Returns n, delta, the smoothing term n^(-1/3) delta^(-2/3), the spectral
-    remainder (2p)^n / T^(1/3 - eta'), the exceptional-mass term
-    (log p / log T)^(3/2), and the target rate (log p / log T)^(1/5).
-    """
-    if T <= math.e:
-        raise ValueError("T must be large enough that log T > 1")
-    logq = math.log(2.0 * p)
-    n = int(_lambert_w(5.0 * T ** (5.0 / 3.0 - 5.0 * eta_prime) * logq) / (8.0 * A * logq))
-    n = max(n, 1)
-    delta = n ** -0.2
-    ratio = math.log(p) / math.log(T)
-    return {
-        "n": n,
-        "delta": delta,
-        "smoothing_term": n ** (-1.0 / 3.0) * delta ** (-2.0 / 3.0),
-        "remainder_term": (2.0 * p) ** n / T ** (1.0 / 3.0 - eta_prime),
-        "exceptional_term": ratio ** 1.5,
-        "target_rate": ratio ** 0.2,
-    }
+    hi, err_hi = _radius_cdf(spec, math.sqrt(b + 1.0))
+    lo, err_lo = _radius_cdf(spec, math.sqrt(a + 1.0))
+    return hi - lo, err_hi + err_lo
 
 
 def effective_st_compare(
@@ -356,16 +313,15 @@ def effective_st_compare(
     n_samples: int,
     interval: tuple[float, float],
     seed: int,
-    base_resolution: int = 256,
 ) -> dict:
     """Empirical fraction of sampled A(p, p) in the interval versus the
-    quadrature Plancherel mass, with the boundary-cell uncertainty."""
+    exact Plancherel mass, with the mass's quadrature error."""
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
     a, b = interval
     emp = sample_app(p, n_samples, seed)
     empirical = float(np.mean((emp.samples >= a) & (emp.samples <= b)))
-    mass, unc = indicator_mass(p, interval, base_resolution)
+    mass, unc = indicator_mass(p, interval)
     return {
         "p": p,
         "interval": [a, b],

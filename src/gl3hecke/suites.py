@@ -218,7 +218,7 @@ def suite_bernstein(seed: int = 0, tol: float = 0.0) -> list[Check]:
 
 
 def suite_satotate(seed: int = 0, tol: float = 0.01, n_samples: int = 100_000) -> list[Check]:
-    """Sampled A(p,p) interval masses versus quadrature masses on the 9-cell
+    """Sampled A(p,p) interval masses versus exact masses on the 9-cell
     partition of [-1, 8] for p in {2, 5}."""
     checks = []
     for i, p in enumerate((2, 5)):

@@ -11,8 +11,6 @@ the C module rather than run orders of magnitude slower.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 try:
     from _decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 except ImportError as exc:
@@ -58,20 +56,14 @@ def square_trunc(coeffs: list[int], N: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=2)
-def _eta24_coeffs(N: int) -> tuple[int, ...]:
-    f3 = eta_cubed_coeffs(N)
-    f6 = square_trunc(f3, N)
-    f12 = square_trunc(f6, N)
-    f24 = square_trunc(f12, N)
-    return tuple(f24)
-
-
 def ramanujan_tau(N: int) -> list[int]:
     """Exact tau(1), ..., tau(N).  Requires 1 <= N <= 10**6."""
     if not 1 <= N <= 10**6:
         raise ValueError(f"N = {N} outside supported range [1, 10^6]")
-    return list(_eta24_coeffs(N))
+    f = eta_cubed_coeffs(N)
+    for _ in range(3):
+        f = square_trunc(f, N)
+    return f
 
 
 def tau_prime_eigenvalues(N: int) -> list[tuple[int, float]]:

@@ -3,8 +3,9 @@ library: determinant-ratio Schur values, naive eta-product expansion,
 divisor counting, brute-force root-partition enumeration, the Freudenthal
 multiplicity recursion, the Simpson-rule second moment, the per-entry
 sign-change count, the per-window sign-change walk, primality by trial
-division, and the truncated square by Kronecker substitution on Python
-ints."""
+division, the truncated square by Kronecker substitution on Python ints,
+the straddle-refined torus grid for A(p, p) cell masses, and the
+distribution function of |e1| by mpmath quadrature."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from gl3hecke import measures
 from gl3hecke.klpoly import Weight
 from gl3hecke.signstats import SignChangeReport
 
@@ -293,3 +295,76 @@ def square_trunc_kronecker(coeffs: list[int], N: int) -> list[int]:
     out = _unpack(packed * packed, full_len, min(N, full_len), slot)
     out.extend([0] * (N - len(out)))
     return out
+
+
+def _s11_values(theta1, theta2):
+    e1 = np.exp(1j * theta1) + np.exp(1j * theta2) + np.exp(-1j * (theta1 + theta2))
+    return np.abs(e1) ** 2 - 1.0
+
+
+def indicator_mass_straddle(spec, interval, base_resolution: int = 256):
+    """(mass, uncertainty) of {S_{1,1} in [a, b]} by a midpoint grid on the
+    torus.  Cells whose corner and centre values straddle a boundary of the
+    interval are refined twice (4 subcells each pass); the decided cells give
+    the mass, the still-straddling subcells the uncertainty.  The straddle
+    test sees only corners and centre, so mass + uncertainty is a bound only
+    where no boundary curve passes between them."""
+    a, b = interval
+
+    def pass_masses(c1, c2, half):
+        corners = [_s11_values(c1 + dx, c2 + dy) for dx in (-half, half) for dy in (-half, half)]
+        center = _s11_values(c1, c2)
+        vmin = np.minimum.reduce(corners + [center])
+        vmax = np.maximum.reduce(corners + [center])
+        straddle = (vmin < a) & (vmax >= a) | (vmin < b) & (vmax >= b)
+        inside = ~straddle & (center >= a) & (center <= b)
+        dens = measures.density(spec, measures.TorusPoint(c1, c2))
+        w = (2.0 * half) ** 2
+        return float(np.sum(dens[inside]) * w), c1[straddle], c2[straddle], dens[straddle], w
+
+    step = measures.TWO_PI / base_resolution
+    centers = step * (np.arange(base_resolution) + 0.5)
+    c1, c2 = np.meshgrid(centers, centers, indexing="ij")
+    mass, s1, s2, _, _ = pass_masses(c1.ravel(), c2.ravel(), step / 2.0)
+    half = step / 2.0
+    for _ in range(2):
+        if s1.size == 0:
+            break
+        quarter = half / 2.0
+        sub1 = np.concatenate([s1 + dx for dx in (-quarter, quarter) for _ in (0, 1)])
+        sub2 = np.concatenate([s2 + dy for _ in (0, 1) for dy in (-quarter, quarter)])
+        m, s1, s2, dens_left, w_left = pass_masses(sub1, sub2, quarter)
+        mass += m
+        half = quarter
+    uncertainty = float(np.sum(dens_left) * w_left) if s1.size else 0.0
+    return mass, uncertainty
+
+
+def radius_cdf_mpmath(p, R: float, dps: int = 17) -> float:
+    """Mass of {|e1| <= R} under the p-adic Plancherel measure (Sato-Tate for
+    p = None): mpmath's tanh-sinh quadrature in r, split at r = 1, of the
+    angular integral over psi = arg(e1^3) in [0, arccos kappa], with the
+    density sqrt(8 r^3 (cos psi - kappa)) / (2 pi^2) times 6 c_p / P_q
+    written out from the closed forms, not from gl3hecke."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        q = mp.mpf(1) / p if p else mp.mpf(0)
+        c = (1 - q ** 2) * (1 - q ** 3) / (1 - q) ** 2
+
+        def ring(r):
+            kappa = (r ** 4 + 18 * r ** 2 - 27) / (8 * r ** 3)
+            alpha = mp.pi if kappa <= -1 else mp.acos(kappa)
+
+            def dens(psi):
+                s, re3 = r * r, r ** 3 * mp.cos(psi)
+                pq = (1 + q ** 6 + (q + q ** 5) * (3 - s)
+                      + (q ** 2 + q ** 4) * (2 * re3 - 5 * s + 6)
+                      + q ** 3 * (4 * re3 - s * s - 6 * s + 7))
+                disc = max(8 * r ** 3 * (mp.cos(psi) - kappa), 0)
+                return mp.sqrt(disc) / (2 * mp.pi ** 2) * c / pq
+
+            return 2 * r * mp.quad(dens, [0, alpha])
+
+        R = mp.mpf(R)
+        return float(mp.quad(ring, [0, R] if R <= 1 else [0, 1, R]))

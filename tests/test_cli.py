@@ -193,22 +193,66 @@ class TestErrorPaths:
         assert run(argv + ["--tol", tol]) == 2
         assert "field 'tol' must be positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv,field", [
-        (["mvt", "--T", "-5"], "T"),
-        (["mvt", "--T", "0"], "T"),
-        (["mvt", "--N", "-3"], "N"),
-        (["mvt", "--N", "0"], "N"),
-        (["mvt", "--draws", "0"], "draws"),
-        (["satotate", "--p", "5", "--cells", "-1"], "cells"),
-        (["signs", "--X", "2000", "--M", "0"], "M"),
-        (["signs", "--X", "2000", "--H", "0"], "H"),
-        (["signs", "--X", "2000", "--H", "1"], "H"),
+    @pytest.mark.parametrize("argv,message", [
+        (["mvt", "--T", "-5"], "field 'T'"),
+        (["mvt", "--T", "0"], "field 'T'"),
+        (["mvt", "--N", "-3"], "field 'N'"),
+        (["mvt", "--N", "0"], "field 'N'"),
+        (["mvt", "--draws", "0"], "field 'draws'"),
+        (["satotate", "--p", "5", "--cells", "-1"], "field 'cells'"),
+        (["signs", "--X", "2000", "--M", "0"], "field 'M'"),
+        (["signs", "--X", "2000", "--H", "0"], "field 'H'"),
+        (["signs", "--X", "2000", "--H", "1"], "field 'H'"),
+        (["kato", "--l1", "7", "--l2", "0", "--p", "2"], "field 'l1' must lie in [0, 6]"),
+        (["kato", "--l1", "-1", "--l2", "0", "--p", "2"], "field 'l1' must lie in [0, 6]"),
+        (["kato", "--l1", "0", "--l2", "7", "--p", "2"], "field 'l2' must lie in [0, 6]"),
+        (["kato", "--l1", "1", "--l2", "1", "--p", "4"], "field 'p' must be a prime"),
+        (["kato", "--l1", "1", "--l2", "1", "--p", "0"], "field 'p' must be a prime"),
+        (["satotate", "--p", "9"], "field 'p' must be a prime"),
+        (["satotate", "--p", "2", "--samples", "99"], "field 'samples' must be at least 100"),
+        (["satotate", "--p", "2", "--a", "-2"], "-1 <= a <= b <= 8"),
+        (["satotate", "--p", "2", "--a", "3", "--b", "2"], "-1 <= a <= b <= 8"),
+        (["satotate", "--p", "2", "--b", "nan"], "-1 <= a <= b <= 8"),
+        (["gen", "--what", "samples", "--p", "4", "--out", "x.csv"], "field 'p' must be a prime"),
+        (["gen", "--what", "density", "--p", "1", "--out", "x.csv"], "field 'p' must be a prime"),
+        (["gen", "--what", "tau", "--N", "0", "--out", "x.csv"], "field 'N' must lie in [1, 10^6]"),
+        (["gen", "--what", "gl2", "--N", "1000001", "--out", "x.csv"],
+         "field 'N' must lie in [1, 10^6]"),
+        (["gen", "--what", "table", "--N", "100", "--bound-n", "0", "--out", "x.csv"],
+         "field 'bound-n' must lie in [1, N]"),
+        (["gen", "--what", "table", "--N", "100", "--bound-n", "101", "--out", "x.csv"],
+         "field 'bound-n' must lie in [1, N]"),
+        (["gen", "--what", "samples", "--count", "0", "--out", "x.csv"],
+         "field 'count' must be at least 1"),
+        (["gen", "--what", "density", "--K", "7", "--out", "x.csv"], "field 'K' must be at least 8"),
+        (["signs", "--X", "0"], "field 'X' must lie in [1, 10^6]"),
+        (["signs", "--X", "1000001"], "field 'X' must lie in [1, 10^6]"),
+        (["signs", "--X", "5"], "the scan window needs M < H <= (X - H) / 2"),
+        (["signs", "--X", "2000", "--H", "3", "--M", "3"], "the scan window needs M < H"),
+        (["signs", "--X", "100", "--zero-tol", "-1"], "field 'zero-tol' must be non-negative"),
     ], ids=["mvt-T-neg", "mvt-T-zero", "mvt-N-neg", "mvt-N-zero", "mvt-draws-zero",
-            "satotate-cells-neg", "signs-M-zero", "signs-H-zero", "signs-H-one"])
-    def test_bad_size_is_config_error(self, capsys, argv, field):
+            "satotate-cells-neg", "signs-M-zero", "signs-H-zero", "signs-H-one",
+            "kato-l1-big", "kato-l1-neg", "kato-l2-big", "kato-p-composite", "kato-p-zero",
+            "satotate-p", "satotate-samples", "satotate-a-low", "satotate-a-above-b",
+            "satotate-b-nan", "gen-samples-p", "gen-density-p", "gen-tau-N-zero",
+            "gen-gl2-N-big", "gen-table-bound-n-zero", "gen-table-bound-n-above-N",
+            "gen-count-zero", "gen-K-small", "signs-X-zero", "signs-X-big",
+            "signs-window-X-small", "signs-window-M-eq-H", "signs-zero-tol-neg"])
+    def test_bad_size_is_config_error(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
         assert run(argv) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"field '{field}'" in err
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_value_error_inside_a_command_propagates(self, monkeypatch):
+        # a fault of the program is not a configuration error
+        def planted(*args, **kwargs):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(cli.klpoly, "kato_check", planted)
+        with pytest.raises(ValueError, match="planted"):
+            run(["kato", "--l1", "1", "--l2", "1", "--p", "2"])
 
     def test_csv_source_without_path_is_config_error(self, capsys):
         assert run(["signs", "--source", "csv"]) == 2

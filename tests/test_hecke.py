@@ -18,7 +18,6 @@ from gl3hecke.hecke import (
     NonTemperedError,
     PrimeLocalData,
     SatakeTriple,
-    coeff_from_satake,
         hecke_residual,
     mobius_expand,
     schur_eval,
@@ -114,27 +113,6 @@ class TestSchurEval:
         for _ in range(100):
             x = random_tempered_triple(rng)
             assert abs(schur_eval(ExponentPair(1, 0), x)) <= 3.0 + 1e-10
-
-
-class TestCoeffFromSatake:
-    def test_max_exp_zero(self):
-        loc = PrimeLocalData(2, DEGENERATE)
-        assert coeff_from_satake(loc, 0) == {(0, 0): 1.0}
-
-    def test_dimension_of_cube(self):
-        loc = PrimeLocalData(2, DEGENERATE)
-        table = coeff_from_satake(loc, 3)
-        assert table[(3, 0)] == pytest.approx(10.0)
-
-    def test_cube_roots_of_unity_kill_e1(self):
-        w = cmath.exp(2j * math.pi / 3)
-        loc = PrimeLocalData(2, SatakeTriple(w, w.conjugate(), 1.0 + 0j))
-        table = coeff_from_satake(loc, 1)
-        assert abs(table[(1, 0)]) < 1e-12
-
-    def test_rejects_negative_max_exp(self):
-        with pytest.raises(ValueError):
-            coeff_from_satake(PrimeLocalData(2, DEGENERATE), -1)
 
 
 class TestCoefficientTable:

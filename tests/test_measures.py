@@ -7,16 +7,11 @@ from gl3hecke import klpoly, measures
 from gl3hecke.measures import (
     EnvelopeError,
     MeasureSpec,
-    PoleError,
     QuadratureGrid,
-    SpectralPoint,
     TorusPoint,
-    WeightParams,
     density,
-    h_T_eval,
     integrate,
     sample_angles,
-    spec_density,
     weyl_poincare,
 )
 
@@ -179,12 +174,6 @@ class TestSampling:
         assert len(seeds) == 16
         assert measures.child_seed(7, 3) == measures.child_seed(7, 3)
 
-    def test_chunked_sampling_is_deterministic(self):
-        a1, a2 = measures.sample_chunked(MeasureSpec.plancherel(3), 1000, 5, chunks=4)
-        b1, b2 = measures.sample_chunked(MeasureSpec.plancherel(3), 1000, 5, chunks=4)
-        assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
-        assert len(a1) == 1000
-
 
 class TestWeylPoincare:
     def test_at_zero_and_one(self):
@@ -193,83 +182,6 @@ class TestWeylPoincare:
 
     def test_formal_coefficients(self):
         assert weyl_poincare().coeffs == (1, 2, 2, 1)
-
-
-class TestWeightFunction:
-    def params(self, T=200.0):
-        nu0 = SpectralPoint(0.3j, 0.45j)
-        return WeightParams(T=T, nu0=nu0)
-
-    def test_non_negative_on_tempered_points(self):
-        params = self.params()
-        for t1, t2 in ((0.1, 0.2), (30.0, 61.0), (55.0, 91.0), (-20.0, 13.0)):
-            val = h_T_eval(SpectralPoint(1j * t1, 1j * t2), params)
-            assert isinstance(val, float)
-            assert val >= 0.0
-
-    def test_weyl_invariance(self):
-        params = self.params()
-        nu = SpectralPoint(17.0j, 41.0j)
-        base = h_T_eval(nu, params)
-        alpha = nu.langlands()
-        for sigma, _ in klpoly.WEYL:
-            perm = (alpha[sigma[0]], alpha[sigma[1]], alpha[sigma[2]])
-            # recover (nu1', nu2') from the permuted Langlands triple
-            nu1p = (perm[0] - perm[1]) / 3.0
-            nu2p = (perm[1] - perm[2]) / 3.0
-            val = h_T_eval(SpectralPoint(nu1p, nu2p), params)
-            assert val == pytest.approx(base, rel=1e-9)
-
-    def test_gaussian_decay_off_window(self):
-        params = self.params(T=200.0)
-        center = params.nu0
-        peak = h_T_eval(SpectralPoint(params.T * center.nu1, params.T * center.nu2), params)
-        scale = params.T ** (1.0 - params.eta)
-        # displace by 10 window widths along nu1
-        shift = SpectralPoint(params.T * center.nu1 + 10j * scale, params.T * center.nu2)
-        assert h_T_eval(shift, params) <= 1e-6 * peak
-
-    def test_param_validation(self):
-        nu0 = SpectralPoint(0.3j, 0.45j)
-        with pytest.raises(ValueError):
-            WeightParams(T=0.5, nu0=nu0)
-        with pytest.raises(ValueError):
-            WeightParams(T=10.0, nu0=nu0, eta=0.5)
-        with pytest.raises(ValueError):
-            WeightParams(T=10.0, nu0=SpectralPoint(0.3 + 0.1j, 0.2j))
-
-
-class TestSpectralDensity:
-    def test_permutation_invariance(self):
-        nu = SpectralPoint(0.7j, 2.1j)
-        base = spec_density(nu)
-        alpha = nu.triple()
-        for sigma, _ in klpoly.WEYL:
-            tri = (alpha[sigma[0]], alpha[sigma[1]], alpha[sigma[2]])
-            val = spec_density(SpectralPoint(tri[0], tri[1]))
-            assert val == pytest.approx(base, rel=1e-12)
-
-    def test_frozen_regression_value(self):
-        # second transcription: purely imaginary nu = (i t1, i t2) turns each
-        # factor into 3 t tanh(3 pi t / 2)
-        got = spec_density(SpectralPoint(1j, 1j))
-        t = (1.0, 1.0, -2.0)
-        expected = 3.0 / (256.0 * math.pi ** 5)
-        for tj in t:
-            expected *= 3.0 * tj * math.tanh(1.5 * math.pi * tj)
-        assert got.imag == pytest.approx(0.0, abs=1e-18)
-        assert got.real == pytest.approx(expected, rel=1e-13)
-        assert got.real == pytest.approx(0.002067214252950767, rel=1e-12)
-        assert got.real > 0.0
-
-    def test_pole_error(self):
-        with pytest.raises(PoleError):
-            spec_density(SpectralPoint(1.0 / 3.0 + 0j, 2.0j))
-
-    def test_nu3_consistency(self):
-        nu = SpectralPoint(0.25j, 0.5j)
-        assert nu.nu3 == -nu.nu1 - nu.nu2
-        assert sum(nu.langlands()) == 0
 
 
 class TestEnvelopeGuard:

@@ -5,22 +5,21 @@ import numpy as np
 import pytest
 
 from conftest import random_tempered_triple
+from oracles import indicator_mass_straddle, radius_cdf_mpmath
 from gl3hecke import measures, schuralg
-from gl3hecke.klpoly import kato_moment
+from gl3hecke.klpoly import ZERO, hw_weight, kato_moment, lusztig_q_analog
 from gl3hecke.schuralg import (
     E1,
     E2,
     E_ONE,
     EmpiricalDistribution,
     WInvariantLaurent,
-    bernstein_approx,
     bernstein_coeffs,
     effective_st_compare,
     expand_in_schur,
     indicator_mass,
     sample_app,
     schur_to_epoly,
-    smoothstep_plateau,
 )
 
 
@@ -117,57 +116,6 @@ class TestBernsteinCoeffs:
                 assert abs(lhs - rhs) <= 1e-6
 
 
-class TestBernsteinApprox:
-    def test_partition_of_unity(self):
-        for n in (10, 100):
-            samples = [1.0] * (n + 1)
-            for x in (0.0, 0.25, 0.5, 0.99, 1.0):
-                assert bernstein_approx(samples, x) == pytest.approx(1.0, abs=1e-12)
-
-    def test_reproduces_linear_functions(self):
-        n = 10
-        samples = [j / n for j in range(n + 1)]
-        assert bernstein_approx(samples, 0.3) == pytest.approx(0.3, abs=1e-12)
-
-    def test_log_binomial_path_matches_direct(self):
-        n = 80
-        samples = [math.sin(3.0 * j / n) for j in range(n + 1)]
-        direct = sum(
-            samples[j] * math.comb(n, j) * 0.4 ** j * 0.6 ** (n - j)
-            for j in range(n + 1)
-        )
-        assert bernstein_approx(samples, 0.4) == pytest.approx(direct, rel=1e-12)
-
-    def test_plateau_error_decreases_with_degree(self):
-        w = smoothstep_plateau((0.2, 0.8), (0.3, 0.7))
-        xs = [i / 200 for i in range(201)]
-        errors = []
-        for n in (64, 256, 1024):
-            samples = [w(j / n) for j in range(n + 1)]
-            errors.append(max(abs(bernstein_approx(samples, x) - w(x)) for x in xs))
-        assert errors[0] > errors[1] > errors[2]
-
-    def test_needs_at_least_two_samples(self):
-        with pytest.raises(ValueError):
-            bernstein_approx([1.0], 0.5)
-
-
-class TestSmoothstepPlateau:
-    def test_shape(self):
-        w = smoothstep_plateau((0.1, 0.9), (0.3, 0.7))
-        assert w(0.05) == 0.0
-        assert w(0.5) == 1.0
-        assert 0.0 < w(0.2) < 1.0
-        assert w(0.95) == 0.0
-
-    def test_derivative_bound(self):
-        delta = 0.2
-        w = smoothstep_plateau((0.1, 0.9), (0.1 + delta, 0.9 - delta))
-        xs = [0.1 + i * 1e-4 for i in range(int(delta / 1e-4))]
-        slopes = [(w(x + 1e-6) - w(x)) / 1e-6 for x in xs]
-        assert max(slopes) <= 3.0 / delta + 1e-6
-
-
 class TestEffectiveSTCompare:
     def test_full_interval_is_certain(self):
         rec = effective_st_compare(2, 1000, (-1.0, 8.0), seed=4)
@@ -210,21 +158,78 @@ class TestTemperedRange:
             assert -1.0 - 1e-10 <= val <= 8.0 + 1e-10
 
 
-class TestRateDiagnostic:
-    def test_reports_positive_finite_terms(self):
-        rec = schuralg.bernstein_rate_diagnostic(5, 1e8)
-        assert rec["n"] >= 1
-        assert 0.0 < rec["delta"] <= 1.0
-        for key in ("smoothing_term", "remainder_term", "exceptional_term",
-                    "target_rate"):
-            assert rec[key] > 0.0
-            assert math.isfinite(rec[key])
+ST = measures.MeasureSpec.sato_tate()
+CELLS = [(c - 1.0, float(c)) for c in range(9)]
+CELL_MEASURES = [ST] + [measures.MeasureSpec.plancherel(p) for p in (2, 5, 1009)]
 
-    def test_smoothing_term_tracks_delta(self):
-        # at the coupled choice delta = n^(-1/5) the smoothing error equals delta
-        rec = schuralg.bernstein_rate_diagnostic(3, 1e10)
-        assert rec["smoothing_term"] == pytest.approx(rec["delta"], rel=1e-12)
 
-    def test_needs_large_window(self):
-        with pytest.raises(ValueError):
-            schuralg.bernstein_rate_diagnostic(2, 2.0)
+class TestPushforwardMasses:
+    @pytest.mark.parametrize("spec", CELL_MEASURES, ids=["st", "p2", "p5", "p1009"])
+    def test_nine_cells_sum_to_one(self, spec):
+        cells = [indicator_mass(spec, cell) for cell in CELLS]
+        total = sum(m for m, _ in cells)
+        assert abs(total - 1.0) <= 1e-12
+        assert abs(total - 1.0) <= sum(e for _, e in cells)
+        for _, err in cells:
+            assert 0.0 < err <= 1e-10
+
+    @pytest.mark.parametrize("spec", CELL_MEASURES, ids=["st", "p2", "p5", "p1009"])
+    def test_inside_straddle_grid_bracket(self, spec):
+        # the grid counts only cells it decided, so its mass is low and its
+        # uncertainty covers the rest
+        for cell in CELLS:
+            mass, _ = indicator_mass(spec, cell)
+            old, old_unc = indicator_mass_straddle(spec, cell)
+            assert old - 1e-12 <= mass <= old + old_unc
+
+    @pytest.mark.parametrize("p", [None, 2, 3, 5, 7])
+    def test_pushforward_reproduces_exact_moments(self, p):
+        # E[S_11] and E[S_11^2], with S_11^2 expanded in the Schur basis and
+        # each element's moment taken from the Lusztig q-analog at q = 1/p
+        # (q = 0 for Sato-Tate)
+        if p is None:
+            spec = ST
+            moment = lambda l1, l2: lusztig_q_analog(hw_weight(l1, l2), ZERO)(Fraction(0))
+        else:
+            spec = measures.MeasureSpec.plancherel(p)
+            moment = lambda l1, l2: kato_moment(l1, l2, p)
+        square = expand_in_schur((E1 * E2 - E_ONE).pow(2)).as_dict()
+        want_2 = float(sum(c * moment(l1, l2) for (l1, l2), c in square.items()))
+        r, w = schuralg._pushforward_rule(spec, 3.0, schuralg._ORDERS[-1])
+        assert abs(np.sum(w) - 1.0) <= 1e-12
+        assert abs(np.sum(w * (r * r - 1.0)) - float(moment(1, 1))) <= 1e-12
+        assert abs(np.sum(w * (r * r - 1.0) ** 2) - want_2) <= 1e-12
+
+    def test_macdonald_p_matches_torus_density(self):
+        rng = np.random.default_rng(5)
+        t1, t2 = rng.uniform(0.0, 2.0 * math.pi, (2, 500))
+        z = (np.exp(1j * t1), np.exp(1j * t2), np.exp(-1j * (t1 + t2)))
+        e1 = z[0] + z[1] + z[2]
+        pt = measures.TorusPoint(t1, t2)
+        for p in (2, 3, 5, 7, 1009):
+            q = 1.0 / p
+            direct = np.ones_like(e1)
+            for i in range(3):
+                for j in range(3):
+                    if i != j:
+                        direct = direct * (1.0 - q * z[i] / z[j])
+            got = schuralg._macdonald_p(q, np.abs(e1) ** 2, (e1 ** 3).real)
+            assert np.max(np.abs(got - direct.real) / direct.real) <= 1e-12
+            assert np.max(np.abs(direct.imag)) <= 1e-12
+            ratio = (measures.density(measures.MeasureSpec.plancherel(p), pt)
+                     / measures.density(ST, pt))
+            factor = 6.0 * measures.plancherel_constant(p) / got
+            assert np.max(np.abs(factor - ratio) / ratio) <= 1e-12
+
+    @pytest.mark.parametrize("p,R", [(None, math.sqrt(2.0)), (2, 2.0), (1009, 0.5)])
+    def test_distribution_of_e1_matches_mpmath(self, p, R):
+        # an independent 17-digit evaluation lies within the reported error
+        spec = ST if p is None else measures.MeasureSpec.plancherel(p)
+        got, err = schuralg._radius_cdf(spec, R)
+        assert abs(got - radius_cdf_mpmath(p, R)) <= err
+
+    def test_error_never_zero(self):
+        for cell in [(-1.0, -1.0), (8.0, 8.0), (3.0, 3.0), (-1.0, 8.0)]:
+            mass, err = indicator_mass(ST, cell)
+            assert err > 0.0
+        assert indicator_mass(ST, (-1.0, -1.0))[0] == 0.0
