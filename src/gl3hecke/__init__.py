@@ -26,7 +26,6 @@ from .klpoly import (
 from .measures import (
     EnvelopeError,
     MeasureSpec,
-    QuadratureError,
     QuadratureGrid,
     TorusPoint,
     density,

@@ -125,8 +125,3 @@ def mobius(n: int) -> int:
             return 0
         mu = -mu
     return mu
-
-
-def squarefree_upto(n: int) -> list[tuple[int, int]]:
-    """(d, mobius(d)) for squarefree d <= n."""
-    return [(d, mobius(d)) for d in range(1, n + 1) if mobius(d) != 0]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 
 from . import dirichlet as dmod
@@ -130,18 +131,15 @@ def cmd_satotate(args) -> int:
     report: dict = {"command": "satotate", "p": args.p, "samples": args.samples,
                     "seed": args.seed}
     if args.cells:
-        recs = []
         width = 9.0 / args.cells
-        for c in range(args.cells):
-            lo, hi = -1.0 + c * width, -1.0 + (c + 1) * width
-            recs.append(schuralg.effective_st_compare(
-                args.p, args.samples, (lo, hi), args.seed))
+        cells = [(-1.0 + c * width, -1.0 + (c + 1) * width) for c in range(args.cells)]
+        recs = schuralg.effective_st_compare(args.p, args.samples, cells, args.seed)
         report["cells"] = recs
         worst = max(r["diff"] - r["mass_uncertainty"] for r in recs)
         report["max_excess_diff"] = worst
         ok = worst <= args.tol
     else:
-        rec = schuralg.effective_st_compare(args.p, args.samples, (args.a, args.b), args.seed)
+        rec, = schuralg.effective_st_compare(args.p, args.samples, [(args.a, args.b)], args.seed)
         report.update(rec)
         ok = rec["diff"] <= args.tol + rec["mass_uncertainty"]
     write_report(report, args.out)
@@ -180,8 +178,6 @@ def cmd_signs(args) -> int:
 
 
 def cmd_mvt(args) -> int:
-    import random
-
     rng = random.Random(args.seed)
     polys = [
         dmod.DirichletPolynomial(
@@ -275,6 +271,14 @@ def _prime_error(p: int) -> str | None:
     return None
 
 
+def _kato_tol_error(tol: float, cases) -> str | None:
+    """Why the first case that no grid certifies at tol / 10 fails, or None."""
+    for l1, l2, p in cases:
+        if measures.trapezoid_resolution(measures.MeasureSpec.plancherel(p), l1, l2, tol / 10) is None:
+            return f"field 'tol' = {tol} is below what Kato quadrature can certify at ({l1}, {l2}, p={p})"
+    return None
+
+
 def _config_error(args) -> str | None:
     """The first argument that its command cannot run with, or None."""
     tol = getattr(args, "tol", None)
@@ -287,11 +291,13 @@ def _config_error(args) -> str | None:
             return "field 'T' must be positive"
         if args.draws < 1:
             return "field 'draws' must be at least 1"
+    if args.command == "verify" and tol is not None and args.suite in ("all", "kato"):
+        return _kato_tol_error(tol, suites.KATO_CASES)
     if args.command == "kato":
         for name in ("l1", "l2"):
             if not 0 <= getattr(args, name) <= 6:
                 return f"field '{name}' must lie in [0, 6]"
-        return _prime_error(args.p)
+        return _prime_error(args.p) or _kato_tol_error(args.tol, [(args.l1, args.l2, args.p)])
     if args.command == "satotate":
         if args.samples < 100:
             return "field 'samples' must be at least 100"

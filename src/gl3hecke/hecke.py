@@ -89,10 +89,6 @@ class ExponentPair:
         if self.beta1 < 0 or self.beta2 < 0:
             raise ValueError(f"exponents must be non-negative, got {self}")
 
-    @property
-    def partition(self) -> tuple[int, int, int]:
-        return (self.beta1 + self.beta2, self.beta2, 0)
-
 
 @dataclass(frozen=True)
 class PrimeLocalData:

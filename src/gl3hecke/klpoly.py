@@ -175,10 +175,9 @@ def kato_moment(l1: int, l2: int, p: int) -> Fraction:
 
 def kato_check(l1: int, l2: int, p: int, tol: float = 1e-8) -> dict:
     """Compare the exact combinatorial moment with quadrature of the matching
-    Schur basis element against the p-adic Plancherel measure.
-
-    The quadrature grid doubles from resolution 64 until two successive
-    values agree within tol; QuadratureError is raised past resolution 1024.
+    Schur basis element against the p-adic Plancherel measure, on the one
+    grid that `measures.trapezoid_resolution` proves accurate to within tol.
+    ValueError when no grid up to 1024 nodes per axis is.
     """
     if l1 > 6 or l2 > 6:
         raise ValueError("indices above 6 are blocked (combinatorial blow-up)")
@@ -186,10 +185,9 @@ def kato_check(l1: int, l2: int, p: int, tol: float = 1e-8) -> dict:
 
     lhs = float(kato_moment(l1, l2, p))
     spec = measures.MeasureSpec.plancherel(p)
-
-    def integrand(pt):
-        return measures.schur_on_torus(l1, l2, pt.theta1, pt.theta2).real
-
-    rhs, _ = measures.integrate_adaptive(spec, integrand, tol=tol)
-    rhs = float(rhs.real if isinstance(rhs, complex) else rhs)
+    K = measures.trapezoid_resolution(spec, l1, l2, tol)
+    if K is None:
+        raise ValueError(f"no grid up to 1024 nodes certifies tol={tol} at ({l1}, {l2}, p={p})")
+    schur = lambda pt: measures.schur_on_torus(l1, l2, pt.theta1, pt.theta2).real
+    rhs = measures.integrate(spec, schur, measures.QuadratureGrid(K)).real
     return {"lhs": lhs, "rhs": rhs, "diff": abs(lhs - rhs)}

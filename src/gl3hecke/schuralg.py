@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import measures
-from .hecke import SatakeTriple, schur_from_elementary
+from .hecke import schur_from_elementary
 
 MAX_SCHUR_DEGREE = 24
 
@@ -105,9 +105,6 @@ class WInvariantLaurent:
 
     def coefficient_l1_norm(self) -> Fraction:
         return sum((abs(c) for _, c in self.schur_coeffs), Fraction(0))
-
-    def eval_satake(self, x: SatakeTriple) -> complex:
-        return complex(self.eval_elementary(x.e1, x.e2))
 
     def eval_elementary(self, e1, e2):
         acc = e1 * 0
@@ -311,23 +308,18 @@ def indicator_mass(measure, interval: tuple[float, float]) -> tuple[float, float
 def effective_st_compare(
     p: int,
     n_samples: int,
-    interval: tuple[float, float],
+    intervals: list[tuple[float, float]],
     seed: int,
-) -> dict:
-    """Empirical fraction of sampled A(p, p) in the interval versus the
-    exact Plancherel mass, with the mass's quadrature error."""
+) -> list[dict]:
+    """For each interval, the fraction of one draw of sampled A(p, p) in it
+    versus the exact Plancherel mass, with the mass's quadrature error."""
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
-    a, b = interval
     emp = sample_app(p, n_samples, seed)
-    empirical = float(np.mean((emp.samples >= a) & (emp.samples <= b)))
-    mass, unc = indicator_mass(p, interval)
-    return {
-        "p": p,
-        "interval": [a, b],
-        "samples": n_samples,
-        "empirical": empirical,
-        "mass": mass,
-        "mass_uncertainty": unc,
-        "diff": abs(empirical - mass),
-    }
+    out = []
+    for a, b in intervals:
+        empirical = float(np.mean((emp.samples >= a) & (emp.samples <= b)))
+        mass, unc = indicator_mass(p, (a, b))
+        out.append({"p": p, "interval": [a, b], "samples": n_samples, "empirical": empirical,
+                    "mass": mass, "mass_uncertainty": unc, "diff": abs(empirical - mass)})
+    return out

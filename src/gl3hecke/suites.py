@@ -16,6 +16,7 @@ import numpy as np
 
 from . import dirichlet as dmod
 from . import hecke, klpoly, measures, schuralg, signstats, tau
+from .arith import primes_upto
 
 
 @dataclass
@@ -60,8 +61,6 @@ def suite_hecke(seed: int = 0, tol: float = 1e-8) -> list[Check]:
     """Hecke relation residuals, Mobius expansion, Hermitian symmetry, and the
     Ramanujan bound on random tempered data."""
     rng = random.Random(seed)
-    from .arith import primes_upto
-
     bound = 2500  # indices m1*c3/c1 reach 50 * 50
     table = hecke.CoefficientTable(
         random_tempered_locals(primes_upto(bound), rng), bound, bound
@@ -117,14 +116,14 @@ def suite_schur(seed: int = 0, tol: float = 0.0) -> list[Check]:
     return checks
 
 
+# (l1, l2, p) of the Kato identities that suite_kato checks at tol / 10.
+KATO_CASES = [(l1, l2, p) for p in (2, 3, 5, 7) for l1 in range(6) for l2 in range(6 - l1)]
+
+
 def suite_kato(seed: int = 0, tol: float = 1e-6) -> list[Check]:
     """Combinatorial moment versus Plancherel quadrature for all l1+l2 <= 5
     and p in {2, 3, 5, 7}, plus the 0.75 anchor at (1, 1, p=2)."""
-    worst = 0.0
-    for p in (2, 3, 5, 7):
-        for l1 in range(6):
-            for l2 in range(6 - l1):
-                worst = max(worst, klpoly.kato_check(l1, l2, p, tol=tol / 10)["diff"])
+    worst = max(klpoly.kato_check(l1, l2, p, tol=tol / 10)["diff"] for l1, l2, p in KATO_CASES)
     anchor = klpoly.kato_check(1, 1, 2)
     return [
         Check.le("kato_identity_max_diff", worst, tol),
@@ -139,10 +138,8 @@ def suite_measures(seed: int = 0, tol: float = 1e-8) -> list[Check]:
     grid = measures.QuadratureGrid(64)
     one = lambda pt: 1.0
     st = measures.MeasureSpec.sato_tate()
-    worst = abs(measures.integrate(st, one, grid) - 1.0)
-    for p in (2, 3, 5, 7, 101):
-        spec = measures.MeasureSpec.plancherel(p)
-        worst = max(worst, abs(measures.integrate(spec, one, grid) - 1.0))
+    specs = [st] + [measures.MeasureSpec.plancherel(p) for p in (2, 3, 5, 7, 101)]
+    worst = max(abs(measures.integrate(spec, one, grid) - 1.0) for spec in specs)
     checks.append(Check.le("measure_mass_max_deviation", worst, tol))
 
     worst = 0.0
@@ -163,25 +160,18 @@ def suite_measures(seed: int = 0, tol: float = 1e-8) -> list[Check]:
     for _ in range(20):
         t1 = rng.uniform(0.0, 2.0 * math.pi)
         t2 = rng.uniform(0.0, 2.0 * math.pi)
-        t3 = -(t1 + t2)
-        angles = (t1, t2, t3)
+        angles = (t1, t2, -(t1 + t2))
         for spec in (st, measures.MeasureSpec.plancherel(5)):
             base = measures.density(spec, measures.TorusPoint(t1, t2))
             for sigma, _ in klpoly.WEYL:
-                perm = measures.density(
-                    spec, measures.TorusPoint(angles[sigma[0]], angles[sigma[1]])
-                )
+                perm = measures.density(spec, measures.TorusPoint(angles[sigma[0]], angles[sigma[1]]))
                 worst = max(worst, abs(perm - base))
     checks.append(Check.le("density_weyl_invariance_max", worst, 1e-12))
 
-    k = 32
-    nodes = 2.0 * math.pi * np.arange(k) / k
-    g1, g2 = np.meshgrid(nodes, nodes, indexing="ij")
-    pt = measures.TorusPoint(g1, g2)
+    pt = measures.TorusPoint(*measures.QuadratureGrid(32).mesh())
     ref = measures.density(st, pt)
-    sups = []
-    for p in (2, 11, 101, 1009):
-        sups.append(float(np.max(np.abs(measures.density(measures.MeasureSpec.plancherel(p), pt) - ref))))
+    sups = [float(np.max(np.abs(measures.density(measures.MeasureSpec.plancherel(p), pt) - ref)))
+            for p in (2, 11, 101, 1009)]
     monotone = all(sups[i] > sups[i + 1] for i in range(len(sups) - 1))
     checks.append(Check.le("plancherel_to_st_sup_monotone", 0.0 if monotone else 1.0, 0.0))
 
@@ -333,8 +323,6 @@ def suite_mvt(seed: int = 0, tol: float = 8.0) -> list[Check]:
     for rec in dmod.mvt_ratio_many(extra, 512.0):
         worst = max(worst, rec["ratio"])
     checks = [Check.le("mvt_ratio_max_50_draws", worst, tol)]
-
-    from .arith import primes_upto
 
     worst = 0.0
     for M in (100, 1000):

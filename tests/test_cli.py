@@ -158,6 +158,21 @@ class TestSatotateCommand:
         report = json.loads(out.read_text())
         assert report["empirical"] == 1.0
 
+    def test_cells_share_one_draw(self, tmp_path, monkeypatch):
+        draws = []
+        real = cli.schuralg.sample_app
+
+        def counting(*args):
+            draws.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli.schuralg, "sample_app", counting)
+        out = tmp_path / "cells.json"
+        run(["satotate", "--p", "2", "--cells", "9", "--samples", "2000", "--out", str(out)])
+        assert draws == [(2, 2000, 0)]
+        cells = json.loads(out.read_text())["cells"]
+        assert len(cells) == 9 and sum(c["empirical"] for c in cells) == pytest.approx(1.0)
+
 
 class TestDeterminism:
     def test_reports_are_byte_identical(self, tmp_path):
@@ -230,6 +245,13 @@ class TestErrorPaths:
         (["signs", "--X", "5"], "the scan window needs M < H <= (X - H) / 2"),
         (["signs", "--X", "2000", "--H", "3", "--M", "3"], "the scan window needs M < H"),
         (["signs", "--X", "100", "--zero-tol", "-1"], "field 'zero-tol' must be non-negative"),
+        (["kato", "--l1", "1", "--l2", "1", "--p", "2", "--tol", "1e-16"],
+         "field 'tol' = 1e-16 is below what Kato quadrature can certify"),
+        (["kato", "--l1", "6", "--l2", "6", "--p", "1009", "--tol", "1e-8"],
+         "field 'tol' = 1e-08 is below what Kato quadrature can certify"),
+        (["verify", "--suite", "kato", "--tol", "1e-16"],
+         "field 'tol' = 1e-16 is below what Kato quadrature can certify"),
+        (["verify", "--tol", "1e-16"], "field 'tol' = 1e-16 is below what Kato quadrature can certify"),
     ], ids=["mvt-T-neg", "mvt-T-zero", "mvt-N-neg", "mvt-N-zero", "mvt-draws-zero",
             "satotate-cells-neg", "signs-M-zero", "signs-H-zero", "signs-H-one",
             "kato-l1-big", "kato-l1-neg", "kato-l2-big", "kato-p-composite", "kato-p-zero",
@@ -237,7 +259,9 @@ class TestErrorPaths:
             "satotate-b-nan", "gen-samples-p", "gen-density-p", "gen-tau-N-zero",
             "gen-gl2-N-big", "gen-table-bound-n-zero", "gen-table-bound-n-above-N",
             "gen-count-zero", "gen-K-small", "signs-X-zero", "signs-X-big",
-            "signs-window-X-small", "signs-window-M-eq-H", "signs-zero-tol-neg"])
+            "signs-window-X-small", "signs-window-M-eq-H", "signs-zero-tol-neg",
+            "kato-tol-below-floor", "kato-tol-below-floor-66", "verify-kato-tol-below-floor",
+            "verify-all-tol-below-floor"])
     def test_bad_size_is_config_error(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 2

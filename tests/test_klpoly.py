@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from gl3hecke import measures
+
 from gl3hecke.klpoly import (
     ALPHA1,
     ALPHA2,
@@ -146,3 +148,43 @@ class TestKatoCheck:
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             kato_check(7, 0, 2)
+
+    def test_one_grid_per_check(self, monkeypatch):
+        grids = []
+        real = measures.integrate
+
+        def counting(spec, f, grid):
+            grids.append(grid.resolution)
+            return real(spec, f, grid)
+
+        monkeypatch.setattr(measures, "integrate", counting)
+        for l1, l2, p in [(0, 0, 3), (1, 1, 2), (5, 0, 7), (6, 6, 1009)]:
+            grids.clear()
+            kato_check(l1, l2, p, tol=1e-7)
+            assert len(grids) == 1
+            assert grids[0] == measures.trapezoid_resolution(
+                measures.MeasureSpec.plancherel(p), l1, l2, 1e-7)
+
+    def test_matches_the_fine_grid_over_full_range(self):
+        # the replaced path stopped at K = 128; the one a-priori grid agrees
+        # with it within tol, and with the exact moment within tol
+        tol = 1e-7
+        grid = measures.QuadratureGrid(128)
+        pt = measures.TorusPoint(*grid.mesh())
+        for l1 in range(7):
+            for l2 in range(7):
+                vals = measures.schur_on_torus(l1, l2, pt.theta1, pt.theta2).real
+                for p in (2, 3, 5, 7, 11, 101, 1009):
+                    rec = kato_check(l1, l2, p, tol=tol)
+                    fine = measures.integrate(measures.MeasureSpec.plancherel(p), lambda _: vals, grid)
+                    assert abs(rec["rhs"] - fine.real) <= tol, (l1, l2, p)
+                    assert rec["diff"] <= tol, (l1, l2, p)
+
+    def test_uncertifiable_tol_raises_without_a_grid(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(measures, "integrate", no_grid)
+        for tol in (1e-17, 0.0):
+            with pytest.raises(ValueError, match="certifies"):
+                kato_check(1, 1, 2, tol=tol)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gl3hecke import klpoly, measures
+from gl3hecke.klpoly import kato_moment
 from gl3hecke.measures import (
     EnvelopeError,
     MeasureSpec,
@@ -96,21 +97,58 @@ class TestIntegrate:
         g = QuadratureGrid(16)
         assert g.cell_weight * g.resolution ** 2 == pytest.approx((2 * math.pi) ** 2)
 
-    def test_adaptive_doubling_converges(self):
-        val, k = measures.integrate_adaptive(ST, lambda pt: 1.0, tol=1e-10)
-        assert abs(val - 1.0) <= 1e-10
-        assert k <= 256
 
-    def test_adaptive_raises_past_cap(self):
-        # an integrand quadrature cannot stabilize on: white-noise-like values
-        rng = np.random.default_rng(1)
+KATO_PRIMES = (2, 3, 5, 7, 11, 101, 1009)
 
-        def f(pt):
-            return float(rng.uniform(-1.0, 1.0))
 
-        with pytest.raises(measures.QuadratureError):
-            measures.integrate_adaptive(ST, f, tol=1e-14, start_resolution=8,
-                                        max_resolution=16)
+def bounds(l1, l2, p, K):
+    return measures._trapezoid_bound(MeasureSpec.plancherel(p), l1, l2, np.asarray(K))
+
+
+def bound(l1, l2, p, K):
+    return float(bounds(l1, l2, p, [K])[0])
+
+
+class TestTrapezoidResolution:
+    def test_bound_covers_measured_error_over_full_range(self):
+        # |integrate at K - exact moment| <= bound(K) for every (l1, l2) in
+        # [0, 6]^2, every p and K = 8..64, resonant K = 24 at (6, 6), p = 2 included
+        pairs = [(l1, l2) for l1 in range(7) for l2 in range(7)]
+        exact = {(l1, l2, p): float(kato_moment(l1, l2, p)) for l1, l2 in pairs for p in KATO_PRIMES}
+        proven = {key: bounds(*key, np.arange(8, 65)) for key in exact}
+        for K in range(8, 65):
+            grid = QuadratureGrid(K)
+            pt = TorusPoint(*grid.mesh())
+            schur = {lam: measures.schur_on_torus(*lam, pt.theta1, pt.theta2).real for lam in pairs}
+            for p in KATO_PRIMES:
+                dens = density(MeasureSpec.plancherel(p), pt)
+                for l1, l2 in pairs:
+                    # the sum `integrate` forms, with the density computed once per grid
+                    got = float(np.sum(schur[l1, l2] * dens) * grid.cell_weight)
+                    err = abs(got - exact[l1, l2, p])
+                    assert err <= proven[l1, l2, p][K - 8], (l1, l2, p, K, err)
+
+    def test_polynomial_part_and_resonance(self):
+        # at p = 101 and K = 8 the (5, 0) quadrature misses by 1.0 (polynomial
+        # aliasing); at p = 2 for (6, 6), K = 24 (3 | K) is worse than K = 20
+        spec = MeasureSpec.plancherel(101)
+        err = abs(integrate(spec, lambda pt: measures.schur_on_torus(5, 0, pt.theta1, pt.theta2).real,
+                            QuadratureGrid(8)).real)
+        assert err == pytest.approx(1.0, abs=1e-9)
+        assert bound(5, 0, 101, 8) >= err
+        assert bound(6, 6, 2, 24) > 10 * bound(6, 6, 2, 20)
+
+    def test_resolution_is_the_smallest_certified_grid(self):
+        for l1, l2, p, tol in [(1, 1, 2, 1e-7), (6, 6, 2, 1e-7), (5, 0, 101, 1e-9), (0, 0, 3, 1e-8)]:
+            K = measures.trapezoid_resolution(MeasureSpec.plancherel(p), l1, l2, tol)
+            assert bound(l1, l2, p, K) <= tol
+            assert K == 8 or np.all(bounds(l1, l2, p, np.arange(8, K)) > tol)
+
+    def test_tol_below_rounding_floor_has_no_grid(self):
+        spec = MeasureSpec.plancherel(2)
+        assert measures.trapezoid_resolution(spec, 1, 1, 1e-17) is None
+        assert measures.trapezoid_resolution(spec, 6, 6, 1e-9) is None
+        assert bound(0, 0, 2, 1024) > 0.0
 
 
 class TestSampling:

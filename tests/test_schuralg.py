@@ -75,7 +75,7 @@ class TestExpandInSchur:
         for _ in range(50):
             x = random_tempered_triple(rng)
             for laurent, epoly in zip(laurents, epolys):
-                via_schur = laurent.eval_satake(x)
+                via_schur = complex(laurent.eval_elementary(x.e1, x.e2))
                 via_epoly = epoly.eval(x.e1, x.e2)
                 assert abs(via_schur - via_epoly) <= 1e-9 * (1.0 + abs(via_epoly))
 
@@ -118,7 +118,7 @@ class TestBernsteinCoeffs:
 
 class TestEffectiveSTCompare:
     def test_full_interval_is_certain(self):
-        rec = effective_st_compare(2, 1000, (-1.0, 8.0), seed=4)
+        rec, = effective_st_compare(2, 1000, [(-1.0, 8.0)], seed=4)
         assert rec["empirical"] == 1.0
         assert rec["mass"] == pytest.approx(1.0, abs=1e-6)
         assert rec["diff"] <= 1e-6
@@ -129,7 +129,7 @@ class TestEffectiveSTCompare:
         assert abs(m1 + m2 - 1.0) <= u1 + u2 + 1e-6
 
     def test_monte_carlo_vs_quadrature(self):
-        rec = effective_st_compare(5, 100_000, (0.0, 8.0), seed=77)
+        rec, = effective_st_compare(5, 100_000, [(0.0, 8.0)], seed=77)
         assert rec["diff"] <= 0.01
 
     def test_sample_range_invariant(self):
@@ -143,7 +143,7 @@ class TestEffectiveSTCompare:
 
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):
-            effective_st_compare(5, 10, (0.0, 1.0), seed=0)
+            effective_st_compare(5, 10, [(0.0, 1.0)], seed=0)
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
