@@ -3,21 +3,48 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
+
+import numpy as np
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # The least strong pseudoprime to all twelve bases above (Sorenson and
 # Webster, Math. Comp. 2017): below it Miller-Rabin on them is a proof.
 _MR_PROOF_BOUND = 318_665_857_834_031_151_167_461
+# is_prime looks n <= _SIEVE_CAP up in a sieve.
+_SIEVE_CAP = 1 << 20
+
+
+def _sieve(n: int) -> bytearray:
+    """flags[k] == 1 iff k is prime, for 0 <= k <= n, n >= 1 (Eratosthenes)."""
+    flags = bytearray([1]) * (n + 1)
+    flags[0] = flags[1] = 0
+    p = 2
+    while p * p <= n:
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+        p += 1
+    return flags
+
+
+@lru_cache(maxsize=None)
+def _small_prime_bits(size: int) -> bytes:
+    """Bit k % 8 of byte k // 8 is 1 iff k is prime, for 0 <= k <= size, a
+    power of two <= 2^20.  Packed, all 20 sizes take about 2^18 bytes."""
+    return np.packbits(np.frombuffer(_sieve(size), dtype=np.uint8), bitorder="little").tobytes()
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic for n < 3.18e23: trial division by the primes <= 37, then
-    Miller-Rabin with bases (2, 3) below 1,373,653, (2, 3, 5, 7) below
-    3,215,031,751 and the twelve primes <= 37 above.  Larger n raise
+    """Deterministic for n < 3.18e23.  Up to 2^20 a lookup in a cached sieve
+    up to the next power of two >= n; above it trial division by the primes
+    <= 37, then Miller-Rabin with bases (2, 3) below 1,373,653, (2, 3, 5, 7)
+    below 3,215,031,751 and the twelve primes <= 37 above.  Larger n raise
     ValueError rather than get a probable answer."""
     if n < 2:
         return False
+    if n <= _SIEVE_CAP:
+        return _small_prime_bits(1 << (n - 1).bit_length())[n >> 3] >> (n & 7) & 1 == 1
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
@@ -49,14 +76,7 @@ def primes_upto(n: int) -> list[int]:
     """All primes <= n by Eratosthenes."""
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    p = 2
-    while p * p <= n:
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        p += 1
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return list(compress(range(n + 1), _sieve(n)))
 
 
 @lru_cache(maxsize=8)

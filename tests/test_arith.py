@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gl3hecke.arith import is_prime
+from gl3hecke.arith import is_prime, primes_upto
 from oracles import is_prime_trial
 
 # Each is the least strong pseudoprime to the primes up to the named base,
@@ -21,6 +21,18 @@ STRONG_PSEUDOPRIMES = {
 
 def test_agrees_with_trial_division_below_4e5():
     assert [n for n in range(400_000) if is_prime(n) != is_prime_trial(n)] == []
+
+
+def test_sieve_agrees_with_trial_division_over_its_range():
+    # is_prime answers n <= 2^20 from a cached sieve, Miller-Rabin above it.
+    cap = 1 << 20
+    assert [n for n in range(-3, cap + 2000) if is_prime(n) != is_prime_trial(n)] == []
+
+
+def test_primes_upto_edges():
+    assert primes_upto(-1) == primes_upto(1) == []
+    assert primes_upto(2) == [2]
+    assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 @settings(max_examples=200, deadline=None)

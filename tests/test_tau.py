@@ -33,9 +33,9 @@ def test_prefix_against_naive_oracle():
     assert tau.ramanujan_tau(n) == naive_eta_power(n, 24)
 
 
-def test_eta_cubed_sparse_identity():
-    n = 300
-    assert tau.eta_cubed_coeffs(n) == naive_eta_power(n, 3)
+def test_eta_sixth_from_jacobi_pairs():
+    for n in (1, 2, 3, 300):
+        assert tau.eta_sixth_coeffs(n) == naive_eta_power(n, 6)
 
 
 def test_square_trunc_matches_schoolbook():
@@ -99,15 +99,47 @@ coefficient = st.one_of(
 @example([3, -2, 0, 7], 4)
 @example([10**4400 + 1, -3, 0, 2], 7)
 @example([-(10**4400), 10**4400], 4)
+@example([15, -15], 2)  # the top kept slot, -450 + 500, has a leading zero
 def test_square_trunc_matches_kronecker(coeffs, N):
     # N runs below, at and above the 2 len - 1 terms of the full square
     assert tau.square_trunc(coeffs, N) == square_trunc_kronecker(coeffs, N)
 
 
+def _coeffs_of_width(width: int, n: int, rng: random.Random) -> list[int]:
+    """n coefficients whose square_trunc slots are `width` digits wide, that
+    is 10^(width-1) <= 2 sum c^2 < 10^width."""
+    top = math.isqrt(10 ** (width - 1) // n)
+    coeffs = [rng.choice((-1, 1)) * rng.randint(top * 3 // 4, top) for _ in range(n)]
+    assert len(str(2 * sum(c * c for c in coeffs))) == width
+    return coeffs
+
+
+# 18 and 36 digits fill one and two int64 limbs exactly, 19 and 37 spill one
+# digit into the next; at 45 and 55 the coefficients pass int64.
+@pytest.mark.parametrize("width", [18, 19, 36, 37, 45, 55])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_square_trunc_at_limb_edges(width, n):
+    rng = random.Random(width * 10 + n)
+    coeffs = _coeffs_of_width(width, n, rng)
+    for N in sorted({0, 1, n - 1, n, 2 * n - 2, 2 * n - 1, 2 * n, 2 * n + 3}):
+        assert tau.square_trunc(coeffs, N) == square_trunc_kronecker(coeffs, N)
+
+
+def test_square_trunc_across_chunks():
+    # More slots than one packing chunk, with coefficients past int64 in the
+    # last chunk only.
+    rng = random.Random(7)
+    n = tau._CHUNK + 5
+    coeffs = [rng.randrange(-(10**12), 10**12) for _ in range(n)]
+    coeffs[-3] = -(10**30) - 7
+    for N in (n - 2, 2 * n - 1):
+        assert tau.square_trunc(coeffs, N) == square_trunc_kronecker(coeffs, N)
+
+
 def test_eta24_squarings_match_kronecker():
     n = 20_000
-    f = tau.eta_cubed_coeffs(n)
-    for _ in range(3):
+    f = tau.eta_sixth_coeffs(n)
+    for _ in range(2):
         g = tau.square_trunc(f, n)
         assert g == square_trunc_kronecker(f, n)
         f = g
