@@ -3,7 +3,6 @@ degree-three Hecke eigenvalue data."""
 
 from .hecke import (
     CoefficientTable,
-    ExponentPair,
     GL2FormData,
     IndexBoundsError,
     MissingPrimeError,
@@ -12,7 +11,6 @@ from .hecke import (
     SatakeTriple,
     hecke_residual,
     mobius_expand,
-    schur_eval,
     sym2_lift,
 )
 from .klpoly import (

@@ -50,9 +50,7 @@ def ingest(path: str, fmt: str):
     if fmt == "seqcsv":
         values = read_csv(path, ("m", "value"), "index", _seq_row)
         top = max(values) if values else 0
-        return signstats.RealSequence(
-            [values.get(m, 0.0) for m in range(1, top + 1)], label=path
-        )
+        return signstats.RealSequence([values.get(m, 0.0) for m in range(1, top + 1)])
 
     raise IngestError(f"unknown format {fmt!r}")
 
@@ -162,7 +160,7 @@ def cmd_signs(args) -> int:
     rep = signstats.count_sign_changes(seq, args.zero_tol)
     # scan windows [x, x+H] for x up to 2*scan_X stay inside the table
     cfg = signstats.ShortIntervalConfig((X - H) // 2, H, M)
-    scan = signstats.interval_change_scan(table, cfg)
+    scan = signstats.interval_change_scan(table, cfg, args.zero_tol)
     report.update({
         "X": X, "H": H, "M": M,
         "sign_changes": rep.summary(),
@@ -170,8 +168,8 @@ def cmd_signs(args) -> int:
                  "total_x": scan["total_x"], "with_change": scan["with_change"]},
         "partial_sum_abs": signstats.partial_sum_abs(table, X),
         "rankin_selberg_ratio": signstats.rankin_selberg_ratio(table, X),
-        "sign_balance": signstats.sign_balance(table, X),
-        "nonvanishing": signstats.nonvanishing_density(table, X),
+        "sign_balance": signstats.sign_balance(table, X, zero_tol=args.zero_tol),
+        "nonvanishing": signstats.nonvanishing_density(table, X, zero_tol=args.zero_tol),
     })
     write_report(report, args.out)
     return 0

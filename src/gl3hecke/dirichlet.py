@@ -15,7 +15,10 @@ import numpy as np
 
 from .arith import factorize, mobius
 from .csvio import read_csv, write_csv
-from .hecke import PrimeLocalData, schur_from_elementary
+from .hecke import PrimeLocalData, _complete_homogeneous, schur_from_elementary
+
+# Truncation tail of euler_factor_check above which it warns.
+TAIL_TOL = 1e-12
 
 
 @dataclass
@@ -23,7 +26,6 @@ class DirichletPolynomial:
     """Finite sum F(s) = sum_n a_n n^{-s}; terms maps n -> a_n."""
 
     terms: dict
-    range_desc: str = ""
 
     def __post_init__(self):
         self.terms = {int(n): complex(c) for n, c in self.terms.items() if c != 0}
@@ -66,8 +68,7 @@ def poly_to_csv(poly: DirichletPolynomial, path: str) -> None:
 
 def poly_from_csv(path: str) -> DirichletPolynomial:
     """Read a polynomial written by poly_to_csv."""
-    return DirichletPolynomial(read_csv(path, ("n", "re", "im"), "frequency", _term_row),
-                               range_desc=path)
+    return DirichletPolynomial(read_csv(path, ("n", "re", "im"), "frequency", _term_row))
 
 
 def build_MKD(table, X: int, M: int) -> dict:
@@ -78,16 +79,10 @@ def build_MKD(table, X: int, M: int) -> dict:
     d <= 2M with mu(d) prod_{p|d} (A(p,1) p^-s - A(p,1) p^-2s + p^-3s)^2,
     expanded exactly into a Dirichlet polynomial.
     """
-    mpoly = DirichletPolynomial(
-        {m: table.value(m, 1) for m in range(M, 2 * M + 1)},
-        range_desc=f"m in [{M}, {2 * M}]",
-    )
+    mpoly = DirichletPolynomial({m: table.value(m, 1) for m in range(M, 2 * M + 1)})
     k_lo = max(1, -(-X // (3 * M)))
     k_hi = (3 * X) // M
-    kpoly = DirichletPolynomial(
-        {k: table.value(k, 1) for k in range(k_lo, k_hi + 1)},
-        range_desc=f"k in [{k_lo}, {k_hi}]",
-    )
+    kpoly = DirichletPolynomial({k: table.value(k, 1) for k in range(k_lo, k_hi + 1)})
     dterms: dict = {1: 1.0 + 0.0j}
     for d in range(2, 2 * M + 1):
         mu = mobius(d)
@@ -110,7 +105,7 @@ def build_MKD(table, X: int, M: int) -> dict:
             }
         for n, c in factor_terms.items():
             dterms[n] = dterms.get(n, 0.0 + 0.0j) + c
-    dpoly = DirichletPolynomial(dterms, range_desc=f"squarefree d <= {2 * M}")
+    dpoly = DirichletPolynomial(dterms)
     return {"M": mpoly, "K": kpoly, "D": dpoly}
 
 
@@ -126,9 +121,7 @@ def d_estimate_ratio(dpoly: DirichletPolynomial, M: int, s: complex) -> float:
     return abs(dpoly.eval(s)) / max(1.0, unit)
 
 
-def euler_factor_check(
-    local: PrimeLocalData, s: complex, J: int = 60, tail_tol: float = 1e-12
-) -> dict:
+def euler_factor_check(local: PrimeLocalData, s: complex, J: int = 60) -> dict:
     """Check the local generating series against its closed form.
 
     series: sum_{j<=J} A(p^j, 1) p^{-js}.  closed: the inverse cubic
@@ -143,10 +136,8 @@ def euler_factor_check(
         raise ValueError("need J >= 20 truncation terms")
     p = local.p
     x = cmath.exp(-s * math.log(p))
-    coeffs = [
-        complex(schur_from_elementary(j, 0, local.satake.e1, local.satake.e2))
-        for j in range(J + 1)
-    ]
+    # A(p^j, 1) is the complete homogeneous polynomial h_j of the triple
+    coeffs = _complete_homogeneous(local.satake.e1, local.satake.e2, J)
     series = 0.0 + 0.0j
     for j in range(J, -1, -1):
         series = series * x + coeffs[j]
@@ -155,22 +146,18 @@ def euler_factor_check(
         shifted = shifted * x + coeffs[j + 1]
 
     a1 = coeffs[1]
-    a1_dual = complex(schur_from_elementary(0, 1, local.satake.e1, local.satake.e2))
+    a1_dual = schur_from_elementary(0, 1, local.satake.e1, local.satake.e2)
     closed = 1.0 / (1.0 - a1 * x + a1_dual * x * x - x ** 3)
     ratio_residual = abs(shifted / series - (a1 - a1_dual * x + x * x))
 
-    # tempered tail bound: |A(p^j, 1)| <= (j+1)(j+2)/2
+    # tempered tail bound: |A(p^j, 1)| <= C(j+2, 2), and in closed form
+    # sum_{j>J} C(j+2, 2) r^j = r^(J+1) [C(J+3, 2)/(1-r) + (J+3) r/(1-r)^2 + r^2/(1-r)^3]
     r = abs(x)
-    tail = 0.0
-    j = J + 1
-    term = (j + 1) * (j + 2) / 2.0 * r ** j
-    while term > 1e-30:
-        tail += term
-        j += 1
-        term = (j + 1) * (j + 2) / 2.0 * r ** j
-    if tail > tail_tol:
+    tail = r ** (J + 1) * ((J + 2) * (J + 3) / 2.0 / (1.0 - r)
+                           + (J + 3) * r / (1.0 - r) ** 2 + r * r / (1.0 - r) ** 3)
+    if tail > TAIL_TOL:
         warnings.warn(
-            f"Euler-factor truncation tail estimate {tail:.3e} exceeds {tail_tol:.1e}",
+            f"Euler-factor truncation tail estimate {tail:.3e} exceeds {TAIL_TOL:.1e}",
             RuntimeWarning,
             stacklevel=2,
         )

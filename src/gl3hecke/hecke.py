@@ -79,18 +79,6 @@ class SatakeTriple:
 
 
 @dataclass(frozen=True)
-class ExponentPair:
-    """Exponents (beta1, beta2) of a local index pair (p^beta1, p^beta2)."""
-
-    beta1: int
-    beta2: int
-
-    def __post_init__(self):
-        if self.beta1 < 0 or self.beta2 < 0:
-            raise ValueError(f"exponents must be non-negative, got {self}")
-
-
-@dataclass(frozen=True)
 class PrimeLocalData:
     p: int
     satake: SatakeTriple
@@ -116,36 +104,36 @@ class GL2FormData:
                 )
 
 
-def schur_from_elementary(l1: int, l2: int, e1, e2):
-    """Evaluate the (l1, l2) Schur basis element from e1, e2 (with e3 = 1).
-
-    Uses the two-row Jacobi-Trudi determinant h_a h_b - h_{a+1} h_{b-1} for the
-    partition (l1+l2, l2, 0), with the complete homogeneous polynomials built
-    by the recurrence h_k = e1 h_{k-1} - e2 h_{k-2} + h_{k-3}.  Stable at
-    coincident coordinates and works elementwise on numpy arrays.
-    """
-    a, b = l1 + l2, l2
-    one = e1 * 0 + 1.0  # matches scalar or array shape
-    h = [one]
-    for _ in range(a + 1):
-        k = len(h)
+def _complete_homogeneous(e1, e2, n: int) -> list:
+    """h_0, ..., h_n from e1, e2 (with e3 = 1) by the recurrence
+    h_k = e1 h_{k-1} - e2 h_{k-2} + h_{k-3}; scalars or numpy arrays."""
+    h = [e1 * 0 + 1.0]  # matches scalar or array shape
+    for k in range(1, n + 1):
         h_k = e1 * h[k - 1]
         if k >= 2:
             h_k = h_k - e2 * h[k - 2]
         if k >= 3:
             h_k = h_k + h[k - 3]
         h.append(h_k)
+    return h
+
+
+def schur_from_elementary(l1: int, l2: int, e1, e2):
+    """Evaluate the (l1, l2) Schur basis element from e1, e2 (with e3 = 1).
+
+    Equals the local coefficient A(p^l1, p^l2) when e1, e2 come from the
+    Satake triple at p.  Uses the two-row Jacobi-Trudi determinant
+    h_a h_b - h_{a+1} h_{b-1} for the partition (l1+l2, l2, 0), with the
+    complete homogeneous polynomials of _complete_homogeneous.  Stable at
+    coincident coordinates and works elementwise on numpy arrays.  Negative
+    exponents raise ValueError.
+    """
+    if l1 < 0 or l2 < 0:
+        raise ValueError(f"exponents must be non-negative, got ({l1}, {l2})")
+    a, b = l1 + l2, l2
+    h = _complete_homogeneous(e1, e2, a + 1)
     second = h[a + 1] * h[b - 1] if b >= 1 else 0.0
     return h[a] * h[b] - second
-
-
-def schur_eval(pair: ExponentPair, x: SatakeTriple) -> complex:
-    """Schur polynomial of the partition (beta1+beta2, beta2, 0) at x.
-
-    Equals the local coefficient A(p^beta1, p^beta2) when x is the Satake
-    triple at p.
-    """
-    return complex(schur_from_elementary(pair.beta1, pair.beta2, x.e1, x.e2))
 
 
 class CoefficientTable:
@@ -186,7 +174,7 @@ class CoefficientTable:
             loc = self._by_prime.get(p)
             if loc is None:
                 raise MissingPrimeError(f"no local data for prime {p}")
-            val = schur_eval(ExponentPair(a, b), loc.satake)
+            val = schur_from_elementary(a, b, loc.satake.e1, loc.satake.e2)
             self._local_powers[key] = val
         return val
 

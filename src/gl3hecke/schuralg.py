@@ -184,8 +184,6 @@ class EmpiricalDistribution:
     measure; tempered values lie in [-1, 8]."""
 
     samples: np.ndarray
-    p: int
-    seed: int
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -199,7 +197,7 @@ def sample_app(p: int, count: int, seed: int) -> EmpiricalDistribution:
     """Draw A(p, p) = |e1|^2 - 1 under the p-adic Plancherel measure."""
     t1, t2 = measures.sample_angles(measures.MeasureSpec.plancherel(p), count, seed)
     e1 = np.exp(1j * t1) + np.exp(1j * t2) + np.exp(-1j * (t1 + t2))
-    return EmpiricalDistribution(np.abs(e1) ** 2 - 1.0, p, seed)
+    return EmpiricalDistribution(np.abs(e1) ** 2 - 1.0)
 
 
 # Gauss-Legendre orders of the two rules behind every mass: the finer one

@@ -27,7 +27,6 @@ class RealSequence:
     """Real values a(1), ..., a(X); values[i] holds a(i+1)."""
 
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -39,7 +38,6 @@ class RealSequence:
 @dataclass
 class SignChangeReport:
     changes: int
-    positions: list[tuple[int, int]]
     positives: int
     negatives: int
     zeros: int
@@ -56,13 +54,11 @@ class SignChangeReport:
 @dataclass(frozen=True)
 class ShortIntervalConfig:
     """Window parameters: intervals [x, x+H] for x in [X, 2X], bilinear part
-    m in [M, 2M].  theta/delta are report metadata only."""
+    m in [M, 2M]."""
 
     X: int
     H: int
     M: int
-    theta: float | None = None
-    delta: float | None = None
 
     def __post_init__(self):
         if not (0 < self.M < self.H <= self.X):
@@ -90,9 +86,9 @@ def _left_sum(a: np.ndarray) -> float:
     return float(np.cumsum(a)[-1]) if len(a) else 0.0
 
 
-def sequence_from_table(table, X: int, which: str = A_M1, label: str = "") -> RealSequence:
+def sequence_from_table(table, X: int, which: str = A_M1) -> RealSequence:
     """Extract {A(m,1)} or {A(m,m)} for m <= X as a real sequence."""
-    return RealSequence(_real(table.row(X, which), 1, which), label or which)
+    return RealSequence(_real(table.row(X, which), 1, which))
 
 
 def _signs(values: np.ndarray, zero_tol: float):
@@ -109,10 +105,9 @@ def count_sign_changes(seq: RealSequence, zero_tol: float = 1e-12) -> SignChange
     """Sign changes along the subsequence of entries with |a| > zero_tol;
     zeros are skipped, never counted as changes."""
     kept, positive, flips = _signs(seq.values, zero_tol)
-    positions = list(zip((kept[flips] + 1).tolist(), (kept[flips + 1] + 1).tolist()))
     positives = int(np.count_nonzero(positive))
-    return SignChangeReport(len(positions), positions, positives,
-                            len(kept) - positives, len(seq.values) - len(kept))
+    return SignChangeReport(len(flips), positives, len(kept) - positives,
+                            len(seq.values) - len(kept))
 
 
 def short_interval_sums(table, cfg: ShortIntervalConfig, x: int) -> dict:
@@ -142,8 +137,8 @@ def interval_change_scan(table, cfg: ShortIntervalConfig, zero_tol: float = 1e-1
     Reads A(m, 1) for m in [X, x_last + H], x_last the last x of the stride,
     so the table must reach 2X + H.  The nonzero entries inside a window are
     consecutive nonzero entries of that range, so a window holds a change
-    exactly when it contains both ends of some change pair of
-    count_sign_changes over the range.
+    exactly when it contains both ends of some pair of consecutive nonzero
+    entries of opposite sign.
     """
     xs = np.arange(cfg.X, 2 * cfg.X + 1, max(1, cfg.H // 4))
     last = int(xs[-1]) + cfg.H

@@ -109,7 +109,7 @@ def suite_schur(seed: int = 0, tol: float = 0.0) -> list[Check]:
 
     x = hecke.SatakeTriple(1.0 + 0j, 1.0 + 0j, 1.0 + 0j)
     dims = sum(
-        float(c) * hecke.schur_eval(hecke.ExponentPair(l1, l2), x).real
+        float(c) * hecke.schur_from_elementary(l1, l2, x.e1, x.e2).real
         for (l1, l2), c in got.items()
     )
     checks.append(Check.le("degenerate_point_sum_vs_64", abs(dims - 64.0), 1e-9))

@@ -146,11 +146,9 @@ def count_sign_changes_loop(values, zero_tol: float = 1e-12) -> SignChangeReport
     if zero_tol < 0:
         raise ValueError("zero_tol must be non-negative")
     changes = 0
-    positions: list[tuple[int, int]] = []
     positives = negatives = zeros = 0
     last_sign = 0
-    last_index = 0
-    for idx, v in enumerate(values, start=1):
+    for v in values:
         if abs(v) <= zero_tol:
             zeros += 1
             continue
@@ -161,10 +159,8 @@ def count_sign_changes_loop(values, zero_tol: float = 1e-12) -> SignChangeReport
             negatives += 1
         if last_sign and sign != last_sign:
             changes += 1
-            positions.append((last_index, idx))
         last_sign = sign
-        last_index = idx
-    return SignChangeReport(changes, positions, positives, negatives, zeros)
+    return SignChangeReport(changes, positives, negatives, zeros)
 
 
 def interval_change_scan_walk(table, cfg, zero_tol: float = 1e-12) -> dict:

@@ -128,6 +128,16 @@ class TestSignsCommand:
         assert report["sign_changes"]["changes"] > 0
         assert report["scan"]["total_x"] > 0
 
+    def test_zero_tol_reaches_every_statistic(self, tmp_path):
+        out = tmp_path / "signs.json"
+        assert run(["signs", "--X", "2000", "--zero-tol", "0.5", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        counts = report["sign_changes"]
+        nonzero = counts["positives"] + counts["negatives"]
+        assert counts["zeros"] > 0
+        assert report["nonvanishing"]["lhs"] == nonzero / 2000
+        assert report["sign_balance"]["pos_frac"] == counts["positives"] / nonzero
+
     def test_csv_source(self, tmp_path):
         path = tmp_path / "seq.csv"
         path.write_text("m,value\n1,1.0\n2,-1.0\n3,1.0\n")

@@ -11,7 +11,6 @@ from gl3hecke.hecke import (
     A_M1,
     A_MM,
     CoefficientTable,
-    ExponentPair,
     GL2FormData,
     IndexBoundsError,
     MissingPrimeError,
@@ -20,7 +19,7 @@ from gl3hecke.hecke import (
     SatakeTriple,
         hecke_residual,
     mobius_expand,
-    schur_eval,
+    schur_from_elementary,
     sym2_lift,
 )
 from gl3hecke.suites import random_tempered_locals
@@ -49,18 +48,23 @@ class TestSatakeTriple:
         x = SatakeTriple.from_angles(0.3, 1.1)
         assert abs(x.alpha1 * x.alpha2 * x.alpha3 - 1.0) < 1e-14
 
-    def test_exponent_pair_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ExponentPair(-1, 0)
-
     def test_prime_local_rejects_composite(self):
         with pytest.raises(ValueError):
             PrimeLocalData(6, DEGENERATE)
 
 
+def schur(l1, l2, x):
+    return schur_from_elementary(l1, l2, x.e1, x.e2)
+
+
 class TestSchurEval:
+    def test_negative_exponents_rejected(self):
+        for l1, l2 in ((-1, 0), (0, -1), (1, -1)):
+            with pytest.raises(ValueError, match="non-negative"):
+                schur_from_elementary(l1, l2, DEGENERATE.e1, DEGENERATE.e2)
+
     def test_empty_partition_is_one(self):
-        assert schur_eval(ExponentPair(0, 0), DEGENERATE) == 1.0
+        assert schur(0, 0, DEGENERATE) == 1.0
 
     def test_standard_rep_at_identity(self):
         # limit of the determinant ratio at a perturbed degenerate point; the
@@ -69,17 +73,17 @@ class TestSchurEval:
         x1, x2, x3 = cmath.exp(1j * eps), cmath.exp(2j * eps), 1.0 / cmath.exp(3j * eps)
         oracle = vandermonde_schur(1, 0, x1, x2, x3)
         assert abs(oracle - 3.0) < 1e-4
-        assert schur_eval(ExponentPair(1, 0), DEGENERATE) == pytest.approx(3.0)
+        assert schur(1, 0, DEGENERATE) == pytest.approx(3.0)
 
     def test_adjoint_at_identity(self):
-        assert schur_eval(ExponentPair(1, 1), DEGENERATE) == pytest.approx(8.0)
+        assert schur(1, 1, DEGENERATE) == pytest.approx(8.0)
 
     def test_matches_determinant_ratio_at_generic_points(self, rng):
         for _ in range(50):
             x = random_tempered_triple(rng)
             b1, b2 = rng.randint(0, 4), rng.randint(0, 4)
             oracle = vandermonde_schur(b1, b2, x.alpha1, x.alpha2, x.alpha3)
-            got = schur_eval(ExponentPair(b1, b2), x)
+            got = schur(b1, b2, x)
             assert abs(got - oracle) <= 1e-7 * (1.0 + abs(oracle))
 
     def test_degenerate_continuity(self, rng):
@@ -97,7 +101,7 @@ class TestSchurEval:
                 cmath.exp(1j * (t - eps)),
                 cmath.exp(-1j * 2 * t),
             )
-            got = schur_eval(ExponentPair(b1, b2), x)
+            got = schur(b1, b2, x)
             assert abs(got - oracle) <= 1e-8 * (1.0 + abs(oracle)) + 1e-4 * eps
 
     def test_dual_symmetry_tempered(self, rng):
@@ -105,14 +109,14 @@ class TestSchurEval:
             x = random_tempered_triple(rng)
             for a in range(5):
                 for b in range(5):
-                    lhs = schur_eval(ExponentPair(a, b), x)
-                    rhs = schur_eval(ExponentPair(b, a), x).conjugate()
+                    lhs = schur(a, b, x)
+                    rhs = schur(b, a, x).conjugate()
                     assert abs(lhs - rhs) <= 1e-10
 
     def test_ramanujan_bound_from_tempered_input(self, rng):
         for _ in range(100):
             x = random_tempered_triple(rng)
-            assert abs(schur_eval(ExponentPair(1, 0), x)) <= 3.0 + 1e-10
+            assert abs(schur(1, 0, x)) <= 3.0 + 1e-10
 
 
 class TestCoefficientTable:
@@ -123,7 +127,7 @@ class TestCoefficientTable:
 
     def test_single_prime_power_matches_schur(self, random_table_2500):
         loc2 = random_table_2500._by_prime[2]
-        expected = schur_eval(ExponentPair(2, 1), loc2.satake)
+        expected = schur(2, 1, loc2.satake)
         assert random_table_2500.value(4, 2) == pytest.approx(expected)
 
     def test_missing_prime_is_reported(self):
@@ -252,24 +256,24 @@ class TestSym2Lift:
         assert loc.satake.alpha1 == pytest.approx(1.0)
         assert loc.satake.alpha2 == pytest.approx(1.0)
         assert loc.satake.alpha3 == pytest.approx(1.0)
-        assert schur_eval(ExponentPair(1, 0), loc.satake) == pytest.approx(3.0)
+        assert schur(1, 0, loc.satake) == pytest.approx(3.0)
 
     def test_zero_eigenvalue(self):
         (loc,) = sym2_lift(GL2FormData([(2, 0.0)]))
         assert loc.satake.alpha1 == pytest.approx(-1.0)
         assert loc.satake.alpha2 == pytest.approx(1.0)
         assert loc.satake.alpha3 == pytest.approx(-1.0)
-        assert abs(schur_eval(ExponentPair(1, 0), loc.satake) - (-1.0)) < 1e-12
+        assert abs(schur(1, 0, loc.satake) - (-1.0)) < 1e-12
 
     def test_eigenvalue_one_gives_vanishing_coefficient(self):
         (loc,) = sym2_lift(GL2FormData([(5, 1.0)]))
-        assert abs(schur_eval(ExponentPair(1, 0), loc.satake)) < 1e-12
+        assert abs(schur(1, 0, loc.satake)) < 1e-12
 
     def test_lift_coefficient_identities(self, rng):
         pairs = [(p, rng.uniform(-2.0, 2.0)) for p in (2, 3, 5, 7, 11, 13)]
         for loc, (p, lam) in zip(sym2_lift(GL2FormData(pairs)), pairs):
-            a1 = schur_eval(ExponentPair(1, 0), loc.satake)
-            app = schur_eval(ExponentPair(1, 1), loc.satake)
+            a1 = schur(1, 0, loc.satake)
+            app = schur(1, 1, loc.satake)
             assert abs(a1.imag) < 1e-12
             assert abs(a1 - (lam * lam - 1.0)) < 1e-10
             assert abs(app - (a1 * a1 - 1.0)) < 1e-10

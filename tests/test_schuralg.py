@@ -139,7 +139,7 @@ class TestEffectiveSTCompare:
 
     def test_empirical_distribution_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            EmpiricalDistribution(np.array([9.0]), 5, 0)
+            EmpiricalDistribution(np.array([9.0]))
 
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):
