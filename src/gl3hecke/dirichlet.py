@@ -10,6 +10,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,11 @@ TAIL_TOL = 1e-12
 
 @dataclass
 class DirichletPolynomial:
-    """Finite sum F(s) = sum_n a_n n^{-s}; terms maps n -> a_n."""
+    """Finite sum F(s) = sum_n a_n n^{-s}; terms maps n -> a_n.
+
+    terms is fixed once constructed: the first evaluation keeps arrays of
+    log n and a_n built from it.
+    """
 
     terms: dict
 
@@ -32,11 +37,18 @@ class DirichletPolynomial:
         if any(n < 1 for n in self.terms):
             raise ValueError("frequencies must be positive integers")
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log n, a_n) in the order of terms.  log n is math.log of the exact
+        integer key, so a frequency past 2^53 is not rounded to a float first."""
+        count = len(self.terms)
+        log_n = np.fromiter(map(math.log, self.terms), float, count)
+        coef = np.fromiter(self.terms.values(), complex, count)
+        return log_n, coef
+
     def eval(self, s: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for n, c in self.terms.items():
-            acc += c if n == 1 else c * cmath.exp(-s * math.log(n))
-        return acc
+        log_n, coef = self._arrays
+        return complex(np.sum(coef * np.exp(-s * log_n)))
 
     def __mul__(self, other: "DirichletPolynomial") -> "DirichletPolynomial":
         out: dict = {}
@@ -78,6 +90,10 @@ def build_MKD(table, X: int, M: int) -> dict:
     X/3M <= k <= 3X/M with coefficients A(k, 1); D(s) over squarefree
     d <= 2M with mu(d) prod_{p|d} (A(p,1) p^-s - A(p,1) p^-2s + p^-3s)^2,
     expanded exactly into a Dirichlet polynomial.
+
+    D assumes self-dual data, A(1,p) = A(p,1): only then is the local factor
+    the square of 1 - L_p(s)^-1 = A(p,1) p^-s - A(1,p) p^-2s + p^-3s.  For
+    other data D is still the product above, expanded as written.
     """
     mpoly = DirichletPolynomial({m: table.value(m, 1) for m in range(M, 2 * M + 1)})
     k_lo = max(1, -(-X // (3 * M)))
@@ -171,30 +187,43 @@ def euler_factor_check(local: PrimeLocalData, s: complex, J: int = 60) -> dict:
 _KERNEL_ROWS = 64
 
 
+def _kernel(T: float, x: np.ndarray) -> np.ndarray:
+    """K_T(x) = 2 sin(Tx)/x, for x > 0."""
+    return 2.0 * np.sin(T * x) / x
+
+
 def second_moment_many(polys: list[DirichletPolynomial], T: float) -> list[float]:
     """Exact integrals of |F(1/2 + it)|^2 over [-T, T] by the mean-value
     identity sum_{m,n} a_m conj(a_n) (mn)^{-1/2} K_T(log m/n), where
-    K_T(x) = 2 sin(Tx)/x = 2T sinc(Tx/pi) and K_T(0) = 2T.
+    K_T(x) = 2 sin(Tx)/x and K_T(0) = 2T.
 
-    The kernel is built _KERNEL_ROWS rows at a time over the union of the
-    supports, so memory stays O(support x rows).  K_T is real and symmetric,
-    so Re(conj(a) K a) = Re(a) K Re(a) + Im(a) K Im(a).  The reduction is
-    einsum rather than a matrix product: its summation order does not depend
-    on the number of BLAS threads, so reports stay byte-identical.
+    K_T is real and symmetric, so Re(conj(a) K a) = Re(a) K Re(a) + Im(a) K
+    Im(a), and the form is its diagonal 2T sum |a_n|^2/n plus twice the part
+    strictly above it.  That part is summed _KERNEL_ROWS rows at a time over
+    the sorted union of the supports, so memory stays O(support x rows), and
+    every x = log n_j - log n_i there is positive.  The reduction is einsum
+    rather than a matrix product: its summation order does not depend on the
+    number of BLAS threads, so reports stay byte-identical.
     """
-    support = np.array(sorted(set().union(*(p.terms for p in polys))), dtype=float)
-    log_n = np.log(support)
+    support = sorted(set().union(*(p.terms for p in polys)))
+    log_n = np.fromiter(map(math.log, support), float, len(support))
+    if np.any(np.diff(log_n) <= 0.0):
+        raise ValueError("frequencies too large for distinct float logarithms")
     coef = np.zeros((len(support), len(polys)), dtype=complex)
     for j, poly in enumerate(polys):
-        rows = np.searchsorted(support, list(poly.terms))
-        coef[rows, j] = list(poly.terms.values())
-    coef /= np.sqrt(support)[:, None]
+        poly_log_n, poly_coef = poly._arrays
+        coef[np.searchsorted(log_n, poly_log_n), j] = poly_coef
+    coef *= np.exp(-0.5 * log_n)[:, None]
     parts = np.concatenate([coef.real, coef.imag], axis=1)
-    quad = np.zeros(2 * len(polys))
+    quad = 2.0 * T * np.einsum("ik,ik->k", parts, parts)
     for lo in range(0, len(support), _KERNEL_ROWS):
-        diff = log_n[lo : lo + _KERNEL_ROWS, None] - log_n[None, :]
-        kernel = 2.0 * T * np.sinc(diff * (T / math.pi))
-        quad += np.einsum("ik,ij,jk->k", parts[lo : lo + _KERNEL_ROWS], kernel, parts)
+        block = parts[lo : lo + _KERNEL_ROWS]
+        hi = lo + len(block)
+        i, j = np.triu_indices(len(block), 1)
+        x = log_n[lo + j] - log_n[lo + i]
+        quad += 2.0 * np.einsum("pk,p,pk->k", block[i], _kernel(T, x), block[j])
+        x = log_n[None, hi:] - log_n[lo:hi, None]
+        quad += 2.0 * np.einsum("ik,ij,jk->k", block, _kernel(T, x), parts[hi:])
     return [float(v) for v in quad[: len(polys)] + quad[len(polys) :]]
 
 
@@ -206,7 +235,7 @@ def mvt_ratio_many(polys: list[DirichletPolynomial], T: float) -> list[dict]:
         if not poly.terms:
             out.append({"lhs": 0.0, "rhs": 0.0, "ratio": 0.0})
             continue
-        N = min(poly.terms)
-        rhs = (N + T) * sum(abs(c) ** 2 / n for n, c in poly.terms.items())
+        log_n, coef = poly._arrays
+        rhs = (min(poly.terms) + T) * float(np.sum(np.abs(coef) ** 2 * np.exp(-log_n)))
         out.append({"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs else 0.0})
     return out

@@ -3,12 +3,14 @@ library: determinant-ratio Schur values, naive eta-product expansion,
 divisor counting, brute-force root-partition enumeration, the Freudenthal
 multiplicity recursion, the Simpson-rule second moment, the per-entry
 sign-change count, the per-window sign-change walk, primality by trial
-division, the truncated square by Kronecker substitution on Python ints,
+division, Dirichlet polynomial evaluation term by term, the full-square
+mean-value kernel, the truncated square by Kronecker substitution on Python ints,
 the straddle-refined torus grid for A(p, p) cell masses, and the
 distribution function of |e1| by mpmath quadrature."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -236,6 +238,34 @@ def second_moment_simpson(polys, T: float) -> list[float]:
         vals = phases @ coef
         out += w[lo : lo + chunk] @ (np.abs(vals) ** 2)
     return [float(v) for v in out]
+
+
+def dirichlet_eval_loop(poly, s: complex) -> complex:
+    """F(s) = sum_n a_n n^{-s}, one term at a time in the order of terms."""
+    acc = 0.0 + 0.0j
+    for n, c in poly.terms.items():
+        acc += c if n == 1 else c * cmath.exp(-s * math.log(n))
+    return acc
+
+
+def second_moment_full_square(polys, T: float) -> list[float]:
+    """The mean-value identity sum_{m,n} a_m conj(a_n) (mn)^{-1/2} K_T(log m/n)
+    with the kernel K_T(x) = 2T sinc(Tx/pi) built over the whole square of the
+    union of the supports, 64 rows at a time."""
+    support = np.array(sorted(set().union(*(p.terms for p in polys))), dtype=float)
+    log_n = np.log(support)
+    coef = np.zeros((len(support), len(polys)), dtype=complex)
+    for j, poly in enumerate(polys):
+        rows = np.searchsorted(support, list(poly.terms))
+        coef[rows, j] = list(poly.terms.values())
+    coef /= np.sqrt(support)[:, None]
+    parts = np.concatenate([coef.real, coef.imag], axis=1)
+    quad = np.zeros(2 * len(polys))
+    for lo in range(0, len(support), 64):
+        diff = log_n[lo : lo + 64, None] - log_n[None, :]
+        kernel = 2.0 * T * np.sinc(diff * (T / math.pi))
+        quad += np.einsum("ik,ij,jk->k", parts[lo : lo + 64], kernel, parts)
+    return [float(v) for v in quad[: len(polys)] + quad[len(polys) :]]
 
 
 def is_prime_trial(n: int) -> bool:

@@ -28,6 +28,14 @@ class TestVerifyCommand:
         for check in report["suites"]["hecke"]["checks"]:
             assert set(check) == {"name", "status", "value", "bound"}
 
+    def test_mvt_suite_passes_at_seed_6(self, tmp_path):
+        # D built from generic data exceeded the frozen constant 4 here
+        out = tmp_path / "report.json"
+        code = run(["verify", "--suite", "mvt", "--seed", "6", "--out", str(out)])
+        assert code == 0
+        checks = json.loads(out.read_text())["suites"]["mvt"]["checks"]
+        assert [c["status"] for c in checks] == ["pass", "pass"]
+
 
 class TestKatoCommand:
     def test_anchor_report(self, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tempered_triple
-from oracles import second_moment_simpson
+from oracles import dirichlet_eval_loop, second_moment_full_square, second_moment_simpson
 from gl3hecke import suites
 from gl3hecke.arith import primes_upto
 from gl3hecke.dirichlet import (
@@ -43,6 +43,32 @@ class TestEvaluation:
     def test_rejects_bad_frequency(self):
         with pytest.raises(ValueError):
             DirichletPolynomial({0: 1.0})
+
+    # Fixed before measuring: the array sum may differ from the term-by-term
+    # loop by rounding, bounded relative to sum |a_n| n^-sigma.
+    EVAL_REL = 1e-12
+
+    @pytest.mark.parametrize("which", ["D_at_M_1000", "random_complex", "constant", "empty"])
+    def test_matches_loop_oracle(self, which):
+        gen = np.random.default_rng(11)
+        if which == "D_at_M_1000":
+            poly = build_MKD(tempered_table(2000), 10_000, 1000)["D"]
+            assert max(poly.terms).bit_length() == 66
+        elif which == "random_complex":
+            poly = DirichletPolynomial(
+                {n: complex(gen.normal(), gen.normal()) for n in range(1, 3000)}
+            )
+        elif which == "constant":
+            poly = DirichletPolynomial({1: 0.3 - 1.7j})
+        else:
+            poly = DirichletPolynomial({})
+        for s in [complex(sigma, t) for sigma in (0.5, 0.75, 1.0) for t in (0.0, 1.0, 10.0)] + [
+            -0.5 + 3.0j, 2.0 - 40.0j
+        ]:
+            scale = sum(abs(c) * n ** -s.real for n, c in poly.terms.items())
+            assert abs(poly.eval(s) - dirichlet_eval_loop(poly, s)) <= self.EVAL_REL * scale
+        if which == "empty":
+            assert poly.eval(0.5 + 1.0j) == 0.0
 
 
 def tempered_table(bound, seed=5):
@@ -97,7 +123,8 @@ class TestBuildMKD:
     def test_d_estimate_with_frozen_constant(self):
         rng = random.Random(31)
         for M in (100, 1000):
-            locs = suites.random_tempered_locals(primes_upto(2 * M), rng)
+            # D is (1 - L_p^-1)^2 only for self-dual data
+            locs = suites.random_selfdual_locals(primes_upto(2 * M), rng)
             table = CoefficientTable(locs, 2 * M, 1)
             dpoly = build_MKD(table, 10 * M, M)["D"]
             for sigma in (0.5, 0.75, 1.0):
@@ -209,12 +236,59 @@ class TestMeanValue:
                              second_moment_simpson(polys, 100.0)):
             assert got == pytest.approx(want, rel=self.SIMPSON_REL)
 
+    # Fixed before measuring: at most S^2 products of size up to
+    # 2T |a_m a_n| (mn)^-1/2 are summed, S <= 129, in another order and with
+    # another kernel formula, so the gap stays below S^2 ulp of their sum.
+    SQUARE_REL = 1e-11
+
+    @staticmethod
+    def block_edge_batch(size):
+        # an empty polynomial, complex coefficients on the whole support of
+        # `size` frequencies, and signs on its first half
+        gen = np.random.default_rng(size)
+        lo = 10
+        return [
+            DirichletPolynomial({}),
+            DirichletPolynomial(
+                {n: complex(gen.normal(), gen.normal()) for n in range(lo, lo + size)}
+            ),
+            DirichletPolynomial(
+                {n: float(gen.choice((-1.0, 1.0))) for n in range(lo, lo + size // 2)}
+            ),
+        ]
+
+    @pytest.mark.parametrize("size", [63, 64, 65, 129])
+    @pytest.mark.parametrize("T", [64.0, 1024.0])
+    def test_triangle_matches_full_square_at_block_edges(self, size, T):
+        polys = self.block_edge_batch(size)
+        assert len(set().union(*(p.terms for p in polys))) == size
+        got = second_moment_many(polys, T)
+        want = second_moment_full_square(polys, T)
+        assert got[0] == want[0] == 0.0
+        for poly, g, w in zip(polys, got, want):
+            scale = 2.0 * T * sum(abs(c) / math.sqrt(n) for n, c in poly.terms.items()) ** 2
+            assert abs(g - w) <= self.SQUARE_REL * scale
+
+    @pytest.mark.parametrize("size", [63, 64, 65, 129])
+    def test_triangle_matches_simpson_at_block_edges(self, size):
+        polys = self.block_edge_batch(size)
+        got = second_moment_many(polys, 64.0)
+        want = second_moment_simpson(polys, 64.0)
+        assert got[0] == want[0] == 0.0
+        for g, w in zip(got[1:], want[1:]):
+            assert g == pytest.approx(w, rel=self.SIMPSON_REL)
+
     @pytest.mark.parametrize("T", [1.0, 37.0, 512.0])
     def test_two_term_closed_form(self, T):
         # F = 1 + 2^-s: |F(1/2+it)|^2 = 3/2 + sqrt(2) cos(t log 2)
         (got,) = second_moment_many([DirichletPolynomial({1: 1.0, 2: 1.0})], T)
         want = 3.0 * T + 2.0 * math.sqrt(2.0) * math.sin(T * math.log(2.0)) / math.log(2.0)
         assert got == pytest.approx(want, rel=1e-13)
+
+    def test_frequencies_with_equal_float_logarithms_rejected(self):
+        poly = DirichletPolynomial({2 ** 60: 1.0, 2 ** 60 + 1: 1.0})
+        with pytest.raises(ValueError, match="distinct float logarithms"):
+            second_moment_many([poly], 64.0)
 
     def test_empty_batch(self):
         assert second_moment_many([], 64.0) == []

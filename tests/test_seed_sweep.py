@@ -7,7 +7,7 @@ import pytest
 from gl3hecke import suites
 
 
-@pytest.mark.parametrize("name", ["satotate", "measures"])
+@pytest.mark.parametrize("name", ["satotate", "measures", "mvt", "hecke", "euler"])
 def test_every_check_passes_at_seeds_0_to_39(name):
     failed = [
         (seed, c.name, c.value, c.bound)
