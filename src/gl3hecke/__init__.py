@@ -28,7 +28,6 @@ from .measures import (
     TorusPoint,
     density,
     integrate,
-    weyl_poincare,
 )
 from .schuralg import (
     EPoly,

@@ -1,7 +1,6 @@
-"""Dirichlet polynomial toolkit: evaluation, the M/K/D window decomposition,
-local Euler-factor identities, and second-moment (mean value) calibration.
-
-Dyadic ranges follow the convention m ~ M <=> M <= m <= 2M.
+"""Dirichlet polynomial toolkit: evaluation, the window polynomial D of the
+bilinear-sum decomposition, local Euler-factor identities, and second-moment
+(mean value) calibration.
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import factorize, mobius
-from .csvio import read_csv, write_csv
+from .arith import factorize, spf_sieve
 from .hecke import PrimeLocalData, _complete_homogeneous, schur_from_elementary
 
 # Truncation tail of euler_factor_check above which it warns.
@@ -50,79 +48,46 @@ class DirichletPolynomial:
         log_n, coef = self._arrays
         return complex(np.sum(coef * np.exp(-s * log_n)))
 
-    def __mul__(self, other: "DirichletPolynomial") -> "DirichletPolynomial":
-        out: dict = {}
-        for n1, c1 in self.terms.items():
-            for n2, c2 in other.terms.items():
-                k = n1 * n2
-                out[k] = out.get(k, 0.0 + 0.0j) + c1 * c2
-        return DirichletPolynomial(out)
-
-    def __add__(self, other: "DirichletPolynomial") -> "DirichletPolynomial":
-        out = dict(self.terms)
-        for n, c in other.terms.items():
-            out[n] = out.get(n, 0.0 + 0.0j) + c
-        return DirichletPolynomial(out)
-
-
-def _term_row(row) -> tuple[int, complex]:
-    n = int(row[0])
-    if n < 1:
-        raise ValueError(f"frequency n = {n} < 1")
-    return n, complex(float(row[1]), float(row[2]))
-
-
-def poly_to_csv(poly: DirichletPolynomial, path: str) -> None:
-    """Write the terms as rows n,re,im."""
-    write_csv(path, ("n", "re", "im"),
-              ((n, c.real, c.imag) for n, c in sorted(poly.terms.items())))
-
-
-def poly_from_csv(path: str) -> DirichletPolynomial:
-    """Read a polynomial written by poly_to_csv."""
-    return DirichletPolynomial(read_csv(path, ("n", "re", "im"), "frequency", _term_row))
-
 
 def build_MKD(table, X: int, M: int) -> dict:
-    """The three window polynomials from the bilinear-sum decomposition:
+    """The window polynomial D(s) of the bilinear-sum decomposition, as
+    {"D": D}: the sum over squarefree d <= 2M of
+    mu(d) prod_{p|d} (A(p,1) p^-s - A(p,1) p^-2s + p^-3s)^2, expanded exactly
+    into a Dirichlet polynomial.
 
-    M(s) over m in [M, 2M] with coefficients A(m, 1); K(s) over
-    X/3M <= k <= 3X/M with coefficients A(k, 1); D(s) over squarefree
-    d <= 2M with mu(d) prod_{p|d} (A(p,1) p^-s - A(p,1) p^-2s + p^-3s)^2,
-    expanded exactly into a Dirichlet polynomial.
+    Each d, walked in ascending order, extends its prefix d/P, P the largest
+    prime of d: its terms are the prefix's terms times the local factor at P,
+    negated, since mu(d) = -mu(d/P).  Every frequency n of d has rad(n) = d,
+    so no two d share one and the terms are inserted, never merged.  X is not
+    read; it stays in the signature because perfbench's mvt workload calls
+    build_MKD(table, 10 * M, M).
 
     D assumes self-dual data, A(1,p) = A(p,1): only then is the local factor
     the square of 1 - L_p(s)^-1 = A(p,1) p^-s - A(1,p) p^-2s + p^-3s.  For
     other data D is still the product above, expanded as written.
     """
-    mpoly = DirichletPolynomial({m: table.value(m, 1) for m in range(M, 2 * M + 1)})
-    k_lo = max(1, -(-X // (3 * M)))
-    k_hi = (3 * X) // M
-    kpoly = DirichletPolynomial({k: table.value(k, 1) for k in range(k_lo, k_hi + 1)})
-    dterms: dict = {1: 1.0 + 0.0j}
+    spf = spf_sieve(2 * M)
+    prefixes: dict = {1: {1: 1.0 + 0.0j}}
+    dterms = dict(prefixes[1])
     for d in range(2, 2 * M + 1):
-        mu = mobius(d)
-        if mu == 0:
+        P, e = factorize(d, spf)[-1]
+        prefix = prefixes.get(d // P)
+        if prefix is None or e > 1:
             continue
-        factor_terms: dict = {1: complex(mu)}
-        for p, _ in factorize(d):
-            a = table.value(p, 1)
-            local = {
-                p ** 2: a * a,
-                p ** 3: -2.0 * a * a,
-                p ** 4: a * a + 2.0 * a,
-                p ** 5: -2.0 * a,
-                p ** 6: 1.0 + 0.0j,
-            }
-            factor_terms = {
-                n1 * n2: c1 * c2
-                for n1, c1 in factor_terms.items()
-                for n2, c2 in local.items()
-            }
-        for n, c in factor_terms.items():
-            dterms[n] = dterms.get(n, 0.0 + 0.0j) + c
-    dpoly = DirichletPolynomial(dterms)
-    return {"M": mpoly, "K": kpoly, "D": dpoly}
+        a = table.value(P, 1)
+        local = {
+            P ** 2: a * a,
+            P ** 3: -2.0 * a * a,
+            P ** 4: a * a + 2.0 * a,
+            P ** 5: -2.0 * a,
+            P ** 6: 1.0 + 0.0j,
+        }
+        terms = {n1 * n2: -c1 * c2 for n1, c1 in prefix.items() for n2, c2 in local.items()}
+        dterms.update(terms)
+        # d is the prefix only of d P' with a prime P' > P
+        if d * (P + 1) <= 2 * M:
+            prefixes[d] = terms
+    return {"D": DirichletPolynomial(dterms)}
 
 
 def d_estimate_ratio(dpoly: DirichletPolynomial, M: int, s: complex) -> float:

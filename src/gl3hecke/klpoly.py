@@ -97,7 +97,6 @@ LAMBDA2 = Weight((1, 1, 0))   # highest weight of its exterior square (the dual)
 RHO = Weight((2, 1, 0))
 ALPHA1 = Weight((1, -1, 0))
 ALPHA2 = Weight((0, 1, -1))
-POSITIVE_ROOTS = (ALPHA1, ALPHA2, ALPHA1 + ALPHA2)
 
 
 def _inversions(sigma: tuple[int, ...]) -> int:
@@ -109,11 +108,6 @@ WEYL = tuple(
     (sigma, -1 if _inversions(sigma) % 2 else 1)
     for sigma in itertools.permutations(range(3))
 )
-
-
-def weyl_lengths() -> list[int]:
-    """Sorted inversion counts of the six permutations."""
-    return sorted(_inversions(s) for s in itertools.permutations(range(3)))
 
 
 def hw_weight(l1: int, l2: int) -> Weight:
@@ -181,7 +175,7 @@ def kato_check(l1: int, l2: int, p: int, tol: float = 1e-8) -> dict:
     """
     if l1 > 6 or l2 > 6:
         raise ValueError("indices above 6 are blocked (combinatorial blow-up)")
-    from . import measures  # deferred: measures imports QPolynomial from here
+    from . import measures  # deferred: measures imports WEYL from here
 
     lhs = float(kato_moment(l1, l2, p))
     spec = measures.MeasureSpec.plancherel(p)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .arith import is_prime
 from .hecke import schur_from_elementary
-from .klpoly import WEYL, QPolynomial, weyl_lengths
+from .klpoly import WEYL
 
 TWO_PI = 2.0 * math.pi
 
@@ -243,14 +243,3 @@ def schur_on_torus(l1: int, l2: int, theta1, theta2):
         + np.exp(-1j * (np.asarray(theta1) + np.asarray(theta2)))
     )
     return schur_from_elementary(l1, l2, e1, np.conj(e1))
-
-
-def weyl_poincare(q=None):
-    """Length generating polynomial W(q) of the order-six Weyl group,
-    1 + 2q + 2q^2 + q^3, formal (q=None) or evaluated at q."""
-    lengths = weyl_lengths()
-    coeffs = [0] * (max(lengths) + 1)
-    for ell in lengths:
-        coeffs[ell] += 1
-    poly = QPolynomial(coeffs)
-    return poly if q is None else poly(q)

@@ -19,7 +19,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import measures
-from .hecke import schur_from_elementary
 
 MAX_SCHUR_DEGREE = 24
 
@@ -78,13 +77,6 @@ class EPoly:
             acc = acc * self
         return acc
 
-    def eval(self, e1, e2):
-        """Evaluate with float/complex/array arguments."""
-        acc = e1 * 0
-        for (a, b), c in self.terms:
-            acc = acc + float(c) * e1 ** a * e2 ** b
-        return acc
-
 
 E_ONE = EPoly({(0, 0): 1})
 E1 = EPoly({(1, 0): 1})
@@ -105,18 +97,6 @@ class WInvariantLaurent:
 
     def coefficient_l1_norm(self) -> Fraction:
         return sum((abs(c) for _, c in self.schur_coeffs), Fraction(0))
-
-    def eval_elementary(self, e1, e2):
-        acc = e1 * 0
-        for (l1, l2), c in self.schur_coeffs:
-            acc = acc + float(c) * schur_from_elementary(l1, l2, e1, e2)
-        return acc
-
-    def to_epoly(self) -> EPoly:
-        acc = EPoly()
-        for (l1, l2), c in self.schur_coeffs:
-            acc = acc + schur_to_epoly(l1, l2).scale(c)
-        return acc
 
 
 @lru_cache(maxsize=None)

@@ -131,8 +131,8 @@ def short_interval_sums(table, cfg: ShortIntervalConfig, x: int) -> dict:
 
 def interval_change_scan(table, cfg: ShortIntervalConfig, zero_tol: float = 1e-12) -> dict:
     """Scan x over [X, 2X] on a stride of max(1, H//4) and report how many
-    windows [x, x+H] contain a sign change of A(., 1), plus the number of
-    disjoint changed windows (a lower bound for the total change count).
+    windows [x, x+H] there are (total_x) and how many of them contain a sign
+    change of A(., 1) (with_change).
 
     Reads A(m, 1) for m in [X, x_last + H], x_last the last x of the stride,
     so the table must reach 2X + H.  The nonzero entries inside a window are
@@ -149,16 +149,7 @@ def interval_change_scan(table, cfg: ShortIntervalConfig, zero_tol: float = 1e-1
     i = np.searchsorted(starts, xs)
     hit = i < len(starts)
     hit[hit] = ends[i[hit]] <= xs[hit] + cfg.H
-    disjoint = next_free = 0
-    for x in xs[hit].tolist():
-        if x >= next_free:
-            disjoint += 1
-            next_free = x + cfg.H + 1
-    return {
-        "total_x": len(xs),
-        "with_change": int(np.count_nonzero(hit)),
-        "lower_bound_estimate": float(disjoint),
-    }
+    return {"total_x": len(xs), "with_change": int(np.count_nonzero(hit))}
 
 
 def nonvanishing_density(table, X: int, which: str = A_M1, zero_tol: float = 1e-12) -> dict:

@@ -1,12 +1,14 @@
 """Independent reference implementations used only to cross-check the
 library: determinant-ratio Schur values, naive eta-product expansion,
 divisor counting, brute-force root-partition enumeration, the Freudenthal
-multiplicity recursion, the Simpson-rule second moment, the per-entry
-sign-change count, the per-window sign-change walk, primality by trial
-division, Dirichlet polynomial evaluation term by term, the full-square
-mean-value kernel, the truncated square by Kronecker substitution on Python ints,
-the straddle-refined torus grid for A(p, p) cell masses, and the
-distribution function of |e1| by mpmath quadrature."""
+multiplicity recursion, evaluation of (e1, e2)-polynomials and Schur
+combinations, the Schur-to-monomial expansion, the Simpson-rule second
+moment, the per-entry sign-change count, the per-window sign-change walk,
+primality by trial division, Dirichlet polynomial evaluation term by term,
+the window polynomial D expanded per d and evaluated as a product, the
+full-square mean-value kernel, the truncated square by Kronecker
+substitution on Python ints, the straddle-refined torus grid for A(p, p)
+cell masses, and the distribution function of |e1| by mpmath quadrature."""
 
 from __future__ import annotations
 
@@ -17,7 +19,11 @@ from fractions import Fraction
 import numpy as np
 
 from gl3hecke import measures
+from gl3hecke.arith import factorize, mobius
+from gl3hecke.dirichlet import DirichletPolynomial
+from gl3hecke.hecke import schur_from_elementary
 from gl3hecke.klpoly import Weight
+from gl3hecke.schuralg import EPoly, schur_to_epoly
 from gl3hecke.signstats import SignChangeReport
 
 
@@ -142,6 +148,32 @@ def freudenthal_multiplicities(lam: Weight) -> dict[Weight, int]:
     return {Weight(mu): m for mu, m in mult.items() if m > 0}
 
 
+def epoly_eval(epoly, e1, e2):
+    """sum c e1^a e2^b over the terms of an EPoly, with float/complex/array
+    arguments."""
+    acc = e1 * 0
+    for (a, b), c in epoly.terms:
+        acc = acc + float(c) * e1 ** a * e2 ** b
+    return acc
+
+
+def laurent_eval_elementary(laurent, e1, e2):
+    """sum c s_(l1, l2)(e1, e2) over the Schur coefficients of a
+    WInvariantLaurent, each Schur element from the library's recurrence."""
+    acc = e1 * 0
+    for (l1, l2), c in laurent.schur_coeffs:
+        acc = acc + float(c) * schur_from_elementary(l1, l2, e1, e2)
+    return acc
+
+
+def laurent_to_epoly(laurent) -> EPoly:
+    """The exact expansion of a WInvariantLaurent in e1^a e2^b."""
+    acc = EPoly()
+    for (l1, l2), c in laurent.schur_coeffs:
+        acc = acc + schur_to_epoly(l1, l2).scale(c)
+    return acc
+
+
 def count_sign_changes_loop(values, zero_tol: float = 1e-12) -> SignChangeReport:
     """Sign changes along the entries with |a| > zero_tol, one entry at a
     time; zeros are skipped, never counted as changes."""
@@ -169,8 +201,7 @@ def interval_change_scan_walk(table, cfg, zero_tol: float = 1e-12) -> dict:
     """Window scan by walking each window [x, x+H] separately, x on a stride
     of max(1, H//4) over [X, 2X]: O(X/stride * H) reads of A(m, 1)."""
     stride = max(1, cfg.H // 4)
-    total = with_change = disjoint = 0
-    next_free = 0
+    total = with_change = 0
     for x in range(cfg.X, 2 * cfg.X + 1, stride):
         total += 1
         last_sign = 0
@@ -186,14 +217,7 @@ def interval_change_scan_walk(table, cfg, zero_tol: float = 1e-12) -> dict:
             last_sign = sign
         if changed:
             with_change += 1
-            if x >= next_free:
-                disjoint += 1
-                next_free = x + cfg.H + 1
-    return {
-        "total_x": total,
-        "with_change": with_change,
-        "lower_bound_estimate": float(disjoint),
-    }
+    return {"total_x": total, "with_change": with_change}
 
 
 def _simpson_grid(lo: float, hi: float, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -246,6 +270,56 @@ def dirichlet_eval_loop(poly, s: complex) -> complex:
     for n, c in poly.terms.items():
         acc += c if n == 1 else c * cmath.exp(-s * math.log(n))
     return acc
+
+
+def d_poly_per_d_merge(table, M: int) -> DirichletPolynomial:
+    """D over squarefree d <= 2M with each d expanded from {1: mu(d)}
+    through all its primes, ascending, and merged into the sum term by term."""
+    dterms: dict = {1: 1.0 + 0.0j}
+    for d in range(2, 2 * M + 1):
+        mu = mobius(d)
+        if mu == 0:
+            continue
+        factor_terms: dict = {1: complex(mu)}
+        for p, _ in factorize(d):
+            a = table.value(p, 1)
+            local = {
+                p ** 2: a * a,
+                p ** 3: -2.0 * a * a,
+                p ** 4: a * a + 2.0 * a,
+                p ** 5: -2.0 * a,
+                p ** 6: 1.0 + 0.0j,
+            }
+            factor_terms = {
+                n1 * n2: c1 * c2
+                for n1, c1 in factor_terms.items()
+                for n2, c2 in local.items()
+            }
+        for n, c in factor_terms.items():
+            dterms[n] = dterms.get(n, 0.0 + 0.0j) + c
+    return DirichletPolynomial(dterms)
+
+
+def d_poly_direct(table, M: int, s: complex) -> tuple[complex, float]:
+    """D(s) = sum over squarefree d <= 2M of
+    mu(d) prod_{p|d} (a_p p^-s - a_p p^-2s + p^-3s)^2, a_p = A(p, 1), as
+    written, with no expansion; and the sum over d of
+    prod_{p|d} (|a_p| p^-sigma + |a_p| p^-2sigma + p^-3sigma)^2, which bounds
+    the size of every term of both this sum and its expansion."""
+    value = 0.0 + 0.0j
+    scale = 0.0
+    for d in range(1, 2 * M + 1):
+        mu = mobius(d)
+        if mu == 0:
+            continue
+        prod, size = complex(mu), 1.0
+        for p, _ in factorize(d):
+            a, x, r = table.value(p, 1), cmath.exp(-s * math.log(p)), p ** -s.real
+            prod *= (a * x - a * x * x + x ** 3) ** 2
+            size *= (abs(a) * r + abs(a) * r * r + r ** 3) ** 2
+        value += prod
+        scale += size
+    return value, scale
 
 
 def second_moment_full_square(polys, T: float) -> list[float]:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gl3hecke import cli
 from gl3hecke.arith import primes_upto
 from gl3hecke.csvio import IngestError, read_csv, write_csv
-from gl3hecke.dirichlet import DirichletPolynomial, poly_from_csv, poly_to_csv
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 round_trip = settings(max_examples=60, deadline=None)
@@ -35,16 +34,6 @@ def test_seq_round_trip(path, values):
     write_csv(path, ("m", "value"), values.items())
     seq = cli.ingest(path, "seqcsv")
     assert seq.values.tolist() == [values.get(m, 0.0) for m in range(1, max(values, default=0) + 1)]
-
-
-@round_trip
-@given(st.dictionaries(st.integers(1, 10 ** 12), st.complex_numbers(allow_nan=False,
-                                                                    allow_infinity=False),
-                       max_size=20))
-def test_dirichlet_round_trip(path, terms):
-    poly = DirichletPolynomial(terms)
-    poly_to_csv(poly, path)
-    assert poly_from_csv(path).terms == poly.terms
 
 
 def test_blank_rows_are_skipped(tmp_path):

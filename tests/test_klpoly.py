@@ -17,7 +17,6 @@ from gl3hecke.klpoly import (
     kato_moment,
     kostant_partition,
     lusztig_q_analog,
-    weyl_lengths,
 )
 from oracles import brute_kostant_counts, freudenthal_multiplicities
 
@@ -47,10 +46,6 @@ class TestWeight:
         assert hw_weight(1, 0).coords == (1, 0, 0)
         assert hw_weight(0, 1).coords == (1, 1, 0)
         assert hw_weight(1, 1).coords == (2, 1, 0)
-
-    def test_weyl_lengths(self):
-        assert weyl_lengths() == [0, 1, 1, 2, 2, 3]
-        assert sum(sign for _, sign in WEYL) == 0
 
 
 class TestKostantPartition:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from gl3hecke.measures import (
     density,
     integrate,
     sample_angles,
-    weyl_poincare,
 )
 
 ST = MeasureSpec.sato_tate()
@@ -213,13 +213,21 @@ class TestSampling:
         assert measures.child_seed(7, 3) == measures.child_seed(7, 3)
 
 
-class TestWeylPoincare:
-    def test_at_zero_and_one(self):
-        assert weyl_poincare(0) == 1
-        assert weyl_poincare(1) == 6
+class TestPlancherelConstant:
+    @staticmethod
+    def length(sigma):
+        return sum(1 for i in range(3) for j in range(i + 1, 3) if sigma[i] > sigma[j])
 
-    def test_formal_coefficients(self):
-        assert weyl_poincare().coeffs == (1, 2, 2, 1)
+    def test_weyl_signs_are_parities_of_length(self):
+        for sigma, sign in klpoly.WEYL:
+            assert sign == (-1) ** self.length(sigma)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 1009, 10 ** 6 + 3])
+    def test_equals_weyl_length_polynomial_over_six(self, p):
+        # W(q) = sum over the Weyl group of q^length, exact at q = 1/p
+        want = sum(Fraction(1, p) ** self.length(sigma) for sigma, _ in klpoly.WEYL) / 6
+        got = measures.plancherel_constant(p)
+        assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 15) * want
 
 
 class TestEnvelopeGuard:

@@ -64,3 +64,19 @@ def test_schur_recurrence_e2_sign_flipped(monkeypatch):
     failed = failed_hecke_checks()
     assert set(failed) == {"hermitian_symmetry_max"}
     assert failed["hermitian_symmetry_max"] > 1.0
+
+
+def test_local_values_off_by_1e6_beyond_degree_one(monkeypatch):
+    # A(p^a, p^b) scaled by 1 + 1e-6 whenever a + b >= 2: the Hecke relation
+    # and the Mobius expansion mix local values of different degrees, so both
+    # see it; the Hermitian symmetry and the Ramanujan bound do not.
+    real = hecke.CoefficientTable._local_value
+
+    def scaled(self, p, a, b):
+        val = real(self, p, a, b)
+        return val * (1.0 + 1e-6) if a + b >= 2 else val
+
+    monkeypatch.setattr(hecke.CoefficientTable, "_local_value", scaled)
+    failed = failed_hecke_checks()
+    assert set(failed) == {"hecke_residual_max_200_triples", "mobius_expand_max_error"}
+    assert all(value > 1e-5 for value in failed.values())
