@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import compress
 
@@ -145,3 +146,18 @@ def mobius(n: int) -> int:
             return 0
         mu = -mu
     return mu
+
+
+def divisor_power_sums_mod(N: int, k: int, m: int) -> np.ndarray:
+    """sigma_k(n) mod m for 0 <= n <= N (sigma_k(0) taken as 0), from the
+    divisor pairs (a, b), a <= b, ab = n.  Needs m N < 2^63."""
+    d = np.arange(N + 1, dtype=np.int64)
+    power = np.ones(N + 1, dtype=np.int64)
+    for _ in range(k):
+        power = power * d % m
+    sigma = np.zeros(N + 1, dtype=np.int64)
+    for a in range(1, math.isqrt(N) + 1):
+        b = np.arange(a, N // a + 1)
+        sigma[a * b] += power[a] + power[b]
+        sigma[a * a] -= power[a]
+    return sigma % m

@@ -155,7 +155,7 @@ def cmd_signs(args) -> int:
         return 0
     X = args.X
     H, M = _auto_window(X, args.H, args.M)
-    table = suites.sym2_tau_table(X)
+    table = suites.sym2_tau_table(tau.ramanujan_tau(X))
     seq = signstats.sequence_from_table(table, X)
     rep = signstats.count_sign_changes(seq, args.zero_tol)
     # scan windows [x, x+H] for x up to 2*scan_X stay inside the table

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dirichlet as dmod
 from . import hecke, klpoly, measures, schuralg, signstats, tau
-from .arith import primes_upto
+from .arith import divisor_power_sums_mod, primes_upto
 
 
 @dataclass
@@ -224,15 +224,29 @@ def suite_satotate(seed: int = 0, tol: float = 0.01, n_samples: int = 100_000) -
     return checks
 
 
-def sym2_tau_table(X: int) -> hecke.CoefficientTable:
-    """Coefficient table of the symmetric-square lift of the tau form,
-    covering A(m, n) for m <= X (diagonal entries available on demand)."""
-    return hecke.CoefficientTable(tau.sym2_tau_locals(X), X, X)
+def sym2_tau_table(values: list[int]) -> hecke.CoefficientTable:
+    """Coefficient table of the symmetric-square lift of the tau form, from
+    values = [tau(1), ..., tau(X)], covering A(m, n) for m <= X (diagonal
+    entries available on demand)."""
+    locals_ = hecke.sym2_lift(hecke.GL2FormData(tau.prime_eigenvalues(values)))
+    return hecke.CoefficientTable(locals_, len(values), len(values))
+
+
+def tau_identity_failures(values: list[int]) -> int:
+    """How often values = [tau(1), ..., tau(X)] break an exact identity:
+    Ramanujan's congruence tau(n) = sigma_11(n) mod 691 at each n <= X, and
+    the Hecke relation tau(p^2) = tau(p)^2 - p^11 at each prime p <= sqrt X."""
+    sigma = divisor_power_sums_mod(len(values), 11, 691)[1:]
+    failures = int(np.count_nonzero(np.array([t % 691 for t in values]) != sigma))
+    return failures + sum(values[p * p - 1] != values[p - 1] ** 2 - p ** 11
+                          for p in primes_upto(math.isqrt(len(values))))
 
 
 def suite_signs(seed: int = 0, tol: float = 0.0, X: int = 100_000) -> list[Check]:
-    """The whole sign-change pipeline on symmetric-square-of-tau data."""
-    table = sym2_tau_table(X)
+    """The whole sign-change pipeline on symmetric-square-of-tau data, and
+    the tau values it starts from against exact identities."""
+    values = tau.ramanujan_tau(X)
+    table = sym2_tau_table(values)
     seq = signstats.sequence_from_table(table, X)
     report = signstats.count_sign_changes(seq)
     checks = [
@@ -269,6 +283,7 @@ def suite_signs(seed: int = 0, tol: float = 0.0, X: int = 100_000) -> list[Check
 
     nv = signstats.nonvanishing_density(table, X)
     checks.append(Check.le("nonvanishing_ratio_log10", abs(math.log10(nv["ratio"])), math.log10(2.0)))
+    checks.append(Check.le("tau_identity_failures", tau_identity_failures(values), 0.0))
     return checks
 
 

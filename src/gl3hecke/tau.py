@@ -1,47 +1,26 @@
-"""Ramanujan tau(n) from the 24th power of the Dedekind eta q-series.
-
-tau(n) is the coefficient of q^{n-1} in prod_{k>=1} (1 - q^k)^24 = eta^24 / q.
-The pipeline is eta^6, read off from pairs of terms of Jacobi's sparse series
-for eta^3, then two exact truncated squarings (eta^12, eta^24).
-
-Each squaring is one exact product of big decimals (Kronecker substitution):
-the coefficients sit in fixed-width digit slots of one number, and libmpdec,
-the C core of `decimal`, multiplies numbers this large by a number-theoretic
-transform, where CPython's int product is Karatsuba.  The decimals are
-read from and written to ASCII digit strings.  Packing and unpacking those
-are numpy passes over a uint8 digit matrix, in int64 limbs of 18 digits, so
-no Python object is made per digit or per slot beyond the coefficients
-themselves.  The pure-Python `_pydecimal` has no such transform, so the
-import fails without the C module rather than run orders of magnitude
-slower.
-"""
+"""Ramanujan tau(n), the coefficient of q^{n-1} in prod_{k>=1} (1 - q^k)^24:
+eta^6 from pairs of terms of Jacobi's series for eta^3, then two exact
+truncated squarings by float64 FFTs over balanced limbs (`square_trunc`)."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-try:
-    from _decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
-except ImportError as exc:
-    raise ImportError("gl3hecke.tau needs the C decimal module (libmpdec), "
-                      "which this interpreter lacks") from exc
+from . import hecke
+from .arith import primes_upto
 
-# Every product and sum of big decimals below is exact in this context.
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-_LIMB = 18                          # decimal digits per int64 limb
-_LIMB_BASE = 10 ** _LIMB
-_ZERO = ord("0")
-_CHUNK = 1 << 14                    # slots packed or unpacked at a time
+_CHUNK = 1 << 14                    # outputs rebuilt into Python ints at a time
+_EPS = 2.0 ** -53                   # unit roundoff of float64
+_TWIDDLE = 2.0 ** -52               # assumed error of the FFT's roots of unity
 
 
 def eta_sixth_coeffs(N: int) -> list[int]:
     """Coefficients of prod (1 - q^k)^6 up to q^{N-1}: the square of Jacobi's
     series sum_{j>=0} (-1)^j (2j+1) q^{j(j+1)/2}, summed over its pairs of
     terms."""
-    J = 0
-    while J * (J + 1) // 2 < N:
-        J += 1
-    j = np.arange(J)
+    j = np.arange((math.isqrt(max(8 * N - 7, 0)) + 1) // 2)     # the j with j(j+1)/2 < N
     tri = j * (j + 1) // 2
     jacobi = np.where(j % 2 == 1, -(2 * j + 1), 2 * j + 1).astype(np.float64)
     exps = tri[:, None] + tri[None, :]
@@ -53,129 +32,149 @@ def eta_sixth_coeffs(N: int) -> list[int]:
     return six.astype(np.int64).tolist()
 
 
-def _repeat(slot: Decimal, width: int, count: int) -> Decimal:
-    """sum_{k<count} slot * 10^{width k}, by binary doubling."""
-    out, length = Decimal(0), 0
-    for bit in bin(count)[2:]:
-        out = _EXACT.add(_EXACT.scaleb(out, width * length), out)
-        length *= 2
-        if bit == "1":
-            out = _EXACT.add(_EXACT.scaleb(out, width), slot)
-            length += 1
-    return out
+def _fft_length(m: int) -> int:
+    """Smallest 2^a 3^b 5^c >= m."""
+    best = 1 << max(m - 1, 0).bit_length()
+    for p5 in (5 ** i for i in range(best.bit_length())):
+        for p35 in (p5 * 3 ** i for i in range(best.bit_length())):
+            if p35 < best:
+                best = min(best, p35 << max(0, (m - 1) // p35).bit_length())
+    return best
 
 
-def _slot_digits(chunk: list[int], width: int, top_offset: int) -> np.ndarray:
-    """ASCII digits of c + half for each c, one width-digit row per c."""
-    try:
-        rest = np.array(chunk, dtype=np.int64)
-    except OverflowError:
-        rest = np.array(chunk, dtype=object)
-    # Digit-major, so each digit is one contiguous write.
-    columns = np.empty((width, len(chunk)), dtype=np.uint8)
-    col = width
-    while col > 0:
-        if col > _LIMB:
-            limb = (rest % _LIMB_BASE).astype(np.int64)
-            rest //= _LIMB_BASE
-        else:
-            # c + half >= 0, so floor division leaves a non-negative top limb.
-            limb = rest.astype(np.int64) + top_offset
-        # uint32 division vectorises where int64 division does not, so each
-        # limb is split into two 9-digit halves first.
-        for part in (limb % 10**9, limb // 10**9):
-            part = part.astype(np.uint32)
-            for _ in range(min(9, col)):
-                col -= 1
-                quotient = part // np.uint32(10)
-                columns[col] = part - quotient * np.uint32(10)
-                part = quotient
-    columns += _ZERO
-    return columns.T
+def _error_bound(norms: list[float], L: int) -> float:
+    """Bound on the distance from the exact integers of every diagonal
+    sum_{k+l=t} x_k * x_l of real vectors with these Euclidean norms, computed
+    by length-L FFTs as `square_trunc` does.
+
+    Percival (Math. Comp. 72 (2003), Theorem 5.1) bounds a cyclic convolution
+    x * y by a radix-2 FFT of length 2^n, with unit roundoff eps and roots of
+    unity good to beta, by ||x|| ||y|| ((1+eps)^(3n) (1+eps sqrt 5)^(3n+1)
+    (1+beta)^(3n) - 1) in the max norm.  Assumptions beyond the theorem: n
+    charges numpy's mixed-radix passes as radix-2 ones (one per factor 2, two
+    per 3, three per 5, one more for the real-input packing); beta = 2^-52; a
+    diagonal is bounded by the sum of its terms' bounds, with its at most
+    len(norms) spectrum additions and the 1/L scaling as extra roundings.
+    """
+    n = 1
+    for r, passes in ((2, 1), (3, 2), (5, 3)):
+        while L % r == 0:
+            L, n = L // r, n + passes
+    K = len(norms)
+    growth = math.expm1((3 * n + K + 1) * math.log1p(_EPS) + 3 * n * math.log1p(_TWIDDLE)
+                        + (3 * n + 1) * math.log1p(_EPS * math.sqrt(5.0)))
+    return growth * max(sum(norms[k] * norms[t - k]
+                            for k in range(max(0, t - K + 1), min(t, K - 1) + 1))
+                        for t in range(2 * K - 1))
 
 
-def _slot_values(rows: np.ndarray, width: int, top_offset: int) -> list[int]:
-    """c for each row of ASCII digits of c + half."""
-    limbs = []
-    for hi in range(width, 0, -_LIMB):
-        lo = max(hi - _LIMB, 0)
-        # Horner on the raw ASCII bytes stays below 10^18 * 57/9 < 2^63; the
-        # '0' of every digit is taken off at the end in one subtraction.
-        value = np.zeros(len(rows), dtype=np.int64)
-        for col in range(lo, hi):
-            value *= 10
-            value += rows[:, col]
-        value -= _ZERO * ((10 ** (hi - lo) - 1) // 9)
-        limbs.append(value)
-    limbs[-1] -= top_offset
-    out = limbs[-1].tolist()
-    for limb in reversed(limbs[:-1]):
-        out = [hi * _LIMB_BASE + lo for hi, lo in zip(out, limb.tolist())]
-    return out
+def _limbs(c: np.ndarray, b: int) -> list[np.ndarray]:
+    """Balanced base-2^b digits, b >= 2, of the int64 array c, in
+    [-2^(b-1), 2^(b-1)), lowest first: c = sum_k limbs[k] 2^(k b).  int16 when
+    they fit, as at every width the tau squarings use."""
+    limbs, half, mask = [], 1 << (b - 1), (1 << b) - 1
+    while c.any():
+        low = c & mask
+        up = low >= half
+        limbs.append((low - (up.astype(np.int64) << b)).astype(np.int16 if b <= 16 else np.int64))
+        c = (c >> b) + up           # (c - digit) / 2^b, which cannot overflow
+    return limbs
 
 
-# Packing and unpacking go _CHUNK slots at a time, so that the only large
-# buffers are the digit string and the decimals: the short-lived arrays and
-# ints of one chunk reuse the memory of the last one instead of leaving freed
-# holes among the kept coefficients, which the allocator cannot return.
-
-def _pack(coeffs: list[int], width: int, top_offset: int) -> Decimal:
-    """The number whose width-digit slots, lowest first, hold c + half for the
-    coefficients c, half = top_offset * 10^{18 (limbs - 1)}."""
-    n = len(coeffs)
-    # Row r holds slot n - 1 - r, so the matrix's bytes are the decimal string.
-    digits = np.empty((n, width), dtype=np.uint8)
-    for start in range(0, n, _CHUNK):
-        chunk = coeffs[start : start + _CHUNK]
-        digits[n - start - len(chunk) : n - start] = _slot_digits(chunk, width, top_offset)[::-1]
-    text = str(digits, "ascii")
-    del digits
-    return Decimal(text)
+def _fits(lo: int, hi: int, b: int, K: int) -> bool:
+    """Whether K balanced b-bit digits, which reach [-2^(b-1) r, (2^(b-1) - 1) r]
+    with r = sum_{k<K} 2^(k b), hold every integer in [lo, hi]."""
+    r = ((1 << K * b) - 1) // ((1 << b) - 1)
+    return -(r << b - 1) <= lo and hi <= ((1 << b - 1) - 1) * r
 
 
-def _unpack(low: Decimal, width: int, keep: int, top_offset: int) -> list[int]:
-    """The `keep` lowest width-digit slots of the non-negative integer `low`
-    (which has at most keep * width digits), lowest first, each minus half."""
-    text = format(low, "f").encode("ascii").rjust(keep * width, b"0")
-    slots = np.frombuffer(text, dtype=np.uint8).reshape(keep, width)[::-1]
+def _limb_bits(c: np.ndarray, L: int) -> tuple[int, list[np.ndarray]]:
+    """Limb width b and the balanced limbs of c: the fewest limbs K whose
+    `_error_bound` at length L, on the norms of the actual limbs, is below
+    1/4, at the narrowest b that splits c into K limbs (every such b costs
+    the same transforms, and the narrowest has the smallest norms)."""
+    lo, hi, b = int(c.min()), int(c.max()), 62
+    for K in range(1, 64):
+        while b > 2 and _fits(lo, hi, b - 1, K):
+            b -= 1
+        limbs = _limbs(c, b)
+        if _error_bound([math.sqrt(np.square(x, dtype=np.float64).sum()) for x in limbs], L) < 0.25:
+            return b, limbs
+    raise ArithmeticError(f"no limb width squares {len(c)} coefficients exactly")
+
+
+def _rebuild(top: np.ndarray, words: list[np.ndarray], widths: list[int]) -> list[int]:
+    """top 2^(sum widths) + sum_j words[j] 2^(sum widths[:j]) as Python ints,
+    _CHUNK at a time: in int64 while that holds the partial values."""
     out = []
-    for start in range(0, keep, _CHUNK):
-        out += _slot_values(slots[start : start + _CHUNK], width, top_offset)
+    for start in range(0, len(top), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        high, j = top[part], len(words)
+        while j and int(np.max(np.abs(high))) < 1 << (62 - widths[j - 1]):
+            j -= 1
+            high = (high << widths[j]) + words[j][part]
+        vals = high.tolist()
+        for word, width in zip(reversed(words[:j]), reversed(widths[:j])):
+            vals = [(v << width) + w for v, w in zip(vals, word[part].tolist())]
+        out += vals
     return out
+
+
+def _rounded(spectrum: np.ndarray, L: int, keep: int) -> np.ndarray:
+    """irfft(spectrum, L)[:keep] rounded; ArithmeticError if one is 1/4 off."""
+    x = np.fft.irfft(spectrum, L)[:keep]
+    exact = np.rint(x)
+    x -= exact
+    off = float(np.max(np.abs(x, out=x)))
+    if off > 0.25:
+        raise ArithmeticError(f"FFT product {off:.3g} from an integer, past its bound < 1/4")
+    return exact
 
 
 def square_trunc(coeffs: list[int], N: int) -> list[int]:
-    """Exact coefficients of the square of the polynomial, truncated to N."""
-    if len(coeffs) > N:
-        coeffs = coeffs[:N]
-    bound = sum(c * c for c in coeffs)
-    if bound == 0:
+    """Exact coefficients of the square of the polynomial, truncated to N.
+    Every coefficient must fit in int64; a larger one raises ValueError.
+
+    The coefficients are split into K balanced limbs of b bits (`_limb_bits`),
+    each transformed by one real FFT of 5-smooth length L >= 2 len - 1 at its
+    first diagonal and dropped after its last.  For each diagonal t the
+    products F_k F_l, k + l = t, are summed (2 F_k F_l for k < l), and one
+    inverse FFT gives sum_{k+l=t} limb_k * limb_l to within `_error_bound`
+    < 1/4, or ArithmeticError.  An int64 carry pass turns the diagonals into
+    b-bit digits, packed into words and rebuilt as Python ints.
+    """
+    try:
+        c = np.array(coeffs, dtype=np.int64)[:N]
+    except OverflowError as exc:
+        raise ValueError("square_trunc takes coefficients that fit in int64") from exc
+    if not c.any():
         return [0] * N
-    # By Cauchy-Schwarz every kept coefficient of the square is at most bound
-    # in size, so slots of `width` digits, 10^width > 2 bound, hold each as
-    # c + half, half = 10^width / 2.  So does each input coefficient
-    # (c^2 <= bound).  half = top_offset * 10^{18 (limbs - 1)} lives in the
-    # top 18-digit limb alone.  Digits go through numpy and Decimal, never
-    # through str(int) and int(str), which stop at 4300 digits.
-    width = Decimal(2 * bound).adjusted() + 1
-    top_offset = 5 * 10 ** ((width - 1) % _LIMB)
-    # keep >= len(coeffs): the input is at most N long.
-    keep = min(N, 2 * len(coeffs) - 1)
-    half = _EXACT.scaleb(Decimal(5), width - 1)
-    offsets = _repeat(half, width, keep)
-    below = offsets if keep == len(coeffs) else _repeat(half, width, len(coeffs))
-    packed = _EXACT.subtract(_pack(coeffs, width, top_offset), below)
-    del below
-    product = _EXACT.fma(packed, packed, offsets)
-    del packed, offsets
-    # The square plus offsets is >= 0, and its `keep` lowest slots hold the
-    # wanted coefficients plus half each; shift(0) in a context of keep *
-    # width digits keeps exactly those digits.
-    low = Context(prec=keep * width, Emax=MAX_EMAX, Emin=MIN_EMIN).shift(product, 0)
-    del product
-    out = _unpack(low, width, keep, top_offset)
-    out.extend([0] * (N - keep))
-    return out
+    keep, L = min(N, 2 * len(c) - 1), _fft_length(2 * len(c) - 1)
+    b, limbs = _limb_bits(c, L)
+    K, per_word, spectra, words = len(limbs), 62 // b, {}, []
+    carry = np.zeros(keep, dtype=np.int64)
+    del c
+    for t in range(2 * K - 1):
+        if t < K:
+            spectra[t], limbs[t] = np.fft.rfft(limbs[t], L), None
+        lo = max(0, t - K + 1)
+        acc = spectra[lo] * spectra[t - lo]
+        if t >= K - 1:
+            del spectra[lo]         # past its last diagonal
+        for k in range(lo + 1, (t + 1) // 2):
+            acc += spectra[k] * spectra[t - k]
+        if lo < t - lo:
+            acc *= 2
+            if t % 2 == 0:
+                acc += spectra[t // 2] ** 2
+        np.add(carry, _rounded(acc, L, keep), out=carry, casting="unsafe")
+        del acc
+        if t % per_word == 0:
+            words.append(np.zeros(keep, dtype=np.int64))
+        words[-1] |= (carry & ((1 << b) - 1)) << b * (t % per_word)
+        carry >>= b
+    widths = [b * per_word] * (len(words) - 1) + [b * ((2 * K - 2) % per_word + 1)]
+    return _rebuild(carry, words, widths) + [0] * (N - keep)
 
 
 def ramanujan_tau(N: int) -> list[int]:
@@ -191,15 +190,15 @@ def ramanujan_tau(N: int) -> list[int]:
 def tau_prime_eigenvalues(N: int) -> list[tuple[int, float]]:
     """(p, tau(p) / p^{11/2}) for primes p <= N; the normalized values lie in
     (-2, 2) by the proven Ramanujan bound."""
-    from .arith import primes_upto
+    return prime_eigenvalues(ramanujan_tau(N))
 
-    tau = ramanujan_tau(N)
-    return [(p, tau[p - 1] / p ** 5.5) for p in primes_upto(N)]
+
+def prime_eigenvalues(values: list[int]) -> list[tuple[int, float]]:
+    """(p, tau(p) / p^{11/2}) for primes p <= N, from [tau(1), ..., tau(N)]."""
+    return [(p, values[p - 1] / p ** 5.5) for p in primes_upto(len(values))]
 
 
 def sym2_tau_locals(N: int) -> list:
     """Local Satake data of the symmetric-square lift of the tau form,
     for all primes p <= N."""
-    from .hecke import GL2FormData, sym2_lift
-
-    return sym2_lift(GL2FormData(tau_prime_eigenvalues(N)))
+    return hecke.sym2_lift(hecke.GL2FormData(tau_prime_eigenvalues(N)))

@@ -7,14 +7,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gl3hecke import hecke, suites
+from gl3hecke import hecke, suites, tau
 from gl3hecke.arith import primes_upto
 
 
 @pytest.fixture(scope="session")
 def tau_table_100k():
     """Symmetric-square-of-tau coefficient table covering indices to 10^5."""
-    return suites.sym2_tau_table(100_000)
+    return suites.sym2_tau_table(tau.ramanujan_tau(100_000))
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gl3hecke.arith import is_prime, primes_upto
+from gl3hecke.arith import divisor_power_sums_mod, is_prime, primes_upto
 from oracles import is_prime_trial
 
 # Each is the least strong pseudoprime to the primes up to the named base,
@@ -27,6 +27,12 @@ def test_sieve_agrees_with_trial_division_over_its_range():
     # is_prime answers n <= 2^20 from a cached sieve, Miller-Rabin above it.
     cap = 1 << 20
     assert [n for n in range(-3, cap + 2000) if is_prime(n) != is_prime_trial(n)] == []
+
+
+@pytest.mark.parametrize("N, k, m", [(1, 11, 691), (2000, 11, 691), (500, 3, 7), (360, 0, 10**6)])
+def test_divisor_power_sums_against_divisor_lists(N, k, m):
+    expected = [0] + [sum(d**k for d in range(1, n + 1) if n % d == 0) % m for n in range(1, N + 1)]
+    assert divisor_power_sums_mod(N, k, m).tolist() == expected
 
 
 def test_primes_upto_edges():

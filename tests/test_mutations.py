@@ -1,11 +1,14 @@
-"""Planted defects that the Kato and Hecke checks must catch.
+"""Planted defects that the Kato, Hecke and signs checks must catch.
 
-Each test plants one defect by monkeypatch and runs `suite_kato` or
-`suite_hecke` as `gl3hecke verify --suite kato|hecke` does; a check that
-passes on a planted defect could not tell it from working code.
+Each test plants one defect by monkeypatch and runs `suite_kato`,
+`suite_hecke` or `suite_signs` as `gl3hecke verify --suite kato|hecke|signs`
+does; a check that passes on a planted defect could not tell it from working
+code.
 """
 
-from gl3hecke import arith, hecke, klpoly, measures, suites
+import numpy as np
+
+from gl3hecke import arith, hecke, klpoly, measures, suites, tau
 
 
 def kato_identity(**kwargs):
@@ -80,3 +83,45 @@ def test_local_values_off_by_1e6_beyond_degree_one(monkeypatch):
     failed = failed_hecke_checks()
     assert set(failed) == {"hecke_residual_max_200_triples", "mobius_expand_max_error"}
     assert all(value > 1e-5 for value in failed.values())
+
+
+def failed_signs_checks():
+    return {c.name for c in suites.suite_signs(seed=0) if c.status == "fail"}
+
+
+def test_unplanted_signs_suite_passes():
+    assert failed_signs_checks() == set()
+
+
+def test_dropped_jacobi_term_of_eta_cubed(monkeypatch):
+    # eta^6 squared from Jacobi's series for eta^3 with its last term below
+    # N dropped: only tau(n) for n past that term's exponent 99681 change,
+    # and only the exact identities see it.
+    def dropped(N):
+        terms = [(j * (j + 1) // 2, (-1) ** j * (2 * j + 1)) for j in range(N) if j * (j + 1) < 2 * N]
+        terms.pop()
+        exps = np.array([e for e, _ in terms])
+        weights = np.array([w for _, w in terms], dtype=np.float64)
+        pair = exps[:, None] + exps[None, :]
+        inside = pair < N
+        six = np.bincount(pair[inside], np.outer(weights, weights)[inside], minlength=N)
+        return six.astype(np.int64).tolist()
+
+    monkeypatch.setattr(tau, "eta_sixth_coeffs", dropped)
+    assert failed_signs_checks() == {"tau_identity_failures"}
+
+
+def test_square_trunc_output_off_by_one(monkeypatch):
+    # tau(99991), at the largest prime below X = 10^5, one too large: lambda(p)
+    # moves by 1e-27, which no sign statistic can see.
+    real, calls = tau.square_trunc, []
+
+    def off_by_one(coeffs, N):
+        out = real(coeffs, N)
+        calls.append(N)
+        if len(calls) == 2:
+            out[99_990] += 1
+        return out
+
+    monkeypatch.setattr(tau, "square_trunc", off_by_one)
+    assert failed_signs_checks() == {"tau_identity_failures"}

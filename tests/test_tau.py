@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -5,15 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-import _decimal
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gl3hecke import tau
-from gl3hecke.arith import primes_upto
+from gl3hecke.arith import divisor_power_sums_mod, primes_upto
 from oracles import naive_eta_power, square_trunc_kronecker
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 def test_first_value_is_one():
@@ -67,26 +69,12 @@ def test_repeat_call_is_consistent():
     assert tau.ramanujan_tau(50) == tau.ramanujan_tau(50)
 
 
-def test_decimal_is_the_c_module():
-    assert tau.Decimal is _decimal.Decimal
-
-
-def test_import_fails_without_c_decimal():
-    # With _decimal blocked, `decimal` would fall back to _pydecimal.
-    code = ("import sys; sys.modules['_decimal'] = None\n"
-            "try:\n    import gl3hecke.tau\nexcept ImportError as exc:\n    print(exc)")
-    env = {**os.environ, "PYTHONPATH": str(Path(tau.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert "libmpdec" in proc.stdout
-
-
 coefficient = st.one_of(
     st.just(0),
     st.integers(-9, 9),
-    st.integers(-(10**40), 10**40),
-    # beyond the 4300-digit limit of int <-> str
-    st.integers(10**4400, 10**4401).flatmap(lambda c: st.sampled_from([c, -c])),
+    st.integers(-(2**40), 2**40),
+    st.integers(INT64_MIN, INT64_MAX),
+    st.sampled_from([INT64_MIN, INT64_MAX, INT64_MIN + 1]),
 )
 
 
@@ -97,43 +85,142 @@ coefficient = st.one_of(
 @example([7], 1)
 @example([0, 0, -5], 7)
 @example([3, -2, 0, 7], 4)
-@example([10**4400 + 1, -3, 0, 2], 7)
-@example([-(10**4400), 10**4400], 4)
-@example([15, -15], 2)  # the top kept slot, -450 + 500, has a leading zero
+@example([INT64_MIN, INT64_MAX, 0, 2], 7)
+@example([INT64_MIN] * 3, 5)
+@example([15, -15], 2)
 def test_square_trunc_matches_kronecker(coeffs, N):
     # N runs below, at and above the 2 len - 1 terms of the full square
     assert tau.square_trunc(coeffs, N) == square_trunc_kronecker(coeffs, N)
 
 
+@pytest.mark.parametrize("c", [2**63, INT64_MIN - 1, 10**40, -(10**4400)],
+                         ids=["2^63", "-2^63-1", "10^40", "-10^4400"])
+def test_square_trunc_rejects_beyond_int64(c):
+    with pytest.raises(ValueError, match="int64"):
+        tau.square_trunc([3, c, -1], 5)
+
+
+def _edges(kind: str, b: int) -> list[int]:
+    """Coefficients on the edges of balanced b-bit limbs: the ends of the
+    digit range [-2^(b-1), 2^(b-1)), powers 2^(k b) and 2^(k b) - 1 for the
+    lowest two and the top limb, or the int64 extremes."""
+    if kind == "half":
+        h = 1 << (b - 1)
+        return [h, -h, h - 1, -h - 1, 3 * h, -3 * h]
+    if kind == "power":
+        values = [s * (2**(k * b) - d) for k in {1, 2, 63 // b} for d in (0, 1) for s in (1, -1)]
+        return [c for c in values if INT64_MIN <= c <= INT64_MAX]
+    return [INT64_MIN, INT64_MAX, INT64_MIN + 1, -(2**62), 2**62]
+
+
 def _coeffs_of_width(width: int, n: int, rng: random.Random) -> list[int]:
-    """n coefficients whose square_trunc slots are `width` digits wide, that
-    is 10^(width-1) <= 2 sum c^2 < 10^width."""
+    """n coefficients with 10^(width-1) <= 2 sum c^2 < 10^width."""
     top = math.isqrt(10 ** (width - 1) // n)
     coeffs = [rng.choice((-1, 1)) * rng.randint(top * 3 // 4, top) for _ in range(n)]
     assert len(str(2 * sum(c * c for c in coeffs))) == width
     return coeffs
 
 
-# 18 and 36 digits fill one and two int64 limbs exactly, 19 and 37 spill one
-# digit into the next; at 45 and 55 the coefficients pass int64.
+# Coefficient sizes set by the decimal digits of 2 sum c^2: near 10^9 and
+# 10^18, and past int64 at 45 and 55 digits, which square_trunc refuses.
 @pytest.mark.parametrize("width", [18, 19, 36, 37, 45, 55])
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_square_trunc_at_limb_edges(width, n):
     rng = random.Random(width * 10 + n)
     coeffs = _coeffs_of_width(width, n, rng)
     for N in sorted({0, 1, n - 1, n, 2 * n - 2, 2 * n - 1, 2 * n, 2 * n + 3}):
-        assert tau.square_trunc(coeffs, N) == square_trunc_kronecker(coeffs, N)
+        if max(map(abs, coeffs)) > INT64_MAX:
+            with pytest.raises(ValueError):
+                tau.square_trunc(coeffs, N)
+        else:
+            assert tau.square_trunc(coeffs, N) == square_trunc_kronecker(coeffs, N)
+
+
+@pytest.mark.parametrize("kind", ["half", "power", "int64"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_square_trunc_at_balanced_limb_edges(n, kind, monkeypatch):
+    # Each limb width is forced, with its error bound checked first, so the
+    # edges are edges of the limbs that square_trunc actually uses; then the
+    # width square_trunc picks for itself.
+    real = tau._limb_bits
+    for b in (2, 3, 7, 12, 15, 16, 17, 21, None):
+        values = _edges(kind, b or 12)
+        for start in range(len(values)):
+            coeffs = [values[(start + i) % len(values)] for i in range(n)]
+            if b is None:
+                monkeypatch.setattr(tau, "_limb_bits", real)
+            else:
+                limbs = tau._limbs(np.array(coeffs, dtype=np.int64), b)
+                norms = [math.sqrt(float(np.square(x, dtype=np.float64).sum())) for x in limbs]
+                assert tau._error_bound(norms, tau._fft_length(2 * n - 1)) < 0.25
+                monkeypatch.setattr(tau, "_limb_bits", lambda c, L: (b, tau._limbs(c, b)))
+            for N in sorted({0, 1, n - 1, n, 2 * n - 2, 2 * n - 1, 2 * n, 2 * n + 3}):
+                assert tau.square_trunc(coeffs, N) == square_trunc_kronecker(coeffs, N)
 
 
 def test_square_trunc_across_chunks():
-    # More slots than one packing chunk, with coefficients past int64 in the
-    # last chunk only.
+    # More outputs than one rebuild chunk, with int64 extremes in the last
+    # chunk only, so chunks differ in how far int64 arithmetic carries them.
     rng = random.Random(7)
     n = tau._CHUNK + 5
     coeffs = [rng.randrange(-(10**12), 10**12) for _ in range(n)]
-    coeffs[-3] = -(10**30) - 7
+    coeffs[-3], coeffs[-1] = INT64_MIN, INT64_MAX
     for N in (n - 2, 2 * n - 1):
         assert tau.square_trunc(coeffs, N) == square_trunc_kronecker(coeffs, N)
+
+
+@pytest.mark.parametrize("N", [10**5, 10**6])
+def test_limb_width_bound_at_tau_inputs(N, monkeypatch):
+    # The width picked for both squarings of tau(1..N) has a proven bound
+    # below 1/4, and every rounding distance seen lies within that bound.
+    real, seen = np.fft.irfft, []
+
+    def irfft(spectrum, n):
+        x = real(spectrum, n)
+        seen.append(float(np.max(np.abs(x - np.rint(x)))))
+        return x
+
+    monkeypatch.setattr(np.fft, "irfft", irfft)
+    L = tau._fft_length(2 * N - 1)
+    f = tau.eta_sixth_coeffs(N)
+    for _ in range(2):
+        b, limbs = tau._limb_bits(np.array(f, dtype=np.int64), L)
+        bound = tau._error_bound([math.sqrt(float(np.square(x, dtype=np.float64).sum()))
+                                  for x in limbs], L)
+        assert b >= 8 and bound < 0.25
+        seen.clear()
+        f = tau.square_trunc(f, N)
+        assert len(seen) == 2 * len(limbs) - 1 and max(seen) <= bound
+
+
+def test_off_integer_product_is_a_program_fault(monkeypatch, tmp_path):
+    # One FFT output moved by 0.3 must raise ArithmeticError, never round
+    # silently and never be reported as a configuration error (exit code 2).
+    real = np.fft.irfft
+
+    def shifted(spectrum, n):
+        x = real(spectrum, n)
+        x[len(x) // 3] += 0.3
+        return x
+
+    monkeypatch.setattr(np.fft, "irfft", shifted)
+    with pytest.raises(ArithmeticError):
+        tau.square_trunc(tau.eta_sixth_coeffs(50), 50)
+    code = ("import sys, numpy as np\n"
+            "real = np.fft.irfft\n"
+            "def shifted(spectrum, n):\n"
+            "    x = real(spectrum, n)\n"
+            "    x[len(x) // 3] += 0.3\n"
+            "    return x\n"
+            "np.fft.irfft = shifted\n"
+            "from gl3hecke.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(tau.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code, "gen", "--what", "tau", "--N", "50",
+                           "--out", str(tmp_path / "tau.csv")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode not in (0, 2)
+    assert "ArithmeticError" in proc.stderr
 
 
 def test_eta24_squarings_match_kronecker():
@@ -146,27 +233,16 @@ def test_eta24_squarings_match_kronecker():
     assert f == tau.ramanujan_tau(n)
 
 
-def _sigma11_mod691(N: int) -> np.ndarray:
-    """sigma_11(m) mod 691 for 0 <= m <= N, from the divisor pairs (a, b),
-    a <= b, ab = m."""
-    d = np.arange(N + 1, dtype=np.int64)
-    pow11 = np.ones(N + 1, dtype=np.int64)
-    for _ in range(11):
-        pow11 = pow11 * d % 691
-    sigma = np.zeros(N + 1, dtype=np.int64)
-    for a in range(1, math.isqrt(N) + 1):
-        b = np.arange(a, N // a + 1)
-        sigma[a * b] += pow11[a] + pow11[b]
-        sigma[a * a] -= pow11[a]
-    return sigma % 691
-
-
 def test_full_range():
     N = 10**6
     values = tau.ramanujan_tau(N)
     assert values[: 10**5] == tau.ramanujan_tau(10**5)
     # Ramanujan's congruence tau(n) = sigma_11(n) mod 691
-    assert [t % 691 for t in values] == _sigma11_mod691(N)[1:].tolist()
+    assert [t % 691 for t in values] == divisor_power_sums_mod(N, 11, 691)[1:].tolist()
+    # The digest of the same values from the libmpdec Kronecker squarings
+    # that this FFT path replaced.
+    digest = hashlib.sha256(",".join(map(str, values)).encode()).hexdigest()
+    assert digest == "bae012f6396909a9df7fcf2e7bd2c4bf854012f9c8c2efe4790df5716d04e548"
     rng = random.Random(691)
     pairs = 0
     while pairs < 2000:
