@@ -239,7 +239,12 @@ class CoefficientTable:
                 local[q] = self._local_value(p, e, e if diagonal else 0)
                 q, e = q * p, e + 1
         big = np.array(primes[len(small):], dtype=np.int64)
-        local[big] = [self._local_value(p, 1, 1 if diagonal else 0) for p in big.tolist()]
+        # one kernel call over Python complex objects: each operation is the
+        # scalar one of value(), where complex128 arrays would round differently
+        sat = [self._by_prime[p].satake for p in big.tolist()]
+        local[big] = schur_from_elementary(1, 1 if diagonal else 0,
+                                           np.array([x.e1 for x in sat], dtype=object),
+                                           np.array([x.e2 for x in sat], dtype=object))
         # m = k p with p > sqrt(N) has k < p, so p is its largest prime, to the first power
         k_max = N // int(big[0]) if len(big) else 0
         for k in range(1, k_max + 1):

@@ -39,10 +39,6 @@ class TorusPoint:
         object.__setattr__(self, "theta1", self.theta1 % TWO_PI)
         object.__setattr__(self, "theta2", self.theta2 % TWO_PI)
 
-    @property
-    def theta3(self):
-        return (-(self.theta1 + self.theta2)) % TWO_PI
-
 
 @dataclass(frozen=True)
 class MeasureSpec:
@@ -94,23 +90,35 @@ def plancherel_constant(p: int) -> float:
     return (1.0 - p ** -2) * (1.0 - p ** -3) / (6.0 * (1.0 - 1.0 / p) ** 2)
 
 
+def half_chords(theta1, theta2) -> tuple:
+    """s_ij = sin^2(delta / 2) for the root differences delta = t1 - t2,
+    2 t1 + t2 and t1 + 2 t2 of the point (t1, t2, -(t1 + t2)), so that
+    |e^{i t_i} - e^{i t_j}|^2 = 4 s_ij; elementwise on arrays.  Above the
+    subnormals halving commutes with rounding, so delta / 2 is formed from
+    the halved angles."""
+    h1, h2 = theta1 / 2.0, theta2 / 2.0
+    return np.sin(h1 - h2) ** 2, np.sin(theta1 + h2) ** 2, np.sin(h1 + theta2) ** 2
+
+
 def density(spec: MeasureSpec, pt: TorusPoint):
     """Measure density at pt relative to d(theta1) d(theta2).
 
     Sato-Tate: prod_{l<j} |e^{i t_l} - e^{i t_j}|^2 / (24 pi^2).  Plancherel:
     the constant (1-p^-2)(1-p^-3)/(6(1-p^-1)^2) times prod |(e^{i t_l} -
     p^-1 e^{i t_j})/(e^{i t_l} - e^{i t_j})|^-2, divided by (2 pi)^2 so the
-    total mass is one.  Elementwise on arrays.
+    total mass is one.  Both are written in the `half_chords` s_ij:
+    |e^{i t_l} - e^{i t_j}|^2 = 4 s and |e^{i t_l} - q e^{i t_j}|^2 =
+    (1 - q)^2 + 4 q s, so the Vandermonde factor is 64 prod s, with no
+    cancellation near the diagonal.  Elementwise on arrays.
     """
-    z = (np.exp(1j * pt.theta1), np.exp(1j * pt.theta2), np.exp(1j * pt.theta3))
-    vandermonde = denom = 1.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            vandermonde = vandermonde * np.abs(z[i] - z[j]) ** 2
-            if spec.kind == PLANCHEREL:
-                denom = denom * np.abs(z[i] - z[j] / spec.p) ** 2
+    s = half_chords(pt.theta1, pt.theta2)
+    vandermonde = 64.0 * s[0] * s[1] * s[2]
     if spec.kind == SATO_TATE:
         return vandermonde / (24.0 * math.pi ** 2)
+    q = 1.0 / spec.p
+    denom = 1.0
+    for s_ij in s:
+        denom = denom * ((1.0 - q) ** 2 + 4.0 * q * s_ij)
     return plancherel_constant(spec.p) * vandermonde / denom / TWO_PI ** 2
 
 
@@ -184,10 +192,17 @@ def trapezoid_resolution(spec: MeasureSpec, l1: int, l2: int, tol: float) -> int
     Rounding, unit roundoff u: h_k, at most C(k + 2, 2) on the torus, is the
     impulse response of its recurrence, so with angles and e1 good to 60 u,
     roundings r_i <= 160 u C(i + 1, 2) add up to |dh_k| <= 160 u C(k + 4, 5).
-    Density (F <= 4, |F'| <= 2 / (1 - q)^2 per pair), product and sum add
-    2^12 u dim(lambda); the density's grid sum is at most `envelope_ratio`.
+    Density: the nodes are good to 3 u 2 pi, so each delta of `half_chords`
+    (t1 - t2, 2 t1 + t2, t1 + 2 t2) is good to 24 pi u < 76 u (51 u seen
+    for K <= 1024).  Each pair factor F = 4 s / ((1 - q)^2 + 4 q s) has
+    F <= F_max = 4 / (1 + q)^2 and |dF/d delta| <= 2 / (1 - q)^2, so with
+    q <= 1/2 it is within 342 u F_max from delta and 16 u F_max from its own
+    roundings, and the density is within 2^11 u of the envelope cap.  As
+    |s_lambda| <= dim(lambda) and the cap's grid sum is `envelope_ratio`,
+    density, products and sum add at most 2^12 u dim(lambda) times it.
     """
-    for K in np.split(np.arange(8, 1025), range(16, 1017, 16)):
+    for lo in range(8, 1025, 16):
+        K = np.arange(lo, min(lo + 16, 1025))
         ok = np.flatnonzero(_trapezoid_bound(spec, l1, l2, K) <= tol)
         if ok.size:
             return int(K[ok[0]])

@@ -176,8 +176,8 @@ class EmpiricalDistribution:
 def sample_app(p: int, count: int, seed: int) -> EmpiricalDistribution:
     """Draw A(p, p) = |e1|^2 - 1 under the p-adic Plancherel measure."""
     t1, t2 = measures.sample_angles(measures.MeasureSpec.plancherel(p), count, seed)
-    e1 = np.exp(1j * t1) + np.exp(1j * t2) + np.exp(-1j * (t1 + t2))
-    return EmpiricalDistribution(np.abs(e1) ** 2 - 1.0)
+    # |e1|^2 = 3 + 2 sum cos(delta_ij) = 9 - 4 sum s_ij
+    return EmpiricalDistribution(8.0 - 4.0 * sum(measures.half_chords(t1, t2)))
 
 
 # Gauss-Legendre orders of the two rules behind every mass: the finer one
@@ -225,34 +225,46 @@ def _pushforward_rule(
     function of alpha^2, so the cusp leaves the radial integrand smooth.  The
     radial integral is split at the kink r = 1 and runs over
     v = |r - 1|^(1/3), which smooths the (r - 1) log|r - 1| term there.  Every
-    integral is an n-point Gauss-Legendre rule, summed without BLAS.
+    integral is an n-point Gauss-Legendre rule, summed without BLAS; each
+    piece of the radial split comes from `_pushforward_piece`.
     """
+    pieces = ([(-1.0, (1.0 - R) ** (1.0 / 3.0), 1.0)] if R <= 1.0
+              else [(-1.0, 0.0, 1.0), (1.0, 0.0, (R - 1.0) ** (1.0 / 3.0))])
+    rules = [_pushforward_piece(spec, side, v0, v1, n) for side, v0, v1 in pieces]
+    return np.concatenate([r for r, _ in rules]), np.concatenate([w for _, w in rules])
+
+
+# Masses repeat their radii: the nine unit cells of [-1, 8] need ten, and all
+# above r = 0 share the piece r <= 1.  `verify --suite all` builds 80 pieces;
+# each holds two arrays of at most 96 floats.
+@lru_cache(maxsize=512)
+def _pushforward_piece(
+    spec: measures.MeasureSpec, side: float, v0: float, v1: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of `_pushforward_rule` on the radii
+    r = 1 + side v^3, v in [v0, v1]."""
     t, gw = _gauss_legendre(n)
     theta = t * (math.pi / 2.0)
     sin_t, cos_t = np.sin(theta), np.cos(theta)
-    pieces = ([(-1.0, (1.0 - R) ** (1.0 / 3.0), 1.0)] if R <= 1.0
-              else [(-1.0, 0.0, 1.0), (1.0, 0.0, (R - 1.0) ** (1.0 / 3.0))])
-    nodes, weights = [], []
-    for side, v0, v1 in pieces:
-        v = v0 + (v1 - v0) * t
-        r = (1.0 + side * v ** 3)[:, None]
-        alpha = 2.0 * np.arctan2(np.sqrt((3.0 - r) ** 3 * (r + 1.0)),
-                                 np.sqrt(np.maximum(r - 1.0, 0.0) * (r + 3.0) ** 3))
-        psi = alpha * sin_t
-        # 8 r^3 (cos psi - cos alpha) + 8 r^3 (cos alpha - kappa), as products
-        delta_sq = (16.0 * r ** 3 * np.sin((alpha + psi) / 2.0)
-                    * np.sin(alpha * cos_t ** 2 / (2.0 * (1.0 + sin_t)))
-                    + np.maximum(1.0 - r, 0.0) * (r + 3.0) ** 3)
-        dens = np.sqrt(delta_sq) / (2.0 * math.pi ** 2)
-        if spec.kind == measures.PLANCHEREL:
-            q = 1.0 / spec.p
-            dens = dens * (6.0 * measures.plancherel_constant(spec.p)
-                           / _macdonald_p(q, r * r, r ** 3 * np.cos(psi)))
-        # the integral over phi in [0, 2 pi) is 2 times that over psi in [0, alpha]
-        ring = math.pi * alpha[:, 0] * np.sum(dens * (gw * cos_t), axis=1)
-        nodes.append(r[:, 0])
-        weights.append(gw * (v1 - v0) * 3.0 * v * v * r[:, 0] * ring)
-    return np.concatenate(nodes), np.concatenate(weights)
+    v = v0 + (v1 - v0) * t
+    r = (1.0 + side * v ** 3)[:, None]
+    alpha = 2.0 * np.arctan2(np.sqrt((3.0 - r) ** 3 * (r + 1.0)),
+                             np.sqrt(np.maximum(r - 1.0, 0.0) * (r + 3.0) ** 3))
+    psi = alpha * sin_t
+    # 8 r^3 (cos psi - cos alpha) + 8 r^3 (cos alpha - kappa), as products
+    delta_sq = (16.0 * r ** 3 * np.sin((alpha + psi) / 2.0)
+                * np.sin(alpha * cos_t ** 2 / (2.0 * (1.0 + sin_t)))
+                + np.maximum(1.0 - r, 0.0) * (r + 3.0) ** 3)
+    dens = np.sqrt(delta_sq) / (2.0 * math.pi ** 2)
+    if spec.kind == measures.PLANCHEREL:
+        q = 1.0 / spec.p
+        dens = dens * (6.0 * measures.plancherel_constant(spec.p)
+                       / _macdonald_p(q, r * r, r ** 3 * np.cos(psi)))
+    # the integral over phi in [0, 2 pi) is 2 times that over psi in [0, alpha]
+    ring = math.pi * alpha[:, 0] * np.sum(dens * (gw * cos_t), axis=1)
+    nodes, weights = r[:, 0], gw * (v1 - v0) * 3.0 * v * v * r[:, 0] * ring
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _radius_cdf(spec: measures.MeasureSpec, R: float) -> tuple[float, float]:

@@ -123,7 +123,9 @@ def short_interval_sums(table, cfg: ShortIntervalConfig, x: int) -> dict:
     acc_abs = 0.0
     if mk:
         # a window holds about ten terms: numpy's per-call cost would exceed the sums
-        for v in table.row(max(mk))[np.array(mk) - 1].tolist():
+        window = table.row(max(mk))[x - 1:].tolist()
+        for n in mk:
+            v = window[n - x]
             acc += v
             acc_abs += abs(v)
     return {"S1": abs(acc), "S2": acc_abs}

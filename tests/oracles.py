@@ -397,6 +397,23 @@ def square_trunc_kronecker(coeffs: list[int], N: int) -> list[int]:
     return out
 
 
+def density_exponential(spec, pt):
+    """The density of spec at pt from z = e^{i theta}, theta3 = -(theta1 +
+    theta2) mod 2 pi: prod_{l<j} |z_l - z_j|^2 / (24 pi^2) for Sato-Tate, and
+    c_p prod |z_l - z_j|^2 / prod |z_l - z_j / p|^2 / (2 pi)^2 for Plancherel."""
+    theta3 = (-(pt.theta1 + pt.theta2)) % measures.TWO_PI
+    z = (np.exp(1j * pt.theta1), np.exp(1j * pt.theta2), np.exp(1j * theta3))
+    vandermonde = denom = 1.0
+    for i in range(3):
+        for j in range(i + 1, 3):
+            vandermonde = vandermonde * np.abs(z[i] - z[j]) ** 2
+            if spec.kind == measures.PLANCHEREL:
+                denom = denom * np.abs(z[i] - z[j] / spec.p) ** 2
+    if spec.kind == measures.SATO_TATE:
+        return vandermonde / (24.0 * math.pi ** 2)
+    return measures.plancherel_constant(spec.p) * vandermonde / denom / measures.TWO_PI ** 2
+
+
 def _s11_values(theta1, theta2):
     e1 = np.exp(1j * theta1) + np.exp(1j * theta2) + np.exp(-1j * (theta1 + theta2))
     return np.abs(e1) ** 2 - 1.0

@@ -306,18 +306,23 @@ class TestCrossProcessDeterminism:
     @pytest.mark.parametrize("args,env", [
         (["satotate", "--p", "2", "--samples", "3000", "--seed", "6",
           "--a", "-1.0", "--b", "2.0"], {}),
+        # the sampler and the memoised pushforward pieces over all nine cells
+        (["verify", "--suite", "satotate", "--seed", "3"], {}),
         # the subprocess runs single-threaded BLAS, the test process its default
         (["mvt", "--N", "1024", "--T", "1024", "--draws", "5", "--seed", "3"],
          {"OPENBLAS_NUM_THREADS": "1"}),
-    ], ids=["satotate", "mvt-single-blas-thread"])
+    ], ids=["satotate", "verify-satotate", "mvt-single-blas-thread"])
     def test_fresh_interpreter_matches_in_process(self, tmp_path, args, env):
         # guards against any dependence on per-process cache warm-up order
         import os
         import subprocess
         import sys
 
-        out1 = tmp_path / "inproc.json"
+        # the second in-process run starts with every memo warm
+        out0, out1 = tmp_path / "inproc0.json", tmp_path / "inproc.json"
+        assert run(args + ["--out", str(out0)]) == 0
         assert run(args + ["--out", str(out1)]) == 0
+        assert out0.read_bytes() == out1.read_bytes()
         out2 = tmp_path / "subproc.json"
         proc = subprocess.run(
             [sys.executable, "-m", "gl3hecke.cli", *args, "--out", str(out2)],

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import density_exponential
 from gl3hecke import klpoly, measures
 from gl3hecke.klpoly import kato_moment
 from gl3hecke.measures import (
@@ -40,6 +41,30 @@ class TestDensity:
             for sigma, _ in klpoly.WEYL:
                 perm = density(spec, TorusPoint(angles[sigma[0]], angles[sigma[1]]))
                 assert abs(perm - base) <= 1e-12
+
+    @pytest.mark.parametrize("p", [None, 2, 5, 101, 1009])
+    def test_half_chord_form_matches_exponential_oracle(self, p):
+        # on the K = 64 mesh, near the diagonal (t1 = t2, 2 t1 + t2 = 0 and
+        # t1 + 2 t2 = 0 mod 2 pi, down to offsets of 1e-300) and around the
+        # cube roots of unity, where the density peaks
+        spec = ST if p is None else MeasureSpec.plancherel(p)
+        c = 2 * math.pi / 3
+        offsets = [0.0, 1e-300, 1e-12, 1e-8, 1e-4, -1e-8]
+        bases = [(0.0, 0.0), (1.0, 1.0), (1.0, 2 * math.pi - 2.0), (0.3, 2 * math.pi - 0.6),
+                 (c, c), (c, 2 * c), (0.0, c), (2 * c, c)]
+        near = [(a + e, b + f) for a, b in bases for e in offsets for f in (0.0, -e, e)]
+        points = [TorusPoint(*QuadratureGrid(64).mesh()),
+                  TorusPoint(np.array([a for a, _ in near]), np.array([b for _, b in near]))]
+        tol = 1e-14 * measures.envelope_ratio(spec)
+        for pt in points:
+            assert np.max(np.abs(density(spec, pt) - density_exponential(spec, pt))) <= tol
+
+    def test_half_chords_are_chord_lengths(self):
+        rng = np.random.default_rng(3)
+        t1, t2 = rng.uniform(0.0, 2 * math.pi, (2, 200))
+        z = (np.exp(1j * t1), np.exp(1j * t2), np.exp(-1j * (t1 + t2)))
+        for s, (i, j) in zip(measures.half_chords(t1, t2), [(0, 1), (0, 2), (1, 2)]):
+            assert np.max(np.abs(4 * s - np.abs(z[i] - z[j]) ** 2)) <= 1e-14
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -156,6 +181,17 @@ class TestSampling:
         a = sample_angles(MeasureSpec.plancherel(5), 500, seed=11)
         b = sample_angles(MeasureSpec.plancherel(5), 500, seed=11)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_angles_unchanged_under_exponential_density(self, monkeypatch, p):
+        # the half-chord density accepts exactly the proposals the complex
+        # exponential form accepted
+        spec = MeasureSpec.plancherel(p)
+        got = [sample_angles(spec, 20_000, seed) for seed in (0, 7, 2024)]
+        monkeypatch.setattr(measures, "density", density_exponential)
+        for seed, (t1, t2) in zip((0, 7, 2024), got):
+            o1, o2 = sample_angles(spec, 20_000, seed)
+            assert np.array_equal(t1, o1) and np.array_equal(t2, o2)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):

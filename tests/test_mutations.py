@@ -1,14 +1,16 @@
-"""Planted defects that the Kato, Hecke and signs checks must catch.
+"""Planted defects that the Kato, Hecke, signs, measures and satotate checks
+must catch.
 
 Each test plants one defect by monkeypatch and runs `suite_kato`,
-`suite_hecke` or `suite_signs` as `gl3hecke verify --suite kato|hecke|signs`
-does; a check that passes on a planted defect could not tell it from working
-code.
+`suite_hecke`, `suite_signs`, `suite_measures` or `suite_satotate` as
+`gl3hecke verify --suite NAME` does; a check that passes on a planted defect
+could not tell it from working code.
 """
 
 import numpy as np
+import pytest
 
-from gl3hecke import arith, hecke, klpoly, measures, suites, tau
+from gl3hecke import arith, hecke, klpoly, measures, schuralg, suites, tau
 
 
 def kato_identity(**kwargs):
@@ -125,3 +127,58 @@ def test_square_trunc_output_off_by_one(monkeypatch):
 
     monkeypatch.setattr(tau, "square_trunc", off_by_one)
     assert failed_signs_checks() == {"tau_identity_failures"}
+
+
+@pytest.fixture
+def fresh_pieces():
+    # the pushforward pieces are memoised: a defect must neither be hidden by
+    # pieces built before it nor leave its own pieces to later tests
+    schuralg._pushforward_piece.cache_clear()
+    yield
+    schuralg._pushforward_piece.cache_clear()
+
+
+def failed_checks(suite):
+    return {c.name: c.value for c in suite(seed=0) if c.status == "fail"}
+
+
+def test_unplanted_measures_and_satotate_suites_pass():
+    assert failed_checks(suites.suite_measures) == {}
+    assert failed_checks(suites.suite_satotate) == {}
+
+
+def test_plancherel_constant_off_by_1e6(monkeypatch, fresh_pieces):
+    # every Plancherel density and pushforward weighs 1e-6 too much; only the
+    # total mass, 1e-6 against a bound of 1e-8, is fine enough to see it
+    real = measures.plancherel_constant
+    monkeypatch.setattr(measures, "plancherel_constant", lambda p: real(p) * (1.0 + 1e-6))
+    failed = failed_checks(suites.suite_measures)
+    assert set(failed) == {"measure_mass_max_deviation"}
+    assert failed["measure_mass_max_deviation"] > 9e-7
+
+
+def test_one_half_chord_off_by_1e6(monkeypatch):
+    # s_12 = sin^2((t1 - t2) / 2) scaled by 1 + 1e-6 in every density: the
+    # masses and Schur inner products move by 1e-6, and the density is no
+    # longer symmetric under the Weyl group
+    real = measures.half_chords
+
+    def scaled(theta1, theta2):
+        s = real(theta1, theta2)
+        return (s[0] * (1.0 + 1e-6),) + s[1:]
+
+    monkeypatch.setattr(measures, "half_chords", scaled)
+    assert set(failed_checks(suites.suite_measures)) == {
+        "measure_mass_max_deviation", "schur_orthonormality_max_dev",
+        "density_weyl_invariance_max"}
+
+
+def test_sampler_at_the_next_prime(monkeypatch):
+    # A(p, p) drawn from the Plancherel measure at 3 and 7 instead of 2 and 5
+    real = measures.sample_angles
+    after = {2: 3, 5: 7}
+    monkeypatch.setattr(measures, "sample_angles", lambda spec, count, seed: real(
+        measures.MeasureSpec.plancherel(after[spec.p]), count, seed))
+    failed = failed_checks(suites.suite_satotate)
+    assert set(failed) == {"effective_st_9cell_p2", "effective_st_9cell_p5"}
+    assert all(value > 0.02 for value in failed.values())

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_tempered_triple
 from oracles import (
+    _s11_values,
     epoly_eval,
     indicator_mass_straddle,
     laurent_eval_elementary,
@@ -143,6 +144,12 @@ class TestEffectiveSTCompare:
         assert emp.samples.min() >= -1.0 - 1e-10
         assert emp.samples.max() <= 8.0 + 1e-10
 
+    def test_samples_are_s11_at_the_sampled_angles(self):
+        # 8 - 4 sum s_ij from the half chords against |e1|^2 - 1 from e^{i theta}
+        t1, t2 = measures.sample_angles(measures.MeasureSpec.plancherel(5), 20_000, seed=3)
+        emp = sample_app(5, 20_000, seed=3)
+        assert np.max(np.abs(emp.samples - _s11_values(t1, t2))) <= 1e-13
+
     def test_empirical_distribution_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             EmpiricalDistribution(np.array([9.0]))
@@ -233,6 +240,17 @@ class TestPushforwardMasses:
         spec = ST if p is None else measures.MeasureSpec.plancherel(p)
         got, err = schuralg._radius_cdf(spec, R)
         assert abs(got - radius_cdf_mpmath(p, R)) <= err
+
+    def test_nine_cells_build_each_piece_once(self):
+        # ten radii 0, 1, sqrt 2, ..., 3; the nine above 0 share the piece
+        # r <= 1, so each order builds 2 + 8 pieces
+        schuralg._pushforward_piece.cache_clear()
+        first = [indicator_mass(5, (cell - 1.0, float(cell))) for cell in range(9)]
+        assert schuralg._pushforward_piece.cache_info().misses == 2 * 10
+        assert [indicator_mass(5, (cell - 1.0, float(cell))) for cell in range(9)] == first
+        r, w = schuralg._pushforward_piece(measures.MeasureSpec.plancherel(5), -1.0, 0.0, 1.0, 48)
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
     def test_error_never_zero(self):
         for cell in [(-1.0, -1.0), (8.0, 8.0), (3.0, 3.0), (-1.0, 8.0)]:
