@@ -2,7 +2,7 @@
 exact densities, trapezoid quadrature on a grid chosen a priori from a
 proven error bound, and seeded rejection sampling.
 
-Angular coordinates are (theta1, theta2) in [0, 2pi) with theta3 implied as
+Angular coordinates are (theta1, theta2) mod 2pi with theta3 implied as
 -(theta1 + theta2).  Densities are reported against plain d(theta1) d(theta2),
 so every measure here integrates to one over [0, 2pi)^2.
 """
@@ -30,14 +30,12 @@ class EnvelopeError(RuntimeError):
 
 @dataclass(frozen=True)
 class TorusPoint:
-    """Point of the torus; holds scalars or equally-shaped numpy arrays."""
+    """Point of the torus; holds scalars or equally-shaped numpy arrays.  The
+    angles are kept as given, unreduced: every function of them here is
+    2pi-periodic in each."""
 
     theta1: float
     theta2: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta1", self.theta1 % TWO_PI)
-        object.__setattr__(self, "theta2", self.theta2 % TWO_PI)
 
 
 @dataclass(frozen=True)

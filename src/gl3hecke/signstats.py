@@ -12,6 +12,7 @@ entry-by-entry walk they replace.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,25 +111,58 @@ def count_sign_changes(seq: RealSequence, zero_tol: float = 1e-12) -> SignChange
                             len(seq.values) - len(kept))
 
 
+# table -> {(X, H, M): (S1 list, S2 list)}: the tables are logically
+# immutable, and an entry is freed with its table
+_window_sums = weakref.WeakKeyDictionary()
+
+
+def _all_window_sums(table, cfg: ShortIntervalConfig) -> tuple[list, list]:
+    """S1 and S2 of every window x in [X, 2X], as lists indexed by x - X.
+
+    The terms are walked in the per-window order, m ascending and then k, one
+    column (m, j) at a time with k = ceil(x/m) + j, j <= H//m; a term enters
+    where k <= (x+H)//m and gcd(m, k) = 1, and elsewhere the column adds
+    +0.0, which leaves every partial sum as it is (the sums start at +0.0,
+    so none is ever -0.0, the one value that adding +0.0 changes).  So each
+    window gets the left-to-right sums of a loop over its own terms, bit for
+    bit.  Reads A(m, 1) for m <= 2X + H.  Cost: (X + 1) * sum_m (H//m + 1)
+    gathered terms per (table, cfg): 3 ms at X = 10^4, H = 5, M = 3 and
+    55 ms at H = 252 on one core of a 2-vCPU Xeon.
+    """
+    row = table.row(2 * cfg.X + cfg.H)
+    # entry n holds A(n, 1); entry 0 is the +0.0 that masked terms read
+    re, im = np.concatenate(([0.0], row.real)), np.concatenate(([0.0], row.imag))
+    size = np.concatenate(([0.0], _abs(row)))
+    xs = np.arange(cfg.X, 2 * cfg.X + 1)
+    acc_re, acc_im, acc_abs = np.zeros(len(xs)), np.zeros(len(xs)), np.zeros(len(xs))
+    for m in range(cfg.M, 2 * cfg.M + 1):
+        first, last = -(-xs // m), (xs + cfg.H) // m
+        for j in range(cfg.H // m + 1):
+            k = first + j
+            n = np.where((k <= last) & (np.gcd(k, m) == 1), m * k, 0)
+            acc_re += re[n]
+            acc_im += im[n]
+            acc_abs += size[n]
+    return np.hypot(acc_re, acc_im).tolist(), acc_abs.tolist()
+
+
 def short_interval_sums(table, cfg: ShortIntervalConfig, x: int) -> dict:
     """S1 = |sum A(mk,1)| and S2 = sum |A(mk,1)| over the bilinear window
     x <= mk <= x+H, m in [M, 2M], gcd(m, k) = 1; S1 <= S2, with equality
-    exactly when the nonzero terms share one sign."""
+    exactly when the nonzero terms share one sign.
+
+    The first call for a (table, cfg) sums every window of [X, 2X] in one
+    pass (`_all_window_sums`) and later calls look the result up, so the
+    table must reach 2X + H, as for `interval_change_scan`.
+    """
     if not cfg.X <= x <= 2 * cfg.X:
         raise ValueError(f"x = {x} is not in [X, 2X] = [{cfg.X}, {2 * cfg.X}]")
-    mk = [m * k for m in range(cfg.M, 2 * cfg.M + 1)
-          for k in range(max(1, -(-x // m)), (x + cfg.H) // m + 1)
-          if math.gcd(m, k) == 1]
-    acc = 0.0 + 0.0j
-    acc_abs = 0.0
-    if mk:
-        # a window holds about ten terms: numpy's per-call cost would exceed the sums
-        window = table.row(max(mk))[x - 1:].tolist()
-        for n in mk:
-            v = window[n - x]
-            acc += v
-            acc_abs += abs(v)
-    return {"S1": abs(acc), "S2": acc_abs}
+    # a plain tuple key: every scan makes about 10^4 of these lookups
+    key = (cfg.X, cfg.H, cfg.M)
+    sums = _window_sums.get(table, {}).get(key)
+    if sums is None:
+        sums = _window_sums.setdefault(table, {})[key] = _all_window_sums(table, cfg)
+    return {"S1": sums[0][x - cfg.X], "S2": sums[1][x - cfg.X]}
 
 
 def interval_change_scan(table, cfg: ShortIntervalConfig, zero_tol: float = 1e-12) -> dict:

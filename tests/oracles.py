@@ -4,6 +4,7 @@ divisor counting, brute-force root-partition enumeration, the Freudenthal
 multiplicity recursion, evaluation of (e1, e2)-polynomials and Schur
 combinations, the Schur-to-monomial expansion, the Simpson-rule second
 moment, the per-entry sign-change count, the per-window sign-change walk,
+the per-window short-interval sums,
 primality by trial division, Dirichlet polynomial evaluation term by term,
 the window polynomial D expanded per d and evaluated as a product, the
 full-square mean-value kernel, the truncated square by Kronecker
@@ -218,6 +219,24 @@ def interval_change_scan_walk(table, cfg, zero_tol: float = 1e-12) -> dict:
         if changed:
             with_change += 1
     return {"total_x": total, "with_change": with_change}
+
+
+def short_interval_sums_loop(table, cfg, x: int) -> dict:
+    """S1 = |sum A(mk,1)| and S2 = sum |A(mk,1)| over one window x <= mk <= x+H,
+    m in [M, 2M], gcd(m, k) = 1, by a Python loop over its terms, m ascending
+    and then k."""
+    mk = [m * k for m in range(cfg.M, 2 * cfg.M + 1)
+          for k in range(max(1, -(-x // m)), (x + cfg.H) // m + 1)
+          if math.gcd(m, k) == 1]
+    acc = 0.0 + 0.0j
+    acc_abs = 0.0
+    if mk:
+        window = table.row(max(mk))[x - 1:].tolist()
+        for n in mk:
+            v = window[n - x]
+            acc += v
+            acc_abs += abs(v)
+    return {"S1": abs(acc), "S2": acc_abs}
 
 
 def _simpson_grid(lo: float, hi: float, N: int) -> tuple[np.ndarray, np.ndarray]:

@@ -308,10 +308,12 @@ class TestCrossProcessDeterminism:
           "--a", "-1.0", "--b", "2.0"], {}),
         # the sampler and the memoised pushforward pieces over all nine cells
         (["verify", "--suite", "satotate", "--seed", "3"], {}),
+        # the tau memo and the short-interval window sums memoised per table
+        (["verify", "--suite", "signs", "--seed", "0"], {}),
         # the subprocess runs single-threaded BLAS, the test process its default
         (["mvt", "--N", "1024", "--T", "1024", "--draws", "5", "--seed", "3"],
          {"OPENBLAS_NUM_THREADS": "1"}),
-    ], ids=["satotate", "verify-satotate", "mvt-single-blas-thread"])
+    ], ids=["satotate", "verify-satotate", "verify-signs", "mvt-single-blas-thread"])
     def test_fresh_interpreter_matches_in_process(self, tmp_path, args, env):
         # guards against any dependence on per-process cache warm-up order
         import os

@@ -10,7 +10,7 @@ could not tell it from working code.
 import numpy as np
 import pytest
 
-from gl3hecke import arith, hecke, klpoly, measures, schuralg, suites, tau
+from gl3hecke import arith, hecke, klpoly, measures, schuralg, signstats, suites, tau
 
 
 def kato_identity(**kwargs):
@@ -127,6 +127,22 @@ def test_square_trunc_output_off_by_one(monkeypatch):
 
     monkeypatch.setattr(tau, "square_trunc", off_by_one)
     assert failed_signs_checks() == {"tau_identity_failures"}
+
+
+def test_window_s2_over_signed_terms(monkeypatch):
+    # S2 summed over the signed real parts of the terms instead of |A|: then
+    # S1 = |S2|, so every window with a negative sum breaks S1 <= S2 and no
+    # window has S1 < S2.  The window sums are memoised per table, and
+    # suite_signs builds its own, so nothing planted outlives the test.
+    real = signstats._all_window_sums
+
+    def signed(table, cfg):
+        with monkeypatch.context() as inner:
+            inner.setattr(signstats, "_abs", lambda row: row.real)
+            return real(table, cfg)
+
+    monkeypatch.setattr(signstats, "_all_window_sums", signed)
+    assert failed_signs_checks() == {"s1_le_s2_everywhere", "s1_lt_s2_fraction"}
 
 
 @pytest.fixture

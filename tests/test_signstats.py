@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from gl3hecke.hecke import (
     SatakeTriple,
 )
 from gl3hecke.arith import factorize, primes_upto
+from gl3hecke import signstats
 from gl3hecke.suites import random_tempered_locals
 from gl3hecke.signstats import (
     RealSequence,
@@ -28,7 +31,12 @@ from gl3hecke.signstats import (
     short_interval_sums,
     sign_balance,
 )
-from oracles import count_sign_changes_loop, d3, interval_change_scan_walk
+from oracles import (
+    count_sign_changes_loop,
+    d3,
+    interval_change_scan_walk,
+    short_interval_sums_loop,
+)
 
 DEGENERATE = SatakeTriple(1.0 + 0j, 1.0 + 0j, 1.0 + 0j)
 TOL = 1e-12
@@ -155,6 +163,63 @@ class TestShortIntervalSums:
         cfg = ShortIntervalConfig(X=10_000, H=100, M=3)
         with pytest.raises(ValueError):
             short_interval_sums(tau_table_100k, cfg, 9_000)
+
+    @pytest.mark.parametrize("X", [10_000, 10_437])
+    def test_matches_window_loop_on_lift(self, tau_table_100k, X):
+        cfg = ShortIntervalConfig(X=X, H=5, M=3)
+        for x in range(X, 2 * X + 1):
+            assert short_interval_sums(tau_table_100k, cfg, x) == \
+                short_interval_sums_loop(tau_table_100k, cfg, x)
+
+    def test_matches_window_loop_on_complex_data(self, complex_table):
+        cfg = ShortIntervalConfig(X=5_000, H=300, M=6)
+        for x in [*range(5_000, 10_000, 37), 10_000]:
+            assert short_interval_sums(complex_table, cfg, x) == \
+                short_interval_sums_loop(complex_table, cfg, x)
+
+    def test_windows_whose_terms_all_vanish(self):
+        # A(n, 1) = 0 at even n and 1 at odd n: a window whose coprime
+        # products mk are all even sums to exactly zero
+        cfg = ShortIntervalConfig(X=100, H=3, M=2)
+        table = ToyTable([2], 2 * cfg.X + cfg.H)
+        sums = [short_interval_sums(table, cfg, x) for x in range(100, 201)]
+        assert sums == [short_interval_sums_loop(table, cfg, x) for x in range(100, 201)]
+        zero = [s for s in sums if s == {"S1": 0.0, "S2": 0.0}]
+        assert 0 < len(zero) < len(sums)
+
+    def test_independent_of_call_order(self, tau_table_100k, complex_table):
+        # fresh copies of the tables, so that no window sum is memoised yet
+        tables = [CoefficientTable(t.locals, t.bound_m, t.bound_n)
+                  for t in (tau_table_100k, complex_table)]
+        cfgs = [ShortIntervalConfig(X=2_000, H=40, M=4), ShortIntervalConfig(X=2_000, H=7, M=2)]
+        xs = range(4_000, 1_999, -3)
+        want = {(i, c, x): short_interval_sums_loop(t, c, x)
+                for i, t in enumerate(tables) for c in cfgs for x in xs}
+        for x in xs:
+            for i, t in enumerate(tables):
+                for c in cfgs[::-1] if x % 2 else cfgs:
+                    assert short_interval_sums(t, c, x) == want[i, c, x]
+
+    def test_memo_entry_is_freed_with_its_table(self):
+        table = degenerate_table(300)
+        before = len(signstats._window_sums)
+        short_interval_sums(table, ShortIntervalConfig(X=100, H=8, M=2), 150)
+        assert len(signstats._window_sums) == before + 1
+        ref = weakref.ref(table)
+        del table
+        gc.collect()
+        assert ref() is None
+        assert len(signstats._window_sums) == before
+
+    def test_table_must_reach_2X_plus_H(self):
+        # the window at x = X ends near 108, but the table must reach 208
+        cfg = ShortIntervalConfig(X=100, H=8, M=2)
+        table = degenerate_table(2 * cfg.X + cfg.H - 1)
+        for x in (cfg.X, 2 * cfg.X):
+            with pytest.raises(IndexBoundsError):
+                short_interval_sums(table, cfg, x)
+        with pytest.raises(IndexBoundsError):
+            interval_change_scan(table, cfg)
 
 
 class TestIntervalChangeScan:
@@ -341,7 +406,7 @@ class TestBounds:
         lambda t: nonvanishing_density(t, 51),
         lambda t: partial_sum_abs(t, 51),
         lambda t: rankin_selberg_ratio(t, 51),
-        # the window reaches mk = 51 = 3 * 17
+        # the windows reach 2X + H = 85
         lambda t: short_interval_sums(t, ShortIntervalConfig(X=30, H=25, M=2), 30),
         # the last window is [40, 56]
         lambda t: interval_change_scan(t, ShortIntervalConfig(X=20, H=16, M=2)),
