@@ -27,9 +27,10 @@ def _gl2_row(row) -> tuple[int, float]:
 
 
 def _seq_row(row) -> tuple[int, float]:
+    # ingest allocates a dense sequence up to the largest m: cap it as signs --X
     m = int(row[0])
-    if m < 1:
-        raise ValueError(f"index m = {m} < 1")
+    if not 1 <= m <= 10**6:
+        raise ValueError(f"index m = {m} outside [1, 10^6]")
     return m, float(row[1])
 
 

@@ -6,7 +6,7 @@ combinations, the Schur-to-monomial expansion, the Simpson-rule second
 moment, the per-entry sign-change count, the per-window sign-change walk,
 the per-window short-interval sums,
 primality by trial division, Dirichlet polynomial evaluation term by term,
-the window polynomial D expanded per d and evaluated as a product, the
+the window polynomial D evaluated as a product over squarefree d, the
 full-square mean-value kernel, the truncated square by Kronecker
 substitution on Python ints, the straddle-refined torus grid for A(p, p)
 cell masses, and the distribution function of |e1| by mpmath quadrature."""
@@ -21,7 +21,6 @@ import numpy as np
 
 from gl3hecke import measures
 from gl3hecke.arith import factorize, mobius
-from gl3hecke.dirichlet import DirichletPolynomial
 from gl3hecke.hecke import schur_from_elementary
 from gl3hecke.klpoly import Weight
 from gl3hecke.schuralg import EPoly, schur_to_epoly
@@ -289,34 +288,6 @@ def dirichlet_eval_loop(poly, s: complex) -> complex:
     for n, c in poly.terms.items():
         acc += c if n == 1 else c * cmath.exp(-s * math.log(n))
     return acc
-
-
-def d_poly_per_d_merge(table, M: int) -> DirichletPolynomial:
-    """D over squarefree d <= 2M with each d expanded from {1: mu(d)}
-    through all its primes, ascending, and merged into the sum term by term."""
-    dterms: dict = {1: 1.0 + 0.0j}
-    for d in range(2, 2 * M + 1):
-        mu = mobius(d)
-        if mu == 0:
-            continue
-        factor_terms: dict = {1: complex(mu)}
-        for p, _ in factorize(d):
-            a = table.value(p, 1)
-            local = {
-                p ** 2: a * a,
-                p ** 3: -2.0 * a * a,
-                p ** 4: a * a + 2.0 * a,
-                p ** 5: -2.0 * a,
-                p ** 6: 1.0 + 0.0j,
-            }
-            factor_terms = {
-                n1 * n2: c1 * c2
-                for n1, c1 in factor_terms.items()
-                for n2, c2 in local.items()
-            }
-        for n, c in factor_terms.items():
-            dterms[n] = dterms.get(n, 0.0 + 0.0j) + c
-    return DirichletPolynomial(dterms)
 
 
 def d_poly_direct(table, M: int, s: complex) -> tuple[complex, float]:

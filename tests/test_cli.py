@@ -118,6 +118,23 @@ class TestGenAndIngest:
         assert form.ramanujan is False
         assert "warning" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", ["0", "1000001"])
+    def test_seq_ingest_rejects_index_outside_the_cap(self, tmp_path, capsys, m):
+        # one row past 10^6 would otherwise make ingest allocate up to m
+        path = tmp_path / "seq.csv"
+        path.write_text(f"m,value\n1,1.0\n{m},1.0\n")
+        with pytest.raises(cli.IngestError, match=":3: index m = "):
+            cli.ingest(str(path), "seqcsv")
+        assert run(["signs", "--source", "csv", "--path", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{path}:3: index m = {m} outside [1, 10^6]" in err
+
+    def test_seq_ingest_accepts_the_cap(self, tmp_path):
+        path = tmp_path / "seq.csv"
+        path.write_text("m,value\n1000000,-1.0\n")
+        seq = cli.ingest(str(path), "seqcsv")
+        assert len(seq.values) == 10**6 and seq.values[-1] == -1.0
+
     def test_seq_ingest(self, tmp_path):
         path = tmp_path / "seq.csv"
         path.write_text("m,value\n1,1.0\n2,-2.0\n4,0.5\n")
@@ -310,10 +327,13 @@ class TestCrossProcessDeterminism:
         (["verify", "--suite", "satotate", "--seed", "3"], {}),
         # the tau memo and the short-interval window sums memoised per table
         (["verify", "--suite", "signs", "--seed", "0"], {}),
+        # the D windows, sieved with in-place complex products
+        (["verify", "--suite", "mvt", "--seed", "0"], {}),
         # the subprocess runs single-threaded BLAS, the test process its default
         (["mvt", "--N", "1024", "--T", "1024", "--draws", "5", "--seed", "3"],
          {"OPENBLAS_NUM_THREADS": "1"}),
-    ], ids=["satotate", "verify-satotate", "verify-signs", "mvt-single-blas-thread"])
+    ], ids=["satotate", "verify-satotate", "verify-signs", "verify-mvt",
+         "mvt-single-blas-thread"])
     def test_fresh_interpreter_matches_in_process(self, tmp_path, args, env):
         # guards against any dependence on per-process cache warm-up order
         import os
