@@ -19,11 +19,18 @@ from .arith import _MR_PROOF_BOUND, is_prime
 from .csvio import IngestError, read_csv, write_csv
 
 
+def _finite(text: str, field: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{field} = {text.strip()} is not finite")
+    return value
+
+
 def _gl2_row(row) -> tuple[int, float]:
     p = int(row[0])
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    return p, float(row[1])
+    return p, _finite(row[1], "lambda")
 
 
 def _seq_row(row) -> tuple[int, float]:
@@ -31,7 +38,7 @@ def _seq_row(row) -> tuple[int, float]:
     m = int(row[0])
     if not 1 <= m <= 10**6:
         raise ValueError(f"index m = {m} outside [1, 10^6]")
-    return m, float(row[1])
+    return m, _finite(row[1], "value")
 
 
 def ingest(path: str, fmt: str):
@@ -77,11 +84,10 @@ def _auto_window(X: int, H_arg, M_arg) -> tuple[int, int]:
 
 def cmd_verify(args) -> int:
     names = list(suites.SUITES) if args.suite == "all" else [args.suite]
-    report: dict = {"command": "verify", "seed": args.seed, "tol": args.tol, "suites": {}}
+    report: dict = {"command": "verify", "seed": args.seed, "suites": {}}
     ok = True
     for name in names:
-        fn = suites.SUITES[name]
-        checks = fn(seed=args.seed) if args.tol is None else fn(seed=args.seed, tol=args.tol)
+        checks = suites.SUITES[name](seed=args.seed)
         report["suites"][name] = {
             "checks": suites.checks_to_json(checks),
             "passed": suites.all_passed(checks),
@@ -177,13 +183,7 @@ def cmd_signs(args) -> int:
 
 
 def cmd_mvt(args) -> int:
-    rng = random.Random(args.seed)
-    polys = [
-        dmod.DirichletPolynomial(
-            {n: float(rng.choice((-1.0, 1.0))) for n in range(args.N, 2 * args.N + 1)}
-        )
-        for _ in range(args.draws)
-    ]
+    polys = suites.random_sign_polys(random.Random(args.seed), args.N, args.draws)
     recs = dmod.mvt_ratio_many(polys, float(args.T))
     report = {
         "command": "mvt", "N": args.N, "T": args.T, "seed": args.seed,
@@ -204,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", default="all", choices=["all", *suites.SUITES])
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the suite's default tolerance")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
@@ -270,14 +268,6 @@ def _prime_error(p: int) -> str | None:
     return None
 
 
-def _kato_tol_error(tol: float, cases) -> str | None:
-    """Why the first case that no grid certifies at tol / 10 fails, or None."""
-    for l1, l2, p in cases:
-        if measures.trapezoid_resolution(measures.MeasureSpec.plancherel(p), l1, l2, tol / 10) is None:
-            return f"field 'tol' = {tol} is below what Kato quadrature can certify at ({l1}, {l2}, p={p})"
-    return None
-
-
 def _config_error(args) -> str | None:
     """The first argument that its command cannot run with, or None."""
     tol = getattr(args, "tol", None)
@@ -290,13 +280,17 @@ def _config_error(args) -> str | None:
             return "field 'T' must be positive"
         if args.draws < 1:
             return "field 'draws' must be at least 1"
-    if args.command == "verify" and tol is not None and args.suite in ("all", "kato"):
-        return _kato_tol_error(tol, suites.KATO_CASES)
     if args.command == "kato":
         for name in ("l1", "l2"):
             if not 0 <= getattr(args, name) <= 6:
                 return f"field '{name}' must lie in [0, 6]"
-        return _prime_error(args.p) or _kato_tol_error(args.tol, [(args.l1, args.l2, args.p)])
+        if problem := _prime_error(args.p):
+            return problem
+        # kato_check certifies its quadrature at tol / 10
+        spec = measures.MeasureSpec.plancherel(args.p)
+        if measures.trapezoid_resolution(spec, args.l1, args.l2, args.tol / 10) is None:
+            return (f"field 'tol' = {args.tol} is below what Kato quadrature can certify "
+                    f"at ({args.l1}, {args.l2}, p={args.p})")
     if args.command == "satotate":
         if args.samples < 100:
             return "field 'samples' must be at least 100"

@@ -97,7 +97,7 @@ class GL2FormData:
 
     def __post_init__(self):
         if self.ramanujan:
-            bad = [p for p, lam in self.pairs if abs(lam) > 2.0 + UNIT_TOL]
+            bad = [p for p, lam in self.pairs if not abs(lam) <= 2.0 + UNIT_TOL]
             if bad:
                 raise NonTemperedError(
                     f"|lambda(p)| > 2 at primes {bad} contradicts ramanujan=True"
@@ -306,7 +306,7 @@ def sym2_lift(g: GL2FormData) -> list[PrimeLocalData]:
     Branch at |lambda| = 2: beta = 1 for lambda = 2 and beta = -1 for
     lambda = -2 (the lifted triple is (1, 1, 1) either way).
     """
-    bad = [p for p, lam in g.pairs if abs(lam) > 2.0 + UNIT_TOL]
+    bad = [p for p, lam in g.pairs if not abs(lam) <= 2.0 + UNIT_TOL]
     if bad:
         raise NonTemperedError(f"|lambda(p)| > 2 at primes {bad}; lift needs tempered input")
     out = []

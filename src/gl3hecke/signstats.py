@@ -92,12 +92,17 @@ def sequence_from_table(table, X: int, which: str = A_M1) -> RealSequence:
     return RealSequence(_real(table.row(X, which), 1, which))
 
 
-def _signs(values: np.ndarray, zero_tol: float):
-    """0-based indices of the entries with |a| > zero_tol (NaN included),
-    whether each is positive, and where along them the sign flips."""
+def _nonzero(values: np.ndarray, zero_tol: float) -> np.ndarray:
+    """The mask of the entries that count as nonzero: |a| > zero_tol, and NaN."""
     if zero_tol < 0:
         raise ValueError("zero_tol must be non-negative")
-    kept = np.flatnonzero(~(np.abs(values) <= zero_tol))
+    return ~(np.abs(values) <= zero_tol)
+
+
+def _signs(values: np.ndarray, zero_tol: float):
+    """0-based indices of the entries that `_nonzero` keeps, whether each is
+    positive, and where along them the sign flips."""
+    kept = np.flatnonzero(_nonzero(values, zero_tol))
     positive = values[kept] > 0
     return kept, positive, np.flatnonzero(positive[1:] != positive[:-1])
 
@@ -191,11 +196,11 @@ def interval_change_scan(table, cfg: ShortIntervalConfig, zero_tol: float = 1e-1
 def nonvanishing_density(table, X: int, which: str = A_M1, zero_tol: float = 1e-12) -> dict:
     """lhs: observed density of non-vanishing up to X.  rhs: the sieve product
     prod (1 - 1/p) over primes p <= X whose coefficient vanishes."""
-    values = sequence_from_table(table, X, which).values
-    lhs = np.count_nonzero(np.abs(values) > zero_tol) / X
+    nonzero = _nonzero(sequence_from_table(table, X, which).values, zero_tol)
+    lhs = np.count_nonzero(nonzero) / X
     primes = np.array(primes_upto(X), dtype=np.int64)
     rhs = 1.0
-    for p in primes[np.abs(values[primes - 1]) <= zero_tol].tolist():
+    for p in primes[~nonzero[primes - 1]].tolist():
         rhs *= 1.0 - 1.0 / p
     return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs else math.inf}
 

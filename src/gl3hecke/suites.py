@@ -57,7 +57,7 @@ def random_selfdual_locals(primes: list[int], rng: random.Random) -> list[hecke.
     return hecke.sym2_lift(hecke.GL2FormData(pairs))
 
 
-def suite_hecke(seed: int = 0, tol: float = 1e-8) -> list[Check]:
+def suite_hecke(seed: int = 0) -> list[Check]:
     """Hecke relation residuals, Mobius expansion, Hermitian symmetry, and the
     Ramanujan bound on random tempered data."""
     rng = random.Random(seed)
@@ -71,13 +71,13 @@ def suite_hecke(seed: int = 0, tol: float = 1e-8) -> list[Check]:
         m1 = rng.randint(1, 50)
         m2 = rng.randint(1, 50)
         worst = max(worst, hecke.hecke_residual(table, m, m1, m2))
-    checks = [Check.le("hecke_residual_max_200_triples", worst, tol)]
+    checks = [Check.le("hecke_residual_max_200_triples", worst, 1e-8)]
 
     worst = 0.0
     for m1 in range(1, 51):
         for m2 in range(1, 51):
             worst = max(worst, abs(hecke.mobius_expand(table, m1, m2) - table.value(m1, m2)))
-    checks.append(Check.le("mobius_expand_max_error", worst, tol))
+    checks.append(Check.le("mobius_expand_max_error", worst, 1e-8))
 
     worst = 0.0
     for m in range(1, 31):
@@ -92,7 +92,7 @@ def suite_hecke(seed: int = 0, tol: float = 1e-8) -> list[Check]:
     return checks
 
 
-def suite_schur(seed: int = 0, tol: float = 0.0) -> list[Check]:
+def suite_schur(seed: int = 0) -> list[Check]:
     """The square of S_{1,1} in the Schur basis, exactly, plus the degenerate
     dimension identity 64 = 1 + 16 + 27 + 10 + 10."""
     square = (schuralg.E1 * schuralg.E2 - schuralg.E_ONE).pow(2)
@@ -116,22 +116,19 @@ def suite_schur(seed: int = 0, tol: float = 0.0) -> list[Check]:
     return checks
 
 
-# (l1, l2, p) of the Kato identities that suite_kato checks at tol / 10.
-KATO_CASES = [(l1, l2, p) for p in (2, 3, 5, 7) for l1 in range(6) for l2 in range(6 - l1)]
-
-
-def suite_kato(seed: int = 0, tol: float = 1e-6) -> list[Check]:
+def suite_kato(seed: int = 0) -> list[Check]:
     """Combinatorial moment versus Plancherel quadrature for all l1+l2 <= 5
     and p in {2, 3, 5, 7}, plus the 0.75 anchor at (1, 1, p=2)."""
-    worst = max(klpoly.kato_check(l1, l2, p, tol=tol / 10)["diff"] for l1, l2, p in KATO_CASES)
+    worst = max(klpoly.kato_check(l1, l2, p, tol=1e-7)["diff"]
+                for p in (2, 3, 5, 7) for l1 in range(6) for l2 in range(6 - l1))
     anchor = klpoly.kato_check(1, 1, 2)
     return [
-        Check.le("kato_identity_max_diff", worst, tol),
-        Check.le("kato_anchor_112_vs_0.75", abs(anchor["lhs"] - 0.75), tol),
+        Check.le("kato_identity_max_diff", worst, 1e-6),
+        Check.le("kato_anchor_112_vs_0.75", abs(anchor["lhs"] - 0.75), 1e-6),
     ]
 
 
-def suite_measures(seed: int = 0, tol: float = 1e-8) -> list[Check]:
+def suite_measures(seed: int = 0) -> list[Check]:
     """Total masses, Schur orthonormality, Weyl invariance of the densities,
     and weak convergence of the Plancherel family to Sato-Tate."""
     checks = []
@@ -140,7 +137,7 @@ def suite_measures(seed: int = 0, tol: float = 1e-8) -> list[Check]:
     st = measures.MeasureSpec.sato_tate()
     specs = [st] + [measures.MeasureSpec.plancherel(p) for p in (2, 3, 5, 7, 101)]
     worst = max(abs(measures.integrate(spec, one, grid) - 1.0) for spec in specs)
-    checks.append(Check.le("measure_mass_max_deviation", worst, tol))
+    checks.append(Check.le("measure_mass_max_deviation", worst, 1e-8))
 
     worst = 0.0
     pairs = [(a, b) for a in range(3) for b in range(3)]
@@ -184,7 +181,7 @@ def suite_measures(seed: int = 0, tol: float = 1e-8) -> list[Check]:
     return checks
 
 
-def suite_bernstein(seed: int = 0, tol: float = 0.0) -> list[Check]:
+def suite_bernstein(seed: int = 0) -> list[Check]:
     """Exact l^1 bound on the expansion coefficients for every power l <= 10,
     plus round trips through the Schur basis."""
     worst = Fraction(0)
@@ -206,20 +203,15 @@ def suite_bernstein(seed: int = 0, tol: float = 0.0) -> list[Check]:
     return checks
 
 
-def suite_satotate(seed: int = 0, tol: float = 0.01, n_samples: int = 100_000) -> list[Check]:
+def suite_satotate(seed: int = 0) -> list[Check]:
     """Sampled A(p,p) interval masses versus exact masses on the 9-cell
-    partition of [-1, 8] for p in {2, 5}."""
+    partition of [-1, 8] for p in {2, 5}, 100,000 samples each."""
+    cells = [(-1.0 + cell, cell + 0.0) for cell in range(9)]
     checks = []
     for i, p in enumerate((2, 5)):
-        child = measures.child_seed(seed, i)
-        emp = schuralg.sample_app(p, n_samples, child)
-        worst = 0.0
-        for cell in range(9):
-            lo, hi = -1.0 + cell, cell + 0.0
-            mass, unc = schuralg.indicator_mass(p, (lo, hi))
-            empirical = float(np.mean((emp.samples >= lo) & (emp.samples <= hi)))
-            worst = max(worst, abs(empirical - mass) - unc)
-        checks.append(Check.le(f"effective_st_9cell_p{p}", worst, tol))
+        recs = schuralg.effective_st_compare(p, 100_000, cells, measures.child_seed(seed, i))
+        worst = max([0.0] + [r["diff"] - r["mass_uncertainty"] for r in recs])
+        checks.append(Check.le(f"effective_st_9cell_p{p}", worst, 0.01))
     return checks
 
 
@@ -241,9 +233,10 @@ def tau_identity_failures(values: list[int]) -> int:
                           for p in primes_upto(math.isqrt(len(values))))
 
 
-def suite_signs(seed: int = 0, tol: float = 0.0, X: int = 100_000) -> list[Check]:
-    """The whole sign-change pipeline on symmetric-square-of-tau data, and
-    the tau values it starts from against exact identities."""
+def suite_signs(seed: int = 0) -> list[Check]:
+    """The whole sign-change pipeline on symmetric-square-of-tau data up to
+    X = 10^5, and the tau values it starts from against exact identities."""
+    X = 100_000
     values = tau.ramanujan_tau(X)
     table = sym2_tau_table(values)
     seq = signstats.sequence_from_table(table, X)
@@ -286,7 +279,7 @@ def suite_signs(seed: int = 0, tol: float = 0.0, X: int = 100_000) -> list[Check
     return checks
 
 
-def suite_euler(seed: int = 0, tol: float = 1e-9) -> list[Check]:
+def suite_euler(seed: int = 0) -> list[Check]:
     """Local Euler factors versus closed forms and the shifted-ratio identity."""
     rng = random.Random(seed)
     deg = hecke.PrimeLocalData(2, hecke.SatakeTriple(1.0 + 0j, 1.0 + 0j, 1.0 + 0j))
@@ -308,35 +301,30 @@ def suite_euler(seed: int = 0, tol: float = 1e-9) -> list[Check]:
         res = dmod.euler_factor_check(loc, complex(sigma, t), J=80)
         worst_series = max(worst_series, abs(res["series"] - res["closed"]))
         worst_ratio = max(worst_ratio, res["ratio_identity_residual"])
-    checks.append(Check.le("euler_series_vs_closed_max", worst_series, tol))
-    checks.append(Check.le("euler_ratio_identity_max", worst_ratio, tol))
+    checks.append(Check.le("euler_series_vs_closed_max", worst_series, 1e-9))
+    checks.append(Check.le("euler_ratio_identity_max", worst_ratio, 1e-9))
     return checks
 
 
-def suite_mvt(seed: int = 0, tol: float = 8.0) -> list[Check]:
+def random_sign_polys(rng: random.Random, N: int, count: int) -> list[dmod.DirichletPolynomial]:
+    """count polynomials sum_{N <= n <= 2N} (+-1) n^-s, the signs drawn from
+    rng in order of n, one polynomial after the other."""
+    return [
+        dmod.DirichletPolynomial({n: float(rng.choice((-1.0, 1.0))) for n in range(N, 2 * N + 1)})
+        for _ in range(count)
+    ]
+
+
+def suite_mvt(seed: int = 0) -> list[Check]:
     """Second-moment calibration over the (N, T) grid plus the window-product
     D-estimate with the frozen constant 4 on self-dual data."""
     rng = random.Random(seed)
     sizes = (64, 256, 1024)
-    combos = [(n, t) for n in sizes for t in sizes]
-    draws_per = 5
     worst = 0.0
-    for N, T in combos:
-        polys = []
-        for _ in range(draws_per):
-            coeffs = {n: float(rng.choice((-1.0, 1.0))) for n in range(N, 2 * N + 1)}
-            polys.append(dmod.DirichletPolynomial(coeffs))
-        for rec in dmod.mvt_ratio_many(polys, float(T)):
+    for N, T in [(n, t) for n in sizes for t in sizes] + [(512, 512)]:
+        for rec in dmod.mvt_ratio_many(random_sign_polys(rng, N, 5), float(T)):
             worst = max(worst, rec["ratio"])
-    extra = [
-        dmod.DirichletPolynomial(
-            {n: float(rng.choice((-1.0, 1.0))) for n in range(512, 1025)}
-        )
-        for _ in range(5)
-    ]
-    for rec in dmod.mvt_ratio_many(extra, 512.0):
-        worst = max(worst, rec["ratio"])
-    checks = [Check.le("mvt_ratio_max_50_draws", worst, tol)]
+    checks = [Check.le("mvt_ratio_max_50_draws", worst, 8.0)]
 
     # build_MKD's D is (1 - L_p^-1)^2 only for self-dual data: a random
     # sym^2 lift and the sym^2 lift of tau

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -35,6 +36,44 @@ class TestVerifyCommand:
         assert code == 0
         checks = json.loads(out.read_text())["suites"]["mvt"]["checks"]
         assert [c["status"] for c in checks] == ["pass", "pass"]
+
+    def test_every_bound_is_fixed_in_its_suite(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run(["verify", "--suite", "all", "--seed", "0", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        bounds = {name: {c["name"]: c["bound"] for c in suite["checks"]}
+                  for name, suite in report["suites"].items()}
+        assert bounds == {
+            "hecke": {"hecke_residual_max_200_triples": 1e-8, "mobius_expand_max_error": 1e-8,
+                      "hermitian_symmetry_max": 1e-9, "ramanujan_bound_excess": 1e-10},
+            "schur": {"s11_square_expansion_mismatches": 0.0, "degenerate_point_sum_vs_64": 1e-9},
+            "kato": {"kato_identity_max_diff": 1e-6, "kato_anchor_112_vs_0.75": 1e-6},
+            "measures": {"measure_mass_max_deviation": 1e-8, "schur_orthonormality_max_dev": 1e-7,
+                         "density_weyl_invariance_max": 1e-12,
+                         "plancherel_to_st_sup_monotone": 0.0, "interval_mass_gap_p1009": 0.02},
+            "bernstein": {"bernstein_l1_norm_max": 1.0, "schur_roundtrip_mismatches": 0.0,
+                          "bernstein_l1_anchor": 0.0},
+            "satotate": {"effective_st_9cell_p2": 0.01, "effective_st_9cell_p5": 0.01},
+            "signs": {"sign_changes_count": 1e5 ** (5.0 / 6.0) / 10.0,
+                      "partial_sum_abs_vs_X^0.9": 1e5 ** 0.9, "s1_le_s2_everywhere": 0.0,
+                      "s1_lt_s2_fraction": 0.5, "windows_with_change_fraction": 0.5,
+                      "rankin_selberg_ratio_X1000": 1.0, "rankin_selberg_ratio_X10000": 1.0,
+                      "rankin_selberg_ratio_X100000": 1.0, "sign_balance_dev": 0.1,
+                      "nonvanishing_ratio_log10": math.log10(2.0),
+                      "tau_identity_failures": 0.0},
+            "euler": {"euler_degenerate_closed_form": 1e-10,
+                      "euler_degenerate_series_vs_closed": 1e-10,
+                      "euler_series_vs_closed_max": 1e-9, "euler_ratio_identity_max": 1e-9},
+            "mvt": {"mvt_ratio_max_50_draws": 8.0, "d_estimate_ratio_max": 4.0},
+        }
+        assert set(report) == {"command", "seed", "suites", "passed"}
+
+    def test_tol_is_not_an_option(self, capsys):
+        # no one number may loosen bounds of different units at once
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--tol", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
 
 
 class TestKatoCommand:
@@ -135,6 +174,24 @@ class TestGenAndIngest:
         seq = cli.ingest(str(path), "seqcsv")
         assert len(seq.values) == 10**6 and seq.values[-1] == -1.0
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_seq_ingest_rejects_non_finite_values(self, tmp_path, capsys, text):
+        # a NaN would count as a negative entry and as a false sign change
+        path = tmp_path / "seq.csv"
+        path.write_text(f"m,value\n1,1.0\n2,{text}\n3,-1.0\n")
+        with pytest.raises(cli.IngestError, match=":3: value = "):
+            cli.ingest(str(path), "seqcsv")
+        assert run(["signs", "--source", "csv", "--path", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{path}:3: value = {text} is not finite" in err
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_gl2_ingest_rejects_non_finite_values(self, tmp_path, text):
+        path = tmp_path / "gl2.csv"
+        path.write_text(f"p,lambda\n2,1.0\n3,{text}\n")
+        with pytest.raises(cli.IngestError, match=f":3: lambda = {text} is not finite"):
+            cli.ingest(str(path), "gl2csv")
+
     def test_seq_ingest(self, tmp_path):
         path = tmp_path / "seq.csv"
         path.write_text("m,value\n1,1.0\n2,-2.0\n4,0.5\n")
@@ -231,11 +288,10 @@ class TestErrorPaths:
     def test_missing_file_is_config_error(self):
         assert run(["signs", "--source", "csv", "--path", "/nonexistent.csv"]) == 2
 
-    @pytest.mark.parametrize("command", ["verify", "kato", "satotate", "mvt"])
+    @pytest.mark.parametrize("command", ["kato", "satotate", "mvt"])
     @pytest.mark.parametrize("tol", ["0", "-1"])
     def test_bad_tol_is_config_error(self, capsys, tol, command):
         argv = {
-            "verify": ["verify", "--suite", "schur"],
             "kato": ["kato", "--l1", "1", "--l2", "1", "--p", "2"],
             "satotate": ["satotate", "--p", "2", "--samples", "200"],
             "mvt": ["mvt", "--N", "8", "--T", "8", "--draws", "1"],
@@ -284,9 +340,6 @@ class TestErrorPaths:
          "field 'tol' = 1e-16 is below what Kato quadrature can certify"),
         (["kato", "--l1", "6", "--l2", "6", "--p", "1009", "--tol", "1e-8"],
          "field 'tol' = 1e-08 is below what Kato quadrature can certify"),
-        (["verify", "--suite", "kato", "--tol", "1e-16"],
-         "field 'tol' = 1e-16 is below what Kato quadrature can certify"),
-        (["verify", "--tol", "1e-16"], "field 'tol' = 1e-16 is below what Kato quadrature can certify"),
     ], ids=["mvt-T-neg", "mvt-T-zero", "mvt-N-neg", "mvt-N-zero", "mvt-draws-zero",
             "satotate-cells-neg", "signs-M-zero", "signs-H-zero", "signs-H-one",
             "kato-l1-big", "kato-l1-neg", "kato-l2-big", "kato-p-composite", "kato-p-zero",
@@ -295,8 +348,7 @@ class TestErrorPaths:
             "gen-gl2-N-big", "gen-table-bound-n-zero", "gen-table-bound-n-above-N",
             "gen-count-zero", "gen-K-small", "signs-X-zero", "signs-X-big",
             "signs-window-X-small", "signs-window-M-eq-H", "signs-zero-tol-neg",
-            "kato-tol-below-floor", "kato-tol-below-floor-66", "verify-kato-tol-below-floor",
-            "verify-all-tol-below-floor"])
+            "kato-tol-below-floor", "kato-tol-below-floor-66"])
     def test_bad_size_is_config_error(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 2

@@ -286,3 +286,11 @@ class TestSym2Lift:
     def test_gl2_ramanujan_flag_enforced(self):
         with pytest.raises(NonTemperedError):
             GL2FormData([(2, 2.5)], ramanujan=True)
+
+    def test_nan_lambda_is_not_tempered(self):
+        # |nan| > 2 is false, so a NaN once passed the test and the lift
+        # clamped it to lambda = -2, which gives A(2, 1) = 3
+        with pytest.raises(NonTemperedError, match=r"\[3\]"):
+            GL2FormData([(2, 1.0), (3, math.nan)], ramanujan=True)
+        with pytest.raises(NonTemperedError, match=r"\[2\]"):
+            sym2_lift(GL2FormData([(2, math.nan)], ramanujan=False))

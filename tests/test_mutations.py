@@ -1,16 +1,15 @@
-"""Planted defects that the Kato, Hecke, signs, measures and satotate checks
-must catch.
+"""Planted defects that the Kato, Hecke, signs, measures, satotate, schur and
+euler checks must catch.
 
-Each test plants one defect by monkeypatch and runs `suite_kato`,
-`suite_hecke`, `suite_signs`, `suite_measures` or `suite_satotate` as
-`gl3hecke verify --suite NAME` does; a check that passes on a planted defect
-could not tell it from working code.
+Each test plants one defect by monkeypatch and runs a suite (`suite_kato`,
+`suite_hecke`, `suite_signs`, ...) as `gl3hecke verify --suite NAME` does; a
+check that passes on a planted defect could not tell it from working code.
 """
 
 import numpy as np
 import pytest
 
-from gl3hecke import arith, hecke, klpoly, measures, schuralg, signstats, suites, tau
+from gl3hecke import arith, dirichlet, hecke, klpoly, measures, schuralg, signstats, suites, tau
 
 
 def kato_identity(**kwargs):
@@ -198,3 +197,30 @@ def test_sampler_at_the_next_prime(monkeypatch):
     failed = failed_checks(suites.suite_satotate)
     assert set(failed) == {"effective_st_9cell_p2", "effective_st_9cell_p5"}
     assert all(value > 0.02 for value in failed.values())
+
+
+def test_unplanted_schur_bernstein_and_euler_suites_pass():
+    for suite in (suites.suite_schur, suites.suite_bernstein, suites.suite_euler):
+        assert failed_checks(suite) == {}
+
+
+def test_s11_jacobi_trudi_plus_one(monkeypatch):
+    # S_{1,1} = e1 e2 - 1 expanded as e1 e2: the Schur coordinates of its
+    # square and of e1 e2 / 9 both come out wrong
+    real = schuralg.schur_to_epoly
+    monkeypatch.setattr(schuralg, "schur_to_epoly", lambda l1, l2: (
+        real(l1, l2) + schuralg.E_ONE if (l1, l2) == (1, 1) else real(l1, l2)))
+    assert set(failed_checks(suites.suite_schur)) == {
+        "s11_square_expansion_mismatches", "degenerate_point_sum_vs_64"}
+    assert set(failed_checks(suites.suite_bernstein)) == {"bernstein_l1_anchor"}
+
+
+def test_dual_coefficient_taken_as_a_p1(monkeypatch):
+    # A(1, p) read as A(p, 1) in the closed-form Euler factor: equal on
+    # self-dual data, wrong on the two generic tempered primes
+    real = dirichlet.schur_from_elementary
+    monkeypatch.setattr(dirichlet, "schur_from_elementary",
+                        lambda l1, l2, e1, e2: real(l2, l1, e1, e2))
+    failed = failed_checks(suites.suite_euler)
+    assert set(failed) == {"euler_series_vs_closed_max", "euler_ratio_identity_max"}
+    assert all(value > 1e-4 for value in failed.values())

@@ -276,6 +276,19 @@ class TestNonvanishingDensity:
         assert rec["rhs"] == pytest.approx(0.5)
         assert rec["ratio"] == pytest.approx(1.0)
 
+    def test_nan_is_nonzero_as_in_the_sign_counts(self):
+        # one zero test for both statistics: a NaN entry, here at the prime 2,
+        # is kept by the sign counts, so it must count as non-vanishing too
+        class Table(RowFromValue):
+            def value(self, m, n):
+                return complex([1.0, math.nan, -1.0, 0.5, 2.0][m - 1])
+
+        rec = nonvanishing_density(Table(), 5)
+        counts = count_sign_changes(sequence_from_table(Table(), 5))
+        assert counts.zeros == 0
+        assert rec["lhs"] * 5 == counts.positives + counts.negatives
+        assert rec["rhs"] == 1.0
+
     def test_sieve_product_reproduced_within_ten_percent(self):
         X = 100_000
         rec = nonvanishing_density(ToyTable({3, 7, 19}, X), X)
