@@ -44,12 +44,13 @@ def _seq_row(row) -> tuple[int, float]:
 def ingest(path: str, fmt: str):
     """Parse a gl2csv (`p,lambda`) or seqcsv (`m,value`) file.
 
-    gl2csv returns GL2FormData with the ramanujan flag set iff every
-    |lambda| <= 2; seqcsv returns a RealSequence (missing indices are zero).
+    gl2csv returns GL2FormData with the ramanujan flag set iff
+    `hecke.nontempered_primes` finds no prime; seqcsv returns a RealSequence
+    (missing indices are zero).
     """
     if fmt == "gl2csv":
         pairs = list(read_csv(path, ("p", "lambda"), "prime", _gl2_row).items())
-        ramanujan = all(abs(lam) <= 2.0 for _, lam in pairs)
+        ramanujan = not hecke.nontempered_primes(pairs)
         if not ramanujan:
             print(f"warning: {path} has |lambda| > 2; ramanujan flag is false",
                   file=sys.stderr)

@@ -88,6 +88,11 @@ class PrimeLocalData:
             raise ValueError(f"{self.p} is not prime")
 
 
+def nontempered_primes(pairs) -> list[int]:
+    """Primes of (p, lambda(p)) pairs with |lambda| > 2 + UNIT_TOL, or NaN."""
+    return [p for p, lam in pairs if not abs(lam) <= 2.0 + UNIT_TOL]
+
+
 @dataclass
 class GL2FormData:
     """Real Hecke eigenvalues lambda(p) of a degree-two form, per prime."""
@@ -97,7 +102,7 @@ class GL2FormData:
 
     def __post_init__(self):
         if self.ramanujan:
-            bad = [p for p, lam in self.pairs if not abs(lam) <= 2.0 + UNIT_TOL]
+            bad = nontempered_primes(self.pairs)
             if bad:
                 raise NonTemperedError(
                     f"|lambda(p)| > 2 at primes {bad} contradicts ramanujan=True"
@@ -106,8 +111,9 @@ class GL2FormData:
 
 def _complete_homogeneous(e1, e2, n: int) -> list:
     """h_0, ..., h_n from e1, e2 (with e3 = 1) by the recurrence
-    h_k = e1 h_{k-1} - e2 h_{k-2} + h_{k-3}; scalars or numpy arrays."""
-    h = [e1 * 0 + 1.0]  # matches scalar or array shape
+    h_k = e1 h_{k-1} - e2 h_{k-2} + h_{k-3}, in any ring whose elements
+    have +, -, * and ** 0: scalars, numpy arrays or exact polynomials."""
+    h = [e1 ** 0]  # the ring's one, in e1's shape
     for k in range(1, n + 1):
         h_k = e1 * h[k - 1]
         if k >= 2:
@@ -125,15 +131,15 @@ def schur_from_elementary(l1: int, l2: int, e1, e2):
     Satake triple at p.  Uses the two-row Jacobi-Trudi determinant
     h_a h_b - h_{a+1} h_{b-1} for the partition (l1+l2, l2, 0), with the
     complete homogeneous polynomials of _complete_homogeneous.  Stable at
-    coincident coordinates and works elementwise on numpy arrays.  Negative
-    exponents raise ValueError.
+    coincident coordinates; works elementwise on numpy arrays and exactly
+    on `schuralg.EPoly`.  Negative exponents raise ValueError.
     """
     if l1 < 0 or l2 < 0:
         raise ValueError(f"exponents must be non-negative, got ({l1}, {l2})")
     a, b = l1 + l2, l2
     h = _complete_homogeneous(e1, e2, a + 1)
-    second = h[a + 1] * h[b - 1] if b >= 1 else 0.0
-    return h[a] * h[b] - second
+    first = h[a] * h[b]
+    return first - h[a + 1] * h[b - 1] if b else first
 
 
 class CoefficientTable:
@@ -306,7 +312,7 @@ def sym2_lift(g: GL2FormData) -> list[PrimeLocalData]:
     Branch at |lambda| = 2: beta = 1 for lambda = 2 and beta = -1 for
     lambda = -2 (the lifted triple is (1, 1, 1) either way).
     """
-    bad = [p for p, lam in g.pairs if not abs(lam) <= 2.0 + UNIT_TOL]
+    bad = nontempered_primes(g.pairs)
     if bad:
         raise NonTemperedError(f"|lambda(p)| > 2 at primes {bad}; lift needs tempered input")
     out = []

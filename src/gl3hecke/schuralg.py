@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import measures
+from .hecke import schur_from_elementary
 
 MAX_SCHUR_DEGREE = 24
 
@@ -47,9 +48,6 @@ class EPoly:
     def as_dict(self) -> dict:
         return dict(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "EPoly") -> "EPoly":
         out = dict(self.terms)
         for k, v in other.terms:
@@ -71,7 +69,7 @@ class EPoly:
                 out[k] = out.get(k, Fraction(0)) + c1 * c2
         return EPoly(out)
 
-    def pow(self, n: int) -> "EPoly":
+    def __pow__(self, n: int) -> "EPoly":
         acc = EPoly({(0, 0): 1})
         for _ in range(n):
             acc = acc * self
@@ -100,49 +98,42 @@ class WInvariantLaurent:
 
 
 @lru_cache(maxsize=None)
-def _h_epoly(k: int) -> EPoly:
-    """Complete homogeneous polynomial h_k in (e1, e2) under e3 = 1, by
-    h_k = e1 h_{k-1} - e2 h_{k-2} + h_{k-3}."""
-    if k < 0:
-        return EPoly()
-    if k == 0:
-        return E_ONE
-    acc = E1 * _h_epoly(k - 1) - E2 * _h_epoly(k - 2)
-    if k >= 3:
-        acc = acc + _h_epoly(k - 3)
-    return acc
+def schur_to_epoly(l1: int, l2: int) -> EPoly:
+    """Exact expansion of the (l1, l2) Schur basis element in e1, e2: the
+    Jacobi-Trudi determinant of `schur_from_elementary`, taken over EPoly."""
+    if l1 + l2 > MAX_SCHUR_DEGREE:
+        raise ValueError(f"l1 + l2 = {l1 + l2} exceeds guard {MAX_SCHUR_DEGREE}")
+    return schur_from_elementary(l1, l2, E1, E2)
 
 
 @lru_cache(maxsize=None)
-def schur_to_epoly(l1: int, l2: int) -> EPoly:
-    """Exact expansion of the (l1, l2) Schur basis element in e1, e2 via the
-    two-row Jacobi-Trudi determinant."""
-    if l1 < 0 or l2 < 0:
-        raise ValueError("indices must be non-negative")
-    if l1 + l2 > MAX_SCHUR_DEGREE:
-        raise ValueError(f"l1 + l2 = {l1 + l2} exceeds guard {MAX_SCHUR_DEGREE}")
-    a, b = l1 + l2, l2
-    out = _h_epoly(a) * _h_epoly(b)
-    if b >= 1:
-        out = out - _h_epoly(a + 1) * _h_epoly(b - 1)
-    return out
+def _monomial_in_schur(a: int, b: int) -> tuple:
+    """Schur multiplicities ((l1, l2), m) of e1^a e2^b, non-negative integers,
+    by one step of the Pieri rule (e3 = 1) from e1^(a-1) e2^b, or from
+    e2^(b-1) when a = 0:
+    e1 S_{l1,l2} = S_{l1+1,l2} + S_{l1-1,l2+1} + S_{l1,l2-1} and
+    e2 S_{l1,l2} = S_{l1,l2+1} + S_{l1+1,l2-1} + S_{l1-1,l2},
+    a term with a negative index dropped."""
+    if min(a, b) < 0 or a + b > MAX_SCHUR_DEGREE:
+        raise ValueError(f"e1^{a} e2^{b} is outside the degree guard {MAX_SCHUR_DEGREE}")
+    if a == b == 0:
+        return (((0, 0), 1),)
+    prev = _monomial_in_schur(a - 1, b) if a else _monomial_in_schur(0, b - 1)
+    moves = ((1, 0), (-1, 1), (0, -1)) if a else ((0, 1), (1, -1), (-1, 0))
+    out: dict = {}
+    for (l1, l2), m in prev:
+        for k in ((l1 + d1, l2 + d2) for d1, d2 in moves):
+            if min(k) >= 0:
+                out[k] = out.get(k, 0) + m
+    return tuple(sorted(out.items()))
 
 
 def expand_in_schur(f: EPoly) -> WInvariantLaurent:
-    """Exact Schur-basis coordinates of f by graded leading-term elimination:
-    S_{a,b} = e1^a e2^b + lower total degree, so stripping the top-degree
-    monomials one at a time terminates."""
-    residual = dict(f.terms)
-    out: dict = {}
-    while residual:
-        a, b = max(residual, key=lambda k: (k[0] + k[1], k))
-        c = residual[(a, b)]
-        out[(a, b)] = out.get((a, b), Fraction(0)) + c
-        for k, v in schur_to_epoly(a, b).scale(c).terms:
-            residual[k] = residual.get(k, Fraction(0)) - v
-            if not residual[k]:
-                del residual[k]
-    return WInvariantLaurent(out)
+    """Exact Schur-basis coordinates of f, monomial by monomial by the Pieri
+    rule; independent of the Jacobi-Trudi `schur_to_epoly`, so the two check
+    each other."""
+    return WInvariantLaurent(
+        (key, c * m) for (a, b), c in f.terms for key, m in _monomial_in_schur(a, b))
 
 
 def bernstein_coeffs(l: int) -> WInvariantLaurent:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from gl3hecke import cli
+from gl3hecke import cli, hecke, schuralg
 
 
 def run(argv):
@@ -156,6 +156,17 @@ class TestGenAndIngest:
         form = cli.ingest(str(path), "gl2csv")
         assert form.ramanujan is False
         assert "warning" in capsys.readouterr().err
+
+    def test_ingest_tempered_within_unit_tol(self, tmp_path, capsys):
+        # the one temperedness test of hecke: |lambda| <= 2 + UNIT_TOL, so the
+        # flag agrees with GL2FormData and sym2_lift, which lifts to (1, 1, 1)
+        path = tmp_path / "edge.csv"
+        path.write_text("p,lambda\n2,2.0000000000001\n")
+        form = cli.ingest(str(path), "gl2csv")
+        assert form.ramanujan is True
+        assert capsys.readouterr().err == ""
+        satake = hecke.sym2_lift(form)[0].satake
+        assert (satake.alpha1, satake.alpha2, satake.alpha3) == (1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("m", ["0", "1000001"])
     def test_seq_ingest_rejects_index_outside_the_cap(self, tmp_path, capsys, m):
@@ -381,18 +392,24 @@ class TestCrossProcessDeterminism:
         (["verify", "--suite", "signs", "--seed", "0"], {}),
         # the D windows, sieved with in-place complex products
         (["verify", "--suite", "mvt", "--seed", "0"], {}),
+        # the Jacobi-Trudi and Pieri expansions, memoised per process: the
+        # first run here starts cold, the second warm
+        (["verify", "--suite", "bernstein", "--seed", "0"], {}),
         # the subprocess runs single-threaded BLAS, the test process its default
         (["mvt", "--N", "1024", "--T", "1024", "--draws", "5", "--seed", "3"],
          {"OPENBLAS_NUM_THREADS": "1"}),
     ], ids=["satotate", "verify-satotate", "verify-signs", "verify-mvt",
-         "mvt-single-blas-thread"])
+         "verify-bernstein", "mvt-single-blas-thread"])
     def test_fresh_interpreter_matches_in_process(self, tmp_path, args, env):
         # guards against any dependence on per-process cache warm-up order
         import os
         import subprocess
         import sys
 
-        # the second in-process run starts with every memo warm
+        # the first in-process run starts with cold Schur expansions, the
+        # second with every memo warm
+        schuralg.schur_to_epoly.cache_clear()
+        schuralg._monomial_in_schur.cache_clear()
         out0, out1 = tmp_path / "inproc0.json", tmp_path / "inproc.json"
         assert run(args + ["--out", str(out0)]) == 0
         assert run(args + ["--out", str(out1)]) == 0

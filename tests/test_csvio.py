@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl3hecke import cli
+from gl3hecke import cli, hecke
 from gl3hecke.arith import primes_upto
 from gl3hecke.csvio import IngestError, read_csv, write_csv
 
@@ -25,7 +25,7 @@ def test_gl2_round_trip(path, lam):
     write_csv(path, ("p", "lambda"), lam.items())
     form = cli.ingest(path, "gl2csv")
     assert form.pairs == list(lam.items())
-    assert form.ramanujan == all(abs(v) <= 2.0 for v in lam.values())
+    assert form.ramanujan == all(abs(v) <= 2.0 + hecke.UNIT_TOL for v in lam.values())
 
 
 @round_trip

@@ -58,7 +58,21 @@ def test_mobius_of_four_planted_as_one(monkeypatch):
     assert failed["mobius_expand_max_error"] > 1.0
 
 
-def test_schur_recurrence_e2_sign_flipped(monkeypatch):
+@pytest.fixture
+def fresh_expansions():
+    # schur_to_epoly and the Pieri multiplicities are memoised, and each
+    # recursion reads its patched name: a defect must neither be hidden by
+    # entries built before it nor leave its own entries to later tests.  The
+    # memos are taken before the test patches their names.
+    memos = (schuralg.schur_to_epoly, schuralg._monomial_in_schur)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+def test_schur_recurrence_e2_sign_flipped(monkeypatch, fresh_expansions):
     # h_k = e1 h_{k-1} + e2 h_{k-2} + h_{k-3} is the recurrence of another
     # triple, the one with elementary symmetric values (e1, -e2, 1).  The Hecke
     # relation and the Mobius expansion hold for every triple; only the
@@ -92,6 +106,20 @@ def failed_signs_checks():
 
 def test_unplanted_signs_suite_passes():
     assert failed_signs_checks() == set()
+
+
+def test_sym2_tau_table_planted_as_the_trivial_lift(monkeypatch):
+    # lambda(p) = 2 at every p lifts to (1, 1, 1), so A(m, 1) = d_3(m) > 0:
+    # no sign changes, S1 = S2 in every window, and the Rankin-Selberg sum
+    # grows like X log^8 X instead of X; a sign check that passes this
+    # cannot tell a positive sequence from the sym^2 lift of tau
+    monkeypatch.setattr(suites, "sym2_tau_table", lambda values: hecke.CoefficientTable(
+        hecke.sym2_lift(hecke.GL2FormData([(p, 2.0) for p in arith.primes_upto(len(values))])),
+        len(values), len(values)))
+    assert failed_signs_checks() == {
+        "sign_changes_count", "s1_lt_s2_fraction", "windows_with_change_fraction",
+        "rankin_selberg_ratio_X1000", "rankin_selberg_ratio_X10000",
+        "rankin_selberg_ratio_X100000", "sign_balance_dev"}
 
 
 def test_dropped_jacobi_term_of_eta_cubed(monkeypatch):
@@ -204,15 +232,29 @@ def test_unplanted_schur_bernstein_and_euler_suites_pass():
         assert failed_checks(suite) == {}
 
 
-def test_s11_jacobi_trudi_plus_one(monkeypatch):
-    # S_{1,1} = e1 e2 - 1 expanded as e1 e2: the Schur coordinates of its
-    # square and of e1 e2 / 9 both come out wrong
+def test_s11_jacobi_trudi_plus_one(monkeypatch, fresh_expansions):
+    # S_{1,1} = e1 e2 - 1 expanded as e1 e2: the Schur expansions run by the
+    # Pieri rule and never read it, so only the round trip, Jacobi-Trudi
+    # there and Pieri back, sees the defect
     real = schuralg.schur_to_epoly
     monkeypatch.setattr(schuralg, "schur_to_epoly", lambda l1, l2: (
         real(l1, l2) + schuralg.E_ONE if (l1, l2) == (1, 1) else real(l1, l2)))
+    assert failed_checks(suites.suite_schur) == {}
+    assert failed_checks(suites.suite_bernstein) == {"schur_roundtrip_mismatches": 1.0}
+
+
+def test_pieri_drops_the_trivial_summand_of_e1_e2(monkeypatch, fresh_expansions):
+    # e1 e2 = S_{1,1} + S_{0,0} expanded as S_{1,1} alone; every e1^a e2^b
+    # with a, b >= 1 is built on it, so the square of S_{1,1}, the anchor
+    # e1 e2 / 9 and 37 of the 45 round trips come out wrong
+    real = schuralg._monomial_in_schur
+    monkeypatch.setattr(schuralg, "_monomial_in_schur", lambda a, b: tuple(
+        t for t in real(a, b) if (a, b) != (1, 1) or t[0] != (0, 0)))
     assert set(failed_checks(suites.suite_schur)) == {
         "s11_square_expansion_mismatches", "degenerate_point_sum_vs_64"}
-    assert set(failed_checks(suites.suite_bernstein)) == {"bernstein_l1_anchor"}
+    failed = failed_checks(suites.suite_bernstein)
+    assert set(failed) == {"schur_roundtrip_mismatches", "bernstein_l1_anchor"}
+    assert failed["schur_roundtrip_mismatches"] == 37.0
 
 
 def test_dual_coefficient_taken_as_a_p1(monkeypatch):

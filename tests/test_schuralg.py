@@ -19,6 +19,7 @@ from gl3hecke.schuralg import (
     E1,
     E2,
     E_ONE,
+    EPoly,
     EmpiricalDistribution,
     WInvariantLaurent,
     bernstein_coeffs,
@@ -55,7 +56,7 @@ class TestExpandInSchur:
         assert got == {(2, 0): Fraction(1), (0, 1): Fraction(1)}
 
     def test_adjoint_square(self):
-        got = expand_in_schur((E1 * E2 - E_ONE).pow(2)).as_dict()
+        got = expand_in_schur((E1 * E2 - E_ONE) ** 2).as_dict()
         assert got == {
             (0, 0): Fraction(1),
             (1, 1): Fraction(2),
@@ -63,6 +64,22 @@ class TestExpandInSchur:
             (3, 0): Fraction(1),
             (0, 3): Fraction(1),
         }
+
+    def test_monomial_multiplicities_sum_to_the_dimension(self):
+        # e1^a e2^b is the character of V^(x a) (x) (V*)^(x b), of dimension
+        # 3^(a+b): non-negative integer multiplicities times the Weyl
+        # dimensions (l1+1)(l2+1)(l1+l2+2)/2 of the Schur elements
+        for a in range(25):
+            for b in range(25 - a):
+                got = expand_in_schur(EPoly({(a, b): 1})).as_dict()
+                assert all(m.denominator == 1 and m > 0 for m in got.values())
+                assert sum(m * (l1 + 1) * (l2 + 1) * (l1 + l2 + 2) // 2
+                           for (l1, l2), m in got.items()) == 3 ** (a + b)
+
+    @pytest.mark.parametrize("a,b", [(25, 0), (0, 25), (12, 13)])
+    def test_monomial_degree_guard(self, a, b):
+        with pytest.raises(ValueError):
+            expand_in_schur(EPoly({(a, b): 1}))
 
     def test_round_trip_up_to_degree_eight(self):
         for l1 in range(9):
@@ -206,7 +223,7 @@ class TestPushforwardMasses:
         else:
             spec = measures.MeasureSpec.plancherel(p)
             moment = lambda l1, l2: kato_moment(l1, l2, p)
-        square = expand_in_schur((E1 * E2 - E_ONE).pow(2)).as_dict()
+        square = expand_in_schur((E1 * E2 - E_ONE) ** 2).as_dict()
         want_2 = float(sum(c * moment(l1, l2) for (l1, l2), c in square.items()))
         r, w = schuralg._pushforward_rule(spec, 3.0, schuralg._ORDERS[-1])
         assert abs(np.sum(w) - 1.0) <= 1e-12
