@@ -32,7 +32,7 @@ class DirichletPolynomial:
 
     def __post_init__(self):
         self.terms = {int(n): complex(c) for n, c in self.terms.items() if c != 0}
-        if any(n < 1 for n in self.terms):
+        if min(self.terms, default=1) < 1:
             raise ValueError("frequencies must be positive integers")
 
     @cached_property
@@ -146,11 +146,16 @@ def euler_factor_check(local: PrimeLocalData, s: complex, J: int = 60) -> dict:
 
 
 _KERNEL_ROWS = 64
+# T x below which a pair's kernel is 2 sin(Tx)/x from x itself, not by angle
+# addition
+_DIRECT_BAND = 1.0
+# the pairs of a block's own columns strictly above its diagonal
+_ABOVE = ~np.tri(_KERNEL_ROWS, dtype=bool)
 
 
-def _kernel(T: float, x: np.ndarray) -> np.ndarray:
-    """K_T(x) = 2 sin(Tx)/x, for x > 0."""
-    return 2.0 * np.sin(T * x) / x
+def _phases(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sin and cos of each phase T log n."""
+    return np.sin(theta), np.cos(theta)
 
 
 def second_moment_many(polys: list[DirichletPolynomial], T: float) -> list[float]:
@@ -165,6 +170,16 @@ def second_moment_many(polys: list[DirichletPolynomial], T: float) -> list[float
     every x = log n_j - log n_i there is positive.  The reduction is einsum
     rather than a matrix product: its summation order does not depend on the
     number of BLAS threads, so reports stay byte-identical.
+
+    Past a band of columns, sin(Tx) = s_j c_i - c_j s_i by angle addition,
+    with s = sin(T log n) and c = cos(T log n) taken once per frequency, so
+    those pairs cost no sine.  The numerator then errs by a few ulp of T log n,
+    and K_T by T ulp(log n)/x.  2 sin(Tx)/x from the rounded x = log n_j -
+    log n_i errs by as much where Tx >= 1, but where Tx << 1 its errors in
+    sin(Tx) and in x cancel, and K_T stays within a few ulp of 2T.  So the
+    direct sine is kept on the block's own columns and on the band after them
+    where its last row has Tx < _DIRECT_BAND: every pair past the band has
+    Tx >= 1.
     """
     support = sorted(set().union(*(p.terms for p in polys)))
     log_n = np.fromiter(map(math.log, support), float, len(support))
@@ -176,15 +191,31 @@ def second_moment_many(polys: list[DirichletPolynomial], T: float) -> list[float
         coef[np.searchsorted(log_n, poly_log_n), j] = poly_coef
     coef *= np.exp(-0.5 * log_n)[:, None]
     parts = np.concatenate([coef.real, coef.imag], axis=1)
+    columns = np.ascontiguousarray(parts.T)
     quad = 2.0 * T * np.einsum("ik,ik->k", parts, parts)
+    theta = T * log_n
+    sin, cos = _phases(theta)
+    x = np.empty((_KERNEL_ROWS, len(support)))
+    kernel = np.empty_like(x)
     for lo in range(0, len(support), _KERNEL_ROWS):
         block = parts[lo : lo + _KERNEL_ROWS]
-        hi = lo + len(block)
-        i, j = np.triu_indices(len(block), 1)
-        x = log_n[lo + j] - log_n[lo + i]
-        quad += 2.0 * np.einsum("pk,p,pk->k", block[i], _kernel(T, x), block[j])
-        x = log_n[None, hi:] - log_n[lo:hi, None]
-        quad += 2.0 * np.einsum("ik,ij,jk->k", block, _kernel(T, x), parts[hi:])
+        m, hi = len(block), lo + len(block)
+        w = max(hi, int(np.searchsorted(theta, theta[hi - 1] + _DIRECT_BAND))) - lo
+        xb, kb = x[:m, : len(support) - lo], kernel[:m, : len(support) - lo]
+        # s_j c_i - c_j s_i past the band, with xb as scratch for c_j s_i
+        np.multiply.outer(cos[lo:hi], sin[lo + w :], out=kb[:, w:])
+        np.multiply.outer(sin[lo:hi], cos[lo + w :], out=xb[:, w:])
+        kb[:, w:] -= xb[:, w:]
+        np.subtract(log_n[None, lo:], log_n[lo:hi, None], out=xb)
+        np.multiply(xb[:, :w], T, out=kb[:, :w])
+        np.sin(kb[:, :m], out=kb[:, :m], where=_ABOVE[:m, :m])
+        np.sin(kb[:, m:w], out=kb[:, m:w])
+        # the pairs on and below the diagonal are divided by inf, to 0
+        xb[:, :m][~_ABOVE[:m, :m]] = np.inf
+        kb /= xb
+        # kb holds sin(Tx)/x, half of K_T, and the triangle counts twice
+        rows = np.einsum("ij,kj->ik", kb, columns[:, lo:])
+        quad += 4.0 * np.einsum("ik,ik->k", block, rows)
     return [float(v) for v in quad[: len(polys)] + quad[len(polys) :]]
 
 

@@ -48,11 +48,11 @@ class SatakeTriple:
 
     def __post_init__(self):
         prod = self.alpha1 * self.alpha2 * self.alpha3
-        if abs(prod - 1.0) > PRODUCT_TOL:
+        if not abs(prod - 1.0) <= PRODUCT_TOL:
             raise ValueError(f"Satake product {prod} is not 1 within {PRODUCT_TOL}")
         if self.tempered:
             for a in (self.alpha1, self.alpha2, self.alpha3):
-                if abs(abs(a) - 1.0) > UNIT_TOL:
+                if not abs(abs(a) - 1.0) <= UNIT_TOL:
                     raise ValueError(f"tempered triple has |{a}| != 1")
 
     @classmethod

@@ -7,7 +7,8 @@ moment, the per-entry sign-change count, the per-window sign-change walk,
 the per-window short-interval sums,
 primality by trial division, Dirichlet polynomial evaluation term by term,
 the window polynomial D evaluated as a product over squarefree d, the
-full-square mean-value kernel, the truncated square by Kronecker
+full-square mean-value kernel, the mean-value identity in mpmath, the
+truncated square by Kronecker
 substitution on Python ints, the straddle-refined torus grid for A(p, p)
 cell masses, and the distribution function of |e1| by mpmath quadrature."""
 
@@ -330,6 +331,26 @@ def second_moment_full_square(polys, T: float) -> list[float]:
         kernel = 2.0 * T * np.sinc(diff * (T / math.pi))
         quad += np.einsum("ik,ij,jk->k", parts[lo : lo + 64], kernel, parts)
     return [float(v) for v in quad[: len(polys)] + quad[len(polys) :]]
+
+
+def second_moment_mpmath(poly, T: float, dps: int = 40) -> float:
+    """The mean-value identity sum_{m,n} a_m conj(a_n) (mn)^{-1/2} K_T(log m/n)
+    of one polynomial in mpmath at dps digits, each log and sine taken from
+    the exact integer frequencies: 2T sum |a_n|^2/n plus twice the sum of
+    Re(a_m conj(a_n)) (mn)^{-1/2} 2 sin(T x)/x over m < n, x = log n/m."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        T = mp.mpf(T)
+        freqs = sorted(poly.terms)
+        logs = [mp.log(n) for n in freqs]
+        amps = [mp.mpc(poly.terms[n].real, poly.terms[n].imag) / mp.sqrt(n) for n in freqs]
+        total = 2 * T * mp.fsum(abs(a) ** 2 for a in amps)
+        for i in range(len(freqs)):
+            for j in range(i + 1, len(freqs)):
+                x = logs[j] - logs[i]
+                total += 4 * (amps[i] * mp.conj(amps[j])).real * mp.sin(T * x) / x
+        return float(total)
 
 
 def is_prime_trial(n: int) -> bool:

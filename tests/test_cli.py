@@ -35,7 +35,7 @@ class TestVerifyCommand:
         code = run(["verify", "--suite", "mvt", "--seed", "6", "--out", str(out)])
         assert code == 0
         checks = json.loads(out.read_text())["suites"]["mvt"]["checks"]
-        assert [c["status"] for c in checks] == ["pass", "pass"]
+        assert [c["status"] for c in checks] == ["pass", "pass", "pass"]
 
     def test_every_bound_is_fixed_in_its_suite(self, tmp_path):
         out = tmp_path / "report.json"
@@ -64,7 +64,8 @@ class TestVerifyCommand:
             "euler": {"euler_degenerate_closed_form": 1e-10,
                       "euler_degenerate_series_vs_closed": 1e-10,
                       "euler_series_vs_closed_max": 1e-9, "euler_ratio_identity_max": 1e-9},
-            "mvt": {"mvt_ratio_max_50_draws": 8.0, "d_estimate_ratio_max": 4.0},
+            "mvt": {"mvt_ratio_max_50_draws": 8.0, "mvt_closed_form_max_rel_error": 1e-12,
+                    "d_estimate_ratio_max": 4.0},
         }
         assert set(report) == {"command", "seed", "suites", "passed"}
 

@@ -9,9 +9,10 @@ from oracles import (
     d_poly_direct,
     dirichlet_eval_loop,
     second_moment_full_square,
+    second_moment_mpmath,
     second_moment_simpson,
 )
-from gl3hecke import suites, tau
+from gl3hecke import dirichlet, suites, tau
 from gl3hecke.arith import primes_upto
 from gl3hecke.dirichlet import (
     DirichletPolynomial,
@@ -289,6 +290,10 @@ class TestMeanValue:
     def test_empty_batch(self):
         assert second_moment_many([], 64.0) == []
 
+    def test_zero_length_interval(self):
+        poly = DirichletPolynomial({n: complex(n, -n) for n in range(1, 200)})
+        assert second_moment_many([poly], 0.0) == [0.0]
+
     def test_batch_mixing_empty_and_nonempty(self):
         poly = DirichletPolynomial({n: (-1.0) ** n for n in range(16, 33)})
         empty, rec = mvt_ratio_many([DirichletPolynomial({}), poly], 64.0)
@@ -296,3 +301,52 @@ class TestMeanValue:
         (alone,) = mvt_ratio_many([poly], 64.0)
         assert rec["lhs"] == pytest.approx(alone["lhs"], rel=1e-14)
         assert rec["rhs"] == alone["rhs"]
+
+
+class TestKernelAgainstMpmath:
+    """second_moment_many against the mean-value identity at 40 digits.  Past
+    a direct band of columns the kernel is formed by angle addition, which
+    loses digits where T x << 1; the band keeps the direct sine there."""
+
+    # Fixed before measuring, as a share of the scale 2T (sum |a_n| n^-1/2)^2:
+    # a few ulp of the largest kernel value 2T, summed with random signs
+    MPMATH_REL = 1e-15
+
+    @staticmethod
+    def batch(case):
+        """Complex coefficients and signs on 129 consecutive frequencies from
+        10^5 or 10^6 (every pair there has T x < 1 for T <= 3), or complex
+        coefficients on 65 or 129 frequencies from 10 (a block edge)."""
+        kind, size = case.split("_")
+        gen = np.random.default_rng(int(size) + len(kind))
+        if kind == "edge":
+            return [DirichletPolynomial(
+                {n: complex(gen.normal(), gen.normal()) for n in range(10, 10 + int(size))})]
+        base = {"1e5": 10 ** 5, "1e6": 10 ** 6}[kind]
+        support = range(base, base + int(size))
+        return [
+            DirichletPolynomial({n: complex(gen.normal(), gen.normal()) for n in support}),
+            DirichletPolynomial({n: float(gen.choice((-1.0, 1.0))) for n in support}),
+        ]
+
+    @staticmethod
+    def worst_error(polys, T):
+        got = second_moment_many(polys, T)
+        return max(
+            abs(g - second_moment_mpmath(poly, T))
+            / (2.0 * T * sum(abs(c) / math.sqrt(n) for n, c in poly.terms.items()) ** 2)
+            for poly, g in zip(polys, got))
+
+    @pytest.mark.parametrize("case,T", [
+        ("1e5_129", 1.0), ("1e5_129", 3.0), ("1e6_129", 1.0), ("1e6_129", 3.0),
+        ("edge_65", 1.0), ("edge_65", 64.0), ("edge_129", 3.0), ("edge_129", 1024.0),
+    ])
+    def test_matches_mpmath(self, case, T):
+        assert self.worst_error(self.batch(case), T) <= self.MPMATH_REL
+
+    @pytest.mark.parametrize("case,T", [("1e5_129", 3.0), ("1e6_129", 1.0), ("1e6_129", 3.0)])
+    def test_angle_addition_everywhere_fails(self, monkeypatch, case, T):
+        # a band of width 0 leaves the direct sine on each block's own columns
+        # only: the pairs with T x << 1 across block edges lose digits
+        monkeypatch.setattr(dirichlet, "_DIRECT_BAND", 0.0)
+        assert self.worst_error(self.batch(case), T) > self.MPMATH_REL

@@ -48,6 +48,16 @@ class TestSatakeTriple:
         x = SatakeTriple.from_angles(0.3, 1.1)
         assert abs(x.alpha1 * x.alpha2 * x.alpha3 - 1.0) < 1e-14
 
+    @pytest.mark.parametrize("make", [
+        lambda: SatakeTriple.from_angles(math.nan, 0.0),
+        lambda: SatakeTriple.from_angles(math.inf, 0.0),
+        lambda: SatakeTriple(math.nan, 1.0, 1.0, tempered=False),
+    ], ids=["nan_angle", "inf_angle", "nan_alpha_not_tempered"])
+    def test_rejects_non_finite_parameters(self, make):
+        # abs(nan - 1) > tol is False: each test must be written so NaN fails it
+        with pytest.raises(ValueError):
+            make()
+
     def test_prime_local_rejects_composite(self):
         with pytest.raises(ValueError):
             PrimeLocalData(6, DEGENERATE)

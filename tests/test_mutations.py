@@ -1,10 +1,12 @@
-"""Planted defects that the Kato, Hecke, signs, measures, satotate, schur and
-euler checks must catch.
+"""Planted defects that the Kato, Hecke, signs, measures, satotate, schur,
+bernstein, euler and mvt checks must catch.
 
 Each test plants one defect by monkeypatch and runs a suite (`suite_kato`,
 `suite_hecke`, `suite_signs`, ...) as `gl3hecke verify --suite NAME` does; a
 check that passes on a planted defect could not tell it from working code.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -243,6 +245,20 @@ def test_s11_jacobi_trudi_plus_one(monkeypatch, fresh_expansions):
     assert failed_checks(suites.suite_bernstein) == {"schur_roundtrip_mismatches": 1.0}
 
 
+def test_pieri_steps_scale_multiplicities_by_5(monkeypatch, fresh_expansions):
+    # every Pieri step multiplies by 5, so e1^a e2^b comes out 5^(a+b) times
+    # too large: the l^1 norm of (e1 e2 / 9)^l is 25^l times its value, and
+    # every round trip but the one of S_{0,0} = 1 fails
+    real = schuralg._monomial_in_schur
+    monkeypatch.setattr(schuralg, "_monomial_in_schur", lambda a, b: tuple(
+        (key, 5 * m) for key, m in real(a, b)) if a + b else real(a, b))
+    failed = failed_checks(suites.suite_bernstein)
+    assert set(failed) == {"bernstein_l1_norm_max", "schur_roundtrip_mismatches",
+                           "bernstein_l1_anchor"}
+    assert failed["bernstein_l1_norm_max"] > 5.0
+    assert failed["schur_roundtrip_mismatches"] == 44.0
+
+
 def test_pieri_drops_the_trivial_summand_of_e1_e2(monkeypatch, fresh_expansions):
     # e1 e2 = S_{1,1} + S_{0,0} expanded as S_{1,1} alone; every e1^a e2^b
     # with a, b >= 1 is built on it, so the square of S_{1,1}, the anchor
@@ -266,3 +282,50 @@ def test_dual_coefficient_taken_as_a_p1(monkeypatch):
     failed = failed_checks(suites.suite_euler)
     assert set(failed) == {"euler_series_vs_closed_max", "euler_ratio_identity_max"}
     assert all(value > 1e-4 for value in failed.values())
+
+
+def test_worst_keeps_a_nan_that_follows_a_number():
+    assert math.isnan(suites.worst([1.0, math.nan, 0.5]))
+    assert suites.worst([]) == 0.0
+    assert suites.worst([-2.0]) == 0.0
+
+
+def test_second_moments_all_nan(monkeypatch):
+    # Python's max would drop the NaN ratios and read the last number seen
+    monkeypatch.setattr(dirichlet, "second_moment_many", lambda polys, T: [math.nan] * len(polys))
+    failed = failed_checks(suites.suite_mvt)
+    assert set(failed) == {"mvt_ratio_max_50_draws", "mvt_closed_form_max_rel_error"}
+    assert all(math.isnan(value) for value in failed.values())
+
+
+def test_window_polynomial_eval_nan(monkeypatch):
+    monkeypatch.setattr(dirichlet.WindowPolynomial, "eval", lambda self, s: complex(math.nan, 0.0))
+    failed = failed_checks(suites.suite_mvt)
+    assert set(failed) == {"d_estimate_ratio_max"}
+    assert math.isnan(failed["d_estimate_ratio_max"])
+
+
+def test_second_moment_kernel_at_zero_off_by_1e6(monkeypatch):
+    # K_T(0) = 2T (1 + 1e-6): every second moment gains 2e-6 T sum |a_n|^2/n,
+    # which moves the mean-value ratios by 1e-6 and the closed form far past
+    # its bound of 1e-12
+    real = dirichlet.second_moment_many
+
+    def shifted(polys, T):
+        return [v + 2e-6 * T * float(np.sum(np.abs(p._arrays[1]) ** 2 * np.exp(-p._arrays[0])))
+                for v, p in zip(real(polys, T), polys)]
+
+    monkeypatch.setattr(dirichlet, "second_moment_many", shifted)
+    failed = failed_checks(suites.suite_mvt)
+    assert set(failed) == {"mvt_closed_form_max_rel_error"}
+    assert failed["mvt_closed_form_max_rel_error"] > 5e-7
+
+
+def test_angle_addition_numerator_sign_flipped(monkeypatch):
+    # sin(T log n) negated turns s_j c_i - c_j s_i into its negative: every
+    # pair past the direct band gets -K_T(x).  The mean-value ratios stay
+    # far under their bound of 8; only the closed form sees the defect.
+    monkeypatch.setattr(dirichlet, "_phases", lambda theta: (-np.sin(theta), np.cos(theta)))
+    failed = failed_checks(suites.suite_mvt)
+    assert set(failed) == {"mvt_closed_form_max_rel_error"}
+    assert failed["mvt_closed_form_max_rel_error"] > 1e-4
