@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import compress
 
 import numpy as np
 
@@ -75,9 +74,7 @@ def is_prime(n: int) -> bool:
 
 def primes_upto(n: int) -> list[int]:
     """All primes <= n by Eratosthenes."""
-    if n < 2:
-        return []
-    return list(compress(range(n + 1), _sieve(n)))
+    return np.flatnonzero(np.frombuffer(_sieve(max(n, 1)), np.uint8)).tolist()
 
 
 @lru_cache(maxsize=8)

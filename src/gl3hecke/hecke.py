@@ -12,6 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -37,33 +38,27 @@ class NonTemperedError(ValueError):
     """Input data violates the |lambda| <= 2 temperedness requirement."""
 
 
-@dataclass(frozen=True)
 class SatakeTriple:
-    """Local parameters (alpha1, alpha2, alpha3) with alpha1*alpha2*alpha3 = 1."""
+    """Local parameters (alpha1, alpha2, alpha3) with alpha1*alpha2*alpha3 = 1:
+    a slotted record, checked once, never hashed, compared or changed."""
 
-    alpha1: complex
-    alpha2: complex
-    alpha3: complex
-    tempered: bool = True
+    __slots__ = ("alpha1", "alpha2", "alpha3", "tempered")
 
-    def __post_init__(self):
-        prod = self.alpha1 * self.alpha2 * self.alpha3
+    def __init__(self, alpha1: complex, alpha2: complex, alpha3: complex, tempered=True):
+        prod = alpha1 * alpha2 * alpha3
         if not abs(prod - 1.0) <= PRODUCT_TOL:
             raise ValueError(f"Satake product {prod} is not 1 within {PRODUCT_TOL}")
-        if self.tempered:
-            for a in (self.alpha1, self.alpha2, self.alpha3):
+        if tempered:
+            for a in (alpha1, alpha2, alpha3):
                 if not abs(abs(a) - 1.0) <= UNIT_TOL:
                     raise ValueError(f"tempered triple has |{a}| != 1")
+        self.alpha1, self.alpha2, self.alpha3, self.tempered = alpha1, alpha2, alpha3, tempered
 
     @classmethod
     def from_angles(cls, theta1: float, theta2: float) -> "SatakeTriple":
         """Tempered triple (e^{i t1}, e^{i t2}, e^{-i(t1+t2)})."""
-        return cls(
-            cmath.exp(1j * theta1),
-            cmath.exp(1j * theta2),
-            cmath.exp(-1j * (theta1 + theta2)),
-            tempered=True,
-        )
+        return cls(cmath.exp(1j * theta1), cmath.exp(1j * theta2),
+                   cmath.exp(-1j * (theta1 + theta2)))
 
     @property
     def e1(self) -> complex:
@@ -71,21 +66,16 @@ class SatakeTriple:
 
     @property
     def e2(self) -> complex:
-        return (
-            self.alpha1 * self.alpha2
-            + self.alpha1 * self.alpha3
-            + self.alpha2 * self.alpha3
-        )
+        return self.alpha1 * self.alpha2 + self.alpha1 * self.alpha3 + self.alpha2 * self.alpha3
 
 
-@dataclass(frozen=True)
 class PrimeLocalData:
-    p: int
-    satake: SatakeTriple
+    __slots__ = ("p", "satake")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __init__(self, p: int, satake: SatakeTriple):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        self.p, self.satake = p, satake
 
 
 def nontempered_primes(pairs) -> list[int]:
@@ -124,6 +114,29 @@ def _complete_homogeneous(e1, e2, n: int) -> list:
     return h
 
 
+class _PyComplex:
+    """Complex (re, im) float64 arrays whose +, - and * round as Python's
+    complex scalars do (c_prod is ar*br - ai*bi, ar*bi + ai*br, with no fused
+    multiply-add, which numpy's complex128 multiply may use); ** 0 is one."""
+
+    def __init__(self, re: np.ndarray, im: np.ndarray):
+        self.re, self.im = re, im
+
+    def __add__(self, other):
+        return _PyComplex(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return _PyComplex(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return _PyComplex(self.re * other.re - self.im * other.im,
+                          self.re * other.im + self.im * other.re)
+
+    def __pow__(self, n: int):  # only ** 0, the ring's one
+        one = (np.ones_like(self.re), np.zeros_like(self.im))
+        return _PyComplex(*one) if n == 0 else NotImplemented
+
+
 def schur_from_elementary(l1: int, l2: int, e1, e2):
     """Evaluate the (l1, l2) Schur basis element from e1, e2 (with e3 = 1).
 
@@ -156,14 +169,19 @@ class CoefficientTable:
     def __init__(self, locals_: list[PrimeLocalData], bound_m: int, bound_n: int):
         if bound_m < 1 or bound_n < 1:
             raise ValueError("bounds must be positive")
-        self.bound_m = bound_m
-        self.bound_n = bound_n
+        self.bound_m, self.bound_n = bound_m, bound_n
         self.locals = list(locals_)
-        self._by_prime = {loc.p: loc for loc in self.locals}
-        top = max(bound_m, bound_n)
-        missing = [p for p in primes_upto(top) if p not in self._by_prime]
-        if missing:
-            raise MissingPrimeError(f"no local data for prime {missing[0]}")
+        primes = np.fromiter(map(attrgetter("p"), self.locals), np.int64, len(self.locals))
+        self._order = np.argsort(primes)  # self.locals[_order[i]] is at _primes[i], ascending
+        self._primes = primes[self._order]
+        dup = self._primes[1:][self._primes[1:] == self._primes[:-1]]
+        if dup.size:
+            raise ValueError(f"more than one local data for prime {dup[0]}")
+        need = primes_upto(max(bound_m, bound_n))
+        if self._primes[:len(need)].tolist() != need:
+            missing = np.setdiff1d(need, self._primes)
+            if missing.size:
+                raise MissingPrimeError(f"no local data for prime {missing[0]}")
         self.entries: dict[tuple[int, int], complex] = {(1, 1): 1.0 + 0.0j}
         self._local_powers: dict[tuple[int, int, int], complex] = {}
         self._rows: dict[str, np.ndarray] = {}
@@ -172,6 +190,11 @@ class CoefficientTable:
     def _spf(self) -> list[int]:
         """Smallest prime factors for value(), which rows never need."""
         return spf_sieve(max(self.bound_m, self.bound_n))
+
+    @cached_property
+    def _by_prime(self) -> dict[int, PrimeLocalData]:
+        """The record of each prime for value(), which rows never need."""
+        return {loc.p: loc for loc in self.locals}
 
     def _local_value(self, p: int, a: int, b: int) -> complex:
         key = (p, a, b)
@@ -226,45 +249,45 @@ class CoefficientTable:
 
     def _sieve_row(self, N: int, diagonal: bool) -> np.ndarray:
         """Entries 0..N of a row (entry 0 unused) by A(m) = A(m/q) L(q), q the
-        full power of the largest prime of m, filled in rounds of equal
-        number of distinct primes omega(m).  The largest prime goes last, so
-        every product is value()'s ascending-prime product.  It is spelled out
-        in real parts, as Python multiplies complex numbers; numpy's complex
-        multiply may round differently (fused multiply-add)."""
+        full power of the largest prime of m, in rounds of equal number of
+        distinct primes omega(m).  The largest prime goes last, so every product
+        is value()'s ascending-prime product, and _PyComplex rounds as it does."""
         top = np.ones(N + 1, dtype=np.int64)      # q(m)
         omega = np.zeros(N + 1, dtype=np.int8)
         local = np.zeros(N + 1, dtype=complex)    # L(q) at the prime powers q
-        primes = sorted(p for p in self._by_prime if p <= N)
-        root = math.isqrt(N)
-        small = [p for p in primes if p <= root]
-        for p in small:  # ascending, so a larger prime's powers overwrite top
+        n_small, n_primes = np.searchsorted(self._primes, [math.isqrt(N), N], "right").tolist()
+        sat = [self.locals[i].satake for i in self._order[:n_primes].tolist()]
+        for p, x in zip(self._primes[:n_small].tolist(), sat):  # ascending: top keeps the largest
             omega[p::p] += 1
             q, e = p, 1
             while q <= N:
                 top[q::q] = q
-                local[q] = self._local_value(p, e, e if diagonal else 0)
+                local[q] = schur_from_elementary(e, e if diagonal else 0, x.e1, x.e2)
                 q, e = q * p, e + 1
-        big = np.array(primes[len(small):], dtype=np.int64)
-        # one kernel call over Python complex objects: each operation is the
-        # scalar one of value(), where complex128 arrays would round differently
-        sat = [self._by_prime[p].satake for p in big.tolist()]
-        local[big] = schur_from_elementary(1, 1 if diagonal else 0,
-                                           np.array([x.e1 for x in sat], dtype=object),
-                                           np.array([x.e2 for x in sat], dtype=object))
+        # L(p) at p > sqrt(N) by SatakeTriple's e1, e2 on arrays of checked parameters
+        big, sat = self._primes[n_small:n_primes], sat[n_small:]
+        arrays = object.__new__(SatakeTriple)
+        arrays.alpha1, arrays.alpha2, arrays.alpha3 = (_PyComplex(a.real, a.imag) for a in (
+            np.array([x.alpha1 for x in sat], dtype=complex),
+            np.array([x.alpha2 for x in sat], dtype=complex),
+            np.array([x.alpha3 for x in sat], dtype=complex)))
+        val = schur_from_elementary(1, 1 if diagonal else 0, arrays.e1, arrays.e2)
+        local.real[big], local.imag[big] = val.re, val.im
         # m = k p with p > sqrt(N) has k < p, so p is its largest prime, to the first power
-        k_max = N // int(big[0]) if len(big) else 0
-        for k in range(1, k_max + 1):
-            ps = big[: np.searchsorted(big, N // k, side="right")]
-            top[k * ps] = ps
-            omega[k * ps] += 1
+        count = N // big
+        ps = np.repeat(big, count)
+        m = ps * (np.arange(1, len(ps) + 1) - np.repeat(np.cumsum(count) - count, count))
+        top[m] = ps
+        omega[m] += 1
+        del sat, arrays, val, ps, m  # before the rounds, which hold the most memory
         rest = np.arange(N + 1) // top
         row = np.zeros(N + 1, dtype=complex)
         row[1] = 1.0
         for k in range(1, int(omega.max(initial=0)) + 1):
             idx = np.flatnonzero(omega == k)
-            a, b = row[rest[idx]], local[top[idx]]
-            row.real[idx] = a.real * b.real - a.imag * b.imag
-            row.imag[idx] = a.real * b.imag + a.imag * b.real
+            r, q = rest[idx], top[idx]
+            prod = _PyComplex(row.real[r], row.imag[r]) * _PyComplex(local.real[q], local.imag[q])
+            row.real[idx], row.imag[idx] = prod.re, prod.im
         row.flags.writeable = False
         return row
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tempered_triple
+from gl3hecke import hecke
 from gl3hecke.arith import primes_upto
 from gl3hecke.hecke import (
     A_M1,
@@ -17,7 +18,7 @@ from gl3hecke.hecke import (
     NonTemperedError,
     PrimeLocalData,
     SatakeTriple,
-        hecke_residual,
+    hecke_residual,
     mobius_expand,
     schur_from_elementary,
     sym2_lift,
@@ -48,11 +49,28 @@ class TestSatakeTriple:
         x = SatakeTriple.from_angles(0.3, 1.1)
         assert abs(x.alpha1 * x.alpha2 * x.alpha3 - 1.0) < 1e-14
 
+    def test_from_angles_is_the_three_exponentials(self, rng):
+        for _ in range(1000):
+            t1, t2 = rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)
+            x = SatakeTriple.from_angles(t1, t2)
+            want = (cmath.exp(1j * t1), cmath.exp(1j * t2), cmath.exp(-1j * (t1 + t2)))
+            assert [bits(a) for a in (x.alpha1, x.alpha2, x.alpha3)] == [bits(a) for a in want]
+            assert x.tempered is True
+
+    def test_records_are_slotted(self):
+        # no per-object __dict__: a table holds tens of thousands of them
+        x = SatakeTriple.from_angles(0.3, 1.1)
+        for record in (x, PrimeLocalData(5, x)):
+            assert not hasattr(record, "__dict__")
+
     @pytest.mark.parametrize("make", [
         lambda: SatakeTriple.from_angles(math.nan, 0.0),
         lambda: SatakeTriple.from_angles(math.inf, 0.0),
         lambda: SatakeTriple(math.nan, 1.0, 1.0, tempered=False),
-    ], ids=["nan_angle", "inf_angle", "nan_alpha_not_tempered"])
+        lambda: SatakeTriple(math.inf, 1.0, 1.0, tempered=False),
+        lambda: SatakeTriple(1.0, 1.0, complex(math.nan, 0.0)),
+    ], ids=["nan_angle", "inf_angle", "nan_alpha_not_tempered", "inf_alpha_not_tempered",
+            "nan_alpha_tempered"])
     def test_rejects_non_finite_parameters(self, make):
         # abs(nan - 1) > tol is False: each test must be written so NaN fails it
         with pytest.raises(ValueError):
@@ -61,6 +79,11 @@ class TestSatakeTriple:
     def test_prime_local_rejects_composite(self):
         with pytest.raises(ValueError):
             PrimeLocalData(6, DEGENERATE)
+
+
+def bits(z: complex) -> tuple[int, int]:
+    """The bit patterns of a complex number's parts (signed zeros differ)."""
+    return tuple(np.array([z.real, z.imag]).view(np.int64).tolist())
 
 
 def schur(l1, l2, x):
@@ -136,13 +159,29 @@ class TestCoefficientTable:
         assert table.value(1, 1) == 1.0
 
     def test_single_prime_power_matches_schur(self, random_table_2500):
-        loc2 = random_table_2500._by_prime[2]
+        (loc2,) = [loc for loc in random_table_2500.locals if loc.p == 2]
         expected = schur(2, 1, loc2.satake)
         assert random_table_2500.value(4, 2) == pytest.approx(expected)
 
     def test_missing_prime_is_reported(self):
         with pytest.raises(MissingPrimeError, match="3"):
             CoefficientTable([PrimeLocalData(2, DEGENERATE)], 10, 1)
+
+    def test_missing_prime_among_unsorted_data(self):
+        locs = [PrimeLocalData(p, DEGENERATE) for p in (7, 2, 5, 11)]
+        with pytest.raises(MissingPrimeError, match="prime 3"):
+            CoefficientTable(locs, 12, 1)
+        assert CoefficientTable(locs + [PrimeLocalData(3, DEGENERATE)], 12, 1).value(12, 1) == 18
+
+    def test_duplicate_prime_is_rejected(self):
+        other = SatakeTriple.from_angles(0.5, 0.25)
+        locs = [PrimeLocalData(2, DEGENERATE), PrimeLocalData(3, DEGENERATE),
+                PrimeLocalData(2, other)]
+        with pytest.raises(ValueError, match="prime 2"):
+            CoefficientTable(locs, 4, 1)
+        # a duplicate beyond the bounds is still ambiguous data
+        with pytest.raises(ValueError, match="prime 13"):
+            CoefficientTable(degenerate_locals(13) + [PrimeLocalData(13, other)], 4, 1)
 
     def test_out_of_bounds_is_reported(self, random_table_2500):
         with pytest.raises(IndexBoundsError, match=r"\(2501, 1\)"):
@@ -179,6 +218,23 @@ def value_walk(table, X, which):
     return np.array([table.value(m, 1 if which == A_M1 else m) for m in range(1, X + 1)])
 
 
+def entry_bits(values) -> np.ndarray:
+    """The bit patterns of complex entries: equal only when every real and
+    imaginary part, signed zeros included, is the same double."""
+    return np.asarray(values, dtype=complex).view(np.int64)
+
+
+X_WIDE = 300_000
+
+
+@pytest.fixture(scope="module")
+def random_table_wide():
+    """Random tempered data for every prime <= 3 * 10^5, the size of the
+    generic-signs benchmark."""
+    locs = random_tempered_locals(primes_upto(X_WIDE), random.Random(31))
+    return CoefficientTable(locs, X_WIDE, X_WIDE)
+
+
 class TestRow:
     @pytest.mark.parametrize("which", [A_M1, A_MM])
     def test_matches_value_walk_on_lift(self, tau_table_100k, which):
@@ -187,13 +243,16 @@ class TestRow:
         assert np.array_equal(row.real, walk.real)
         assert np.array_equal(row.imag, walk.imag)
 
-    def test_matches_value_walk_on_random_tempered(self):
-        X = 30_000
-        table = CoefficientTable(random_tempered_locals(primes_upto(X), random.Random(31)), X, X)
+    def test_matches_value_walk_on_random_tempered(self, random_table_wide):
+        # every prime power and 20,000 random m up to 3 * 10^5, bit for bit
+        X, table = X_WIDE, random_table_wide
+        ms = {q for p in primes_upto(X) for q in powers_upto(p, X)}
+        ms |= set(random.Random(32).sample(range(1, X + 1), 20_000))
+        ms = sorted(ms)
         for which in (A_MM, A_M1):
-            row, walk = table.row(X, which), value_walk(table, X, which)
-            assert np.array_equal(row.real, walk.real)
-            assert np.array_equal(row.imag, walk.imag)
+            row = table.row(X, which)
+            walk = [table.value(m, 1 if which == A_M1 else m) for m in ms]
+            assert np.array_equal(entry_bits(row[np.array(ms) - 1]), entry_bits(walk))
 
     def test_bounds(self):
         table = CoefficientTable(degenerate_locals(50), 50, 1)
@@ -213,6 +272,85 @@ class TestRow:
         assert np.shares_memory(head, table.row(100))
         with pytest.raises(ValueError):
             head[0] = 2.0
+
+
+def powers_upto(p, X):
+    q = p
+    while q <= X:
+        yield q
+        q *= p
+
+
+class TestPrimeValuesAgainstScalarRecords:
+    """Every prime's local value in a row, against schur_from_elementary on
+    the scalar records' e1 and e2: Python's scalar complex arithmetic, apart
+    from the _PyComplex arrays the row is made with.  A row holds
+    A(p, p^b) = 1 * L(p), value()'s product started from one."""
+
+    @staticmethod
+    def check(table, X):
+        primes = primes_upto(X)
+        locs = {loc.p: loc.satake for loc in table.locals}
+        for which, b in ((A_M1, 0), (A_MM, 1)):
+            row = table.row(X, which)
+            want = [(1.0 + 0.0j) * schur_from_elementary(1, b, locs[p].e1, locs[p].e2)
+                    for p in primes]
+            assert np.array_equal(entry_bits(row[np.array(primes) - 1]), entry_bits(want))
+
+    def test_random_tempered_to_3e5(self, random_table_wide):
+        self.check(random_table_wide, X_WIDE)
+
+    def test_sym2_tau_to_1e5(self, tau_table_100k):
+        self.check(tau_table_100k, 100_000)
+
+
+class TestPythonComplexRing:
+    @staticmethod
+    def parts(rng, n):
+        """Finite doubles over a wide range of scales, with signed zeros and
+        exact ones mixed in."""
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-150, 150, n)
+        special = rng.integers(0, 6, n)
+        x[special == 0] = 0.0
+        x[special == 1] = -0.0
+        x[special == 2] = rng.choice([1.0, -1.0], n)[special == 2]
+        return x
+
+    def test_operations_round_as_python_complex(self):
+        rng = np.random.default_rng(7)
+        n = 20_000
+        ar, ai, br, bi = (self.parts(rng, n) for _ in range(4))
+        a, b = hecke._PyComplex(ar, ai), hecke._PyComplex(br, bi)
+        xs = [complex(r, i) for r, i in zip(ar.tolist(), ai.tolist())]
+        ys = [complex(r, i) for r, i in zip(br.tolist(), bi.tolist())]
+        for got, want in ((a + b, [x + y for x, y in zip(xs, ys)]),
+                          (a - b, [x - y for x, y in zip(xs, ys)]),
+                          (a * b, [x * y for x, y in zip(xs, ys)]),
+                          (a ** 0, [x ** 0 for x in xs])):
+            pairs = np.stack([got.re, got.im], axis=1)
+            assert np.array_equal(pairs.view(np.int64).ravel(), entry_bits(want))
+        with pytest.raises(TypeError):  # only ** 0, the ring's one, is defined
+            a ** 1
+
+    def test_numpy_complex_multiply_in_its_place_is_seen(self, monkeypatch):
+        # negative control: numpy's complex128 multiply may fuse a multiply
+        # and an add, so a row made with it differs from value() somewhere
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000)
+        b = rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000)
+        python = [x * y for x, y in zip(a.tolist(), b.tolist())]
+        if np.array_equal(entry_bits(a * b), entry_bits(python)):
+            pytest.skip("numpy's complex multiply rounds as Python's on this CPU")
+
+        def numpy_mul(self, other):
+            prod = (self.re + 1j * self.im) * (other.re + 1j * other.im)
+            return hecke._PyComplex(prod.real.copy(), prod.imag.copy())
+
+        monkeypatch.setattr(hecke._PyComplex, "__mul__", numpy_mul)
+        X = 30_000
+        table = CoefficientTable(random_tempered_locals(primes_upto(X), random.Random(31)), X, X)
+        walk = value_walk(table, X, A_MM)
+        assert not np.array_equal(entry_bits(table.row(X, A_MM)), entry_bits(walk))
 
 
 class TestHeckeResidual:
