@@ -188,11 +188,37 @@ def _macdonald_p(q, s, re3):
             + q ** 3 * (4.0 * re3 - s * s - 6.0 * s + 7.0))
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) for |x| < 1 by the three-term recurrence
+    j P_j = (2j - 1) x P_{j-1} - (j - 1) P_{j-2}; elementwise."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only n-point Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    t, w = (x + 1.0) / 2.0, w / 2.0
+    """Read-only n-point Gauss-Legendre nodes and weights on [0, 1].
+
+    The roots x of P_n on [-1, 1] come from Newton's method on `_legendre`,
+    all at once, from cos(pi (k - 1/4) / (n + 1/2)), which is close enough
+    to the k-th root that each start converges to its own; steps are taken
+    until the largest is below 1e-15 (four or five steps).  The weights
+    2 / ((1 - x^2) P_n'(x)^2) are taken at the converged nodes and halved
+    for [0, 1].  Plain numpy: numpy's `leggauss` solves an n x n
+    eigenproblem in LAPACK, which at n = 96 wakes an OpenBLAS thread that
+    then spins for about 0.1 s of CPU.
+    """
+    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    while True:
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    dp = _legendre(n, x)[1]
+    t, w = (x + 1.0) / 2.0, 1.0 / ((1.0 - x * x) * dp * dp)
     t.flags.writeable = w.flags.writeable = False
     return t, w
 

@@ -10,7 +10,9 @@ the window polynomial D evaluated as a product over squarefree d, the
 full-square mean-value kernel, the mean-value identity in mpmath, the
 truncated square by Kronecker
 substitution on Python ints, the straddle-refined torus grid for A(p, p)
-cell masses, and the distribution function of |e1| by mpmath quadrature."""
+cell masses, the distribution function of |e1| by mpmath quadrature, the
+rejection sampler with the float64 density on every proposal, and
+Gauss-Legendre rules by Newton's method in mpmath."""
 
 from __future__ import annotations
 
@@ -496,3 +498,61 @@ def radius_cdf_mpmath(p, R: float, dps: int = 17) -> float:
 
         R = mp.mpf(R)
         return float(mp.quad(ring, [0, R] if R <= 1 else [0, 1, R]))
+
+
+def sample_angles_float64(spec, count: int, seed: int):
+    """`measures.sample_angles` as it was before its float32 squeeze: the
+    float64 density of every proposal decides it."""
+    from gl3hecke.measures import EnvelopeError, TorusPoint, TWO_PI, density, envelope_ratio
+
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    cap = envelope_ratio(spec) / TWO_PI ** 2
+    got1: list[np.ndarray] = []
+    got2: list[np.ndarray] = []
+    total = 0
+    batch = 8192
+    while total < count:
+        t1 = rng.uniform(0.0, TWO_PI, batch)
+        t2 = rng.uniform(0.0, TWO_PI, batch)
+        u = rng.uniform(0.0, 1.0, batch)
+        d = density(spec, TorusPoint(t1, t2))
+        worst = float(np.max(d))
+        if worst > cap * (1.0 + 1e-9):
+            raise EnvelopeError(
+                f"density {worst} exceeds envelope bound {cap} for {spec}"
+            )
+        keep = u * cap <= d
+        got1.append(t1[keep])
+        got2.append(t2[keep])
+        total += int(np.count_nonzero(keep))
+    out1 = np.concatenate(got1)[:count]
+    out2 = np.concatenate(got2)[:count]
+    return out1, out2
+
+
+def gauss_legendre_mpmath(n: int, dps: int = 40):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1] as
+    mpf lists, ascending: Newton's method at dps digits on mpmath's
+    Legendre function, one root at a time, each started from Tricomi's
+    approximation cos(pi (k - 1/4) / (n + 1/2)) (1 - (n - 1) / (8 n^3)),
+    and the weights 1 / ((1 - x^2) P_n'(x)^2) for the roots x on [-1, 1]."""
+    import mpmath as mp
+
+    with mp.workdps(dps + 10):
+        tiny = mp.mpf(10) ** -(dps + 5)
+        nodes, weights = [], []
+        for k in range(n, 0, -1):
+            x = mp.cos(mp.pi * (k - mp.mpf(1) / 4) / (n + mp.mpf(1) / 2)) * (
+                1 - mp.mpf(n - 1) / (8 * mp.mpf(n) ** 3))
+            for _ in range(100):
+                dp = n * (x * mp.legendre(n, x) - mp.legendre(n - 1, x)) / (x * x - 1)
+                step = mp.legendre(n, x) / dp
+                x -= step
+                if abs(step) < tiny:
+                    break
+            dp = n * (x * mp.legendre(n, x) - mp.legendre(n - 1, x)) / (x * x - 1)
+            nodes.append((x + 1) / 2)
+            weights.append(1 / ((1 - x * x) * dp * dp))
+        return nodes, weights

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import density_exponential
-from gl3hecke import klpoly, measures
+from oracles import density_exponential, sample_angles_float64
+from gl3hecke import klpoly, measures, schuralg, suites
 from gl3hecke.klpoly import kato_moment
 from gl3hecke.measures import (
     EnvelopeError,
@@ -105,6 +105,30 @@ class TestIntegrate:
                 expect = 1.0 if (a, b) == (c, d) else 0.0
                 assert abs(val - expect) <= 1e-7
 
+    def test_mesh_and_density_built_once_per_measure_and_grid(self, monkeypatch):
+        real, built = measures.density, []
+
+        def counted(spec, pt):
+            built.append(spec)
+            return real(spec, pt)
+
+        monkeypatch.setattr(measures, "density", counted)
+        measures._mesh_density.cache_clear()
+        grid = QuadratureGrid(64)
+        f = lambda pt: measures.schur_on_torus(1, 0, pt.theta1, pt.theta2)
+        vals = [integrate(ST, f, grid) for _ in range(3)]
+        assert built == [ST]
+        pt = TorusPoint(*grid.mesh())
+        assert vals == [complex(np.sum(f(pt) * real(ST, pt)) * grid.cell_weight)] * 3
+        integrate(MeasureSpec.plancherel(5), f, grid)
+        integrate(ST, f, grid)
+        assert len(built) == 3
+        pt, dens = measures._mesh_density(ST, grid)
+        with pytest.raises(ValueError):
+            pt.theta1[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            dens[0, 0] = 1.0
+
     def test_scalar_only_integrand_error_propagates(self):
         # the integrand is called once on the whole mesh; a callable that
         # rejects array input fails loudly instead of being retried per node
@@ -188,10 +212,19 @@ class TestSampling:
         # exponential form accepted
         spec = MeasureSpec.plancherel(p)
         got = [sample_angles(spec, 20_000, seed) for seed in (0, 7, 2024)]
-        monkeypatch.setattr(measures, "density", density_exponential)
+        consulted = []
+
+        def counted(spec, pt):
+            consulted.append(np.size(pt.theta1))
+            return density_exponential(spec, pt)
+
+        monkeypatch.setattr(measures, "density", counted)
         for seed, (t1, t2) in zip((0, 7, 2024), got):
+            consulted.clear()
             o1, o2 = sample_angles(spec, 20_000, seed)
             assert np.array_equal(t1, o1) and np.array_equal(t2, o2)
+            # the squeeze leaves the proposals near u cap = density to it
+            assert sum(consulted) > 0
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
@@ -247,6 +280,75 @@ class TestSampling:
         seeds = {measures.child_seed(7, i) for i in range(16)}
         assert len(seeds) == 16
         assert measures.child_seed(7, 3) == measures.child_seed(7, 3)
+
+
+SQUEEZE_SPECS = [ST] + [MeasureSpec.plancherel(p) for p in (2, 3, 5, 7, 101, 1009)]
+SQUEEZE_IDS = ["st", "p2", "p3", "p5", "p7", "p101", "p1009"]
+
+
+def same_as_float64_sampler(spec, seeds=range(6), count=50_000):
+    for seed in seeds:
+        t1, t2 = sample_angles(spec, count, seed)
+        o1, o2 = sample_angles_float64(spec, count, seed)
+        if not (np.array_equal(t1, o1) and np.array_equal(t2, o2)):
+            return False
+    return True
+
+
+class TestSqueeze:
+    @pytest.mark.parametrize("spec", SQUEEZE_SPECS, ids=SQUEEZE_IDS)
+    def test_angles_identical_to_float64_sampler(self, spec):
+        assert same_as_float64_sampler(spec)
+
+    @pytest.mark.parametrize("spec", SQUEEZE_SPECS, ids=SQUEEZE_IDS)
+    def test_float32_density_within_a_quarter_of_the_slack(self, spec):
+        # the error the proof bounds, on 2e6 random points and the 600^2
+        # midpoint grid, where the density peaks at the cube roots of unity
+        cap = measures.envelope_ratio(spec) / (2 * math.pi) ** 2
+        rng = np.random.default_rng(23)
+        k = 600
+        nodes = 2 * math.pi * (np.arange(k) + 0.5) / k
+        points = [rng.uniform(0.0, 2 * math.pi, (2, 250_000)) for _ in range(8)]
+        points.append([g.ravel() for g in np.meshgrid(nodes, nodes, indexing="ij")])
+        worst = 0.0
+        for t1, t2 in points:
+            d32 = measures._density_s(spec, measures._half_chords32(t1, t2))
+            d = density(spec, TorusPoint(t1, t2))
+            worst = max(worst, float(np.max(np.abs(d32.astype(float) - d))) / cap)
+        assert worst <= measures._SQUEEZE / 4
+
+    def test_unsound_squeeze_breaks_the_identity(self, monkeypatch):
+        # mutation: float32 chords 1e-3 off and no slack decide proposals
+        # the exact density would not, and the identity test must see it
+        real = measures._half_chords32
+        monkeypatch.setattr(measures, "_half_chords32",
+                            lambda t1, t2: tuple(s * (1 + 1e-3) for s in real(t1, t2)))
+        monkeypatch.setattr(measures, "_SQUEEZE", 0.0)
+        assert not same_as_float64_sampler(MeasureSpec.plancherel(5), seeds=[0])
+
+
+LINALG = ("eigvalsh", "eigh", "eig", "eigvals", "svd", "solve", "lstsq", "inv")
+
+
+def test_measure_layer_makes_no_linalg_call(monkeypatch):
+    # numpy.linalg runs LAPACK, whose OpenBLAS threads spin on idle cores
+    # after a call; the measures, satotate and kato suites build every rule
+    # and density without it, memos cleared so that nothing is reused
+    calls = []
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"numpy.linalg.{name} called")
+        return call
+
+    for name in LINALG:
+        monkeypatch.setattr(np.linalg, name, refuse(name))
+    for memo in (schuralg._gauss_legendre, schuralg._pushforward_piece, measures._mesh_density):
+        memo.cache_clear()
+    for suite in (suites.suite_satotate, suites.suite_measures, suites.suite_kato):
+        assert all(c.status == "pass" for c in suite(0))
+    assert calls == []
 
 
 class TestPlancherelConstant:

@@ -22,7 +22,20 @@ def test_unplanted_suite_passes():
     assert kato_identity().status == "pass"
 
 
-def test_plancherel_constant_off_by_1e5(monkeypatch):
+@pytest.fixture
+def fresh_measure_memos():
+    # the pushforward pieces and the last mesh density of `integrate` are
+    # memoised: a defect must neither be hidden by values built before it nor
+    # leave its own values to later tests
+    memos = (schuralg._pushforward_piece, measures._mesh_density)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+def test_plancherel_constant_off_by_1e5(monkeypatch, fresh_measure_memos):
     real = measures.plancherel_constant
     monkeypatch.setattr(measures, "plancherel_constant", lambda p: real(p) * (1.0 + 1e-5))
     check = kato_identity()
@@ -174,15 +187,6 @@ def test_window_s2_over_signed_terms(monkeypatch):
     assert failed_signs_checks() == {"s1_le_s2_everywhere", "s1_lt_s2_fraction"}
 
 
-@pytest.fixture
-def fresh_pieces():
-    # the pushforward pieces are memoised: a defect must neither be hidden by
-    # pieces built before it nor leave its own pieces to later tests
-    schuralg._pushforward_piece.cache_clear()
-    yield
-    schuralg._pushforward_piece.cache_clear()
-
-
 def failed_checks(suite):
     return {c.name: c.value for c in suite(seed=0) if c.status == "fail"}
 
@@ -192,7 +196,7 @@ def test_unplanted_measures_and_satotate_suites_pass():
     assert failed_checks(suites.suite_satotate) == {}
 
 
-def test_plancherel_constant_off_by_1e6(monkeypatch, fresh_pieces):
+def test_plancherel_constant_off_by_1e6(monkeypatch, fresh_measure_memos):
     # every Plancherel density and pushforward weighs 1e-6 too much; only the
     # total mass, 1e-6 against a bound of 1e-8, is fine enough to see it
     real = measures.plancherel_constant
@@ -202,7 +206,7 @@ def test_plancherel_constant_off_by_1e6(monkeypatch, fresh_pieces):
     assert failed["measure_mass_max_deviation"] > 9e-7
 
 
-def test_one_half_chord_off_by_1e6(monkeypatch):
+def test_one_half_chord_off_by_1e6(monkeypatch, fresh_measure_memos):
     # s_12 = sin^2((t1 - t2) / 2) scaled by 1 + 1e-6 in every density: the
     # masses and Schur inner products move by 1e-6, and the density is no
     # longer symmetric under the Weyl group

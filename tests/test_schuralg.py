@@ -8,6 +8,7 @@ from conftest import random_tempered_triple
 from oracles import (
     _s11_values,
     epoly_eval,
+    gauss_legendre_mpmath,
     indicator_mass_straddle,
     laurent_eval_elementary,
     laurent_to_epoly,
@@ -274,3 +275,66 @@ class TestPushforwardMasses:
             mass, err = indicator_mass(ST, cell)
             assert err > 0.0
         assert indicator_mass(ST, (-1.0, -1.0))[0] == 0.0
+
+
+GL_ORDERS = (1, 2, 3, 5, 48, 96, 200)
+
+
+def gl_oracle_errors(t, w, n):
+    """Largest absolute node error and relative weight error of a rule on
+    [0, 1] against the 40-digit oracle."""
+    import mpmath as mp
+
+    nodes, weights = gauss_legendre_mpmath(n)
+    with mp.workdps(50):
+        dx = max(abs(mp.mpf(float(a)) - b) for a, b in zip(t, nodes))
+        dw = max(abs(mp.mpf(float(a)) / b - 1) for a, b in zip(w, weights))
+    return float(dx), float(dw)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", GL_ORDERS)
+    def test_matches_mpmath_newton(self, n):
+        t, w = schuralg._gauss_legendre(n)
+        assert t.shape == w.shape == (n,)
+        dx, dw = gl_oracle_errors(t, w, n)
+        assert dx <= 2e-16 and dw <= 5e-13, (dx, dw)
+
+    @pytest.mark.parametrize("n", GL_ORDERS)
+    def test_integrates_polynomials_of_degree_below_2n(self, n):
+        t, w = schuralg._gauss_legendre(n)
+        for k in range(2 * n):
+            assert abs(float(np.sum(w * t ** k)) - 1.0 / (k + 1)) <= 1e-14, k
+
+    def test_read_only_and_memoised(self):
+        t, w = schuralg._gauss_legendre(48)
+        assert schuralg._gauss_legendre(48)[0] is t
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    @pytest.mark.parametrize("n", [48, 96, 200])
+    def test_newton_stopped_a_step_early_fails_the_oracle(self, monkeypatch, n):
+        # negative control: the Newton loop ends before its last step above
+        # 1e-15 (a zero step reported in its place), so the nodes stay about
+        # 1e-10 off the roots and the oracle test must see it
+        real, calls = schuralg._legendre, []
+
+        def counted(m, x):
+            calls.append(m)
+            return real(m, x)
+
+        monkeypatch.setattr(schuralg, "_legendre", counted)
+        schuralg._gauss_legendre.__wrapped__(n)
+        # the evaluations are the Newton steps, the last one below 1e-15,
+        # then one for the weights: cut the step before the last
+        cut = len(calls) - 2
+
+        def early(m, x):
+            calls.append(m)
+            p, dp = real(m, x)
+            return (0.0 * p if len(calls) == cut else p), dp
+
+        calls.clear()
+        monkeypatch.setattr(schuralg, "_legendre", early)
+        dx, _ = gl_oracle_errors(*schuralg._gauss_legendre.__wrapped__(n), n)
+        assert dx > 1e-13
