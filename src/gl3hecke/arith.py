@@ -72,6 +72,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def are_prime(ns: np.ndarray) -> np.ndarray:
+    """is_prime of each entry of an int64 array, up to 2^20 by one lookup in
+    its cached sieve."""
+    small, big = (ns >= 2) & (ns <= _SIEVE_CAP), ns > _SIEVE_CAP
+    n = ns[small]
+    bits = np.frombuffer(_small_prime_bits(1 << (int(n.max(initial=2)) - 1).bit_length()), np.uint8)
+    out = np.zeros(len(ns), dtype=bool)
+    out[small] = bits[n >> 3] >> (n & 7) & 1 == 1
+    out[big] = [is_prime(k) for k in ns[big].tolist()]
+    return out
+
+
 def primes_upto(n: int) -> list[int]:
     """All primes <= n by Eratosthenes."""
     return np.flatnonzero(np.frombuffer(_sieve(max(n, 1)), np.uint8)).tolist()

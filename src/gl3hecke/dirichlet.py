@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .arith import primes_upto
-from .hecke import PrimeLocalData, _complete_homogeneous, schur_from_elementary
+from .hecke import _complete_homogeneous, schur_from_elementary
 
 # Truncation tail of euler_factor_check above which it warns.
 TAIL_TOL = 1e-12
@@ -98,8 +98,9 @@ def d_estimate_ratio(dpoly: WindowPolynomial, M: int, s: complex) -> float:
     return abs(dpoly.eval(s)) / max(1.0, unit)
 
 
-def euler_factor_check(local: PrimeLocalData, s: complex, J: int = 60) -> dict:
-    """Check the local generating series against its closed form.
+def euler_factor_check(p: int, e1: complex, e2: complex, s: complex, J: int = 60) -> dict:
+    """Check the local generating series at p against its closed form, from
+    the e1, e2 of the Satake triple at p.
 
     series: sum_{j<=J} A(p^j, 1) p^{-js}.  closed: the inverse cubic
     (1 - A(p,1) p^-s + A(1,p) p^-2s - p^-3s)^-1; the quadratic coefficient is
@@ -111,10 +112,9 @@ def euler_factor_check(local: PrimeLocalData, s: complex, J: int = 60) -> dict:
         raise ValueError("need Re s >= 1.1 for comfortable convergence")
     if J < 20:
         raise ValueError("need J >= 20 truncation terms")
-    p = local.p
     x = cmath.exp(-s * math.log(p))
     # A(p^j, 1) is the complete homogeneous polynomial h_j of the triple
-    coeffs = _complete_homogeneous(local.satake.e1, local.satake.e2, J)
+    coeffs = _complete_homogeneous(e1, e2, J)
     series = 0.0 + 0.0j
     for j in range(J, -1, -1):
         series = series * x + coeffs[j]
@@ -123,7 +123,7 @@ def euler_factor_check(local: PrimeLocalData, s: complex, J: int = 60) -> dict:
         shifted = shifted * x + coeffs[j + 1]
 
     a1 = coeffs[1]
-    a1_dual = schur_from_elementary(0, 1, local.satake.e1, local.satake.e2)
+    a1_dual = schur_from_elementary(0, 1, e1, e2)
     closed = 1.0 / (1.0 - a1 * x + a1_dual * x * x - x ** 3)
     ratio_residual = abs(shifted / series - (a1 - a1_dual * x + x * x))
 

@@ -16,7 +16,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .arith import divisors, factorize, is_prime, mobius, primes_upto, spf_sieve
+from .arith import are_prime, divisors, factorize, is_prime, mobius, primes_upto, spf_sieve
 from .csvio import write_csv
 
 PRODUCT_TOL = 1e-12
@@ -79,8 +79,10 @@ class PrimeLocalData:
 
 
 def nontempered_primes(pairs) -> list[int]:
-    """Primes of (p, lambda(p)) pairs with |lambda| > 2 + UNIT_TOL, or NaN."""
-    return [p for p, lam in pairs if not abs(lam) <= 2.0 + UNIT_TOL]
+    """Primes of (p, lambda(p)) pairs with |lambda| > 2 + UNIT_TOL, or NaN:
+    one test on the array of lambda, written so that NaN fails it."""
+    lam = np.fromiter((lam for _, lam in pairs), float, len(pairs))
+    return [pairs[i][0] for i in np.flatnonzero(~(np.abs(lam) <= 2.0 + UNIT_TOL)).tolist()]
 
 
 @dataclass
@@ -137,6 +139,43 @@ class _PyComplex:
         return _PyComplex(*one) if n == 0 else NotImplemented
 
 
+class LocalArrays:
+    """Local data as read-only arrays: the primes, ascending, as int64, and
+    the e1, e2 of their Satake triples (e3 = 1) as complex128, checked once:
+    every p is prime and given once, and every e1 and e2 is finite."""
+
+    __slots__ = ("primes", "e1", "e2")
+
+    def __init__(self, primes, e1, e2):
+        primes = np.asarray(primes, dtype=np.int64)
+        order = np.argsort(primes, kind="stable")
+        primes, e1, e2 = primes[order], np.asarray(e1, complex)[order], np.asarray(e2, complex)[order]
+        composite = primes[~are_prime(primes)]
+        if composite.size:
+            raise ValueError(f"{composite[0]} is not prime")
+        dup = primes[1:][primes[1:] == primes[:-1]]
+        if dup.size:
+            raise ValueError(f"more than one local data for prime {dup[0]}")
+        bad = primes[~(np.isfinite(e1) & np.isfinite(e2))]
+        if bad.size:
+            raise ValueError(f"local data at prime {bad[0]} is not finite")
+        for a in (primes, e1, e2):
+            a.flags.writeable = False
+        self.primes, self.e1, self.e2 = primes, e1, e2
+
+    @classmethod
+    def from_records(cls, records: list[PrimeLocalData]) -> "LocalArrays":
+        """The arrays of PrimeLocalData records, e1 and e2 bit for bit as
+        SatakeTriple's properties give them (by `_PyComplex`)."""
+        sats = [rec.satake for rec in records]
+        a1, a2, a3 = (_PyComplex(a.real, a.imag) for a in (
+            np.fromiter(map(attrgetter(name), sats), complex, len(sats))
+            for name in ("alpha1", "alpha2", "alpha3")))
+        e1, e2 = (np.stack([x.re, x.im], axis=-1).view(complex)[:, 0]
+                  for x in (a1 + a2 + a3, a1 * a2 + a1 * a3 + a2 * a3))
+        return cls(np.fromiter(map(attrgetter("p"), records), np.int64, len(records)), e1, e2)
+
+
 def schur_from_elementary(l1: int, l2: int, e1, e2):
     """Evaluate the (l1, l2) Schur basis element from e1, e2 (with e3 = 1).
 
@@ -158,30 +197,25 @@ def schur_from_elementary(l1: int, l2: int, e1, e2):
 class CoefficientTable:
     """Coefficients A(m, n) for 1 <= m <= bound_m, 1 <= n <= bound_n.
 
-    Entries are generated from the local data by multiplicativity: value()
-    one at a time into a memo, row() the dense rows A(m, 1) and A(m, m) by
-    one sieve each.  The declared bounds are a hard contract and requests
+    Entries are generated from the local data, a LocalArrays or a list of
+    PrimeLocalData (converted once), by multiplicativity: value() one at a
+    time into a memo, row() the dense rows A(m, 1) and A(m, m) by one sieve
+    each.  The declared bounds are a hard contract and requests
     outside them raise IndexBoundsError.  The table is logically immutable:
     reads only fill the internal memos (atomic dict updates), so concurrent
     readers are safe.
     """
 
-    def __init__(self, locals_: list[PrimeLocalData], bound_m: int, bound_n: int):
+    def __init__(self, locals_: LocalArrays | list[PrimeLocalData], bound_m: int, bound_n: int):
         if bound_m < 1 or bound_n < 1:
             raise ValueError("bounds must be positive")
         self.bound_m, self.bound_n = bound_m, bound_n
-        self.locals = list(locals_)
-        primes = np.fromiter(map(attrgetter("p"), self.locals), np.int64, len(self.locals))
-        self._order = np.argsort(primes)  # self.locals[_order[i]] is at _primes[i], ascending
-        self._primes = primes[self._order]
-        dup = self._primes[1:][self._primes[1:] == self._primes[:-1]]
-        if dup.size:
-            raise ValueError(f"more than one local data for prime {dup[0]}")
+        self.local = (locals_ if isinstance(locals_, LocalArrays)
+                      else LocalArrays.from_records(locals_))
         need = primes_upto(max(bound_m, bound_n))
-        if self._primes[:len(need)].tolist() != need:
-            missing = np.setdiff1d(need, self._primes)
-            if missing.size:
-                raise MissingPrimeError(f"no local data for prime {missing[0]}")
+        if self.local.primes[:len(need)].tolist() != need:
+            missing = np.setdiff1d(need, self.local.primes)
+            raise MissingPrimeError(f"no local data for prime {missing[0]}")
         self.entries: dict[tuple[int, int], complex] = {(1, 1): 1.0 + 0.0j}
         self._local_powers: dict[tuple[int, int, int], complex] = {}
         self._rows: dict[str, np.ndarray] = {}
@@ -192,18 +226,20 @@ class CoefficientTable:
         return spf_sieve(max(self.bound_m, self.bound_n))
 
     @cached_property
-    def _by_prime(self) -> dict[int, PrimeLocalData]:
-        """The record of each prime for value(), which rows never need."""
-        return {loc.p: loc for loc in self.locals}
+    def _elementary(self) -> dict[int, tuple[complex, complex]]:
+        """e1 and e2 of each prime as Python complex for value(), which rows
+        never need."""
+        loc = self.local
+        return dict(zip(loc.primes.tolist(), zip(loc.e1.tolist(), loc.e2.tolist())))
 
     def _local_value(self, p: int, a: int, b: int) -> complex:
         key = (p, a, b)
         val = self._local_powers.get(key)
         if val is None:
-            loc = self._by_prime.get(p)
-            if loc is None:
+            e = self._elementary.get(p)
+            if e is None:
                 raise MissingPrimeError(f"no local data for prime {p}")
-            val = schur_from_elementary(a, b, loc.satake.e1, loc.satake.e2)
+            val = schur_from_elementary(a, b, *e)
             self._local_powers[key] = val
         return val
 
@@ -255,23 +291,20 @@ class CoefficientTable:
         top = np.ones(N + 1, dtype=np.int64)      # q(m)
         omega = np.zeros(N + 1, dtype=np.int8)
         local = np.zeros(N + 1, dtype=complex)    # L(q) at the prime powers q
-        n_small, n_primes = np.searchsorted(self._primes, [math.isqrt(N), N], "right").tolist()
-        sat = [self.locals[i].satake for i in self._order[:n_primes].tolist()]
-        for p, x in zip(self._primes[:n_small].tolist(), sat):  # ascending: top keeps the largest
+        primes, e1, e2 = self.local.primes, self.local.e1, self.local.e2
+        n_small, n_primes = np.searchsorted(primes, [math.isqrt(N), N], "right").tolist()
+        for p, x1, x2 in zip(primes[:n_small].tolist(), e1[:n_small].tolist(),
+                             e2[:n_small].tolist()):  # ascending: top keeps the largest
             omega[p::p] += 1
             q, e = p, 1
             while q <= N:
                 top[q::q] = q
-                local[q] = schur_from_elementary(e, e if diagonal else 0, x.e1, x.e2)
+                local[q] = schur_from_elementary(e, e if diagonal else 0, x1, x2)
                 q, e = q * p, e + 1
-        # L(p) at p > sqrt(N) by SatakeTriple's e1, e2 on arrays of checked parameters
-        big, sat = self._primes[n_small:n_primes], sat[n_small:]
-        arrays = object.__new__(SatakeTriple)
-        arrays.alpha1, arrays.alpha2, arrays.alpha3 = (_PyComplex(a.real, a.imag) for a in (
-            np.array([x.alpha1 for x in sat], dtype=complex),
-            np.array([x.alpha2 for x in sat], dtype=complex),
-            np.array([x.alpha3 for x in sat], dtype=complex)))
-        val = schur_from_elementary(1, 1 if diagonal else 0, arrays.e1, arrays.e2)
+        # L(p) at p > sqrt(N) on the arrays, rounded as Python's complex
+        big = primes[n_small:n_primes]
+        x1, x2 = (_PyComplex(x.real, x.imag) for x in (e1[n_small:n_primes], e2[n_small:n_primes]))
+        val = schur_from_elementary(1, 1 if diagonal else 0, x1, x2)
         local.real[big], local.imag[big] = val.re, val.im
         # m = k p with p > sqrt(N) has k < p, so p is its largest prime, to the first power
         count = N // big
@@ -279,13 +312,13 @@ class CoefficientTable:
         m = ps * (np.arange(1, len(ps) + 1) - np.repeat(np.cumsum(count) - count, count))
         top[m] = ps
         omega[m] += 1
-        del sat, arrays, val, ps, m  # before the rounds, which hold the most memory
-        rest = np.arange(N + 1) // top
+        del x1, x2, val, ps, m  # before the rounds, which hold the most memory
         row = np.zeros(N + 1, dtype=complex)
         row[1] = 1.0
         for k in range(1, int(omega.max(initial=0)) + 1):
             idx = np.flatnonzero(omega == k)
-            r, q = rest[idx], top[idx]
+            q = top[idx]
+            r = idx // q
             prod = _PyComplex(row.real[r], row.imag[r]) * _PyComplex(local.real[q], local.imag[q])
             row.real[idx], row.imag[idx] = prod.re, prod.im
         row.flags.writeable = False
@@ -327,21 +360,18 @@ def mobius_expand(table: CoefficientTable, m1: int, m2: int) -> complex:
     return acc
 
 
-def sym2_lift(g: GL2FormData) -> list[PrimeLocalData]:
+def sym2_lift(g: GL2FormData) -> LocalArrays:
     """Symmetric-square local data: lambda(p) = beta + 1/beta on the unit
-    circle lifts to the Satake triple (beta^2, 1, beta^-2), so that
-    A(p, 1) = lambda(p)^2 - 1 is real.
+    circle lifts to the Satake triple (beta^2, 1, beta^-2), whose e1 and e2
+    are both beta^2 + 1 + beta^-2 = lambda^2 - 1, the real A(p, 1).
 
-    Branch at |lambda| = 2: beta = 1 for lambda = 2 and beta = -1 for
-    lambda = -2 (the lifted triple is (1, 1, 1) either way).
+    lambda within UNIT_TOL of +-2 is taken as +-2, the triple (1, 1, 1) with
+    e1 = e2 = 3.
     """
     bad = nontempered_primes(g.pairs)
     if bad:
         raise NonTemperedError(f"|lambda(p)| > 2 at primes {bad}; lift needs tempered input")
-    out = []
-    for p, lam in g.pairs:
-        half = min(1.0, max(-1.0, lam / 2.0))
-        beta = cmath.exp(1j * math.acos(half))
-        b2 = beta * beta
-        out.append(PrimeLocalData(p, SatakeTriple(b2, 1.0 + 0.0j, 1.0 / b2)))
-    return out
+    count = len(g.pairs)
+    lam = np.clip(np.fromiter((lam for _, lam in g.pairs), float, count), -2.0, 2.0)
+    e = (lam * lam - 1.0).astype(complex)
+    return LocalArrays(np.fromiter((p for p, _ in g.pairs), np.int64, count), e, e)

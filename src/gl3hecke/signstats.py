@@ -119,6 +119,9 @@ def count_sign_changes(seq: RealSequence, zero_tol: float = 1e-12) -> SignChange
 # table -> {(X, H, M): (S1 list, S2 list)}: the tables are logically
 # immutable, and an entry is freed with its table
 _window_sums = weakref.WeakKeyDictionary()
+# {0: (weakref to table, cfg, sums)} of the latest lookup, emptied when the
+# table dies (its weakref dies with the entry, so no later entry is cleared)
+_latest: dict = {}
 
 
 def _all_window_sums(table, cfg: ShortIntervalConfig) -> tuple[list, list]:
@@ -160,14 +163,19 @@ def short_interval_sums(table, cfg: ShortIntervalConfig, x: int) -> dict:
     pass (`_all_window_sums`) and later calls look the result up, so the
     table must reach 2X + H, as for `interval_change_scan`.
     """
-    if not cfg.X <= x <= 2 * cfg.X:
+    i = x - cfg.X
+    if not 0 <= i <= cfg.X:
         raise ValueError(f"x = {x} is not in [X, 2X] = [{cfg.X}, {2 * cfg.X}]")
-    # a plain tuple key: every scan makes about 10^4 of these lookups
-    key = (cfg.X, cfg.H, cfg.M)
-    sums = _window_sums.get(table, {}).get(key)
-    if sums is None:
-        sums = _window_sums.setdefault(table, {})[key] = _all_window_sums(table, cfg)
-    return {"S1": sums[0][x - cfg.X], "S2": sums[1][x - cfg.X]}
+    # every scan makes about 10^4 of these calls, nearly all with the table
+    # and cfg of the call before
+    latest = _latest.get(0)
+    if latest is None or latest[1] is not cfg or latest[0]() is not table:
+        key = (cfg.X, cfg.H, cfg.M)
+        sums = _window_sums.get(table, {}).get(key)
+        if sums is None:
+            sums = _window_sums.setdefault(table, {})[key] = _all_window_sums(table, cfg)
+        latest = _latest[0] = (weakref.ref(table, lambda _: _latest.clear()), cfg, sums)
+    return {"S1": latest[2][0][i], "S2": latest[2][1][i]}
 
 
 def interval_change_scan(table, cfg: ShortIntervalConfig, zero_tol: float = 1e-12) -> dict:

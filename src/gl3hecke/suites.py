@@ -59,7 +59,7 @@ def random_tempered_locals(primes: list[int], rng: random.Random) -> list[hecke.
     return out
 
 
-def random_selfdual_locals(primes: list[int], rng: random.Random) -> list[hecke.PrimeLocalData]:
+def random_selfdual_locals(primes: list[int], rng: random.Random) -> hecke.LocalArrays:
     pairs = [(p, rng.uniform(-2.0, 2.0)) for p in primes]
     return hecke.sym2_lift(hecke.GL2FormData(pairs))
 
@@ -83,7 +83,7 @@ def suite_hecke(seed: int = 0) -> list[Check]:
         abs(table.value(m, n) - table.value(n, m).conjugate())
         for m in range(1, 31) for n in range(1, 31)), 1e-9))
     checks.append(Check.le("ramanujan_bound_excess", worst(
-        abs(table.value(loc.p, 1)) - 3.0 for loc in table.locals[:100]), 1e-10))
+        abs(table.value(p, 1)) - 3.0 for p in table.local.primes[:100].tolist()), 1e-10))
     return checks
 
 
@@ -202,8 +202,8 @@ def sym2_tau_table(values: list[int]) -> hecke.CoefficientTable:
     """Coefficient table of the symmetric-square lift of the tau form, from
     values = [tau(1), ..., tau(X)], covering A(m, n) for m <= X (diagonal
     entries available on demand)."""
-    locals_ = hecke.sym2_lift(hecke.GL2FormData(tau.prime_eigenvalues(values)))
-    return hecke.CoefficientTable(locals_, len(values), len(values))
+    local = hecke.sym2_lift(hecke.GL2FormData(tau.prime_eigenvalues(values)))
+    return hecke.CoefficientTable(local, len(values), len(values))
 
 
 def tau_identity_failures(values: list[int]) -> int:
@@ -265,8 +265,8 @@ def suite_signs(seed: int = 0) -> list[Check]:
 def suite_euler(seed: int = 0) -> list[Check]:
     """Local Euler factors versus closed forms and the shifted-ratio identity."""
     rng = random.Random(seed)
-    deg = hecke.PrimeLocalData(2, hecke.SatakeTriple(1.0 + 0j, 1.0 + 0j, 1.0 + 0j))
-    res = dmod.euler_factor_check(deg, 2.0 + 0.0j, J=60)
+    # the degenerate triple (1, 1, 1) at p = 2
+    res = dmod.euler_factor_check(2, 3.0 + 0.0j, 3.0 + 0.0j, 2.0 + 0.0j, J=60)
     closed_expected = 1.0 / (1.0 - 2.0 ** -2.0) ** 3
     checks = [
         Check.le("euler_degenerate_closed_form",
@@ -276,11 +276,13 @@ def suite_euler(seed: int = 0) -> list[Check]:
     ]
 
     primes = [3, 5, 7, 11, 13][:]
-    locs = random_selfdual_locals(primes, rng) + random_tempered_locals([17, 19], rng)
+    locs = [random_selfdual_locals(primes, rng),
+            hecke.LocalArrays.from_records(random_tempered_locals([17, 19], rng))]
+    triples = [t for loc in locs for t in zip(loc.primes.tolist(), loc.e1.tolist(), loc.e2.tolist())]
     # sigma, then t, drawn for each local in turn
-    recs = [dmod.euler_factor_check(loc, complex(rng.choice((1.2, 1.5, 2.0)),
-                                                 rng.uniform(-5.0, 5.0)), J=80)
-            for loc in locs * 3]
+    recs = [dmod.euler_factor_check(*triple, complex(rng.choice((1.2, 1.5, 2.0)),
+                                                     rng.uniform(-5.0, 5.0)), J=80)
+            for triple in triples * 3]
     checks.append(Check.le("euler_series_vs_closed_max",
                            worst(abs(r["series"] - r["closed"]) for r in recs), 1e-9))
     checks.append(Check.le("euler_ratio_identity_max",

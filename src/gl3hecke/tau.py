@@ -1,6 +1,7 @@
 """Ramanujan tau(n), the coefficient of q^{n-1} in prod_{k>=1} (1 - q^k)^24:
 eta^6 from pairs of terms of Jacobi's series for eta^3, then two exact
-truncated squarings by float64 FFTs over balanced limbs (`square_trunc`)."""
+truncated squarings by float64 FFTs over balanced limbs (`_square_words`),
+kept in int64 words until integers are asked for."""
 
 from __future__ import annotations
 
@@ -16,10 +17,10 @@ _EPS = 2.0 ** -53                   # unit roundoff of float64
 _TWIDDLE = 2.0 ** -52               # assumed error of the FFT's roots of unity
 
 
-def eta_sixth_coeffs(N: int) -> list[int]:
-    """Coefficients of prod (1 - q^k)^6 up to q^{N-1}: the square of Jacobi's
-    series sum_{j>=0} (-1)^j (2j+1) q^{j(j+1)/2}, summed over its pairs of
-    terms."""
+def eta_sixth_coeffs(N: int) -> np.ndarray:
+    """Coefficients of prod (1 - q^k)^6 up to q^{N-1}, as int64: the square
+    of Jacobi's series sum_{j>=0} (-1)^j (2j+1) q^{j(j+1)/2}, summed over its
+    pairs of terms."""
     j = np.arange((math.isqrt(max(8 * N - 7, 0)) + 1) // 2)     # the j with j(j+1)/2 < N
     tri = j * (j + 1) // 2
     jacobi = np.where(j % 2 == 1, -(2 * j + 1), 2 * j + 1).astype(np.float64)
@@ -29,7 +30,7 @@ def eta_sixth_coeffs(N: int) -> list[int]:
     # integer of size at most (sum_{j<J} (2j+1))^2 = J^4, which is below 2^53
     # for N < 4.7 * 10^7, far beyond the 10^6 that ramanujan_tau allows.
     six = np.bincount(exps[inside], np.outer(jacobi, jacobi)[inside], minlength=N)
-    return six.astype(np.int64).tolist()
+    return six.astype(np.int64)
 
 
 def _fft_length(m: int) -> int:
@@ -45,7 +46,7 @@ def _fft_length(m: int) -> int:
 def _error_bound(norms: list[float], L: int) -> float:
     """Bound on the distance from the exact integers of every diagonal
     sum_{k+l=t} x_k * x_l of real vectors with these Euclidean norms, computed
-    by length-L FFTs as `square_trunc` does.
+    by length-L FFTs as `_square_words` does.
 
     Percival (Math. Comp. 72 (2003), Theorem 5.1) bounds a cyclic convolution
     x * y by a radix-2 FFT of length 2^n, with unit roundoff eps and roots of
@@ -103,16 +104,24 @@ def _limb_bits(c: np.ndarray, L: int) -> tuple[int, list[np.ndarray]]:
     raise ArithmeticError(f"no limb width squares {len(c)} coefficients exactly")
 
 
+def _fold(high: np.ndarray, words: list[np.ndarray], widths: list[int],
+          part: slice = slice(None)) -> tuple[np.ndarray, int]:
+    """high 2^w + word for the highest words[j][part] while int64 holds the
+    partial values, |high| < 2^(62 - w); returns them and the j words left."""
+    j = len(words)
+    while j and int(np.max(np.abs(high))) < 1 << (62 - widths[j - 1]):
+        j -= 1
+        high = (high << widths[j]) + words[j][part]
+    return high, j
+
+
 def _rebuild(top: np.ndarray, words: list[np.ndarray], widths: list[int]) -> list[int]:
     """top 2^(sum widths) + sum_j words[j] 2^(sum widths[:j]) as Python ints,
     _CHUNK at a time: in int64 while that holds the partial values."""
     out = []
     for start in range(0, len(top), _CHUNK):
         part = slice(start, start + _CHUNK)
-        high, j = top[part], len(words)
-        while j and int(np.max(np.abs(high))) < 1 << (62 - widths[j - 1]):
-            j -= 1
-            high = (high << widths[j]) + words[j][part]
+        high, j = _fold(top[part], words, widths, part)
         vals = high.tolist()
         for word, width in zip(reversed(words[:j]), reversed(widths[:j])):
             vals = [(v << width) + w for v, w in zip(vals, word[part].tolist())]
@@ -131,9 +140,9 @@ def _rounded(spectrum: np.ndarray, L: int, keep: int) -> np.ndarray:
     return exact
 
 
-def square_trunc(coeffs: list[int], N: int) -> list[int]:
-    """Exact coefficients of the square of the polynomial, truncated to N.
-    Every coefficient must fit in int64; a larger one raises ValueError.
+def _square_words(c: np.ndarray, N: int) -> tuple[np.ndarray, list[np.ndarray], list[int]]:
+    """The square of the int64 polynomial c truncated to N, exactly, as the
+    (top, words, widths) that `_rebuild` turns into Python ints.
 
     The coefficients are split into K balanced limbs of b bits (`_limb_bits`),
     each transformed by one real FFT of 5-smooth length L >= 2 len - 1 at its
@@ -141,19 +150,15 @@ def square_trunc(coeffs: list[int], N: int) -> list[int]:
     products F_k F_l, k + l = t, are summed (2 F_k F_l for k < l), and one
     inverse FFT gives sum_{k+l=t} limb_k * limb_l to within `_error_bound`
     < 1/4, or ArithmeticError.  An int64 carry pass turns the diagonals into
-    b-bit digits, packed into words and rebuilt as Python ints.
+    b-bit digits, packed into words; the carry left over is the top.
     """
-    try:
-        c = np.array(coeffs, dtype=np.int64)[:N]
-    except OverflowError as exc:
-        raise ValueError("square_trunc takes coefficients that fit in int64") from exc
+    keep = max(0, min(N, 2 * len(c) - 1))
     if not c.any():
-        return [0] * N
-    keep, L = min(N, 2 * len(c) - 1), _fft_length(2 * len(c) - 1)
+        return np.zeros(keep, dtype=np.int64), [], []
+    L = _fft_length(2 * len(c) - 1)
     b, limbs = _limb_bits(c, L)
     K, per_word, spectra, words = len(limbs), 62 // b, {}, []
     carry = np.zeros(keep, dtype=np.int64)
-    del c
     for t in range(2 * K - 1):
         if t < K:
             spectra[t], limbs[t] = np.fft.rfft(limbs[t], L), None
@@ -173,24 +178,52 @@ def square_trunc(coeffs: list[int], N: int) -> list[int]:
             words.append(np.zeros(keep, dtype=np.int64))
         words[-1] |= (carry & ((1 << b) - 1)) << b * (t % per_word)
         carry >>= b
-    widths = [b * per_word] * (len(words) - 1) + [b * ((2 * K - 2) % per_word + 1)]
-    return _rebuild(carry, words, widths) + [0] * (N - keep)
+    return carry, words, [b * per_word] * (len(words) - 1) + [b * ((2 * K - 2) % per_word + 1)]
+
+
+def square_trunc(coeffs: list[int], N: int) -> list[int]:
+    """Exact coefficients of the square of the polynomial, truncated to N, by
+    `_square_words`.  Every coefficient must fit in int64; a larger one raises
+    ValueError."""
+    try:
+        c = np.array(coeffs, dtype=np.int64)[:N]
+    except OverflowError as exc:
+        raise ValueError("square_trunc takes coefficients that fit in int64") from exc
+    out = _rebuild(*_square_words(c, N))
+    return out + [0] * (N - len(out))
+
+
+def _tau_words(N: int) -> tuple[np.ndarray, list[np.ndarray], list[int]]:
+    """tau(1), ..., tau(N) as `_square_words` leaves them: eta^6 squared
+    twice, with eta^12 back in int64 in between (its coefficients have at
+    most 46 bits at N = 10^5 and 55 at 10^6).  Requires 1 <= N <= 10**6."""
+    if not 1 <= N <= 10**6:
+        raise ValueError(f"N = {N} outside supported range [1, 10^6]")
+    eta12, j = _fold(*_square_words(np.asarray(eta_sixth_coeffs(N), dtype=np.int64), N))
+    if j:
+        raise ArithmeticError("a coefficient of eta^12 does not fit in int64")
+    return _square_words(eta12, N)
+
+
+def _gather(packed: tuple, at: np.ndarray) -> tuple:
+    """The entries at the indices `at` of `_square_words`' packed output."""
+    top, words, widths = packed
+    return top[at], [word[at] for word in words], widths
 
 
 def ramanujan_tau(N: int) -> list[int]:
     """Exact tau(1), ..., tau(N).  Requires 1 <= N <= 10**6."""
-    if not 1 <= N <= 10**6:
-        raise ValueError(f"N = {N} outside supported range [1, 10^6]")
-    f = eta_sixth_coeffs(N)
-    for _ in range(2):
-        f = square_trunc(f, N)
-    return f
+    return _rebuild(*_tau_words(N))
 
 
 def tau_prime_eigenvalues(N: int) -> list[tuple[int, float]]:
-    """(p, tau(p) / p^{11/2}) for primes p <= N; the normalized values lie in
-    (-2, 2) by the proven Ramanujan bound."""
-    return prime_eigenvalues(ramanujan_tau(N))
+    """(p, tau(p) / p^{11/2}) for primes p <= N, as `prime_eigenvalues` gives
+    them from ramanujan_tau(N), with only the tau(p) rebuilt as Python ints;
+    the normalized values lie in (-2, 2) by the proven Ramanujan bound."""
+    packed = _tau_words(N)
+    primes = primes_upto(N)
+    taus = _rebuild(*_gather(packed, np.array(primes, dtype=np.int64) - 1))
+    return [(p, t / p ** 5.5) for p, t in zip(primes, taus)]
 
 
 def prime_eigenvalues(values: list[int]) -> list[tuple[int, float]]:
@@ -198,7 +231,7 @@ def prime_eigenvalues(values: list[int]) -> list[tuple[int, float]]:
     return [(p, values[p - 1] / p ** 5.5) for p in primes_upto(len(values))]
 
 
-def sym2_tau_locals(N: int) -> list:
-    """Local Satake data of the symmetric-square lift of the tau form,
-    for all primes p <= N."""
+def sym2_tau_locals(N: int) -> hecke.LocalArrays:
+    """Local data of the symmetric-square lift of the tau form, for all
+    primes p <= N."""
     return hecke.sym2_lift(hecke.GL2FormData(tau_prime_eigenvalues(N)))

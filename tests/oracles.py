@@ -24,7 +24,7 @@ import numpy as np
 
 from gl3hecke import measures
 from gl3hecke.arith import factorize, mobius
-from gl3hecke.hecke import schur_from_elementary
+from gl3hecke.hecke import SatakeTriple, schur_from_elementary
 from gl3hecke.klpoly import Weight
 from gl3hecke.schuralg import EPoly, schur_to_epoly
 from gl3hecke.signstats import SignChangeReport
@@ -49,6 +49,17 @@ def vandermonde_schur(b1: int, b2: int, x1: complex, x2: complex, x3: complex) -
     )
     den = (x1 - x2) * (x1 - x3) * (x2 - x3)
     return num / den
+
+
+def sym2_triple_by_angles(lam: float) -> SatakeTriple:
+    """The symmetric-square Satake triple (beta^2, 1, beta^-2) of
+    lambda = beta + 1/beta on the unit circle, with beta from acos and exp:
+    an independent path to hecke.sym2_lift's e1 = e2 = lambda^2 - 1.  Branch
+    at |lambda| = 2: beta = 1 for lambda = 2 and beta = -1 for lambda = -2."""
+    half = min(1.0, max(-1.0, lam / 2.0))
+    beta = cmath.exp(1j * math.acos(half))
+    b2 = beta * beta
+    return SatakeTriple(b2, 1.0 + 0.0j, 1.0 / b2)
 
 
 def naive_eta_power(N: int, k: int) -> list[int]:

@@ -160,14 +160,15 @@ class TestGenAndIngest:
 
     def test_ingest_tempered_within_unit_tol(self, tmp_path, capsys):
         # the one temperedness test of hecke: |lambda| <= 2 + UNIT_TOL, so the
-        # flag agrees with GL2FormData and sym2_lift, which lifts to (1, 1, 1)
+        # flag agrees with GL2FormData and sym2_lift, which lifts to (1, 1, 1),
+        # whose e1 and e2 are 3
         path = tmp_path / "edge.csv"
         path.write_text("p,lambda\n2,2.0000000000001\n")
         form = cli.ingest(str(path), "gl2csv")
         assert form.ramanujan is True
         assert capsys.readouterr().err == ""
-        satake = hecke.sym2_lift(form)[0].satake
-        assert (satake.alpha1, satake.alpha2, satake.alpha3) == (1.0, 1.0, 1.0)
+        local = hecke.sym2_lift(form)
+        assert (local.e1.tolist(), local.e2.tolist()) == ([3.0], [3.0])
 
     @pytest.mark.parametrize("m", ["0", "1000001"])
     def test_seq_ingest_rejects_index_outside_the_cap(self, tmp_path, capsys, m):

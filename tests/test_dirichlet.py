@@ -130,9 +130,11 @@ class TestBuildMKD:
 
 
 class TestEulerFactor:
+    # e1 = e2 = 3 at p = 2: the degenerate triple (1, 1, 1)
+    DEGENERATE = (2, 3.0 + 0.0j, 3.0 + 0.0j)
+
     def test_degenerate_against_binomial_dimensions(self):
-        loc = PrimeLocalData(2, SatakeTriple(1.0 + 0j, 1.0 + 0j, 1.0 + 0j))
-        rec = euler_factor_check(loc, 2.0 + 0.0j, J=60)
+        rec = euler_factor_check(*self.DEGENERATE, 2.0 + 0.0j, J=60)
         direct = sum(
             (j + 1) * (j + 2) / 2.0 * 2.0 ** (-2.0 * j) for j in range(61)
         )
@@ -143,33 +145,32 @@ class TestEulerFactor:
 
     def test_random_self_dual_local(self):
         rng = random.Random(9)
-        (loc,) = sym2_lift(GL2FormData([(3, rng.uniform(-2, 2))]))
-        rec = euler_factor_check(loc, 1.5 + 0.0j, J=80)
+        local = sym2_lift(GL2FormData([(3, rng.uniform(-2, 2))]))
+        rec = euler_factor_check(3, local.e1[0], local.e2[0], 1.5 + 0.0j, J=80)
         assert abs(rec["series"] - rec["closed"]) <= 1e-9
         assert rec["ratio_identity_residual"] <= 1e-9
 
     def test_residuals_on_grid(self, rng):
-        locs = sym2_lift(
-            GL2FormData([(p, rng.uniform(-2, 2)) for p in (3, 5, 7, 11, 13)])
-        ) + [PrimeLocalData(17, random_tempered_triple(rng))]
-        for loc in locs:
+        local = sym2_lift(GL2FormData([(p, rng.uniform(-2, 2)) for p in (3, 5, 7, 11, 13)]))
+        x = random_tempered_triple(rng)
+        triples = [*zip(local.primes.tolist(), local.e1.tolist(), local.e2.tolist()),
+                   (17, x.e1, x.e2)]
+        for triple in triples:
             for sigma in (1.2, 1.5, 2.0):
                 for t in (-5.0, 0.0, 3.3):
-                    rec = euler_factor_check(loc, complex(sigma, t), J=90)
+                    rec = euler_factor_check(*triple, complex(sigma, t), J=90)
                     assert abs(rec["series"] - rec["closed"]) <= 1e-9
                     assert rec["ratio_identity_residual"] <= 1e-9
 
     def test_preconditions(self):
-        loc = PrimeLocalData(2, SatakeTriple(1.0 + 0j, 1.0 + 0j, 1.0 + 0j))
         with pytest.raises(ValueError):
-            euler_factor_check(loc, 1.0 + 0.0j)
+            euler_factor_check(*self.DEGENERATE, 1.0 + 0.0j)
         with pytest.raises(ValueError):
-            euler_factor_check(loc, 2.0 + 0.0j, J=10)
+            euler_factor_check(*self.DEGENERATE, 2.0 + 0.0j, J=10)
 
     def test_tail_warning_on_short_truncation(self):
-        loc = PrimeLocalData(2, SatakeTriple(1.0 + 0j, 1.0 + 0j, 1.0 + 0j))
         with pytest.warns(RuntimeWarning, match="tail"):
-            euler_factor_check(loc, 1.1 + 0.0j, J=20)
+            euler_factor_check(*self.DEGENERATE, 1.1 + 0.0j, J=20)
 
 
 class TestMeanValue:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tempered_triple
-from gl3hecke import hecke
+from gl3hecke import hecke, suites, tau
 from gl3hecke.arith import primes_upto
 from gl3hecke.hecke import (
     A_M1,
@@ -14,6 +14,7 @@ from gl3hecke.hecke import (
     CoefficientTable,
     GL2FormData,
     IndexBoundsError,
+    LocalArrays,
     MissingPrimeError,
     NonTemperedError,
     PrimeLocalData,
@@ -24,7 +25,7 @@ from gl3hecke.hecke import (
     sym2_lift,
 )
 from gl3hecke.suites import random_tempered_locals
-from oracles import vandermonde_schur
+from oracles import sym2_triple_by_angles, vandermonde_schur
 
 DEGENERATE = SatakeTriple(1.0 + 0j, 1.0 + 0j, 1.0 + 0j)
 
@@ -159,8 +160,9 @@ class TestCoefficientTable:
         assert table.value(1, 1) == 1.0
 
     def test_single_prime_power_matches_schur(self, random_table_2500):
-        (loc2,) = [loc for loc in random_table_2500.locals if loc.p == 2]
-        expected = schur(2, 1, loc2.satake)
+        local = random_table_2500.local
+        assert local.primes[0] == 2
+        expected = schur_from_elementary(2, 1, local.e1[0], local.e2[0])
         assert random_table_2500.value(4, 2) == pytest.approx(expected)
 
     def test_missing_prime_is_reported(self):
@@ -274,6 +276,68 @@ class TestRow:
             head[0] = 2.0
 
 
+class TestLocalArrays:
+    def test_from_records_is_the_properties_bit_for_bit(self):
+        recs = random_tempered_locals(primes_upto(X_WIDE), random.Random(33))
+        local = LocalArrays.from_records(recs)
+        assert local.primes.tolist() == [rec.p for rec in recs]
+        assert np.array_equal(entry_bits(local.e1), entry_bits([rec.satake.e1 for rec in recs]))
+        assert np.array_equal(entry_bits(local.e2), entry_bits([rec.satake.e2 for rec in recs]))
+
+    def test_table_from_arrays_equals_table_from_records(self):
+        # the same data as records and as arrays given in descending order
+        X = 30_000
+        recs = random_tempered_locals(primes_upto(X), random.Random(34))
+        local = LocalArrays([rec.p for rec in recs][::-1], [rec.satake.e1 for rec in recs][::-1],
+                            [rec.satake.e2 for rec in recs][::-1])
+        tables = [CoefficientTable(recs, X, X), CoefficientTable(local, X, X)]
+        for which in (A_M1, A_MM):
+            rows = [entry_bits(t.row(X, which)) for t in tables]
+            assert np.array_equal(*rows)
+        rng = random.Random(35)
+        cells = [(rng.randint(1, X), rng.randint(1, X)) for _ in range(2_000)]
+        cells += [(p, 1) for p in primes_upto(X)]
+        values = [entry_bits([t.value(m, n) for m, n in cells]) for t in tables]
+        assert np.array_equal(*values)
+
+    @pytest.mark.parametrize("primes, e1, e2, message", [
+        ([2, 3, 4], [1, 1, 1], [1, 1, 1], "4 is not prime"),
+        ([2, 1, 3], [1, 1, 1], [1, 1, 1], "1 is not prime"),
+        ([2, 3, 2], [1, 1, 1], [1, 1, 1], "more than one local data for prime 2"),
+        ([2, 3, 5], [1, math.nan, 1], [1, 1, 1], "local data at prime 3 is not finite"),
+        ([2, 3, 5], [1, 1, 1], [1, 1, complex(1, math.nan)], "local data at prime 5 is not finite"),
+        ([2, 3, 5], [1, 1, math.inf], [1, 1, 1], "local data at prime 5 is not finite"),
+    ], ids=["composite", "one", "duplicate", "nan_e1", "nan_e2_imag", "inf_e1"])
+    def test_refusals(self, primes, e1, e2, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LocalArrays(primes, e1, e2)
+
+    def test_lift_refuses_non_tempered_lambda(self):
+        form = GL2FormData([(2, 1.0), (3, 2.5), (5, math.nan)], ramanujan=False)
+        with pytest.raises(NonTemperedError,
+                           match=r"^\|lambda\(p\)\| > 2 at primes \[3, 5\]; lift needs tempered input$"):
+            sym2_lift(form)
+
+    def test_read_only(self):
+        local = LocalArrays([3, 2], [1.0, 2.0], [1.0, 2.0])
+        assert local.primes.tolist() == [2, 3] and local.e1.tolist() == [2.0, 1.0]
+        for a in (local.primes, local.e1, local.e2):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+
+def test_sym2_path_builds_no_per_prime_records(monkeypatch):
+    # the sym^2 lift of tau goes from the packed tau words to the table in
+    # arrays: no SatakeTriple or PrimeLocalData on the way
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a {type(self).__name__} was built on the sym^2 path")
+
+    for cls in (SatakeTriple, PrimeLocalData):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    assert len(tau.sym2_tau_locals(10**4).primes) == 1229
+    assert suites.all_passed(suites.suite_signs(0))
+
+
 def powers_upto(p, X):
     q = p
     while q <= X:
@@ -283,18 +347,18 @@ def powers_upto(p, X):
 
 class TestPrimeValuesAgainstScalarRecords:
     """Every prime's local value in a row, against schur_from_elementary on
-    the scalar records' e1 and e2: Python's scalar complex arithmetic, apart
-    from the _PyComplex arrays the row is made with.  A row holds
-    A(p, p^b) = 1 * L(p), value()'s product started from one."""
+    the table's e1 and e2 as Python complex scalars: Python's scalar complex
+    arithmetic, apart from the _PyComplex arrays the row is made with.  A row
+    holds A(p, p^b) = 1 * L(p), value()'s product started from one."""
 
     @staticmethod
     def check(table, X):
         primes = primes_upto(X)
-        locs = {loc.p: loc.satake for loc in table.locals}
+        local = table.local
+        e = dict(zip(local.primes.tolist(), zip(local.e1.tolist(), local.e2.tolist())))
         for which, b in ((A_M1, 0), (A_MM, 1)):
             row = table.row(X, which)
-            want = [(1.0 + 0.0j) * schur_from_elementary(1, b, locs[p].e1, locs[p].e2)
-                    for p in primes]
+            want = [(1.0 + 0.0j) * schur_from_elementary(1, b, *e[p]) for p in primes]
             assert np.array_equal(entry_bits(row[np.array(primes) - 1]), entry_bits(want))
 
     def test_random_tempered_to_3e5(self, random_table_wide):
@@ -399,33 +463,50 @@ class TestMobiusExpand:
 
 
 class TestSym2Lift:
+    @staticmethod
+    def lift(lam):
+        local = sym2_lift(GL2FormData([(2, lam)]))
+        return local.e1[0], local.e2[0]
+
     def test_extreme_eigenvalue_two(self):
-        (loc,) = sym2_lift(GL2FormData([(2, 2.0)]))
-        assert loc.satake.alpha1 == pytest.approx(1.0)
-        assert loc.satake.alpha2 == pytest.approx(1.0)
-        assert loc.satake.alpha3 == pytest.approx(1.0)
-        assert schur(1, 0, loc.satake) == pytest.approx(3.0)
+        # the triple (1, 1, 1), at lambda = -2 as at 2
+        for lam in (2.0, -2.0):
+            assert self.lift(lam) == (3.0, 3.0)
 
     def test_zero_eigenvalue(self):
-        (loc,) = sym2_lift(GL2FormData([(2, 0.0)]))
-        assert loc.satake.alpha1 == pytest.approx(-1.0)
-        assert loc.satake.alpha2 == pytest.approx(1.0)
-        assert loc.satake.alpha3 == pytest.approx(-1.0)
-        assert abs(schur(1, 0, loc.satake) - (-1.0)) < 1e-12
+        # the triple (-1, 1, -1)
+        assert self.lift(0.0) == (-1.0, -1.0)
 
     def test_eigenvalue_one_gives_vanishing_coefficient(self):
-        (loc,) = sym2_lift(GL2FormData([(5, 1.0)]))
-        assert abs(schur(1, 0, loc.satake)) < 1e-12
+        assert self.lift(1.0) == (0.0, 0.0)
+        assert self.lift(-1.0) == (0.0, 0.0)
 
     def test_lift_coefficient_identities(self, rng):
         pairs = [(p, rng.uniform(-2.0, 2.0)) for p in (2, 3, 5, 7, 11, 13)]
-        for loc, (p, lam) in zip(sym2_lift(GL2FormData(pairs)), pairs):
-            a1 = schur(1, 0, loc.satake)
-            app = schur(1, 1, loc.satake)
-            assert abs(a1.imag) < 1e-12
+        local = sym2_lift(GL2FormData(pairs))
+        assert local.primes.tolist() == [p for p, _ in pairs]
+        for e1, e2, (p, lam) in zip(local.e1.tolist(), local.e2.tolist(), pairs):
+            a1 = schur_from_elementary(1, 0, e1, e2)
+            app = schur_from_elementary(1, 1, e1, e2)
+            assert a1.imag == 0.0
             assert abs(a1 - (lam * lam - 1.0)) < 1e-10
             assert abs(app - (a1 * a1 - 1.0)) < 1e-10
             assert -1.0 - 1e-12 <= a1.real <= 3.0 + 1e-12
+
+    def test_within_unit_tol_of_two_is_the_degenerate_triple(self):
+        for lam in (2.0 + 1e-12, -2.0 - 1e-12):
+            assert self.lift(lam) == (3.0, 3.0)
+
+    def test_near_the_old_lift(self):
+        # lambda^2 - 1 against the triple (beta^2, 1, beta^-2) built from acos
+        # and exp, for 10^4 random lambda and the edges of [-2, 2]
+        rng = np.random.default_rng(24)
+        lams = np.concatenate([rng.uniform(-2.0, 2.0, 10_000), [2.0, -2.0, 0.0, 1.0, -1.0]])
+        primes = primes_upto(200_000)[:len(lams)]
+        local = sym2_lift(GL2FormData(list(zip(primes, lams.tolist()))))
+        old = [sym2_triple_by_angles(lam) for lam in lams.tolist()]
+        for got, want in ((local.e1, [x.e1 for x in old]), (local.e2, [x.e2 for x in old])):
+            assert np.max(np.abs(got - np.array(want))) <= 1e-14
 
     def test_non_tempered_input_lists_primes(self):
         with pytest.raises(NonTemperedError, match=r"\[3, 7\]"):

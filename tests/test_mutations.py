@@ -149,26 +149,38 @@ def test_dropped_jacobi_term_of_eta_cubed(monkeypatch):
         pair = exps[:, None] + exps[None, :]
         inside = pair < N
         six = np.bincount(pair[inside], np.outer(weights, weights)[inside], minlength=N)
-        return six.astype(np.int64).tolist()
+        return six.astype(np.int64)
 
     monkeypatch.setattr(tau, "eta_sixth_coeffs", dropped)
     assert failed_signs_checks() == {"tau_identity_failures"}
 
 
 def test_square_trunc_output_off_by_one(monkeypatch):
-    # tau(99991), at the largest prime below X = 10^5, one too large: lambda(p)
-    # moves by 1e-27, which no sign statistic can see.
-    real, calls = tau.square_trunc, []
+    # tau(99991), at the largest prime below X = 10^5, one too large in the
+    # second squaring of the kernel that square_trunc, ramanujan_tau and
+    # tau_prime_eigenvalues share: lambda(p) moves by 1e-27, which no sign
+    # statistic can see.
+    real, calls = tau._square_words, []
 
-    def off_by_one(coeffs, N):
-        out = real(coeffs, N)
+    def off_by_one(c, N):
+        top, words, widths = real(c, N)
         calls.append(N)
         if len(calls) == 2:
-            out[99_990] += 1
-        return out
+            (words or [top])[0][99_990] += 1
+        return top, words, widths
 
-    monkeypatch.setattr(tau, "square_trunc", off_by_one)
+    monkeypatch.setattr(tau, "_square_words", off_by_one)
     assert failed_signs_checks() == {"tau_identity_failures"}
+
+
+def test_prime_taus_gathered_at_p(monkeypatch):
+    # tau_prime_eigenvalues reading the packed words at p instead of p - 1,
+    # that is tau(p + 1) for tau(p): the cross-check against
+    # prime_eigenvalues(ramanujan_tau(N)) must see it
+    real = tau._gather
+    monkeypatch.setattr(tau, "_gather", lambda packed, at: real(packed, at + 1))
+    N = 1000
+    assert tau.tau_prime_eigenvalues(N) != tau.prime_eigenvalues(tau.ramanujan_tau(N))
 
 
 def test_window_s2_over_signed_terms(monkeypatch):

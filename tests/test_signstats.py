@@ -189,7 +189,7 @@ class TestShortIntervalSums:
 
     def test_independent_of_call_order(self, tau_table_100k, complex_table):
         # fresh copies of the tables, so that no window sum is memoised yet
-        tables = [CoefficientTable(t.locals, t.bound_m, t.bound_n)
+        tables = [CoefficientTable(t.local, t.bound_m, t.bound_n)
                   for t in (tau_table_100k, complex_table)]
         cfgs = [ShortIntervalConfig(X=2_000, H=40, M=4), ShortIntervalConfig(X=2_000, H=7, M=2)]
         xs = range(4_000, 1_999, -3)
@@ -210,6 +210,7 @@ class TestShortIntervalSums:
         gc.collect()
         assert ref() is None
         assert len(signstats._window_sums) == before
+        assert signstats._latest == {}  # the one-entry fast path too
 
     def test_table_must_reach_2X_plus_H(self):
         # the window at x = X ends near 108, but the table must reach 208

@@ -37,7 +37,7 @@ def test_prefix_against_naive_oracle():
 
 def test_eta_sixth_from_jacobi_pairs():
     for n in (1, 2, 3, 300):
-        assert tau.eta_sixth_coeffs(n) == naive_eta_power(n, 6)
+        assert tau.eta_sixth_coeffs(n).tolist() == naive_eta_power(n, 6)
 
 
 def test_square_trunc_matches_schoolbook():
@@ -223,9 +223,44 @@ def test_off_integer_product_is_a_program_fault(monkeypatch, tmp_path):
     assert "ArithmeticError" in proc.stderr
 
 
+def test_eta12_past_int64_is_a_program_fault(monkeypatch, tmp_path):
+    # eta^12 goes back into int64 between the squarings: eta^6 scaled by
+    # 2^40 still fits, its square does not, and that must raise
+    # ArithmeticError in both entry points and through the CLI, never wrap
+    # around and never be reported as a configuration error (exit code 2).
+    real = tau.eta_sixth_coeffs
+    monkeypatch.setattr(tau, "eta_sixth_coeffs", lambda N: [c << 40 for c in real(N)])
+    for entry in (tau.ramanujan_tau, tau.tau_prime_eigenvalues):
+        with pytest.raises(ArithmeticError, match="int64"):
+            entry(50)
+    code = ("import sys\n"
+            "from gl3hecke import tau\n"
+            "real = tau.eta_sixth_coeffs\n"
+            "tau.eta_sixth_coeffs = lambda N: [c << 40 for c in real(N)]\n"
+            "from gl3hecke.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(tau.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code, "gen", "--what", "tau", "--N", "50",
+                           "--out", str(tmp_path / "tau.csv")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode not in (0, 2)
+    assert "ArithmeticError" in proc.stderr
+
+
+@pytest.mark.parametrize("N", [1, 2, 1000, 10**5, 10**6])
+def test_prime_eigenvalues_from_the_packed_words(N):
+    # tau(p) rebuilt at the primes alone, against every tau(n) rebuilt, over
+    # the full supported range: the same primes and the same doubles
+    got = tau.tau_prime_eigenvalues(N)
+    want = tau.prime_eigenvalues(tau.ramanujan_tau(N))
+    assert [p for p, _ in got] == [p for p, _ in want] == primes_upto(N)
+    assert np.array_equal(np.array([lam for _, lam in got]).view(np.int64),
+                          np.array([lam for _, lam in want]).view(np.int64))
+
+
 def test_eta24_squarings_match_kronecker():
     n = 20_000
-    f = tau.eta_sixth_coeffs(n)
+    f = tau.eta_sixth_coeffs(n).tolist()
     for _ in range(2):
         g = tau.square_trunc(f, n)
         assert g == square_trunc_kronecker(f, n)
