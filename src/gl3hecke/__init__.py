@@ -47,6 +47,7 @@ from .signstats import (
     partial_sum_abs,
     short_interval_sums,
     sign_balance,
+    window_sums,
 )
 from .dirichlet import (
     DirichletPolynomial,

@@ -13,6 +13,8 @@ import math
 import random
 import sys
 
+import numpy as np
+
 from . import dirichlet as dmod
 from . import hecke, klpoly, measures, schuralg, signstats, suites, tau
 from .arith import _MR_PROOF_BOUND, is_prime
@@ -71,6 +73,13 @@ def write_report(obj, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _largest(values) -> float:
+    """The largest of values, or NaN if any is NaN: Python's max keeps its
+    running value when the next one is NaN.  Unlike `suites.worst` there is
+    no floor at 0, so a negative largest value is reported as it is."""
+    return float(np.max(np.fromiter(values, float)))
 
 
 def _int_or_auto(text: str):
@@ -141,7 +150,7 @@ def cmd_satotate(args) -> int:
         cells = [(-1.0 + c * width, -1.0 + (c + 1) * width) for c in range(args.cells)]
         recs = schuralg.effective_st_compare(args.p, args.samples, cells, args.seed)
         report["cells"] = recs
-        worst = max(r["diff"] - r["mass_uncertainty"] for r in recs)
+        worst = _largest(r["diff"] - r["mass_uncertainty"] for r in recs)
         report["max_excess_diff"] = worst
         ok = worst <= args.tol
     else:
@@ -163,7 +172,7 @@ def cmd_signs(args) -> int:
         return 0
     X = args.X
     H, M = _auto_window(X, args.H, args.M)
-    table = suites.sym2_tau_table(tau.ramanujan_tau(X))
+    table = hecke.CoefficientTable(tau.sym2_tau_locals(X), X, X)
     seq = signstats.sequence_from_table(table, X)
     rep = signstats.count_sign_changes(seq, args.zero_tol)
     # scan windows [x, x+H] for x up to 2*scan_X stay inside the table
@@ -189,7 +198,7 @@ def cmd_mvt(args) -> int:
     report = {
         "command": "mvt", "N": args.N, "T": args.T, "seed": args.seed,
         "draws": [{"N": args.N, "T": args.T, **r} for r in recs],
-        "max_ratio": max(r["ratio"] for r in recs),
+        "max_ratio": _largest(r["ratio"] for r in recs),
     }
     write_report(report, args.out)
     return 0 if report["max_ratio"] <= args.tol else 1

@@ -73,17 +73,16 @@ class WindowPolynomial:
 
 def build_MKD(table, X: int, M: int) -> dict:
     """The window polynomial D of the bilinear-sum decomposition, as
-    {"D": D}: the WindowPolynomial over d <= 2M with a_p = A(p,1).  X is not
-    read; it stays in the signature because perfbench's mvt workload calls
-    build_MKD(table, 10 * M, M).
+    {"D": D}: the WindowPolynomial over d <= 2M with a_p = A(p,1), read from
+    the table's row A(m, 1), m <= 2M.  X is not read; it stays in the
+    signature because perfbench's mvt workload calls build_MKD(table, 10 * M, M).
 
     D assumes self-dual data, A(1,p) = A(p,1): only then is g_p the square of
     1 - L_p(s)^-1 = A(p,1) p^-s - A(1,p) p^-2s + p^-3s.  For other data D is
     still the sum of products that WindowPolynomial defines.
     """
     primes = np.array(primes_upto(2 * M), dtype=np.int64)
-    a = np.array([table.value(p, 1) for p in primes.tolist()], dtype=complex)
-    return {"D": WindowPolynomial(primes, a, 2 * M)}
+    return {"D": WindowPolynomial(primes, table.row(2 * M)[primes - 1], 2 * M)}
 
 
 def d_estimate_ratio(dpoly: WindowPolynomial, M: int, s: complex) -> float:

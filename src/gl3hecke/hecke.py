@@ -16,7 +16,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .arith import are_prime, divisors, factorize, is_prime, mobius, primes_upto, spf_sieve
+from .arith import are_prime, divisors, factorize, mobius, primes_upto, spf_sieve
 from .csvio import write_csv
 
 PRODUCT_TOL = 1e-12
@@ -70,11 +70,12 @@ class SatakeTriple:
 
 
 class PrimeLocalData:
+    """A prime and its Satake triple: a slotted record, unchecked until
+    `LocalArrays.from_records` reads it, which refuses a composite p."""
+
     __slots__ = ("p", "satake")
 
     def __init__(self, p: int, satake: SatakeTriple):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
         self.p, self.satake = p, satake
 
 

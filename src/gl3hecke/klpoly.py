@@ -33,10 +33,6 @@ class QPolynomial:
     def monomial(cls, k: int, c: int = 1) -> "QPolynomial":
         return cls((0,) * k + (c,))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -92,8 +88,6 @@ class Weight:
 
 
 ZERO = Weight((0, 0, 0))
-LAMBDA1 = Weight((1, 0, 0))   # highest weight of the standard representation
-LAMBDA2 = Weight((1, 1, 0))   # highest weight of its exterior square (the dual)
 RHO = Weight((2, 1, 0))
 ALPHA1 = Weight((1, -1, 0))
 ALPHA2 = Weight((0, 1, -1))
@@ -111,8 +105,9 @@ WEYL = tuple(
 
 
 def hw_weight(l1: int, l2: int) -> Weight:
-    """Highest weight l1*LAMBDA1 + l2*LAMBDA2 = (l1+l2, l2, 0); its character
-    is the (l1, l2) Schur basis element attached to A(p^l1, p^l2)."""
+    """Highest weight l1*LAMBDA1 + l2*LAMBDA2 = (l1+l2, l2, 0), for the
+    fundamental weights LAMBDA1 = (1, 0, 0) and LAMBDA2 = (1, 1, 0); its
+    character is the (l1, l2) Schur basis element attached to A(p^l1, p^l2)."""
     if l1 < 0 or l2 < 0:
         raise ValueError("indices must be non-negative")
     return Weight((l1 + l2, l2, 0))

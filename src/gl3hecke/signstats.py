@@ -116,16 +116,11 @@ def count_sign_changes(seq: RealSequence, zero_tol: float = 1e-12) -> SignChange
                             len(seq.values) - len(kept))
 
 
-# table -> {(X, H, M): (S1 list, S2 list)}: the tables are logically
-# immutable, and an entry is freed with its table
-_window_sums = weakref.WeakKeyDictionary()
-# {0: (weakref to table, cfg, sums)} of the latest lookup, emptied when the
-# table dies (its weakref dies with the entry, so no later entry is cleared)
-_latest: dict = {}
-
-
-def _all_window_sums(table, cfg: ShortIntervalConfig) -> tuple[list, list]:
-    """S1 and S2 of every window x in [X, 2X], as lists indexed by x - X.
+def window_sums(table, cfg: ShortIntervalConfig) -> tuple[np.ndarray, np.ndarray]:
+    """S1 = |sum A(mk,1)| and S2 = sum |A(mk,1)| over the bilinear window
+    x <= mk <= x+H, m in [M, 2M], gcd(m, k) = 1, for every x in [X, 2X], as
+    float64 arrays indexed by x - X; S1 <= S2, with equality exactly when the
+    nonzero terms share one sign.
 
     The terms are walked in the per-window order, m ascending and then k, one
     column (m, j) at a time with k = ceil(x/m) + j, j <= H//m; a term enters
@@ -133,9 +128,10 @@ def _all_window_sums(table, cfg: ShortIntervalConfig) -> tuple[list, list]:
     +0.0, which leaves every partial sum as it is (the sums start at +0.0,
     so none is ever -0.0, the one value that adding +0.0 changes).  So each
     window gets the left-to-right sums of a loop over its own terms, bit for
-    bit.  Reads A(m, 1) for m <= 2X + H.  Cost: (X + 1) * sum_m (H//m + 1)
-    gathered terms per (table, cfg): 3 ms at X = 10^4, H = 5, M = 3 and
-    55 ms at H = 252 on one core of a 2-vCPU Xeon.
+    bit.  Reads A(m, 1) for m <= 2X + H, so the table must reach 2X + H, as
+    for `interval_change_scan`.  Cost: (X + 1) * sum_m (H//m + 1) gathered
+    terms: 3 ms at X = 10^4, H = 5, M = 3 and 55 ms at H = 252 on one core of
+    a 2-vCPU Xeon.
     """
     row = table.row(2 * cfg.X + cfg.H)
     # entry n holds A(n, 1); entry 0 is the +0.0 that masked terms read
@@ -151,29 +147,33 @@ def _all_window_sums(table, cfg: ShortIntervalConfig) -> tuple[list, list]:
             acc_re += re[n]
             acc_im += im[n]
             acc_abs += size[n]
-    return np.hypot(acc_re, acc_im).tolist(), acc_abs.tolist()
+    return np.hypot(acc_re, acc_im), acc_abs
+
+
+# table -> {(X, H, M): (S1 list, S2 list)}: the tables are logically
+# immutable, and an entry is freed with its table
+_window_sums = weakref.WeakKeyDictionary()
+# {0: (weakref to table, cfg, sums)} of the latest lookup, emptied when the
+# table dies (its weakref dies with the entry, so no later entry is cleared)
+_latest: dict = {}
 
 
 def short_interval_sums(table, cfg: ShortIntervalConfig, x: int) -> dict:
-    """S1 = |sum A(mk,1)| and S2 = sum |A(mk,1)| over the bilinear window
-    x <= mk <= x+H, m in [M, 2M], gcd(m, k) = 1; S1 <= S2, with equality
-    exactly when the nonzero terms share one sign.
-
-    The first call for a (table, cfg) sums every window of [X, 2X] in one
-    pass (`_all_window_sums`) and later calls look the result up, so the
-    table must reach 2X + H, as for `interval_change_scan`.
-    """
+    """{"S1": S1, "S2": S2} of the one window at x, as Python floats: the
+    per-x view of `window_sums`, whose arrays the first call for a
+    (table, cfg) computes and later calls look up."""
     i = x - cfg.X
     if not 0 <= i <= cfg.X:
         raise ValueError(f"x = {x} is not in [X, 2X] = [{cfg.X}, {2 * cfg.X}]")
-    # every scan makes about 10^4 of these calls, nearly all with the table
-    # and cfg of the call before
+    # a caller walking the windows makes about 10^4 of these calls, nearly
+    # all with the table and cfg of the call before
     latest = _latest.get(0)
     if latest is None or latest[1] is not cfg or latest[0]() is not table:
         key = (cfg.X, cfg.H, cfg.M)
         sums = _window_sums.get(table, {}).get(key)
         if sums is None:
-            sums = _window_sums.setdefault(table, {})[key] = _all_window_sums(table, cfg)
+            sums = _window_sums.setdefault(table, {})[key] = tuple(
+                a.tolist() for a in window_sums(table, cfg))
         latest = _latest[0] = (weakref.ref(table, lambda _: _latest.clear()), cfg, sums)
     return {"S1": latest[2][0][i], "S2": latest[2][1][i]}
 

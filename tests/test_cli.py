@@ -253,6 +253,21 @@ class TestMvtCommand:
         assert len(report["draws"]) == 3
         assert report["max_ratio"] <= 8.0
 
+    def test_nan_draw_fails(self, tmp_path, monkeypatch):
+        # a NaN second moment in draw 2: Python's max would keep draw 1's ratio
+        real = cli.dmod.second_moment_many
+
+        def planted(polys, T):
+            moments = real(polys, T)
+            moments[1] = math.nan
+            return moments
+
+        monkeypatch.setattr(cli.dmod, "second_moment_many", planted)
+        out = tmp_path / "mvt.json"
+        assert run(["mvt", "--N", "64", "--T", "32", "--draws", "3",
+                    "--seed", "5", "--out", str(out)]) == 1
+        assert math.isnan(json.loads(out.read_text())["max_ratio"])
+
 
 class TestSatotateCommand:
     def test_interval_report(self, tmp_path):
@@ -277,6 +292,21 @@ class TestSatotateCommand:
         assert draws == [(2, 2000, 0)]
         cells = json.loads(out.read_text())["cells"]
         assert len(cells) == 9 and sum(c["empirical"] for c in cells) == pytest.approx(1.0)
+
+    def test_nan_cell_fails(self, tmp_path, monkeypatch):
+        # a NaN mass in cell 2 of 3: Python's max would keep cell 1's excess
+        real, cells = cli.schuralg.indicator_mass, []
+
+        def planted(p, cell):
+            cells.append(cell)
+            mass, unc = real(p, cell)
+            return (math.nan if len(cells) == 2 else mass), unc
+
+        monkeypatch.setattr(cli.schuralg, "indicator_mass", planted)
+        out = tmp_path / "cells.json"
+        assert run(["satotate", "--p", "2", "--cells", "3", "--out", str(out)]) == 1
+        assert len(cells) == 3
+        assert math.isnan(json.loads(out.read_text())["max_excess_diff"])
 
 
 class TestDeterminism:
@@ -390,7 +420,7 @@ class TestCrossProcessDeterminism:
           "--a", "-1.0", "--b", "2.0"], {}),
         # the sampler and the memoised pushforward pieces over all nine cells
         (["verify", "--suite", "satotate", "--seed", "3"], {}),
-        # the tau memo and the short-interval window sums memoised per table
+        # the tau memo
         (["verify", "--suite", "signs", "--seed", "0"], {}),
         # the D windows, sieved with in-place complex products
         (["verify", "--suite", "mvt", "--seed", "0"], {}),

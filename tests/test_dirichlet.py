@@ -94,6 +94,10 @@ def d_table(kind, M):
     return CoefficientTable(locs, 2 * M, 1)
 
 
+def refuse_value(self, m, n):
+    raise AssertionError(f"value({m}, {n}) was called")
+
+
 class TestBuildMKD:
     # Fixed before measuring: both sides round each term, and every term is
     # at most the matching summand of sum_d prod_p (|a_p| p^-sigma + ...)^2.
@@ -108,6 +112,22 @@ class TestBuildMKD:
             for t in (0.0, 1.0, 10.0):
                 want, scale = d_poly_direct(table, M, complex(sigma, t))
                 assert abs(dpoly.eval(complex(sigma, t)) - want) <= self.DIRECT_REL * scale
+
+    @pytest.mark.parametrize("kind", ["tempered", "selfdual", "sym2_tau"])
+    @pytest.mark.parametrize("M", [1, 2, 3, 100, 1000])
+    def test_reads_a_p_from_the_row(self, kind, M, monkeypatch):
+        # D's A(p, 1) are value()'s bit for bit, but come from the row:
+        # build_MKD runs with value() refused
+        table = d_table(kind, M)
+        want = np.array([table.value(p, 1) for p in primes_upto(2 * M)])
+        monkeypatch.setattr(CoefficientTable, "value", refuse_value)
+        dpoly = build_MKD(table, 10 * M, M)["D"]
+        assert dpoly.a.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_suite_mvt_reads_no_single_coefficient(self, monkeypatch):
+        # every table suite_mvt builds gives its D with value() refused
+        monkeypatch.setattr(CoefficientTable, "value", refuse_value)
+        assert suites.all_passed(suites.suite_mvt(0))
 
     def test_at_M_1_is_one_minus_g2(self):
         # squarefree d <= 2 are 1 and 2, so D = 1 - g_2; the degenerate triple

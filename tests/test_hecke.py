@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tempered_triple
-from gl3hecke import hecke, suites, tau
+from gl3hecke import hecke, signstats, suites, tau
 from gl3hecke.arith import primes_upto
 from gl3hecke.hecke import (
     A_M1,
@@ -78,8 +78,9 @@ class TestSatakeTriple:
             make()
 
     def test_prime_local_rejects_composite(self):
-        with pytest.raises(ValueError):
-            PrimeLocalData(6, DEGENERATE)
+        # a record is checked where the table reads it into LocalArrays
+        with pytest.raises(ValueError, match="^6 is not prime$"):
+            CoefficientTable([PrimeLocalData(6, DEGENERATE)], 6, 1)
 
 
 def bits(z: complex) -> tuple[int, int]:
@@ -328,14 +329,21 @@ class TestLocalArrays:
 
 def test_sym2_path_builds_no_per_prime_records(monkeypatch):
     # the sym^2 lift of tau goes from the packed tau words to the table in
-    # arrays: no SatakeTriple or PrimeLocalData on the way
+    # arrays: no SatakeTriple or PrimeLocalData on the way, and suite_signs
+    # reads its windows from the window_sums arrays, not one x at a time;
+    # suite_schur evaluates the triple (1, 1, 1) from e1 = e2 = 3
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"a {type(self).__name__} was built on the sym^2 path")
 
+    def refuse_window(*args):
+        raise AssertionError("suite_signs read a window through short_interval_sums")
+
     for cls in (SatakeTriple, PrimeLocalData):
         monkeypatch.setattr(cls, "__init__", refuse)
+    monkeypatch.setattr(signstats, "short_interval_sums", refuse_window)
     assert len(tau.sym2_tau_locals(10**4).primes) == 1229
     assert suites.all_passed(suites.suite_signs(0))
+    assert suites.all_passed(suites.suite_schur(0))
 
 
 def powers_upto(p, X):

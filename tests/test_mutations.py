@@ -186,17 +186,32 @@ def test_prime_taus_gathered_at_p(monkeypatch):
 def test_window_s2_over_signed_terms(monkeypatch):
     # S2 summed over the signed real parts of the terms instead of |A|: then
     # S1 = |S2|, so every window with a negative sum breaks S1 <= S2 and no
-    # window has S1 < S2.  The window sums are memoised per table, and
-    # suite_signs builds its own, so nothing planted outlives the test.
-    real = signstats._all_window_sums
+    # window has S1 < S2.  suite_signs calls window_sums itself, past the
+    # per-x memo of short_interval_sums, so nothing planted outlives the test.
+    real = signstats.window_sums
 
     def signed(table, cfg):
         with monkeypatch.context() as inner:
             inner.setattr(signstats, "_abs", lambda row: row.real)
             return real(table, cfg)
 
-    monkeypatch.setattr(signstats, "_all_window_sums", signed)
+    monkeypatch.setattr(signstats, "window_sums", signed)
     assert failed_signs_checks() == {"s1_le_s2_everywhere", "s1_lt_s2_fraction"}
+
+
+def test_window_s1_nan_in_one_window(monkeypatch):
+    # NaN > S2 + 1e-12 is False, so a check that looks for a window out of
+    # order reads a NaN window as in order; one scanned window in the middle
+    real = signstats.window_sums
+
+    def planted(table, cfg):
+        s1, s2 = real(table, cfg)
+        stride = max(1, cfg.H // 4)
+        s1[cfg.X // 2 // stride * stride] = math.nan
+        return s1, s2
+
+    monkeypatch.setattr(signstats, "window_sums", planted)
+    assert failed_signs_checks() == {"s1_le_s2_everywhere"}
 
 
 def failed_checks(suite):
