@@ -53,22 +53,55 @@ class DirichletPolynomial:
 class WindowPolynomial:
     """D(s) = sum over squarefree d <= n of mu(d) prod_{p|d} g_p(s), with
     g_p(s) = (a_p p^-s - a_p p^-2s + p^-3s)^2, kept as the primes p <= n and
-    their a_p.  eval sieves mu(d) prod_{p|d} g_p(s) over d <= n, primes
-    ascending: each multiple of p takes the factor -g_p, and each multiple of
-    p^2 becomes 0."""
+    their a_p.  The terms are those of a sieve over d <= n, primes ascending,
+    in which each multiple of p takes the factor -g_p and each multiple of
+    p^2 becomes 0: the squarefree d and their primes are sieved once
+    (`_factors`), and eval multiplies each d's term, from 1, by the -g_p of
+    its primes in that order."""
 
     primes: np.ndarray
     a: np.ndarray
     n: int
 
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(d, columns): the d <= n that no p^2 divides, those with the most
+        primes first, and for each k the index in `primes` of the k-th prime
+        of each of the first len(columns[k]) - 1 of them, after a copy of the
+        first one's."""
+        width, product = 0, 1
+        for p in sorted(self.primes.tolist()):
+            product *= p
+            if product > self.n:
+                break
+            width += 1
+        count = np.zeros(self.n + 1, dtype=np.int64)
+        free = np.ones(self.n + 1, dtype=bool)
+        index = np.zeros((width, self.n + 1), dtype=np.int32)
+        for i, p in enumerate(self.primes.tolist()):
+            multiples = np.arange(p, self.n + 1, p)
+            index[count[multiples], multiples] = i
+            count[multiples] += 1
+            free[p * p :: p * p] = False
+        d = np.flatnonzero(free[1:]) + 1
+        d = d[np.argsort(-count[d], kind="stable")]
+        rows = np.concatenate((d[:1], d))
+        return d, [index[k, rows[: 1 + np.count_nonzero(count[d] > k)]] for k in range(width)]
+
     def eval(self, s: complex) -> complex:
         x = np.exp(-s * np.log(self.primes))
         g = (self.a * x - self.a * x * x + x * x * x) ** 2
-        vals = np.ones(self.n + 1, dtype=complex)
-        for p, gp in zip(self.primes.tolist(), g):
-            vals[p::p] *= -gp
-            vals[p * p :: p * p] = 0.0
-        return complex(np.sum(vals[1:]))
+        d, columns = self._factors
+        # Row 0 repeats row 1, so every product runs over two elements or
+        # more: numpy rounds a lone complex product without the fused
+        # multiply-add of longer runs.  The sieve's run of the multiples of p
+        # is lone only for p > n / 2, where its product 1 (-g_p) is exact.
+        terms = np.ones(len(d) + 1, dtype=complex)
+        for column in columns:
+            terms[: len(column)] *= -g[column]
+        vals = np.zeros(self.n, dtype=complex)
+        vals[d - 1] = terms[1:]
+        return complex(np.sum(vals))
 
 
 def build_MKD(table, X: int, M: int) -> dict:

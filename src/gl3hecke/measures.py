@@ -27,6 +27,8 @@ PLANCHEREL = "plancherel"
 # `sample_angles` decides a proposal from its float32 density alone when
 # u cap lies more than this times cap away from it.
 _SQUEEZE = 2.0 ** -10
+# Proposals per batch of `sample_angles`.
+SAMPLE_BATCH = 8192
 
 
 class EnvelopeError(RuntimeError):
@@ -175,11 +177,12 @@ def envelope_ratio(spec: MeasureSpec) -> float:
     return plancherel_constant(spec.p) * 64.0 / (1.0 + 1.0 / spec.p) ** 6
 
 
-def _trapezoid_bound(spec: MeasureSpec, l1: int, l2: int, K: np.ndarray) -> np.ndarray:
-    """Proven error bound of the K x K rule for the (l1, l2) Schur element
-    against spec at each K of an integer array: aliasing plus rounding, as
-    `trapezoid_resolution` derives."""
-    q = 0.0 if spec.kind == SATO_TATE else 1.0 / spec.p
+def _alias_table(l1: int, l2: int, K: np.ndarray) -> tuple[np.ndarray, int, int, np.ndarray]:
+    """The part of `_trapezoid_bound` that no measure changes, at each K of an
+    integer array: (K, max|m|, the box of the lattice j, and 1 + ||K j - m||
+    for every K, every j != 0 with |j|_inf <= box and every Weyl frequency m
+    of the (l1, l2) element, read-only in the smallest unsigned dtype; 0
+    where 3 does not divide d1 + d2, as `_alias_bound` reads it)."""
     top, rho = (l1 + l2 + 2, l2 + 1, 0), (2, 1, 0)
     m = np.array([[top[s[i]] - top[s[2]] - rho[t[i]] + rho[t[2]] for i in (0, 1)]
                   for s, _ in WEYL for t, _ in WEYL]).T
@@ -188,15 +191,48 @@ def _trapezoid_bound(spec: MeasureSpec, l1: int, l2: int, K: np.ndarray) -> np.n
     j = np.array([(u, v) for u in range(-box, box + 1) for v in range(-box, box + 1) if u or v])
     d1, d2 = K[:, None, None] * j.T[:, None, :, None] - m[:, None, None, :]
     norm = np.maximum(np.maximum(np.abs(2 * d1 - d2), np.abs(d1 + d2)), np.abs(d1 - 2 * d2)) // 3
-    near = np.sum(np.where((d1 + d2) % 3 == 0, q ** norm, 0.0), axis=(1, 2))
-    s, x = box + 1, q ** (K / 2.0)
-    far = 36 * 8 * q ** ((s * K - reach) / 2.0) * (s / (1.0 - x) + x / (1.0 - x) ** 2)
+    norms = np.where((d1 + d2) % 3 == 0, norm + 1, 0)
+    norms = norms.astype(np.min_scalar_type(int(norms.max())))
+    norms.flags.writeable = False
+    return K, reach, box, norms
+
+
+def _rounding_floor(spec: MeasureSpec, l1: int, l2: int) -> float:
+    """The rounding term of `_trapezoid_bound`, the same at every K."""
     h, dh = (lambda k: math.comb(k + 2, 2)), (lambda k: 160 * math.comb(k + 4, 5))
     schur = sum(dh(u) * h(v) + h(u) * dh(v) + 4 * h(u) * h(v)
                 for u, v in ((l1 + l2, l2), (l1 + l2 + 1, l2 - 1)))
     dim = (l1 + 1) * (l2 + 1) * (l1 + l2 + 2) // 2
+    return 2.0 ** -53 * envelope_ratio(spec) * (schur + 4096 * dim)
+
+
+def _alias_bound(spec: MeasureSpec, l1: int, l2: int, aliases: tuple) -> np.ndarray:
+    """`_trapezoid_bound` from the `_alias_table` of its K: q^||K j - m|| by
+    table lookup, the far tail and the rounding floor."""
+    K, reach, box, norms = aliases
+    q = 0.0 if spec.kind == SATO_TATE else 1.0 / spec.p
+    powers = np.concatenate(([0.0], q ** np.arange(int(norms.max()))))
+    near = np.sum(powers[norms], axis=(1, 2))
+    s, x = box + 1, q ** (K / 2.0)
+    far = 36 * 8 * q ** ((s * K - reach) / 2.0) * (s / (1.0 - x) + x / (1.0 - x) ** 2)
     return ((1.0 - q ** 3) / (6.0 * (1.0 - q) ** 5 * (1.0 + q)) * (near + far)
-            + 2.0 ** -53 * envelope_ratio(spec) * (schur + 4096 * dim))
+            + _rounding_floor(spec, l1, l2))
+
+
+def _trapezoid_bound(spec: MeasureSpec, l1: int, l2: int, K: np.ndarray) -> np.ndarray:
+    """Proven error bound of the K x K rule for the (l1, l2) Schur element
+    against spec at each K of an integer array: aliasing plus rounding, as
+    `trapezoid_resolution` derives."""
+    return _alias_bound(spec, l1, l2, _alias_table(l1, l2, K))
+
+
+# The alias tables of trapezoid_resolution's 16-wide K chunks, shared by every
+# measure: the kato suite's grid searches at four primes build 44, 0.34 MB.
+@lru_cache(maxsize=64)
+def _resolution_aliases(l1: int, l2: int, lo: int) -> tuple:
+    K = np.arange(lo, min(lo + 16, 1025))
+    K.flags.writeable = False
+    return _alias_table(l1, l2, K)
 
 
 def trapezoid_resolution(spec: MeasureSpec, l1: int, l2: int, tol: float) -> int | None:
@@ -230,20 +266,27 @@ def trapezoid_resolution(spec: MeasureSpec, l1: int, l2: int, tol: float) -> int
     roundings, and the density is within 2^11 u of the envelope cap.  As
     |s_lambda| <= dim(lambda) and the cap's grid sum is `envelope_ratio`,
     density, products and sum add at most 2^12 u dim(lambda) times it.
+    The alias tables of the K chunks hold no q, so each (l1, l2) keeps them
+    in a bounded memo that every measure reads (`_resolution_aliases`).  A
+    tol below the rounding floor gets None at once: aliasing only adds.
     """
+    if _rounding_floor(spec, l1, l2) > tol:
+        return None
     for lo in range(8, 1025, 16):
-        K = np.arange(lo, min(lo + 16, 1025))
-        ok = np.flatnonzero(_trapezoid_bound(spec, l1, l2, K) <= tol)
+        aliases = _resolution_aliases(l1, l2, lo)
+        ok = np.flatnonzero(_alias_bound(spec, l1, l2, aliases) <= tol)
         if ok.size:
-            return int(K[ok[0]])
+            return int(aliases[0][ok[0]])
     return None
 
 
 def sample_angles(spec: MeasureSpec, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Rejection-sample `count` points; returns (theta1, theta2) arrays.
 
-    Deterministic for a fixed seed: proposals are drawn in fixed-size batches
-    from a PCG64 stream and accepted in order.  A proposal is kept iff
+    Deterministic for a fixed seed: proposals are drawn in batches of
+    SAMPLE_BATCH from a PCG64 stream, into three buffers reused by every
+    batch, and accepted in order straight into the two arrays returned, so a
+    draw holds those and O(SAMPLE_BATCH) more.  A proposal is kept iff
     u cap <= `density`, and a batch whose density exceeds cap (1 + 1e-9)
     raises EnvelopeError.
 
@@ -272,15 +315,14 @@ def sample_angles(spec: MeasureSpec, count: int, seed: int) -> tuple[np.ndarray,
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     cap = envelope_ratio(spec) / TWO_PI ** 2
     top, slack = cap * (1.0 + 1e-9), _SQUEEZE * cap
-    got1: list[np.ndarray] = []
-    got2: list[np.ndarray] = []
+    out1, out2 = np.empty(count), np.empty(count)
+    t1, t2, bar = (np.empty(SAMPLE_BATCH) for _ in range(3))
     total = 0
-    batch = 8192
     while total < count:
-        t1 = rng.uniform(0.0, TWO_PI, batch)
-        t2 = rng.uniform(0.0, TWO_PI, batch)
-        u = rng.uniform(0.0, 1.0, batch)
-        bar = u * cap
+        # rng.random(out=a) * scale is rng.uniform(0, scale), bit for bit
+        for a, scale in ((t1, TWO_PI), (t2, TWO_PI), (bar, cap)):
+            rng.random(out=a)
+            a *= scale
         d32 = _density_s(spec, _half_chords32(t1, t2)).astype(float)
         keep = bar <= d32 - slack
         near = np.flatnonzero((np.abs(bar - d32) <= slack) | (d32 >= top - slack))
@@ -292,11 +334,10 @@ def sample_angles(spec: MeasureSpec, count: int, seed: int) -> tuple[np.ndarray,
                     f"density {worst} exceeds envelope bound {cap} for {spec}"
                 )
             keep[near] = bar[near] <= d
-        got1.append(t1[keep])
-        got2.append(t2[keep])
-        total += int(np.count_nonzero(keep))
-    out1 = np.concatenate(got1)[:count]
-    out2 = np.concatenate(got2)[:count]
+        kept = np.flatnonzero(keep)[: count - total]
+        out1[total : total + kept.size] = t1[kept]
+        out2[total : total + kept.size] = t2[kept]
+        total += kept.size
     return out1, out2
 
 

@@ -165,10 +165,14 @@ class EmpiricalDistribution:
 
 
 def sample_app(p: int, count: int, seed: int) -> EmpiricalDistribution:
-    """Draw A(p, p) = |e1|^2 - 1 under the p-adic Plancherel measure."""
+    """Draw A(p, p) = |e1|^2 - 1 under the p-adic Plancherel measure, a batch
+    of angles at a time, into the array of the first angles."""
     t1, t2 = measures.sample_angles(measures.MeasureSpec.plancherel(p), count, seed)
-    # |e1|^2 = 3 + 2 sum cos(delta_ij) = 9 - 4 sum s_ij
-    return EmpiricalDistribution(8.0 - 4.0 * sum(measures.half_chords(t1, t2)))
+    for lo in range(0, count, measures.SAMPLE_BATCH):
+        part = slice(lo, lo + measures.SAMPLE_BATCH)
+        # |e1|^2 = 3 + 2 sum cos(delta_ij) = 9 - 4 sum s_ij
+        t1[part] = 8.0 - 4.0 * sum(measures.half_chords(t1[part], t2[part]))
+    return EmpiricalDistribution(t1)
 
 
 # Gauss-Legendre orders of the two rules behind every mass: the finer one

@@ -43,6 +43,17 @@ def _fft_length(m: int) -> int:
     return best
 
 
+def _growth(L: int, K: int) -> float:
+    """The relative error factor of `_error_bound` for K limbs and length-L
+    FFTs; it grows with K."""
+    n = 1
+    for r, passes in ((2, 1), (3, 2), (5, 3)):
+        while L % r == 0:
+            L, n = L // r, n + passes
+    return math.expm1((3 * n + K + 1) * math.log1p(_EPS) + 3 * n * math.log1p(_TWIDDLE)
+                      + (3 * n + 1) * math.log1p(_EPS * math.sqrt(5.0)))
+
+
 def _error_bound(norms: list[float], L: int) -> float:
     """Bound on the distance from the exact integers of every diagonal
     sum_{k+l=t} x_k * x_l of real vectors with these Euclidean norms, computed
@@ -57,16 +68,10 @@ def _error_bound(norms: list[float], L: int) -> float:
     diagonal is bounded by the sum of its terms' bounds, with its at most
     len(norms) spectrum additions and the 1/L scaling as extra roundings.
     """
-    n = 1
-    for r, passes in ((2, 1), (3, 2), (5, 3)):
-        while L % r == 0:
-            L, n = L // r, n + passes
     K = len(norms)
-    growth = math.expm1((3 * n + K + 1) * math.log1p(_EPS) + 3 * n * math.log1p(_TWIDDLE)
-                        + (3 * n + 1) * math.log1p(_EPS * math.sqrt(5.0)))
-    return growth * max(sum(norms[k] * norms[t - k]
-                            for k in range(max(0, t - K + 1), min(t, K - 1) + 1))
-                        for t in range(2 * K - 1))
+    return _growth(L, K) * max(sum(norms[k] * norms[t - k]
+                                   for k in range(max(0, t - K + 1), min(t, K - 1) + 1))
+                               for t in range(2 * K - 1))
 
 
 def _limbs(c: np.ndarray, b: int) -> list[np.ndarray]:
@@ -82,6 +87,13 @@ def _limbs(c: np.ndarray, b: int) -> list[np.ndarray]:
     return limbs
 
 
+def _low_norm(c: np.ndarray, b: int) -> float:
+    """The Euclidean norm of `_limbs(c, b)[0]`, without the other limbs."""
+    low = c & ((1 << b) - 1)
+    low[low >= 1 << (b - 1)] -= 1 << b
+    return math.sqrt(np.square(low, dtype=np.float64).sum())
+
+
 def _fits(lo: int, hi: int, b: int, K: int) -> bool:
     """Whether K balanced b-bit digits, which reach [-2^(b-1) r, (2^(b-1) - 1) r]
     with r = sum_{k<K} 2^(k b), hold every integer in [lo, hi]."""
@@ -93,11 +105,18 @@ def _limb_bits(c: np.ndarray, L: int) -> tuple[int, list[np.ndarray]]:
     """Limb width b and the balanced limbs of c: the fewest limbs K whose
     `_error_bound` at length L, on the norms of the actual limbs, is below
     1/4, at the narrowest b that splits c into K limbs (every such b costs
-    the same transforms, and the narrowest has the smallest norms)."""
+    the same transforms, and the narrowest has the smallest norms).  A K is
+    first tried on limb 0 alone: its t = 0 diagonal ||limb_0||^2 times
+    `_growth` at one limb bounds `_error_bound` from below, so the other
+    limbs are built only for a K that passes."""
     lo, hi, b = int(c.min()), int(c.max()), 62
+    least = _growth(L, 1)
     for K in range(1, 64):
         while b > 2 and _fits(lo, hi, b - 1, K):
             b -= 1
+        norm = _low_norm(c, b)
+        if least * (norm * norm) >= 0.25:
+            continue
         limbs = _limbs(c, b)
         if _error_bound([math.sqrt(np.square(x, dtype=np.float64).sum()) for x in limbs], L) < 0.25:
             return b, limbs

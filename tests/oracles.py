@@ -11,8 +11,11 @@ full-square mean-value kernel, the mean-value identity in mpmath, the
 truncated square by Kronecker
 substitution on Python ints, the straddle-refined torus grid for A(p, p)
 cell masses, the distribution function of |e1| by mpmath quadrature, the
-rejection sampler with the float64 density on every proposal, and
-Gauss-Legendre rules by Newton's method in mpmath."""
+rejection sampler with the float64 density on every proposal,
+Gauss-Legendre rules by Newton's method in mpmath, the trapezoid error bound
+with its alias lattice rebuilt on every call, the window polynomial D sieved
+at every point, the limb width tried on every limb, and A(p, p) from whole
+arrays of half chords."""
 
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gl3hecke import measures
+from gl3hecke import measures, tau
 from gl3hecke.arith import factorize, mobius
 from gl3hecke.hecke import SatakeTriple, schur_from_elementary
 from gl3hecke.klpoly import Weight
@@ -567,3 +570,89 @@ def gauss_legendre_mpmath(n: int, dps: int = 40):
             nodes.append((x + 1) / 2)
             weights.append(1 / ((1 - x * x) * dp * dp))
         return nodes, weights
+
+
+def trapezoid_bound_uncached(spec, l1: int, l2: int, K: np.ndarray) -> np.ndarray:
+    """`measures._trapezoid_bound` as one pass: the alias lattice of every K
+    built, and q^||K j - m|| raised, on every call."""
+    from gl3hecke.klpoly import WEYL
+    from gl3hecke.measures import SATO_TATE
+
+    q = 0.0 if spec.kind == SATO_TATE else 1.0 / spec.p
+    top, rho = (l1 + l2 + 2, l2 + 1, 0), (2, 1, 0)
+    m = np.array([[top[s[i]] - top[s[2]] - rho[t[i]] + rho[t[2]] for i in (0, 1)]
+                  for s, _ in WEYL for t, _ in WEYL]).T
+    reach = int(np.max(np.abs(m)))
+    box = -(-reach // 8)
+    j = np.array([(u, v) for u in range(-box, box + 1) for v in range(-box, box + 1) if u or v])
+    d1, d2 = K[:, None, None] * j.T[:, None, :, None] - m[:, None, None, :]
+    norm = np.maximum(np.maximum(np.abs(2 * d1 - d2), np.abs(d1 + d2)), np.abs(d1 - 2 * d2)) // 3
+    near = np.sum(np.where((d1 + d2) % 3 == 0, q ** norm, 0.0), axis=(1, 2))
+    s, x = box + 1, q ** (K / 2.0)
+    far = 36 * 8 * q ** ((s * K - reach) / 2.0) * (s / (1.0 - x) + x / (1.0 - x) ** 2)
+    return ((1.0 - q ** 3) / (6.0 * (1.0 - q) ** 5 * (1.0 + q)) * (near + far)
+            + _rounding_floor(spec, l1, l2))
+
+
+def _rounding_floor(spec, l1: int, l2: int) -> float:
+    """The term of `trapezoid_bound_uncached` that no K changes."""
+    from gl3hecke.measures import envelope_ratio
+
+    h, dh = (lambda k: math.comb(k + 2, 2)), (lambda k: 160 * math.comb(k + 4, 5))
+    schur = sum(dh(u) * h(v) + h(u) * dh(v) + 4 * h(u) * h(v)
+                for u, v in ((l1 + l2, l2), (l1 + l2 + 1, l2 - 1)))
+    dim = (l1 + 1) * (l2 + 1) * (l1 + l2 + 2) // 2
+    return 2.0 ** -53 * envelope_ratio(spec) * (schur + 4096 * dim)
+
+
+def trapezoid_resolutions_uncached(spec, l1: int, l2: int, tols) -> list[int | None]:
+    """`measures.trapezoid_resolution` at each tol, on
+    `trapezoid_bound_uncached` of the same 16-wide K chunks, walked once
+    for all the tols.  A tol below the rounding floor gets None unwalked:
+    the bound adds a non-negative aliasing term to the floor."""
+    floor = _rounding_floor(spec, l1, l2)
+    found: list[int | None] = [None] * len(tols)
+    pending = {i for i, tol in enumerate(tols) if floor <= tol}
+    for lo in range(8, 1025, 16):
+        if not pending:
+            break
+        K = np.arange(lo, min(lo + 16, 1025))
+        bound = trapezoid_bound_uncached(spec, l1, l2, K)
+        for i in sorted(pending):
+            ok = np.flatnonzero(bound <= tols[i])
+            if ok.size:
+                found[i] = int(K[ok[0]])
+                pending.discard(i)
+    return found
+
+
+def window_eval_sieve(dpoly, s: complex) -> complex:
+    """`dirichlet.WindowPolynomial.eval` sieving at every point: over d <= n,
+    primes ascending, each multiple of p takes the factor -g_p in place and
+    each multiple of p^2 becomes 0."""
+    x = np.exp(-s * np.log(dpoly.primes))
+    g = (dpoly.a * x - dpoly.a * x * x + x * x * x) ** 2
+    vals = np.ones(dpoly.n + 1, dtype=complex)
+    for p, gp in zip(dpoly.primes.tolist(), g):
+        vals[p::p] *= -gp
+        vals[p * p :: p * p] = 0.0
+    return complex(np.sum(vals[1:]))
+
+
+def limb_bits_every_k(c: np.ndarray, L: int) -> tuple[int, list[np.ndarray]]:
+    """`tau._limb_bits` building every limb of every limb count it tries."""
+    lo, hi, b = int(c.min()), int(c.max()), 62
+    for K in range(1, 64):
+        while b > 2 and tau._fits(lo, hi, b - 1, K):
+            b -= 1
+        limbs = tau._limbs(c, b)
+        norms = [math.sqrt(np.square(x, dtype=np.float64).sum()) for x in limbs]
+        if tau._error_bound(norms, L) < 0.25:
+            return b, limbs
+    raise ArithmeticError(f"no limb width squares {len(c)} coefficients exactly")
+
+
+def sample_app_whole(p: int, count: int, seed: int) -> np.ndarray:
+    """A(p, p) = 8 - 4 sum s_ij of one whole draw of `measures.sample_angles`."""
+    t1, t2 = measures.sample_angles(measures.MeasureSpec.plancherel(p), count, seed)
+    return 8.0 - 4.0 * sum(measures.half_chords(t1, t2))

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from gl3hecke import cli, hecke, schuralg
+from gl3hecke import cli, hecke, measures, schuralg
 
 
 def run(argv):
@@ -427,21 +427,24 @@ class TestCrossProcessDeterminism:
         # the Jacobi-Trudi and Pieri expansions, memoised per process: the
         # first run here starts cold, the second warm
         (["verify", "--suite", "bernstein", "--seed", "0"], {}),
+        # the alias tables of the grid searches, memoised per shape
+        (["verify", "--suite", "kato", "--seed", "0"], {}),
         # the subprocess runs single-threaded BLAS, the test process its default
         (["mvt", "--N", "1024", "--T", "1024", "--draws", "5", "--seed", "3"],
          {"OPENBLAS_NUM_THREADS": "1"}),
     ], ids=["satotate", "verify-satotate", "verify-signs", "verify-mvt",
-         "verify-bernstein", "mvt-single-blas-thread"])
+         "verify-bernstein", "verify-kato", "mvt-single-blas-thread"])
     def test_fresh_interpreter_matches_in_process(self, tmp_path, args, env):
         # guards against any dependence on per-process cache warm-up order
         import os
         import subprocess
         import sys
 
-        # the first in-process run starts with cold Schur expansions, the
-        # second with every memo warm
+        # the first in-process run starts with cold Schur expansions and
+        # alias tables, the second with every memo warm
         schuralg.schur_to_epoly.cache_clear()
         schuralg._monomial_in_schur.cache_clear()
+        measures._resolution_aliases.cache_clear()
         out0, out1 = tmp_path / "inproc0.json", tmp_path / "inproc.json"
         assert run(args + ["--out", str(out0)]) == 0
         assert run(args + ["--out", str(out1)]) == 0

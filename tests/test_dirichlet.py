@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -11,9 +12,10 @@ from oracles import (
     second_moment_full_square,
     second_moment_mpmath,
     second_moment_simpson,
+    window_eval_sieve,
 )
 from gl3hecke import dirichlet, suites, tau
-from gl3hecke.arith import primes_upto
+from gl3hecke.arith import mobius, primes_upto
 from gl3hecke.dirichlet import (
     DirichletPolynomial,
     build_MKD,
@@ -147,6 +149,38 @@ class TestBuildMKD:
             for sigma in (0.5, 0.75, 1.0):
                 for t in (0.0, 1.0, 10.0):
                     assert d_estimate_ratio(dpoly, M, complex(sigma, t)) <= 4.0
+
+
+def same_bits(x: complex, y: complex) -> bool:
+    return np.complex128(x).tobytes() == np.complex128(y).tobytes()
+
+
+class TestWindowSieve:
+    POINTS = [complex(sigma, t) for sigma in (0.5, 0.75, 1.0, 2.0) for t in (0.0, 1.0, 10.0, -3.3)]
+
+    # M = 3 and 15: 6 is the one d <= 2M with two primes, 30 the one with three
+    @pytest.mark.parametrize("kind", ["tempered", "selfdual", "sym2_tau"])
+    @pytest.mark.parametrize("M", [1, 2, 3, 15, 100, 1000])
+    def test_eval_matches_the_per_point_sieve(self, kind, M):
+        dpoly = build_MKD(d_table(kind, M), 10 * M, M)["D"]
+        for s in self.POINTS:
+            assert same_bits(dpoly.eval(s), window_eval_sieve(dpoly, s)), s
+
+    def test_nan_a_p_reaches_d_as_in_the_sieve(self):
+        dpoly = build_MKD(d_table("tempered", 100), 1000, 100)["D"]
+        a = dpoly.a.copy()
+        a[7] = np.nan
+        bad = dirichlet.WindowPolynomial(dpoly.primes, a, dpoly.n)
+        for s in self.POINTS:
+            got, want = bad.eval(s), window_eval_sieve(bad, s)
+            assert cmath.isnan(got)
+            assert (math.isnan(got.real), math.isnan(got.imag)) == (
+                math.isnan(want.real), math.isnan(want.imag))
+
+    def test_squarefree_d_are_sieved_once(self):
+        dpoly = build_MKD(d_table("selfdual", 100), 1000, 100)["D"]
+        assert dpoly._factors is dpoly._factors
+        assert sorted(dpoly._factors[0].tolist()) == [n for n in range(1, 201) if mobius(n)]
 
 
 class TestEulerFactor:

@@ -1,10 +1,16 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import density_exponential, sample_angles_float64
+from oracles import (
+    density_exponential,
+    sample_angles_float64,
+    trapezoid_bound_uncached,
+    trapezoid_resolutions_uncached,
+)
 from gl3hecke import klpoly, measures, schuralg, suites
 from gl3hecke.klpoly import kato_moment
 from gl3hecke.measures import (
@@ -200,6 +206,55 @@ class TestTrapezoidResolution:
         assert bound(0, 0, 2, 1024) > 0.0
 
 
+ALIAS_SPECS = [ST] + [MeasureSpec.plancherel(p) for p in (2, 3, 5, 7, 101, 1009)]
+
+
+class TestAliasTables:
+    def test_bound_and_resolution_match_the_uncached_bound(self):
+        # every shape up to (6, 6), each measure in turn on the same shape, so
+        # the memoised tables of one prime serve the next
+        memo = measures._resolution_aliases
+        memo.cache_clear()
+        K = np.concatenate([np.arange(8, 72), [255, 256, 511, 512, 513, 1000, 1024]])
+        tols = (1e-6, 1e-7, 1e-8, 1e-10)
+        for l1 in range(7):
+            for l2 in range(7):
+                for spec in ALIAS_SPECS:
+                    got = [measures.trapezoid_resolution(spec, l1, l2, tol) for tol in tols]
+                    assert got == trapezoid_resolutions_uncached(spec, l1, l2, tols)
+                    bound = measures._trapezoid_bound(spec, l1, l2, K)
+                    assert bound.tobytes() == trapezoid_bound_uncached(spec, l1, l2, K).tobytes()
+                    for lo in (8, 24, 504, 1016):
+                        aliases = measures._resolution_aliases(l1, l2, lo)
+                        bound = measures._alias_bound(spec, l1, l2, aliases)
+                        want = trapezoid_bound_uncached(spec, l1, l2, np.asarray(aliases[0]))
+                        assert bound.tobytes() == want.tobytes()
+        info = memo.cache_info()
+        assert info.hits > info.misses and info.currsize == info.maxsize
+
+    def test_memo_after_the_kato_sweep_is_small(self):
+        # the K chunks of the kato suite's grid searches, p = 2, 3, 5, 7
+        memo = measures._resolution_aliases
+        memo.cache_clear()
+        tracemalloc.start()
+        try:
+            for p in (2, 3, 5, 7):
+                for l1 in range(6):
+                    for l2 in range(6 - l1):
+                        measures.trapezoid_resolution(MeasureSpec.plancherel(p), l1, l2, 1e-7)
+            measures.trapezoid_resolution(MeasureSpec.plancherel(2), 1, 1, 1e-8)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        info = memo.cache_info()
+        assert info.currsize <= info.maxsize and info.hits > info.misses
+        assert held < 10 ** 6
+
+    def test_tables_are_read_only(self):
+        K, _, _, norms = measures._resolution_aliases(2, 1, 8)
+        assert not K.flags.writeable and not norms.flags.writeable
+
+
 class TestSampling:
     def test_same_seed_identical(self):
         a = sample_angles(MeasureSpec.plancherel(5), 500, seed=11)
@@ -275,6 +330,18 @@ class TestSampling:
         ks = max(float(np.max(np.abs(emp_hi - f_at_samples))),
                  float(np.max(np.abs(emp_lo - f_at_samples))))
         assert ks <= 0.01
+
+    def test_draw_holds_its_outputs_and_a_batch(self):
+        # 10^5 angles are 1.6 MB; a draw that kept every batch and joined them
+        # at the end peaked above 3.5 MB
+        schuralg.sample_app(2, 10, seed=0)      # numpy.random imported untraced
+        tracemalloc.start()
+        try:
+            sample_angles(MeasureSpec.plancherel(2), 10 ** 5, seed=17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
 
     def test_child_seed_is_deterministic_and_spread(self):
         seeds = {measures.child_seed(7, i) for i in range(16)}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from oracles import (
     laurent_eval_elementary,
     laurent_to_epoly,
     radius_cdf_mpmath,
+    sample_app_whole,
 )
 from gl3hecke import measures, schuralg
 from gl3hecke.klpoly import ZERO, hw_weight, kato_moment, lusztig_q_analog
@@ -167,6 +169,25 @@ class TestEffectiveSTCompare:
         t1, t2 = measures.sample_angles(measures.MeasureSpec.plancherel(5), 20_000, seed=3)
         emp = sample_app(5, 20_000, seed=3)
         assert np.max(np.abs(emp.samples - _s11_values(t1, t2))) <= 1e-13
+
+    @pytest.mark.parametrize("count", [1, 8191, 100_000])
+    def test_samples_match_the_whole_draw_form(self, count):
+        # A(p, p) a batch at a time, bit for bit as from whole arrays
+        for p, seed in ((2, 4), (5, 9)):
+            got = sample_app(p, count, seed).samples
+            assert got.tobytes() == sample_app_whole(p, count, seed).tobytes()
+
+    def test_draw_holds_its_samples_and_a_batch(self):
+        # 10^5 samples are 0.8 MB and their angles 1.6 MB; three whole arrays
+        # of half chords on top of them took the peak to 6.2 MB
+        sample_app(2, 10, seed=0)               # numpy.random imported untraced
+        tracemalloc.start()
+        try:
+            sample_app(2, 10 ** 5, seed=17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6
 
     def test_empirical_distribution_rejects_out_of_range(self):
         with pytest.raises(ValueError):

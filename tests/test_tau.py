@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from gl3hecke import tau
 from gl3hecke.arith import divisor_power_sums_mod, primes_upto
-from oracles import naive_eta_power, square_trunc_kronecker
+from oracles import limb_bits_every_k, naive_eta_power, square_trunc_kronecker
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
@@ -191,6 +191,25 @@ def test_limb_width_bound_at_tau_inputs(N, monkeypatch):
         seen.clear()
         f = tau.square_trunc(f, N)
         assert len(seen) == 2 * len(limbs) - 1 and max(seen) <= bound
+
+
+@pytest.mark.parametrize("N", [10, 10**3, 10**5])
+def test_limb_bits_as_when_every_limb_count_built_its_limbs(N, monkeypatch):
+    # eta^6 and eta^12: the same width and limbs, and the limbs of only the
+    # limb count picked are built
+    eta6 = tau.eta_sixth_coeffs(N)
+    eta12, j = tau._fold(*tau._square_words(eta6, N))
+    assert j == 0
+    real, widths = tau._limbs, []
+    monkeypatch.setattr(tau, "_limbs", lambda c, b: widths.append(b) or real(c, b))
+    for c in (eta6, eta12):
+        L = tau._fft_length(2 * len(c) - 1)
+        widths.clear()
+        b, limbs = tau._limb_bits(c, L)
+        assert widths == [b]
+        want_b, want = limb_bits_every_k(c, L)
+        assert b == want_b and len(limbs) == len(want)
+        assert all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(limbs, want))
 
 
 def test_off_integer_product_is_a_program_fault(monkeypatch, tmp_path):
