@@ -84,9 +84,14 @@ def are_prime(ns: np.ndarray) -> np.ndarray:
     return out
 
 
+def prime_array(n: int) -> np.ndarray:
+    """All primes <= n by Eratosthenes, as an int64 array."""
+    return np.flatnonzero(np.frombuffer(_sieve(max(n, 1)), np.uint8)).astype(np.int64, copy=False)
+
+
 def primes_upto(n: int) -> list[int]:
     """All primes <= n by Eratosthenes."""
-    return np.flatnonzero(np.frombuffer(_sieve(max(n, 1)), np.uint8)).tolist()
+    return prime_array(n).tolist()
 
 
 @lru_cache(maxsize=8)

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import primes_upto
+from .arith import prime_array
 from .hecke import _complete_homogeneous, schur_from_elementary
 
 # Truncation tail of euler_factor_check above which it warns.
@@ -114,7 +114,7 @@ def build_MKD(table, X: int, M: int) -> dict:
     1 - L_p(s)^-1 = A(p,1) p^-s - A(1,p) p^-2s + p^-3s.  For other data D is
     still the sum of products that WindowPolynomial defines.
     """
-    primes = np.array(primes_upto(2 * M), dtype=np.int64)
+    primes = prime_array(2 * M)
     return {"D": WindowPolynomial(primes, table.row(2 * M)[primes - 1], 2 * M)}
 
 

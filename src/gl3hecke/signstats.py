@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .arith import primes_upto
+from .arith import prime_array
 from .hecke import A_M1, A_MM
 
 IMAG_TOL = 1e-9
@@ -44,12 +44,7 @@ class SignChangeReport:
     zeros: int
 
     def summary(self) -> dict:
-        return {
-            "changes": self.changes,
-            "positives": self.positives,
-            "negatives": self.negatives,
-            "zeros": self.zeros,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -69,12 +64,16 @@ class ShortIntervalConfig:
 def _real(row: np.ndarray, first: int, which: str) -> np.ndarray:
     """Real parts of a row whose entry i is the coefficient at m = first + i;
     a ValueError names the first m with a non-negligible imaginary part."""
-    bad = np.abs(row.imag) > IMAG_TOL * (1.0 + np.abs(row.real))
+    values = np.abs(row.real)  # the bound IMAG_TOL (1 + |re|), then the result
+    np.multiply(np.add(values, 1.0, out=values), IMAG_TOL, out=values)
+    bad = row.imag > values    # |im| > bound as im > bound or im < -bound
+    bad |= row.imag < np.negative(values, out=values)
     if bad.any():
         m = first + int(np.argmax(bad))
         what = f"A({m},1)" if which == A_M1 else f"A({m},{m})"
         raise ValueError(f"{what} has non-negligible imaginary part: {complex(row[m - first])}")
-    return row.real.copy()
+    values[...] = row.real
+    return values
 
 
 def _abs(row: np.ndarray) -> np.ndarray:
@@ -96,24 +95,26 @@ def _nonzero(values: np.ndarray, zero_tol: float) -> np.ndarray:
     """The mask of the entries that count as nonzero: |a| > zero_tol, and NaN."""
     if zero_tol < 0:
         raise ValueError("zero_tol must be non-negative")
-    return ~(np.abs(values) <= zero_tol)
+    zero = values <= zero_tol
+    zero &= values >= -zero_tol
+    return np.logical_not(zero, out=zero)
 
 
 def _signs(values: np.ndarray, zero_tol: float):
-    """0-based indices of the entries that `_nonzero` keeps, whether each is
-    positive, and where along them the sign flips."""
-    kept = np.flatnonzero(_nonzero(values, zero_tol))
-    positive = values[kept] > 0
-    return kept, positive, np.flatnonzero(positive[1:] != positive[:-1])
+    """The `_nonzero` mask and, as a mask along the entries it keeps, which
+    of them are positive."""
+    nonzero = _nonzero(values, zero_tol)
+    return nonzero, (values > 0)[nonzero]
 
 
 def count_sign_changes(seq: RealSequence, zero_tol: float = 1e-12) -> SignChangeReport:
     """Sign changes along the subsequence of entries with |a| > zero_tol;
     zeros are skipped, never counted as changes."""
-    kept, positive, flips = _signs(seq.values, zero_tol)
+    _, positive = _signs(seq.values, zero_tol)
     positives = int(np.count_nonzero(positive))
-    return SignChangeReport(len(flips), positives, len(kept) - positives,
-                            len(seq.values) - len(kept))
+    flips = int(np.count_nonzero(positive[1:] != positive[:-1]))
+    return SignChangeReport(flips, positives, len(positive) - positives,
+                            len(seq.values) - len(positive))
 
 
 def window_sums(table, cfg: ShortIntervalConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +193,8 @@ def interval_change_scan(table, cfg: ShortIntervalConfig, zero_tol: float = 1e-1
     xs = np.arange(cfg.X, 2 * cfg.X + 1, max(1, cfg.H // 4))
     last = int(xs[-1]) + cfg.H
     values = _real(table.row(last)[cfg.X - 1:], cfg.X, A_M1)
-    kept, _, flips = _signs(values, zero_tol)
+    nonzero, positive = _signs(values, zero_tol)
+    kept, flips = np.flatnonzero(nonzero), np.flatnonzero(positive[1:] != positive[:-1])
     starts, ends = kept[flips] + cfg.X, kept[flips + 1] + cfg.X
     # the first pair starting in the window has the smallest end among them
     i = np.searchsorted(starts, xs)
@@ -203,10 +205,12 @@ def interval_change_scan(table, cfg: ShortIntervalConfig, zero_tol: float = 1e-1
 
 def nonvanishing_density(table, X: int, which: str = A_M1, zero_tol: float = 1e-12) -> dict:
     """lhs: observed density of non-vanishing up to X.  rhs: the sieve product
-    prod (1 - 1/p) over primes p <= X whose coefficient vanishes."""
+    prod (1 - 1/p) over primes p <= X whose coefficient vanishes; X >= 1."""
+    if X < 1:
+        raise ValueError(f"nonvanishing_density needs X >= 1, got X = {X}")
     nonzero = _nonzero(sequence_from_table(table, X, which).values, zero_tol)
     lhs = np.count_nonzero(nonzero) / X
-    primes = np.array(primes_upto(X), dtype=np.int64)
+    primes = prime_array(X)
     rhs = 1.0
     for p in primes[~nonzero[primes - 1]].tolist():
         rhs *= 1.0 - 1.0 / p
@@ -220,7 +224,7 @@ def partial_sum_abs(table, X: int) -> float:
 
 def sign_balance(table, X: int, which: str = A_M1, zero_tol: float = 1e-12) -> dict:
     """Fractions of positive and negative entries among the nonzero ones."""
-    _, positive, _ = _signs(sequence_from_table(table, X, which).values, zero_tol)
+    _, positive = _signs(sequence_from_table(table, X, which).values, zero_tol)
     nonzero = len(positive)
     if nonzero == 0:
         return {"pos_frac": 0.0, "neg_frac": 0.0}
@@ -231,4 +235,6 @@ def sign_balance(table, X: int, which: str = A_M1, zero_tol: float = 1e-12) -> d
 def rankin_selberg_ratio(table, X: int) -> float:
     """sum_{m <= X} A(m,1)^2 / X, the second-moment calibration; the squares
     are Python's x ** 2 (np.float_power), which x * x does not always match."""
+    if X < 1:
+        raise ValueError(f"rankin_selberg_ratio needs X >= 1, got X = {X}")
     return _left_sum(np.float_power(_abs(table.row(X)), 2.0)) / X

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,18 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from gl3hecke import hecke, suites, tau
 from gl3hecke.arith import primes_upto
+
+
+def traced_peak(fn):
+    """Run fn() under tracemalloc; return (peak, held): the most bytes traced
+    at once while it ran, and the bytes still traced when it returned."""
+    tracemalloc.start()
+    try:
+        fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, held
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,8 @@ divisor counting, brute-force root-partition enumeration, the Freudenthal
 multiplicity recursion, evaluation of (e1, e2)-polynomials and Schur
 combinations, the Schur-to-monomial expansion, the Simpson-rule second
 moment, the per-entry sign-change count, the per-window sign-change walk,
-the per-window short-interval sums,
-primality by trial division, Dirichlet polynomial evaluation term by term,
+the per-window short-interval sums, the row sieve on dense arrays of N + 1
+entries, primality by trial division, Dirichlet polynomial evaluation term by term,
 the window polynomial D evaluated as a product over squarefree d, the
 full-square mean-value kernel, the mean-value identity in mpmath, the
 truncated square by Kronecker
@@ -27,7 +27,7 @@ import numpy as np
 
 from gl3hecke import measures, tau
 from gl3hecke.arith import factorize, mobius
-from gl3hecke.hecke import SatakeTriple, schur_from_elementary
+from gl3hecke.hecke import SatakeTriple, _PyComplex, schur_from_elementary
 from gl3hecke.klpoly import Weight
 from gl3hecke.schuralg import EPoly, schur_to_epoly
 from gl3hecke.signstats import SignChangeReport
@@ -656,3 +656,48 @@ def sample_app_whole(p: int, count: int, seed: int) -> np.ndarray:
     """A(p, p) = 8 - 4 sum s_ij of one whole draw of `measures.sample_angles`."""
     t1, t2 = measures.sample_angles(measures.MeasureSpec.plancherel(p), count, seed)
     return 8.0 - 4.0 * sum(measures.half_chords(t1, t2))
+
+
+def sieve_row_dense(table, N: int, diagonal: bool) -> np.ndarray:
+    """Entries 0..N of a row (entry 0 unused) by A(m) = A(m/q) L(q), q the
+    full power of the largest prime of m, in rounds of equal number of
+    distinct primes omega(m).  The largest prime goes last, so every product
+    is value()'s ascending-prime product, and _PyComplex rounds as it does.
+
+    The sieve before the blocked `CoefficientTable._sieve_row`: dense int64
+    q(m) and complex L(q) arrays of N + 1 entries, every round at once."""
+    top = np.ones(N + 1, dtype=np.int64)      # q(m)
+    omega = np.zeros(N + 1, dtype=np.int8)
+    local = np.zeros(N + 1, dtype=complex)    # L(q) at the prime powers q
+    primes, e1, e2 = table.local.primes, table.local.e1, table.local.e2
+    n_small, n_primes = np.searchsorted(primes, [math.isqrt(N), N], "right").tolist()
+    for p, x1, x2 in zip(primes[:n_small].tolist(), e1[:n_small].tolist(),
+                         e2[:n_small].tolist()):  # ascending: top keeps the largest
+        omega[p::p] += 1
+        q, e = p, 1
+        while q <= N:
+            top[q::q] = q
+            local[q] = schur_from_elementary(e, e if diagonal else 0, x1, x2)
+            q, e = q * p, e + 1
+    # L(p) at p > sqrt(N) on the arrays, rounded as Python's complex
+    big = primes[n_small:n_primes]
+    x1, x2 = (_PyComplex(x.real, x.imag) for x in (e1[n_small:n_primes], e2[n_small:n_primes]))
+    val = schur_from_elementary(1, 1 if diagonal else 0, x1, x2)
+    local.real[big], local.imag[big] = val.re, val.im
+    # m = k p with p > sqrt(N) has k < p, so p is its largest prime, to the first power
+    count = N // big
+    ps = np.repeat(big, count)
+    m = ps * (np.arange(1, len(ps) + 1) - np.repeat(np.cumsum(count) - count, count))
+    top[m] = ps
+    omega[m] += 1
+    del x1, x2, val, ps, m  # before the rounds, which hold the most memory
+    row = np.zeros(N + 1, dtype=complex)
+    row[1] = 1.0
+    for k in range(1, int(omega.max(initial=0)) + 1):
+        idx = np.flatnonzero(omega == k)
+        q = top[idx]
+        r = idx // q
+        prod = _PyComplex(row.real[r], row.imag[r]) * _PyComplex(local.real[q], local.imag[q])
+        row.real[idx], row.imag[idx] = prod.re, prod.im
+    row.flags.writeable = False
+    return row

@@ -5,9 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_tempered_triple
+from conftest import random_tempered_triple, traced_peak
 from gl3hecke import hecke, signstats, suites, tau
-from gl3hecke.arith import primes_upto
+from gl3hecke.arith import prime_array, primes_upto
 from gl3hecke.hecke import (
     A_M1,
     A_MM,
@@ -25,7 +25,7 @@ from gl3hecke.hecke import (
     sym2_lift,
 )
 from gl3hecke.suites import random_tempered_locals
-from oracles import sym2_triple_by_angles, vandermonde_schur
+from oracles import sieve_row_dense, sym2_triple_by_angles, vandermonde_schur
 
 DEGENERATE = SatakeTriple(1.0 + 0j, 1.0 + 0j, 1.0 + 0j)
 
@@ -275,6 +275,74 @@ class TestRow:
         assert np.shares_memory(head, table.row(100))
         with pytest.raises(ValueError):
             head[0] = 2.0
+
+
+def expansion_length(N):
+    """Entries of the expansion m = k p, k <= N // p, over the primes
+    sqrt(N) < p <= N."""
+    big = prime_array(N)
+    return int((N // big[big > math.isqrt(N)]).sum())
+
+
+BLOCK = hecke._BLOCK
+EDGE_N = 25_828  # its expansion is one whole block
+SIEVE_NS = [1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1, EDGE_N, 100_000, X_WIDE]
+
+
+def non_tempered_locals(primes, rng, radius=1.2):
+    """Triples (r e^{i t1}, e^{i t2} / r, e^{-i(t1 + t2)}) off the unit circle."""
+    out = []
+    for p in primes:
+        t1, t2 = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi)
+        out.append(PrimeLocalData(p, SatakeTriple(
+            radius * cmath.exp(1j * t1), cmath.exp(1j * t2) / radius,
+            cmath.exp(-1j * (t1 + t2)), tempered=False)))
+    return out
+
+
+class TestSieveAgainstDense:
+    """The blocked sieve against the dense one it replaced, bit for bit, on
+    row block edges, on an expansion that ends on a block edge, and to the
+    size of the generic-signs benchmark."""
+
+    @pytest.fixture(scope="class", params=["tempered", "selfdual", "sym2_tau", "radius_1.2"])
+    def local(self, request, random_table_wide):
+        primes = primes_upto(X_WIDE)
+        return {
+            "tempered": lambda: random_table_wide.local,
+            "selfdual": lambda: suites.random_selfdual_locals(primes, random.Random(36)),
+            "sym2_tau": lambda: tau.sym2_tau_locals(X_WIDE),
+            "radius_1.2": lambda: LocalArrays.from_records(
+                non_tempered_locals(primes, random.Random(37))),
+        }[request.param]()
+
+    def test_edge_n_ends_the_expansion_on_a_block_edge(self):
+        assert expansion_length(EDGE_N) == BLOCK
+        assert expansion_length(EDGE_N + 1) % BLOCK != 0
+
+    @pytest.mark.parametrize("N", SIEVE_NS)
+    def test_rows_are_the_dense_sieve_bit_for_bit(self, local, N):
+        table = CoefficientTable(local, N, N)
+        for which in (A_M1, A_MM):
+            dense = sieve_row_dense(table, N, which == A_MM)[1:]
+            assert np.array_equal(entry_bits(table.row(N, which)), entry_bits(dense))
+
+    def test_non_tempered_row_is_value_bit_for_bit(self):
+        X = 5_000
+        table = CoefficientTable(non_tempered_locals(primes_upto(X), random.Random(38)), X, X)
+        for which in (A_M1, A_MM):
+            assert np.array_equal(entry_bits(table.row(X, which)),
+                                  entry_bits(value_walk(table, X, which)))
+
+
+def test_row_peaks_within_its_result_and_6_mib(random_table_wide):
+    # the dense sieve held int64 q(m) and complex L(q) for every m and all
+    # of a round's temporaries at once: 17.6 MiB beside the row at 3 * 10^5
+    table = CoefficientTable(random_table_wide.local, X_WIDE, X_WIDE)
+    peak, held = traced_peak(lambda: table.row(X_WIDE, A_MM))
+    result = 16 * (X_WIDE + 1)
+    assert held >= result
+    assert peak <= result + 6 * 2 ** 20
 
 
 class TestLocalArrays:

@@ -1,10 +1,10 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from oracles import (
     density_exponential,
     sample_angles_float64,
@@ -236,16 +236,15 @@ class TestAliasTables:
         # the K chunks of the kato suite's grid searches, p = 2, 3, 5, 7
         memo = measures._resolution_aliases
         memo.cache_clear()
-        tracemalloc.start()
-        try:
+
+        def sweep():
             for p in (2, 3, 5, 7):
                 for l1 in range(6):
                     for l2 in range(6 - l1):
                         measures.trapezoid_resolution(MeasureSpec.plancherel(p), l1, l2, 1e-7)
             measures.trapezoid_resolution(MeasureSpec.plancherel(2), 1, 1, 1e-8)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+
+        _, held = traced_peak(sweep)
         info = memo.cache_info()
         assert info.currsize <= info.maxsize and info.hits > info.misses
         assert held < 10 ** 6
@@ -335,12 +334,7 @@ class TestSampling:
         # 10^5 angles are 1.6 MB; a draw that kept every batch and joined them
         # at the end peaked above 3.5 MB
         schuralg.sample_app(2, 10, seed=0)      # numpy.random imported untraced
-        tracemalloc.start()
-        try:
-            sample_angles(MeasureSpec.plancherel(2), 10 ** 5, seed=17)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(lambda: sample_angles(MeasureSpec.plancherel(2), 10 ** 5, seed=17))
         assert peak <= 2.5e6
 
     def test_child_seed_is_deterministic_and_spread(self):

@@ -1,11 +1,10 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import random_tempered_triple
+from conftest import random_tempered_triple, traced_peak
 from oracles import (
     _s11_values,
     epoly_eval,
@@ -181,12 +180,7 @@ class TestEffectiveSTCompare:
         # 10^5 samples are 0.8 MB and their angles 1.6 MB; three whole arrays
         # of half chords on top of them took the peak to 6.2 MB
         sample_app(2, 10, seed=0)               # numpy.random imported untraced
-        tracemalloc.start()
-        try:
-            sample_app(2, 10 ** 5, seed=17)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(lambda: sample_app(2, 10 ** 5, seed=17))
         assert peak <= 3e6
 
     def test_empirical_distribution_rejects_out_of_range(self):

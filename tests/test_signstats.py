@@ -31,6 +31,7 @@ from gl3hecke.signstats import (
     short_interval_sums,
     sign_balance,
 )
+from conftest import traced_peak
 from oracles import (
     count_sign_changes_loop,
     d3,
@@ -433,3 +434,55 @@ class TestBounds:
         table = degenerate_table(50)
         assert len(sequence_from_table(table, 50)) == 50
         assert sequence_from_table(table, 1, A_MM).values.tolist() == [1.0]
+
+
+class TestBelowOne:
+    """X = 0 reads an empty row: the statistics that divide by X refuse it,
+    the counts have answers."""
+
+    @pytest.mark.parametrize("X", [0, -1])
+    @pytest.mark.parametrize("stat", [nonvanishing_density, rankin_selberg_ratio])
+    def test_densities_refuse_x_below_one(self, stat, X):
+        with pytest.raises(ValueError, match=f"^{stat.__name__} needs X >= 1, got X = {X}$"):
+            stat(degenerate_table(50), X)
+
+    def test_counts_of_an_empty_row(self):
+        table = degenerate_table(50)
+        assert len(table.row(0)) == 0
+        assert sign_balance(table, 0) == {"pos_frac": 0.0, "neg_frac": 0.0}
+        report = count_sign_changes(sequence_from_table(table, 0))
+        assert report.summary() == {"changes": 0, "positives": 0, "negatives": 0, "zeros": 0}
+
+
+X_WIDE = 300_000
+MIB = 2 ** 20
+
+
+@pytest.fixture(scope="module")
+def wide_table():
+    """Random tempered data to 3 * 10^5, the generic-signs size, with its
+    A(m, m) row sieved."""
+    locs = random_tempered_locals(primes_upto(X_WIDE), random.Random(41))
+    table = CoefficientTable(locs, X_WIDE, X_WIDE)
+    table.row(X_WIDE, A_MM)
+    return table
+
+
+class TestWorkingMemory:
+    """On A(m, m) at X = 3 * 10^5 a statistic holds at most the float
+    sequence (2.3 MiB) and a few masks of one byte per entry (0.3 MiB each).
+    Index arrays and float copies of the kept entries took the peaks to 4.9,
+    4.9, 7.2 and 4.9 MiB."""
+
+    @pytest.mark.parametrize("name", ["sequence_from_table", "count_sign_changes",
+                                      "sign_balance", "nonvanishing_density"])
+    def test_peak(self, wide_table, name):
+        seq = sequence_from_table(wide_table, X_WIDE, A_MM)
+        call = {
+            "sequence_from_table": lambda: sequence_from_table(wide_table, X_WIDE, A_MM),
+            "count_sign_changes": lambda: count_sign_changes(seq),
+            "sign_balance": lambda: sign_balance(wide_table, X_WIDE, A_MM),
+            "nonvanishing_density": lambda: nonvanishing_density(wide_table, X_WIDE, A_MM),
+        }[name]
+        peak, _ = traced_peak(call)
+        assert peak <= 3.5 * MIB
