@@ -46,17 +46,15 @@ def _seq_row(row) -> tuple[int, float]:
 def ingest(path: str, fmt: str):
     """Parse a gl2csv (`p,lambda`) or seqcsv (`m,value`) file.
 
-    gl2csv returns GL2FormData with the ramanujan flag set iff
-    `hecke.nontempered_primes` finds no prime; seqcsv returns a RealSequence
-    (missing indices are zero).
+    gl2csv returns GL2FormData, with a warning when its ramanujan flag is
+    false; seqcsv returns a RealSequence (missing indices are zero).
     """
     if fmt == "gl2csv":
-        pairs = list(read_csv(path, ("p", "lambda"), "prime", _gl2_row).items())
-        ramanujan = not hecke.nontempered_primes(pairs)
-        if not ramanujan:
+        form = hecke.GL2FormData(list(read_csv(path, ("p", "lambda"), "prime", _gl2_row).items()))
+        if not form.ramanujan:
             print(f"warning: {path} has |lambda| > 2; ramanujan flag is false",
                   file=sys.stderr)
-        return hecke.GL2FormData(pairs, ramanujan=ramanujan)
+        return form
 
     if fmt == "seqcsv":
         values = read_csv(path, ("m", "value"), "index", _seq_row)
@@ -314,6 +312,8 @@ def _config_error(args) -> str | None:
             return "field 'N' must lie in [1, 10^6]"
         if args.what == "table" and not 1 <= args.bound_n <= args.N:
             return "field 'bound-n' must lie in [1, N]"
+        if args.what == "table" and args.N * args.bound_n > 10**6:  # cells export_csv memoises
+            return "field 'bound-n' must keep N * bound-n at most 10^6"
         if args.what == "samples" and args.count < 1:
             return "field 'count' must be at least 1"
         if args.what == "density" and args.K < 8:

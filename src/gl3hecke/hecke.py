@@ -12,7 +12,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 
 import numpy as np
 
@@ -92,15 +91,11 @@ class GL2FormData:
     """Real Hecke eigenvalues lambda(p) of a degree-two form, per prime."""
 
     pairs: list[tuple[int, float]]
-    ramanujan: bool = True
 
-    def __post_init__(self):
-        if self.ramanujan:
-            bad = nontempered_primes(self.pairs)
-            if bad:
-                raise NonTemperedError(
-                    f"|lambda(p)| > 2 at primes {bad} contradicts ramanujan=True"
-                )
+    @property
+    def ramanujan(self) -> bool:
+        """Whether every |lambda(p)| <= 2 + UNIT_TOL (`nontempered_primes`)."""
+        return not nontempered_primes(self.pairs)
 
 
 def _complete_homogeneous(e1, e2, n: int) -> list:
@@ -167,15 +162,11 @@ class LocalArrays:
 
     @classmethod
     def from_records(cls, records: list[PrimeLocalData]) -> "LocalArrays":
-        """The arrays of PrimeLocalData records, e1 and e2 bit for bit as
-        SatakeTriple's properties give them (by `_PyComplex`)."""
-        sats = [rec.satake for rec in records]
-        a1, a2, a3 = (_PyComplex(a.real, a.imag) for a in (
-            np.fromiter(map(attrgetter(name), sats), complex, len(sats))
-            for name in ("alpha1", "alpha2", "alpha3")))
-        e1, e2 = (np.stack([x.re, x.im], axis=-1).view(complex)[:, 0]
-                  for x in (a1 + a2 + a3, a1 * a2 + a1 * a3 + a2 * a3))
-        return cls(np.fromiter(map(attrgetter("p"), records), np.int64, len(records)), e1, e2)
+        """The arrays of PrimeLocalData records: each triple's own e1 and e2."""
+        count = len(records)
+        return cls(np.fromiter((rec.p for rec in records), np.int64, count),
+                   np.fromiter((rec.satake.e1 for rec in records), complex, count),
+                   np.fromiter((rec.satake.e2 for rec in records), complex, count))
 
 
 def schur_from_elementary(l1: int, l2: int, e1, e2):

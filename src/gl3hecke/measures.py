@@ -178,7 +178,7 @@ def envelope_ratio(spec: MeasureSpec) -> float:
 
 
 def _alias_table(l1: int, l2: int, K: np.ndarray) -> tuple[np.ndarray, int, int, np.ndarray]:
-    """The part of `_trapezoid_bound` that no measure changes, at each K of an
+    """The part of `_alias_bound` that no measure changes, at each K of an
     integer array: (K, max|m|, the box of the lattice j, and 1 + ||K j - m||
     for every K, every j != 0 with |j|_inf <= box and every Weyl frequency m
     of the (l1, l2) element, read-only in the smallest unsigned dtype; 0
@@ -198,7 +198,7 @@ def _alias_table(l1: int, l2: int, K: np.ndarray) -> tuple[np.ndarray, int, int,
 
 
 def _rounding_floor(spec: MeasureSpec, l1: int, l2: int) -> float:
-    """The rounding term of `_trapezoid_bound`, the same at every K."""
+    """The rounding term of `_alias_bound`, the same at every K."""
     h, dh = (lambda k: math.comb(k + 2, 2)), (lambda k: 160 * math.comb(k + 4, 5))
     schur = sum(dh(u) * h(v) + h(u) * dh(v) + 4 * h(u) * h(v)
                 for u, v in ((l1 + l2, l2), (l1 + l2 + 1, l2 - 1)))
@@ -207,8 +207,10 @@ def _rounding_floor(spec: MeasureSpec, l1: int, l2: int) -> float:
 
 
 def _alias_bound(spec: MeasureSpec, l1: int, l2: int, aliases: tuple) -> np.ndarray:
-    """`_trapezoid_bound` from the `_alias_table` of its K: q^||K j - m|| by
-    table lookup, the far tail and the rounding floor."""
+    """Proven error bound of the K x K rule for the (l1, l2) Schur element
+    against spec at each K of an `_alias_table`, as `trapezoid_resolution`
+    derives: aliasing (q^||K j - m|| by table lookup, and the far tail) plus
+    the rounding floor."""
     K, reach, box, norms = aliases
     q = 0.0 if spec.kind == SATO_TATE else 1.0 / spec.p
     powers = np.concatenate(([0.0], q ** np.arange(int(norms.max()))))
@@ -217,13 +219,6 @@ def _alias_bound(spec: MeasureSpec, l1: int, l2: int, aliases: tuple) -> np.ndar
     far = 36 * 8 * q ** ((s * K - reach) / 2.0) * (s / (1.0 - x) + x / (1.0 - x) ** 2)
     return ((1.0 - q ** 3) / (6.0 * (1.0 - q) ** 5 * (1.0 + q)) * (near + far)
             + _rounding_floor(spec, l1, l2))
-
-
-def _trapezoid_bound(spec: MeasureSpec, l1: int, l2: int, K: np.ndarray) -> np.ndarray:
-    """Proven error bound of the K x K rule for the (l1, l2) Schur element
-    against spec at each K of an integer array: aliasing plus rounding, as
-    `trapezoid_resolution` derives."""
-    return _alias_bound(spec, l1, l2, _alias_table(l1, l2, K))
 
 
 # The alias tables of trapezoid_resolution's 16-wide K chunks, shared by every

@@ -151,32 +151,25 @@ def window_sums(table, cfg: ShortIntervalConfig) -> tuple[np.ndarray, np.ndarray
     return np.hypot(acc_re, acc_im), acc_abs
 
 
-# table -> {(X, H, M): (S1 list, S2 list)}: the tables are logically
-# immutable, and an entry is freed with its table
-_window_sums = weakref.WeakKeyDictionary()
-# {0: (weakref to table, cfg, sums)} of the latest lookup, emptied when the
-# table dies (its weakref dies with the entry, so no later entry is cleared)
+# {0: (weakref to table, cfg, S1 list, S2 list)} of the latest lookup,
+# emptied when the table dies (its weakref dies with the entry, so no later
+# entry is cleared)
 _latest: dict = {}
 
 
 def short_interval_sums(table, cfg: ShortIntervalConfig, x: int) -> dict:
     """{"S1": S1, "S2": S2} of the one window at x, as Python floats: the
-    per-x view of `window_sums`, whose arrays the first call for a
-    (table, cfg) computes and later calls look up."""
+    per-x view of `window_sums`.  The arrays of the latest (table, cfg) are
+    kept, since a caller walking the windows makes about 10^4 of these calls
+    with one table and one cfg; a call for another pair computes its own."""
     i = x - cfg.X
     if not 0 <= i <= cfg.X:
         raise ValueError(f"x = {x} is not in [X, 2X] = [{cfg.X}, {2 * cfg.X}]")
-    # a caller walking the windows makes about 10^4 of these calls, nearly
-    # all with the table and cfg of the call before
     latest = _latest.get(0)
     if latest is None or latest[1] is not cfg or latest[0]() is not table:
-        key = (cfg.X, cfg.H, cfg.M)
-        sums = _window_sums.get(table, {}).get(key)
-        if sums is None:
-            sums = _window_sums.setdefault(table, {})[key] = tuple(
-                a.tolist() for a in window_sums(table, cfg))
-        latest = _latest[0] = (weakref.ref(table, lambda _: _latest.clear()), cfg, sums)
-    return {"S1": latest[2][0][i], "S2": latest[2][1][i]}
+        latest = _latest[0] = (weakref.ref(table, lambda _: _latest.clear()), cfg,
+                               *(a.tolist() for a in window_sums(table, cfg)))
+    return {"S1": latest[2][i], "S2": latest[3][i]}
 
 
 def interval_change_scan(table, cfg: ShortIntervalConfig, zero_tol: float = 1e-12) -> dict:

@@ -573,8 +573,8 @@ def gauss_legendre_mpmath(n: int, dps: int = 40):
 
 
 def trapezoid_bound_uncached(spec, l1: int, l2: int, K: np.ndarray) -> np.ndarray:
-    """`measures._trapezoid_bound` as one pass: the alias lattice of every K
-    built, and q^||K j - m|| raised, on every call."""
+    """`measures._alias_bound` of `_alias_table(l1, l2, K)` as one pass: the
+    alias lattice of every K built, and q^||K j - m|| raised, on every call."""
     from gl3hecke.klpoly import WEYL
     from gl3hecke.measures import SATO_TATE
 

@@ -111,6 +111,22 @@ class TestGenAndIngest:
         assert rows[0] == ["m", "n", "re", "im"]
         assert len(rows) == 21
 
+    def test_table_csv_rectangle(self, tmp_path):
+        path = tmp_path / "table.csv"
+        assert run(["gen", "--what", "table", "--N", "40", "--bound-n", "25",
+                    "--out", str(path)]) == 0
+        rows = list(csv.reader(path.read_text().splitlines()))
+        assert len(rows) == 1 + 40 * 25
+        assert rows[-1][:2] == ["40", "25"]
+
+    def test_table_cell_cap_boundary(self):
+        # N * bound-n = 10^6 is accepted, 10^6 + 2 cells are refused
+        for N, bound_n, ok in ((1000, 1000, True), (250_000, 4, True), (500_001, 2, False)):
+            args = cli.build_parser().parse_args(
+                ["gen", "--what", "table", "--N", str(N), "--bound-n", str(bound_n),
+                 "--out", "x.csv"])
+            assert (cli._config_error(args) is None) == ok
+
     def test_samples_csv(self, tmp_path):
         path = tmp_path / "samples.csv"
         assert run([
@@ -160,8 +176,8 @@ class TestGenAndIngest:
 
     def test_ingest_tempered_within_unit_tol(self, tmp_path, capsys):
         # the one temperedness test of hecke: |lambda| <= 2 + UNIT_TOL, so the
-        # flag agrees with GL2FormData and sym2_lift, which lifts to (1, 1, 1),
-        # whose e1 and e2 are 3
+        # form's flag agrees with sym2_lift, which lifts to (1, 1, 1), whose
+        # e1 and e2 are 3
         path = tmp_path / "edge.csv"
         path.write_text("p,lambda\n2,2.0000000000001\n")
         form = cli.ingest(str(path), "gl2csv")
@@ -371,6 +387,11 @@ class TestErrorPaths:
          "field 'bound-n' must lie in [1, N]"),
         (["gen", "--what", "table", "--N", "100", "--bound-n", "101", "--out", "x.csv"],
          "field 'bound-n' must lie in [1, N]"),
+        (["gen", "--what", "table", "--N", "1001", "--bound-n", "1000", "--out", "x.csv"],
+         "field 'bound-n' must keep N * bound-n at most 10^6"),
+        (["gen", "--what", "table", "--N", "1000000", "--bound-n", "1000000",
+          "--out", "x.csv"],
+         "field 'bound-n' must keep N * bound-n at most 10^6"),
         (["gen", "--what", "samples", "--count", "0", "--out", "x.csv"],
          "field 'count' must be at least 1"),
         (["gen", "--what", "density", "--K", "7", "--out", "x.csv"], "field 'K' must be at least 8"),
@@ -389,6 +410,7 @@ class TestErrorPaths:
             "satotate-p", "satotate-samples", "satotate-a-low", "satotate-a-above-b",
             "satotate-b-nan", "gen-samples-p", "gen-density-p", "gen-tau-N-zero",
             "gen-gl2-N-big", "gen-table-bound-n-zero", "gen-table-bound-n-above-N",
+            "gen-table-cells-past-cap", "gen-table-cells-10-12",
             "gen-count-zero", "gen-K-small", "signs-X-zero", "signs-X-big",
             "signs-window-X-small", "signs-window-M-eq-H", "signs-zero-tol-neg",
             "kato-tol-below-floor", "kato-tol-below-floor-66"])

@@ -347,11 +347,13 @@ def test_row_peaks_within_its_result_and_6_mib(random_table_wide):
 
 class TestLocalArrays:
     def test_from_records_is_the_properties_bit_for_bit(self):
-        recs = random_tempered_locals(primes_upto(X_WIDE), random.Random(33))
-        local = LocalArrays.from_records(recs)
-        assert local.primes.tolist() == [rec.p for rec in recs]
-        assert np.array_equal(entry_bits(local.e1), entry_bits([rec.satake.e1 for rec in recs]))
-        assert np.array_equal(entry_bits(local.e2), entry_bits([rec.satake.e2 for rec in recs]))
+        for make in (random_tempered_locals, non_tempered_locals):
+            recs = make(primes_upto(X_WIDE), random.Random(33))
+            local = LocalArrays.from_records(recs)
+            assert local.primes.tolist() == [rec.p for rec in recs]
+            for name in ("e1", "e2"):
+                want = [getattr(rec.satake, name) for rec in recs]
+                assert np.array_equal(entry_bits(getattr(local, name)), entry_bits(want))
 
     def test_table_from_arrays_equals_table_from_records(self):
         # the same data as records and as arrays given in descending order
@@ -382,7 +384,7 @@ class TestLocalArrays:
             LocalArrays(primes, e1, e2)
 
     def test_lift_refuses_non_tempered_lambda(self):
-        form = GL2FormData([(2, 1.0), (3, 2.5), (5, math.nan)], ramanujan=False)
+        form = GL2FormData([(2, 1.0), (3, 2.5), (5, math.nan)])
         with pytest.raises(NonTemperedError,
                            match=r"^\|lambda\(p\)\| > 2 at primes \[3, 5\]; lift needs tempered input$"):
             sym2_lift(form)
@@ -586,16 +588,32 @@ class TestSym2Lift:
 
     def test_non_tempered_input_lists_primes(self):
         with pytest.raises(NonTemperedError, match=r"\[3, 7\]"):
-            sym2_lift(GL2FormData([(2, 1.0), (3, 2.5), (7, -2.2)], ramanujan=False))
+            sym2_lift(GL2FormData([(2, 1.0), (3, 2.5), (7, -2.2)]))
 
     def test_gl2_ramanujan_flag_enforced(self):
-        with pytest.raises(NonTemperedError):
-            GL2FormData([(2, 2.5)], ramanujan=True)
+        # the flag is derived from the pairs, and sym2_lift is the gate
+        cases = [
+            ([(2, 1.0), (3, -2.0), (5, 0.0)], None),
+            ([(2, 1.0), (3, 2.0 + 0.5 * hecke.UNIT_TOL)], None),
+            ([(2, 2.5)], r"\[2\]"),
+            ([(2, 1.0), (3, 2.5)], r"\[3\]"),
+            ([(2, 1.0), (3, 0.5), (5, -2.0 - 2 * hecke.UNIT_TOL)], r"\[5\]"),
+        ]
+        for pairs, refused in cases:
+            form = GL2FormData(pairs)
+            assert form.ramanujan is (not hecke.nontempered_primes(pairs)) is (refused is None)
+            if refused is None:
+                assert sym2_lift(form).primes.tolist() == [p for p, _ in pairs]
+            else:
+                with pytest.raises(NonTemperedError, match=refused):
+                    sym2_lift(form)
 
     def test_nan_lambda_is_not_tempered(self):
         # |nan| > 2 is false, so a NaN once passed the test and the lift
         # clamped it to lambda = -2, which gives A(2, 1) = 3
-        with pytest.raises(NonTemperedError, match=r"\[3\]"):
-            GL2FormData([(2, 1.0), (3, math.nan)], ramanujan=True)
-        with pytest.raises(NonTemperedError, match=r"\[2\]"):
-            sym2_lift(GL2FormData([(2, math.nan)], ramanujan=False))
+        for pairs, refused in (([(2, 1.0), (3, math.nan)], r"\[3\]"),
+                               ([(2, math.nan)], r"\[2\]")):
+            form = GL2FormData(pairs)
+            assert form.ramanujan is False
+            with pytest.raises(NonTemperedError, match=refused):
+                sym2_lift(form)

@@ -157,7 +157,8 @@ KATO_PRIMES = (2, 3, 5, 7, 11, 101, 1009)
 
 
 def bounds(l1, l2, p, K):
-    return measures._trapezoid_bound(MeasureSpec.plancherel(p), l1, l2, np.asarray(K))
+    aliases = measures._alias_table(l1, l2, np.asarray(K))
+    return measures._alias_bound(MeasureSpec.plancherel(p), l1, l2, aliases)
 
 
 def bound(l1, l2, p, K):
@@ -222,7 +223,7 @@ class TestAliasTables:
                 for spec in ALIAS_SPECS:
                     got = [measures.trapezoid_resolution(spec, l1, l2, tol) for tol in tols]
                     assert got == trapezoid_resolutions_uncached(spec, l1, l2, tols)
-                    bound = measures._trapezoid_bound(spec, l1, l2, K)
+                    bound = measures._alias_bound(spec, l1, l2, measures._alias_table(l1, l2, K))
                     assert bound.tobytes() == trapezoid_bound_uncached(spec, l1, l2, K).tobytes()
                     for lo in (8, 24, 504, 1016):
                         aliases = measures._resolution_aliases(l1, l2, lo)

@@ -202,16 +202,34 @@ class TestShortIntervalSums:
                     assert short_interval_sums(t, c, x) == want[i, c, x]
 
     def test_memo_entry_is_freed_with_its_table(self):
-        table = degenerate_table(300)
-        before = len(signstats._window_sums)
-        short_interval_sums(table, ShortIntervalConfig(X=100, H=8, M=2), 150)
-        assert len(signstats._window_sums) == before + 1
-        ref = weakref.ref(table)
-        del table
+        # one entry, the latest (table, cfg): a call for another table
+        # replaces it, and the entry is emptied when its own table dies
+        cfg = ShortIntervalConfig(X=100, H=8, M=2)
+        table, other = degenerate_table(300), degenerate_table(300)
+        short_interval_sums(table, cfg, 150)
+        assert signstats._latest[0][0]() is table and signstats._latest[0][1] is cfg
+        short_interval_sums(other, cfg, 150)
+        del table  # the replaced entry took its weakref and callback with it
+        gc.collect()
+        assert signstats._latest[0][0]() is other
+        ref = weakref.ref(other)
+        del other
         gc.collect()
         assert ref() is None
-        assert len(signstats._window_sums) == before
-        assert signstats._latest == {}  # the one-entry fast path too
+        assert signstats._latest == {}
+
+    def test_a_walk_computes_its_windows_once(self, monkeypatch):
+        calls = []
+        real = signstats.window_sums
+        monkeypatch.setattr(signstats, "window_sums", lambda t, c: calls.append(c) or real(t, c))
+        table = degenerate_table(300)
+        cfg = ShortIntervalConfig(X=100, H=8, M=2)
+        walk = [short_interval_sums(table, cfg, x) for x in range(100, 201)]
+        assert calls == [cfg]
+        # an equal cfg that is another object computes the windows again
+        again = ShortIntervalConfig(X=100, H=8, M=2)
+        assert [short_interval_sums(table, again, x) for x in range(100, 201)] == walk
+        assert len(calls) == 2 and calls[1] is again
 
     def test_table_must_reach_2X_plus_H(self):
         # the window at x = X ends near 108, but the table must reach 208
