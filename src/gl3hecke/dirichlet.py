@@ -222,7 +222,11 @@ def second_moment_many(polys: list[DirichletPolynomial], T: float) -> list[float
         poly_log_n, poly_coef = poly._arrays
         coef[np.searchsorted(log_n, poly_log_n), j] = poly_coef
     coef *= np.exp(-0.5 * log_n)[:, None]
-    parts = np.concatenate([coef.real, coef.imag], axis=1)
+    # Where every Im a is 0 (NaN is not), the Im half of quad would be
+    # 2T * 0.0 and then +0.0 from each block: it is folded in as that constant.
+    real = not coef.imag.any()
+    parts = np.ascontiguousarray(coef.real) if real else np.concatenate([coef.real, coef.imag], 1)
+    im = 0.0 if len(support) else 2.0 * T * 0.0
     columns = np.ascontiguousarray(parts.T)
     quad = 2.0 * T * np.einsum("ik,ik->k", parts, parts)
     theta = T * log_n
@@ -248,7 +252,7 @@ def second_moment_many(polys: list[DirichletPolynomial], T: float) -> list[float
         # kb holds sin(Tx)/x, half of K_T, and the triangle counts twice
         rows = np.einsum("ij,kj->ik", kb, columns[:, lo:])
         quad += 4.0 * np.einsum("ik,ik->k", block, rows)
-    return [float(v) for v in quad[: len(polys)] + quad[len(polys) :]]
+    return [float(v) for v in (quad + im if real else quad[: len(polys)] + quad[len(polys) :])]
 
 
 def mvt_ratio_many(polys: list[DirichletPolynomial], T: float) -> list[dict]:

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .arith import prime_array
-from .hecke import A_M1, A_MM
+from .hecke import _BLOCK, A_M1, A_MM
 
 IMAG_TOL = 1e-9
 
@@ -62,17 +62,22 @@ class ShortIntervalConfig:
 
 
 def _real(row: np.ndarray, first: int, which: str) -> np.ndarray:
-    """Real parts of a row whose entry i is the coefficient at m = first + i;
-    a ValueError names the first m with a non-negligible imaginary part."""
-    values = np.abs(row.real)  # the bound IMAG_TOL (1 + |re|), then the result
-    np.multiply(np.add(values, 1.0, out=values), IMAG_TOL, out=values)
-    bad = row.imag > values    # |im| > bound as im > bound or im < -bound
-    bad |= row.imag < np.negative(values, out=values)
-    if bad.any():
-        m = first + int(np.argmax(bad))
-        what = f"A({m},1)" if which == A_M1 else f"A({m},{m})"
-        raise ValueError(f"{what} has non-negligible imaginary part: {complex(row[m - first])}")
-    values[...] = row.real
+    """Real parts of a row whose entry i is the coefficient at m = first + i,
+    as a read-only view of the row, tested _BLOCK entries at a time; a
+    ValueError names the first m with a non-negligible imaginary part."""
+    for start in range(0, len(row), _BLOCK):
+        block = row[start:start + _BLOCK]
+        bound = np.abs(block.real)  # IMAG_TOL (1 + |re|)
+        np.multiply(np.add(bound, 1.0, out=bound), IMAG_TOL, out=bound)
+        bad = block.imag > bound    # |im| > bound as im > bound or im < -bound,
+        bad |= block.imag < np.negative(bound, out=bound)
+        bad |= np.isnan(block.imag)  # and a NaN im, which neither comparison holds
+        if bad.any():
+            m = first + start + int(np.argmax(bad))
+            what = f"A({m},1)" if which == A_M1 else f"A({m},{m})"
+            raise ValueError(f"{what} has non-negligible imaginary part: {complex(row[m - first])}")
+    values = row.real.view()
+    values.flags.writeable = False
     return values
 
 

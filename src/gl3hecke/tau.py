@@ -80,17 +80,14 @@ def _limbs(c: np.ndarray, b: int) -> list[np.ndarray]:
     they fit, as at every width the tau squarings use."""
     limbs, half, mask = [], 1 << (b - 1), (1 << b) - 1
     while c.any():
-        low = c & mask
-        up = low >= half
-        limbs.append((low - (up.astype(np.int64) << b)).astype(np.int16 if b <= 16 else np.int64))
-        c = (c >> b) + up           # (c - digit) / 2^b, which cannot overflow
+        limbs.append((((c & mask) ^ half) - half).astype(np.int16 if b <= 16 else np.int64))
+        c = (c >> b) + ((c >> (b - 1)) & 1)  # (c - digit) / 2^b, which cannot overflow
     return limbs
 
 
 def _low_norm(c: np.ndarray, b: int) -> float:
     """The Euclidean norm of `_limbs(c, b)[0]`, without the other limbs."""
-    low = c & ((1 << b) - 1)
-    low[low >= 1 << (b - 1)] -= 1 << b
+    low = ((c & ((1 << b) - 1)) ^ (1 << (b - 1))) - (1 << (b - 1))
     return math.sqrt(np.square(low, dtype=np.float64).sum())
 
 
@@ -154,7 +151,7 @@ def _rounded(spectrum: np.ndarray, L: int, keep: int) -> np.ndarray:
     exact = np.rint(x)
     x -= exact
     off = float(np.max(np.abs(x, out=x)))
-    if off > 0.25:
+    if not off <= 0.25:  # so that NaN fails
         raise ArithmeticError(f"FFT product {off:.3g} from an integer, past its bound < 1/4")
     return exact
 

@@ -14,8 +14,10 @@ cell masses, the distribution function of |e1| by mpmath quadrature, the
 rejection sampler with the float64 density on every proposal,
 Gauss-Legendre rules by Newton's method in mpmath, the trapezoid error bound
 with its alias lattice rebuilt on every call, the window polynomial D sieved
-at every point, the limb width tried on every limb, and A(p, p) from whole
-arrays of half chords."""
+at every point, the limb width tried on every limb, A(p, p) from whole
+arrays of half chords, balanced limbs by a boolean scatter, the terms of a
+Dirichlet polynomial by one comprehension, and the second moment on the
+[Re | Im] block of every batch."""
 
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gl3hecke import measures, tau
+from gl3hecke import dirichlet, measures, tau
 from gl3hecke.arith import factorize, mobius
 from gl3hecke.hecke import SatakeTriple, _PyComplex, schur_from_elementary
 from gl3hecke.klpoly import Weight
@@ -701,3 +703,61 @@ def sieve_row_dense(table, N: int, diagonal: bool) -> np.ndarray:
         row.real[idx], row.imag[idx] = prod.re, prod.im
     row.flags.writeable = False
     return row
+
+
+def limbs_scatter(c: np.ndarray, b: int) -> list[np.ndarray]:
+    """`tau._limbs` with each digit and carry from the mask of the digits
+    at or above 2^(b-1)."""
+    limbs, half, mask = [], 1 << (b - 1), (1 << b) - 1
+    while c.any():
+        low = c & mask
+        up = low >= half
+        limbs.append((low - (up.astype(np.int64) << b)).astype(np.int16 if b <= 16 else np.int64))
+        c = (c >> b) + up
+    return limbs
+
+
+def low_norm_scatter(c: np.ndarray, b: int) -> float:
+    """`tau._low_norm` by a boolean scatter into the low digits."""
+    low = c & ((1 << b) - 1)
+    low[low >= 1 << (b - 1)] -= 1 << b
+    return math.sqrt(np.square(low, dtype=np.float64).sum())
+
+
+def second_moment_re_im(polys, T: float) -> list[float]:
+    """`dirichlet.second_moment_many` contracting the [Re | Im] block of
+    every batch, real or not."""
+    support = sorted(set().union(*(p.terms for p in polys)))
+    log_n = np.fromiter(map(math.log, support), float, len(support))
+    if np.any(np.diff(log_n) <= 0.0):
+        raise ValueError("frequencies too large for distinct float logarithms")
+    coef = np.zeros((len(support), len(polys)), dtype=complex)
+    for j, poly in enumerate(polys):
+        poly_log_n, poly_coef = poly._arrays
+        coef[np.searchsorted(log_n, poly_log_n), j] = poly_coef
+    coef *= np.exp(-0.5 * log_n)[:, None]
+    parts = np.concatenate([coef.real, coef.imag], axis=1)
+    columns = np.ascontiguousarray(parts.T)
+    quad = 2.0 * T * np.einsum("ik,ik->k", parts, parts)
+    theta = T * log_n
+    sin, cos = np.sin(theta), np.cos(theta)
+    rows_per, above = dirichlet._KERNEL_ROWS, dirichlet._ABOVE
+    x = np.empty((rows_per, len(support)))
+    kernel = np.empty_like(x)
+    for lo in range(0, len(support), rows_per):
+        block = parts[lo : lo + rows_per]
+        m, hi = len(block), lo + len(block)
+        w = max(hi, int(np.searchsorted(theta, theta[hi - 1] + dirichlet._DIRECT_BAND))) - lo
+        xb, kb = x[:m, : len(support) - lo], kernel[:m, : len(support) - lo]
+        np.multiply.outer(cos[lo:hi], sin[lo + w :], out=kb[:, w:])
+        np.multiply.outer(sin[lo:hi], cos[lo + w :], out=xb[:, w:])
+        kb[:, w:] -= xb[:, w:]
+        np.subtract(log_n[None, lo:], log_n[lo:hi, None], out=xb)
+        np.multiply(xb[:, :w], T, out=kb[:, :w])
+        np.sin(kb[:, :m], out=kb[:, :m], where=above[:m, :m])
+        np.sin(kb[:, m:w], out=kb[:, m:w])
+        xb[:, :m][~above[:m, :m]] = np.inf
+        kb /= xb
+        rows = np.einsum("ij,kj->ik", kb, columns[:, lo:])
+        quad += 4.0 * np.einsum("ik,ik->k", block, rows)
+    return [float(v) for v in quad[: len(polys)] + quad[len(polys) :]]

@@ -11,6 +11,7 @@ from oracles import (
     dirichlet_eval_loop,
     second_moment_full_square,
     second_moment_mpmath,
+    second_moment_re_im,
     second_moment_simpson,
     window_eval_sieve,
 )
@@ -356,6 +357,56 @@ class TestMeanValue:
         (alone,) = mvt_ratio_many([poly], 64.0)
         assert rec["lhs"] == pytest.approx(alone["lhs"], rel=1e-14)
         assert rec["rhs"] == alone["rhs"]
+
+
+def _moment_batches() -> dict:
+    rng = random.Random(29)
+    gen = np.random.default_rng(29)
+    signs = [DirichletPolynomial({n: rng.choice((-1.0, 1.0)) for n in range(N, 2 * N + 1)})
+             for N in (64, 64, 100)]
+    cplx = DirichletPolynomial({n: complex(gen.normal(), gen.normal()) for n in range(10, 139)})
+    return {
+        "real": signs,
+        "real_with_empty": [DirichletPolynomial({}), *signs],
+        "negative_zero_imag": [DirichletPolynomial({n: complex(1.0 / n, -0.0)
+                                                    for n in range(3, 70)}), *signs[:1]],
+        "complex": [cplx],
+        "mixed": [cplx, *signs, DirichletPolynomial({})],
+        "nan_imag": [DirichletPolynomial({5: complex(1.0, math.nan), 6: 1.0}), signs[0]],
+        "single_term": [DirichletPolynomial({7: -2.0})],
+        "empty_poly": [DirichletPolynomial({})],
+        "empty_batch": [],
+    }
+
+
+class TestRealBlock:
+    """second_moment_many on the real block alone where no coefficient has
+    a nonzero imaginary part: every value is the [Re | Im] contraction's
+    bit for bit, the sign of a zero and NaN included."""
+
+    BATCHES = _moment_batches()
+
+    @pytest.mark.parametrize("T", [64.0, 1024.0, 0.0, -0.0, -64.0])
+    @pytest.mark.parametrize("name", BATCHES)
+    def test_is_the_re_im_contraction_bit_for_bit(self, name, T):
+        polys = self.BATCHES[name]
+        got, want = second_moment_many(polys, T), second_moment_re_im(polys, T)
+        assert len(got) == len(want) == len(polys)
+        assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("name,width", [("real", 3), ("negative_zero_imag", 2),
+                                            ("mixed", 10), ("nan_imag", 4)])
+    def test_contracts_the_real_block_only_on_real_data(self, name, width, monkeypatch):
+        real, widths = np.einsum, set()
+
+        def einsum(spec, *ops, **kw):
+            if spec == "ik,ik->k":
+                widths.add(ops[0].shape[1])
+            return real(spec, *ops, **kw)
+
+        monkeypatch.setattr(np, "einsum", einsum)
+        second_moment_many(self.BATCHES[name], 64.0)
+        assert widths == {width}
 
 
 class TestKernelAgainstMpmath:

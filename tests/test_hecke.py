@@ -345,6 +345,14 @@ def test_row_peaks_within_its_result_and_6_mib(random_table_wide):
     assert peak <= result + 6 * 2 ** 20
 
 
+def test_row_sieve_frees_its_expansion_before_the_rounds(random_table_wide):
+    # the expansion's counts, offsets and last block held to the end took
+    # the peak to 3.4 MiB beside the row at 3 * 10^5; without them it is 2.7
+    table = CoefficientTable(random_table_wide.local, X_WIDE, X_WIDE)
+    peak, _ = traced_peak(lambda: table.row(X_WIDE, A_MM))
+    assert peak <= 16 * (X_WIDE + 1) + 3 * 2 ** 20
+
+
 class TestLocalArrays:
     def test_from_records_is_the_properties_bit_for_bit(self):
         for make in (random_tempered_locals, non_tempered_locals):

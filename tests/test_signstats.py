@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import re
 import weakref
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gl3hecke.hecke import (
+    _BLOCK as BLOCK,
     A_M1,
     A_MM,
     CoefficientTable,
@@ -429,6 +431,70 @@ class TestCalibrations:
             sequence_from_table(table, 50)
 
 
+class FixedRow:
+    """A table whose rows are slices of one given complex array."""
+
+    def __init__(self, entries):
+        self.entries = entries
+
+    def row(self, X, which=A_M1):
+        return self.entries[:X]
+
+
+class TestRealView:
+    """The sequence is a read-only view of the table's row, tested for
+    imaginary parts one row block at a time."""
+
+    def test_values_are_a_read_only_view_of_the_row(self, tau_table_100k):
+        X = 100_000
+        seq = sequence_from_table(tau_table_100k, X)
+        row = tau_table_100k.row(X)
+        assert np.shares_memory(seq.values, row)
+        assert not seq.values.flags.writeable
+        assert seq.values.dtype == np.float64
+        assert seq.values.tobytes() == np.array(row.real, copy=True).tobytes()
+
+    def test_a_writeable_row_gets_a_read_only_view(self):
+        entries = np.arange(1.0, 6.0) + 0j
+        values = sequence_from_table(FixedRow(entries), 5).values
+        assert np.shares_memory(values, entries) and not values.flags.writeable
+        assert entries.flags.writeable
+
+    @pytest.mark.parametrize("at", [BLOCK - 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("which", [A_M1, A_MM])
+    def test_first_complex_entry_is_named_across_block_edges(self, at, which):
+        # entries on the tolerance edge pass; the first past it is named,
+        # ahead of later ones in its own block and the next
+        entries = np.ones(3 * BLOCK, dtype=complex)
+        entries.imag[at - 3] = 2.0 * signstats.IMAG_TOL
+        entries[at] = 1.0 + 3e-9j
+        entries[at + 1] = 1.0 - 3e-9j
+        entries[at + BLOCK] = 1.0 + 1j
+        m = at + 1
+        what = f"A({m},1)" if which == A_M1 else f"A({m},{m})"
+        with pytest.raises(ValueError, match=rf"^{re.escape(what)} has non-negligible "
+                                             rf"imaginary part: \(1\+3e-09j\)$"):
+            sequence_from_table(FixedRow(entries), len(entries), which)
+        entries[at] = entries[at + 1] = 1.0
+        with pytest.raises(ValueError, match=rf"^A\({m + BLOCK},"):
+            sequence_from_table(FixedRow(entries), len(entries), which)
+        assert len(sequence_from_table(FixedRow(entries), at + BLOCK, which)) == at + BLOCK
+
+    @pytest.mark.parametrize("which", [A_M1, A_MM])
+    def test_nan_imaginary_part_is_named(self, which):
+        # a NaN value with a zero imaginary part is real; a NaN imaginary
+        # part fails both comparisons with the bound and is named all the same
+        entries = np.ones(5, dtype=complex)
+        entries[1] = complex(math.nan, 0.0)
+        entries[3] = complex(2.0, math.nan)
+        what = "A(4,1)" if which == A_M1 else "A(4,4)"
+        with pytest.raises(ValueError, match=rf"^{re.escape(what)} has non-negligible "
+                                             rf"imaginary part: \(2\+nanj\)$"):
+            sequence_from_table(FixedRow(entries), 5, which)
+        values = sequence_from_table(FixedRow(entries), 3, which).values
+        assert math.isnan(values[1]) and values[2] == 1.0
+
+
 class TestBounds:
     """degenerate_table(50) has bound_n = 1, so A(m, m) stops at m = 1."""
 
@@ -487,10 +553,10 @@ def wide_table():
 
 
 class TestWorkingMemory:
-    """On A(m, m) at X = 3 * 10^5 a statistic holds at most the float
-    sequence (2.3 MiB) and a few masks of one byte per entry (0.3 MiB each).
-    Index arrays and float copies of the kept entries took the peaks to 4.9,
-    4.9, 7.2 and 4.9 MiB."""
+    """On A(m, m) at X = 3 * 10^5 a statistic holds a few masks of one byte
+    per entry (0.3 MiB each) and reads the sequence in the row.  Index arrays
+    and float copies of the kept entries took the peaks to 4.9, 4.9, 7.2 and
+    4.9 MiB, and a copy of the 2.3 MiB sequence per call to 3.2 MiB."""
 
     @pytest.mark.parametrize("name", ["sequence_from_table", "count_sign_changes",
                                       "sign_balance", "nonvanishing_density"])
@@ -504,3 +570,9 @@ class TestWorkingMemory:
         }[name]
         peak, _ = traced_peak(call)
         assert peak <= 3.5 * MIB
+
+    @pytest.mark.parametrize("stat", [sign_balance, nonvanishing_density],
+                             ids=["sign_balance", "nonvanishing_density"])
+    def test_no_sequence_is_copied(self, wide_table, stat):
+        peak, _ = traced_peak(lambda: stat(wide_table, X_WIDE, A_MM))
+        assert peak < MIB

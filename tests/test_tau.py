@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from gl3hecke import tau
 from gl3hecke.arith import divisor_power_sums_mod, primes_upto
-from oracles import limb_bits_every_k, naive_eta_power, square_trunc_kronecker
+from oracles import (
+    limb_bits_every_k,
+    limbs_scatter,
+    low_norm_scatter,
+    naive_eta_power,
+    square_trunc_kronecker,
+)
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
@@ -210,6 +216,28 @@ def test_limb_bits_as_when_every_limb_count_built_its_limbs(N, monkeypatch):
         want_b, want = limb_bits_every_k(c, L)
         assert b == want_b and len(limbs) == len(want)
         assert all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(limbs, want))
+
+
+@pytest.mark.parametrize("b", range(2, 63))
+def test_limbs_are_the_scatter_digits(b):
+    # random int64 with the extremes and the edges of the b-bit digit range:
+    # the same limbs, dtypes and low-limb norm as the boolean scatter's
+    c = np.random.default_rng(b).integers(INT64_MIN, INT64_MAX, 500, np.int64, endpoint=True)
+    h = 1 << (b - 1)
+    c[:10] = [INT64_MIN, INT64_MAX, INT64_MIN + 1, 0, -1, 1, h, -h, h - 1, -h - 1]
+    for x in (c, c[3:4], c[:2], c // (1 << 40)):
+        got, want = tau._limbs(x, b), limbs_scatter(x, b)
+        assert [(y.dtype, y.tobytes()) for y in got] == [(y.dtype, y.tobytes()) for y in want]
+        assert tau._low_norm(x, b) == low_norm_scatter(x, b)
+
+
+def test_nan_product_is_refused():
+    # NaN in the spectrum would pass a test written off > 1/4
+    spectrum = np.fft.rfft(np.arange(8.0))
+    spectrum[2] = complex(math.nan, 0.0)
+    with pytest.raises(ArithmeticError, match="nan from an integer"):
+        tau._rounded(spectrum, 8, 8)
+    assert tau._rounded(np.fft.rfft(np.arange(8.0)), 8, 8).tolist() == list(range(8))
 
 
 def test_off_integer_product_is_a_program_fault(monkeypatch, tmp_path):
