@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .arith import prime_array
-from .hecke import _complete_homogeneous, schur_from_elementary
+from .hecke import PrimePowerSieve, _complete_homogeneous, _PyComplex
 
 # Truncation tail of euler_factor_check above which it warns.
 TAIL_TOL = 1e-12
@@ -52,56 +52,28 @@ class DirichletPolynomial:
 @dataclass(frozen=True)
 class WindowPolynomial:
     """D(s) = sum over squarefree d <= n of mu(d) prod_{p|d} g_p(s), with
-    g_p(s) = (a_p p^-s - a_p p^-2s + p^-3s)^2, kept as the primes p <= n and
-    their a_p.  The terms are those of a sieve over d <= n, primes ascending,
-    in which each multiple of p takes the factor -g_p and each multiple of
-    p^2 becomes 0: the squarefree d and their primes are sieved once
-    (`_factors`), and eval multiplies each d's term, from 1, by the -g_p of
-    its primes in that order."""
+    g_p(s) = (a_p p^-s - a_p p^-2s + p^-3s)^2, kept as the primes p <= n,
+    ascending, and their a_p: the sum over d <= n of the multiplicative f
+    with f(p) = -g_p and f(p^k) = 0 for k >= 2.  eval forms g_p in the
+    _PyComplex ring and runs the polynomial's one PrimePowerSieve, so each
+    term is its -g_p multiplied from 1, primes ascending, as Python would."""
 
     primes: np.ndarray
     a: np.ndarray
     n: int
 
     @cached_property
-    def _factors(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(d, columns): the d <= n that no p^2 divides, those with the most
-        primes first, and for each k the index in `primes` of the k-th prime
-        of each of the first len(columns[k]) - 1 of them, after a copy of the
-        first one's."""
-        width, product = 0, 1
-        for p in sorted(self.primes.tolist()):
-            product *= p
-            if product > self.n:
-                break
-            width += 1
-        count = np.zeros(self.n + 1, dtype=np.int64)
-        free = np.ones(self.n + 1, dtype=bool)
-        index = np.zeros((width, self.n + 1), dtype=np.int32)
-        for i, p in enumerate(self.primes.tolist()):
-            multiples = np.arange(p, self.n + 1, p)
-            index[count[multiples], multiples] = i
-            count[multiples] += 1
-            free[p * p :: p * p] = False
-        d = np.flatnonzero(free[1:]) + 1
-        d = d[np.argsort(-count[d], kind="stable")]
-        rows = np.concatenate((d[:1], d))
-        return d, [index[k, rows[: 1 + np.count_nonzero(count[d] > k)]] for k in range(width)]
+    def _sieve(self) -> PrimePowerSieve:
+        return PrimePowerSieve(self.n, self.primes)
 
     def eval(self, s: complex) -> complex:
         x = np.exp(-s * np.log(self.primes))
-        g = (self.a * x - self.a * x * x + x * x * x) ** 2
-        d, columns = self._factors
-        # Row 0 repeats row 1, so every product runs over two elements or
-        # more: numpy rounds a lone complex product without the fused
-        # multiply-add of longer runs.  The sieve's run of the multiples of p
-        # is lone only for p > n / 2, where its product 1 (-g_p) is exact.
-        terms = np.ones(len(d) + 1, dtype=complex)
-        for column in columns:
-            terms[: len(column)] *= -g[column]
-        vals = np.zeros(self.n, dtype=complex)
-        vals[d - 1] = terms[1:]
-        return complex(np.sum(vals))
+        x, a = _PyComplex(x.real, x.imag), _PyComplex(self.a.real, self.a.imag)
+        y = a * x - a * x * x + x * x * x
+        g = y * y
+        rest = np.zeros(len(self._sieve.powers) - len(g.re))  # f(p^k) = 0 for k >= 2
+        terms = self._sieve.run([_PyComplex(-g.re, -g.im), _PyComplex(rest, rest)])
+        return complex(np.sum(terms[1:]))
 
 
 def build_MKD(table, X: int, M: int) -> dict:
@@ -136,9 +108,9 @@ def euler_factor_check(p: int, e1: complex, e2: complex, s: complex, J: int = 60
 
     series: sum_{j<=J} A(p^j, 1) p^{-js}.  closed: the inverse cubic
     (1 - A(p,1) p^-s + A(1,p) p^-2s - p^-3s)^-1; the quadratic coefficient is
-    A(1, p) = conj A(p, 1), which reduces to the self-dual display for real
-    data.  ratio_identity_residual checks that the shifted series over the
-    plain series equals A(p,1) - A(1,p) p^-s + p^-2s.
+    A(1, p) = e2 itself, which is conj A(p, 1) for tempered data and gives
+    the self-dual display for real data.  ratio_identity_residual checks that
+    the shifted series over the plain series equals A(p,1) - A(1,p) p^-s + p^-2s.
     """
     if s.real < 1.1:
         raise ValueError("need Re s >= 1.1 for comfortable convergence")
@@ -154,8 +126,7 @@ def euler_factor_check(p: int, e1: complex, e2: complex, s: complex, J: int = 60
     for j in range(J - 1, -1, -1):
         shifted = shifted * x + coeffs[j + 1]
 
-    a1 = coeffs[1]
-    a1_dual = schur_from_elementary(0, 1, e1, e2)
+    a1, a1_dual = coeffs[1], e2
     closed = 1.0 / (1.0 - a1 * x + a1_dual * x * x - x ** 3)
     ratio_residual = abs(shifted / series - (a1 - a1_dual * x + x * x))
 

@@ -23,7 +23,7 @@ UNIT_TOL = 1e-12
 
 A_M1 = "A_m1"   # row selector: A(m, 1)
 A_MM = "A_mm"   # row selector: A(m, m)
-_BLOCK = 1 << 14  # entries per step of CoefficientTable._sieve_row
+_BLOCK = 1 << 14  # entries per step of PrimePowerSieve
 
 
 class MissingPrimeError(KeyError):
@@ -169,6 +169,59 @@ class LocalArrays:
                    np.fromiter((rec.satake.e2 for rec in records), complex, count))
 
 
+class PrimePowerSieve:
+    """The prime powers q <= N, built once from N and the ascending primes:
+    `powers`, exponent-major (p, then p^2 <= N, ...), so the primes with p^e <= N
+    are a prefix of them, `counts[e - 1]` long; and, allocated first (which keeps
+    the peak RSS down), the int32 index `at[m]` in `powers` of q(m), the full
+    power of the largest prime of m, and the int8 count `omega[m]` of its primes."""
+
+    __slots__ = ("powers", "counts", "at", "omega")
+
+    def __init__(self, N: int, primes: np.ndarray):
+        self.at, self.omega = np.zeros(N + 1, dtype=np.int32), np.zeros(N + 1, dtype=np.int8)
+        powers = [primes[:np.searchsorted(primes, N, "right")]]
+        while len(q := powers[-1] * powers[0][:len(powers[-1])]) and q[0] <= N:
+            powers.append(q[q <= N])
+        self.powers, self.counts = np.concatenate(powers), np.array([len(q) for q in powers])
+        n_small = len(powers[1]) if len(powers) > 1 else 0  # the p <= sqrt(N)
+        starts = np.cumsum(self.counts) - self.counts       # of each exponent in powers
+        for i, p in enumerate(powers[0][:n_small].tolist()):  # ascending: at keeps the largest
+            self.omega[p::p] += 1
+            for j in (starts[self.counts > i] + i).tolist():  # p, p^2, ... <= N
+                self.at[self.powers[j]::self.powers[j]] = j
+        # m = k p, p > sqrt(N), has k < p: p is its largest prime, to the first power
+        big = powers[0][n_small:]
+        count = N // big
+        first, total = np.cumsum(count) - count, int(count.sum())  # k = 1 of big[b] at first[b]
+        for start in range(0, total, _BLOCK):
+            i = np.arange(start, min(start + _BLOCK, total))
+            b = np.searchsorted(first, i, "right") - 1
+            m = big[b] * (i - first[b] + 1)
+            self.at[m] = b + n_small
+            self.omega[m] += 1
+
+    def run(self, local: list[_PyComplex]) -> np.ndarray:
+        """Entries 0..N (entry 0 unused) of the multiplicative f whose values
+        at the powers are the parts of local, one after another, by f(m) =
+        f(m/q(m)) f(q(m)) in rounds of equal omega(m), each in blocks of _BLOCK
+        entries: every f(m) is its prime powers' product from 1, primes
+        ascending, rounded as Python's complex; the array is read-only."""
+        local = _PyComplex(np.concatenate([z.re for z in local]),
+                           np.concatenate([z.im for z in local]))
+        row = np.zeros(len(self.at), dtype=complex)
+        row[1] = 1.0
+        for k in range(1, int(self.omega.max(initial=0)) + 1):
+            for start in range(0, len(row), _BLOCK):
+                idx = start + np.flatnonzero(self.omega[start:start + _BLOCK] == k)
+                j = self.at[idx]
+                r = idx // self.powers[j]
+                prod = _PyComplex(row.real[r], row.imag[r]) * _PyComplex(local.re[j], local.im[j])
+                row.real[idx], row.imag[idx] = prod.re, prod.im
+        row.flags.writeable = False
+        return row
+
+
 def schur_from_elementary(l1: int, l2: int, e1, e2):
     """Evaluate the (l1, l2) Schur basis element from e1, e2 (with e3 = 1).
 
@@ -279,57 +332,15 @@ class CoefficientTable:
         return full[1:X + 1]
 
     def _sieve_row(self, N: int, diagonal: bool) -> np.ndarray:
-        """Entries 0..N of a row (entry 0 unused) by A(m) = A(m/q) L(q), q the
-        full power of the largest prime of m, in rounds of equal number of
-        distinct primes omega(m).  The largest prime goes last, so every product
-        is value()'s ascending-prime product, and _PyComplex rounds as it does.
-        L(q) is kept only at the prime powers q, in compact arrays; at[m] is
-        the int32 index of q(m) there.  The expansion m = k p over the primes
-        p > sqrt(N), and each round, run in blocks of _BLOCK entries."""
-        primes, e1, e2 = self.local.primes, self.local.e1, self.local.e2
-        n_small, n_primes = np.searchsorted(primes, [math.isqrt(N), N], "right").tolist()
-        at = np.zeros(N + 1, dtype=np.int32)
-        omega = np.zeros(N + 1, dtype=np.int8)
-        qs, local = [], []                        # the powers of p <= sqrt(N) and their L
-        for p, x1, x2 in zip(primes[:n_small].tolist(), e1[:n_small].tolist(),
-                             e2[:n_small].tolist()):  # ascending: at keeps the largest
-            omega[p::p] += 1
-            q, e = p, 1
-            while q <= N:
-                at[q::q] = len(qs)
-                qs.append(q)
-                local.append(schur_from_elementary(e, e if diagonal else 0, x1, x2))
-                q, e = q * p, e + 1
-        # L(p) at p > sqrt(N) on the arrays, rounded as Python's complex
-        big, offset = primes[n_small:n_primes], len(qs)
-        val = schur_from_elementary(1, 1 if diagonal else 0, *(
-            _PyComplex(x.real, x.imag) for x in (e1[n_small:n_primes], e2[n_small:n_primes])))
-        local = np.array(local, dtype=complex)
-        re, im = np.concatenate((local.real, val.re)), np.concatenate((local.imag, val.im))
-        qs = np.concatenate((np.array(qs, dtype=np.int64), big))
-        del val  # before the rounds, which hold the most memory
-        # m = k p with p > sqrt(N) has k < p, so p is its largest prime, to the first power
-        count = N // big
-        first, total = np.cumsum(count) - count, int(count.sum())  # k = 1 of big[b] at first[b]
-        for start in range(0, total, _BLOCK):
-            i = np.arange(start, min(start + _BLOCK, total))
-            b = np.searchsorted(first, i, "right") - 1
-            m = big[b] * (i - first[b] + 1)
-            at[m] = b + offset
-            omega[m] += 1
-            del i, b, m  # so the last block's are not held through the rounds
-        del count, first
-        row = np.zeros(N + 1, dtype=complex)
-        row[1] = 1.0
-        for k in range(1, int(omega.max(initial=0)) + 1):
-            for start in range(0, N + 1, _BLOCK):
-                idx = start + np.flatnonzero(omega[start:start + _BLOCK] == k)
-                j = at[idx]
-                r = idx // qs[j]
-                prod = _PyComplex(row.real[r], row.imag[r]) * _PyComplex(re[j], im[j])
-                row.real[idx], row.imag[idx] = prod.re, prod.im
-        row.flags.writeable = False
-        return row
+        """Entries 0..N of a row (entry 0 unused): the PrimePowerSieve of
+        L(p^e) = A(p^e, 1) or A(p^e, p^e), one schur_from_elementary per e on
+        the _PyComplex prefix of e1 and e2, so the row is value()'s bit for bit."""
+        sieve = PrimePowerSieve(N, self.local.primes)
+        e1, e2 = self.local.e1, self.local.e2
+        return sieve.run([schur_from_elementary(e, e if diagonal else 0,
+                                                _PyComplex(e1.real[:n], e1.imag[:n]),
+                                                _PyComplex(e2.real[:n], e2.imag[:n]))
+                          for e, n in enumerate(sieve.counts, 1)])
 
     def export_csv(self, path: str):
         """Write the full rectangle as rows m,n,re,im."""

@@ -63,19 +63,22 @@ class ShortIntervalConfig:
 
 def _real(row: np.ndarray, first: int, which: str) -> np.ndarray:
     """Real parts of a row whose entry i is the coefficient at m = first + i,
-    as a read-only view of the row, tested _BLOCK entries at a time; a
-    ValueError names the first m with a non-negligible imaginary part."""
+    as a read-only view of the row, tested _BLOCK entries at a time; a ValueError
+    names the first m whose real part is infinite or imaginary part not negligible."""
     for start in range(0, len(row), _BLOCK):
         block = row[start:start + _BLOCK]
         bound = np.abs(block.real)  # IMAG_TOL (1 + |re|)
         np.multiply(np.add(bound, 1.0, out=bound), IMAG_TOL, out=bound)
         bad = block.imag > bound    # |im| > bound as im > bound or im < -bound,
         bad |= block.imag < np.negative(bound, out=bound)
-        bad |= np.isnan(block.imag)  # and a NaN im, which neither comparison holds
+        bad |= np.isnan(block.imag)  # and a NaN im, which neither comparison holds;
+        bad |= np.isinf(block.real)  # an infinite re makes the bound infinite
         if bad.any():
             m = first + start + int(np.argmax(bad))
             what = f"A({m},1)" if which == A_M1 else f"A({m},{m})"
-            raise ValueError(f"{what} has non-negligible imaginary part: {complex(row[m - first])}")
+            value = complex(row[m - first])
+            why = "is infinite" if math.isinf(value.real) else "has non-negligible imaginary part"
+            raise ValueError(f"{what} {why}: {value}")
     values = row.real.view()
     values.flags.writeable = False
     return values
@@ -98,7 +101,7 @@ def sequence_from_table(table, X: int, which: str = A_M1) -> RealSequence:
 
 def _nonzero(values: np.ndarray, zero_tol: float) -> np.ndarray:
     """The mask of the entries that count as nonzero: |a| > zero_tol, and NaN."""
-    if zero_tol < 0:
+    if not zero_tol >= 0:  # so NaN is refused
         raise ValueError("zero_tol must be non-negative")
     zero = values <= zero_tol
     zero &= values >= -zero_tol

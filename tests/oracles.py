@@ -14,10 +14,10 @@ cell masses, the distribution function of |e1| by mpmath quadrature, the
 rejection sampler with the float64 density on every proposal,
 Gauss-Legendre rules by Newton's method in mpmath, the trapezoid error bound
 with its alias lattice rebuilt on every call, the window polynomial D sieved
-at every point, the limb width tried on every limb, A(p, p) from whole
-arrays of half chords, balanced limbs by a boolean scatter, the terms of a
-Dirichlet polynomial by one comprehension, and the second moment on the
-[Re | Im] block of every batch."""
+at every point and in Python complex scalars, the limb width tried on
+every limb, A(p, p) from whole arrays of half chords, balanced limbs by a
+boolean scatter, the terms of a Dirichlet polynomial by one comprehension,
+and the second moment on the [Re | Im] block of every batch."""
 
 from __future__ import annotations
 
@@ -196,7 +196,7 @@ def laurent_to_epoly(laurent) -> EPoly:
 def count_sign_changes_loop(values, zero_tol: float = 1e-12) -> SignChangeReport:
     """Sign changes along the entries with |a| > zero_tol, one entry at a
     time; zeros are skipped, never counted as changes."""
-    if zero_tol < 0:
+    if not zero_tol >= 0:
         raise ValueError("zero_tol must be non-negative")
     changes = 0
     positives = negatives = zeros = 0
@@ -639,6 +639,26 @@ def window_eval_sieve(dpoly, s: complex) -> complex:
         vals[p::p] *= -gp
         vals[p * p :: p * p] = 0.0
     return complex(np.sum(vals[1:]))
+
+
+def window_eval_python(dpoly, s: complex) -> complex:
+    """`dirichlet.WindowPolynomial.eval` in Python complex scalars: g_p from
+    the same p^-s, and for each squarefree d <= n the product of -g_p over
+    its primes, ascending, from 1, summed as np.sum over the entries d - 1
+    of an array of n."""
+    x = np.exp(-s * np.log(dpoly.primes)).tolist()
+    g = {}
+    for p, a, xp in zip(dpoly.primes.tolist(), dpoly.a.tolist(), x):
+        y = a * xp - a * xp * xp + xp * xp * xp
+        g[p] = y * y
+    vals = np.zeros(dpoly.n, dtype=complex)
+    for d in range(1, dpoly.n + 1):
+        if mobius(d):
+            term = 1.0 + 0.0j
+            for p, _ in factorize(d):
+                term = term * -g[p]
+            vals[d - 1] = term
+    return complex(np.sum(vals))
 
 
 def limb_bits_every_k(c: np.ndarray, L: int) -> tuple[int, list[np.ndarray]]:

@@ -13,10 +13,11 @@ from oracles import (
     second_moment_mpmath,
     second_moment_re_im,
     second_moment_simpson,
+    window_eval_python,
     window_eval_sieve,
 )
 from gl3hecke import dirichlet, suites, tau
-from gl3hecke.arith import mobius, primes_upto
+from gl3hecke.arith import factorize, mobius, primes_upto
 from gl3hecke.dirichlet import (
     DirichletPolynomial,
     build_MKD,
@@ -29,7 +30,9 @@ from gl3hecke.hecke import (
     CoefficientTable,
     GL2FormData,
     PrimeLocalData,
+    PrimePowerSieve,
     SatakeTriple,
+    _PyComplex,
     sym2_lift,
 )
 
@@ -162,10 +165,22 @@ class TestWindowSieve:
     # M = 3 and 15: 6 is the one d <= 2M with two primes, 30 the one with three
     @pytest.mark.parametrize("kind", ["tempered", "selfdual", "sym2_tau"])
     @pytest.mark.parametrize("M", [1, 2, 3, 15, 100, 1000])
-    def test_eval_matches_the_per_point_sieve(self, kind, M):
+    def test_eval_is_the_python_products_bit_for_bit(self, kind, M):
         dpoly = build_MKD(d_table(kind, M), 10 * M, M)["D"]
         for s in self.POINTS:
-            assert same_bits(dpoly.eval(s), window_eval_sieve(dpoly, s)), s
+            assert same_bits(dpoly.eval(s), window_eval_python(dpoly, s)), s
+
+    @pytest.mark.parametrize("kind", ["tempered", "selfdual", "sym2_tau"])
+    @pytest.mark.parametrize("M", [1, 2, 3, 15, 100, 1000])
+    def test_eval_matches_the_per_point_sieve(self, kind, M):
+        # numpy's complex multiply in the sieve may fuse a multiply and an
+        # add, so the sieve is a reference to within rounding, not to its bits
+        table = d_table(kind, M)
+        dpoly = build_MKD(table, 10 * M, M)["D"]
+        for s in self.POINTS:
+            _, scale = d_poly_direct(table, M, s)
+            diff = abs(dpoly.eval(s) - window_eval_sieve(dpoly, s))
+            assert diff <= TestBuildMKD.DIRECT_REL * scale, s
 
     def test_nan_a_p_reaches_d_as_in_the_sieve(self):
         dpoly = build_MKD(d_table("tempered", 100), 1000, 100)["D"]
@@ -178,10 +193,24 @@ class TestWindowSieve:
             assert (math.isnan(got.real), math.isnan(got.imag)) == (
                 math.isnan(want.real), math.isnan(want.imag))
 
-    def test_squarefree_d_are_sieved_once(self):
+    def test_squarefree_d_are_sieved_once(self, monkeypatch):
         dpoly = build_MKD(d_table("selfdual", 100), 1000, 100)["D"]
-        assert dpoly._factors is dpoly._factors
-        assert sorted(dpoly._factors[0].tolist()) == [n for n in range(1, 201) if mobius(n)]
+        sieve = dpoly._sieve
+        assert dpoly._sieve is sieve
+        # f = 1 at the primes and 0 at their higher powers is the indicator
+        # of the squarefree d
+        local = np.zeros(len(sieve.powers))
+        local[:sieve.counts[0]] = 1.0
+        row = sieve.run([_PyComplex(local, np.zeros_like(local))])
+        assert (np.flatnonzero(row[1:]) + 1).tolist() == [n for n in range(1, 201) if mobius(n)]
+        assert sieve.omega[1:].tolist() == [len(factorize(n)) for n in range(1, 201)]
+        # no evaluation builds the sieve again
+        def refuse(*args):
+            raise AssertionError("the sieve was built again")
+
+        monkeypatch.setattr(PrimePowerSieve, "__init__", refuse)
+        for s in self.POINTS:
+            dpoly.eval(s)
 
 
 class TestEulerFactor:
@@ -216,6 +245,26 @@ class TestEulerFactor:
                     rec = euler_factor_check(*triple, complex(sigma, t), J=90)
                     assert abs(rec["series"] - rec["closed"]) <= 1e-9
                     assert rec["ratio_identity_residual"] <= 1e-9
+
+    @staticmethod
+    def closed_with_e2(p, e1, e2, s):
+        x = cmath.exp(-s * math.log(p))
+        return 1.0 / (1.0 - e1 * x + e2 * x * x - x ** 3)
+
+    def test_closed_form_takes_a_1_p_as_e2_at_large_e1(self):
+        # A(1, p) = e2 exactly; the Schur route e1 e1 - (e1 e1 - e2) cancels
+        # to -0.25j here, and x = 1e-6 keeps e2 x^2 above the rounding of
+        # the cubic and the series finite
+        p, e1, e2, s = 10_000, 1e8 + 3j, 0.5 - 0.25j, 1.5 + 0.0j
+        rec = euler_factor_check(p, e1, e2, s, J=20)
+        assert rec["closed"] == self.closed_with_e2(p, e1, e2, s)
+
+    def test_closed_form_takes_a_1_p_as_e2_on_random_pairs(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            e1, e2 = (complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(2))
+            rec = euler_factor_check(2, e1, e2, 2.0 + 0.5j, J=60)
+            assert rec["closed"] == self.closed_with_e2(2, e1, e2, 2.0 + 0.5j), (e1, e2)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -495,6 +495,56 @@ class TestRealView:
         assert math.isnan(values[1]) and values[2] == 1.0
 
 
+class TestInfiniteEntries:
+    """An infinite real part makes the bound IMAG_TOL (1 + |re|) infinite, so
+    it is refused on its own, whatever its imaginary part."""
+
+    def test_row_of_infinities_is_refused(self):
+        entries = np.array([complex(math.inf, 1.0), complex(-math.inf, 5.0)])
+        with pytest.raises(ValueError, match=r"^A\(1,1\) is infinite: \(inf\+1j\)$"):
+            sequence_from_table(FixedRow(entries), 2)
+
+    @pytest.mark.parametrize("at", [BLOCK - 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("which", [A_M1, A_MM])
+    @pytest.mark.parametrize("value", [complex(math.inf, 1.0), complex(-math.inf, 0.0),
+                                       complex(math.inf, math.nan)])
+    def test_first_infinite_entry_is_named_across_block_edges(self, at, which, value):
+        entries = np.ones(3 * BLOCK, dtype=complex)
+        entries[at] = value
+        entries[at + 1] = 1.0 + 1j  # named only once the infinite entry is gone
+        m = at + 1
+        what = f"A({m},1)" if which == A_M1 else f"A({m},{m})"
+        with pytest.raises(ValueError, match=rf"^{re.escape(what)} is infinite: "
+                                             rf"{re.escape(str(value))}$"):
+            sequence_from_table(FixedRow(entries), len(entries), which)
+        assert len(sequence_from_table(FixedRow(entries), at, which)) == at
+        entries[at] = 1.0
+        with pytest.raises(ValueError, match=rf"^A\({m + 1},.* has non-negligible"):
+            sequence_from_table(FixedRow(entries), len(entries), which)
+
+
+class TestZeroTol:
+    """A zero_tol that is not >= 0, negative or NaN, is refused by every
+    statistic that takes it; a NaN once counted every entry as nonzero."""
+
+    CALLS = {
+        "count_sign_changes": lambda tol: count_sign_changes(
+            RealSequence([1.0, 0.0, -1.0, 0.0]), tol),
+        "interval_change_scan": lambda tol: interval_change_scan(
+            AlternatingTable(100), ShortIntervalConfig(X=20, H=4, M=2), tol),
+        "nonvanishing_density": lambda tol: nonvanishing_density(
+            ToyTable({2}, 100), 100, zero_tol=tol),
+        "sign_balance": lambda tol: sign_balance(AlternatingTable(100), 100, zero_tol=tol),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("tol", [-1e-12, math.nan], ids=["negative", "nan"])
+    def test_refused(self, name, tol):
+        with pytest.raises(ValueError, match="^zero_tol must be non-negative$"):
+            self.CALLS[name](tol)
+        self.CALLS[name](0.0)
+
+
 class TestBounds:
     """degenerate_table(50) has bound_n = 1, so A(m, m) stops at m = 1."""
 
