@@ -1,4 +1,4 @@
-"""Elementary arithmetic helpers: primes, factorization, Mobius, divisors."""
+"""Elementary arithmetic helpers: primes, factorization by trial division, Mobius, divisors."""
 
 from __future__ import annotations
 
@@ -94,36 +94,11 @@ def primes_upto(n: int) -> list[int]:
     return prime_array(n).tolist()
 
 
-@lru_cache(maxsize=8)
-def spf_sieve(n: int) -> list[int]:
-    """Smallest-prime-factor table for 0..n (spf[0] = spf[1] = 0)."""
-    spf = list(range(n + 1))
-    if n >= 1:
-        spf[1] = 0
-    p = 2
-    while p * p <= n:
-        if spf[p] == p:
-            for q in range(p * p, n + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
-        p += 1
-    return spf
-
-
-def factorize(n: int, spf: list[int] | None = None) -> list[tuple[int, int]]:
-    """Prime factorization as (p, exponent) pairs, ascending p."""
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization as (p, exponent) pairs, ascending p, by trial division."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out: list[tuple[int, int]] = []
-    if spf is not None and n < len(spf):
-        while n > 1:
-            p = spf[n]
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
     d = 2
     while d * d <= n:
         if n % d == 0:

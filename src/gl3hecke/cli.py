@@ -312,12 +312,12 @@ def _config_error(args) -> str | None:
             return "field 'N' must lie in [1, 10^6]"
         if args.what == "table" and not 1 <= args.bound_n <= args.N:
             return "field 'bound-n' must lie in [1, N]"
-        if args.what == "table" and args.N * args.bound_n > 10**6:  # cells export_csv memoises
+        if args.what == "table" and args.N * args.bound_n > 10**6:  # rows export_csv writes
             return "field 'bound-n' must keep N * bound-n at most 10^6"
-        if args.what == "samples" and args.count < 1:
-            return "field 'count' must be at least 1"
-        if args.what == "density" and args.K < 8:
-            return "field 'K' must be at least 8"
+        if args.what == "samples" and not 1 <= args.count <= 10**6:  # two float64 per sample
+            return "field 'count' must lie in [1, 10^6]"
+        if args.what == "density" and not 8 <= args.K <= 1000:  # K^2 rows
+            return "field 'K' must lie in [8, 1000]"
         if args.what in ("samples", "density") and args.measure == "plancherel":
             return _prime_error(args.p)
     if args.command == "signs":

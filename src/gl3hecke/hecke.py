@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import are_prime, divisors, factorize, mobius, prime_array, spf_sieve
+from .arith import are_prime, divisors, mobius, prime_array
 from .csvio import write_csv
 
 PRODUCT_TOL = 1e-12
@@ -144,6 +144,8 @@ class LocalArrays:
     __slots__ = ("primes", "e1", "e2")
 
     def __init__(self, primes, e1, e2):
+        if not len(primes) == len(e1) == len(e2):
+            raise ValueError(f"{len(primes)} primes, {len(e1)} e1 and {len(e2)} e2")
         primes = np.asarray(primes, dtype=np.int64)
         order = np.argsort(primes, kind="stable")
         primes, e1, e2 = primes[order], np.asarray(e1, complex)[order], np.asarray(e2, complex)[order]
@@ -245,12 +247,15 @@ class CoefficientTable:
 
     Entries are generated from the local data, a LocalArrays or a list of
     PrimeLocalData (converted once), by multiplicativity: value() one at a
-    time into a memo, row() the dense rows A(m, 1) and A(m, m) by one sieve
-    each.  The declared bounds are a hard contract and requests
-    outside them raise IndexBoundsError.  The table is logically immutable:
-    reads only fill the internal memos (atomic dict updates), so concurrent
-    readers are safe.
+    time from memoised local values A(p^a, p^b) (no cell is memoised), row()
+    the dense rows A(m, 1) and A(m, m) by one sieve each, kept.  The declared
+    bounds are a hard contract and requests outside them raise
+    IndexBoundsError.  The table is logically immutable: reads only fill the
+    internal memos (atomic dict updates), so concurrent readers are safe.
     """
+
+    # perfbench's memo probe looks each value() cell up here; none is memoised
+    entries: frozenset[tuple[int, int]] = frozenset()
 
     def __init__(self, locals_: LocalArrays | list[PrimeLocalData], bound_m: int, bound_n: int):
         if bound_m < 1 or bound_n < 1:
@@ -262,49 +267,50 @@ class CoefficientTable:
         if not np.array_equal(self.local.primes[:len(need)], need):
             missing = np.setdiff1d(need, self.local.primes)
             raise MissingPrimeError(f"no local data for prime {missing[0]}")
-        self.entries: dict[tuple[int, int], complex] = {(1, 1): 1.0 + 0.0j}
         self._local_powers: dict[tuple[int, int, int], complex] = {}
         self._rows: dict[str, np.ndarray] = {}
 
     @cached_property
-    def _spf(self) -> list[int]:
-        """Smallest prime factors for value(), which rows never need."""
-        return spf_sieve(max(self.bound_m, self.bound_n))
+    def _walk(self) -> tuple[memoryview, list[int], list[int], list[int]]:
+        """For value(), which rows never need: the PrimePowerSieve of
+        max(bound_m, bound_n) as its index at[m] of q(m), and per prime power
+        q the index of its prime in local, its exponent and q, as lists."""
+        sieve = PrimePowerSieve(max(self.bound_m, self.bound_n), self.local.primes)
+        index = np.concatenate([np.arange(c) for c in sieve.counts])
+        exponent = np.repeat(np.arange(1, len(sieve.counts) + 1), sieve.counts)
+        return sieve.at.data, index.tolist(), exponent.tolist(), sieve.powers.tolist()
 
-    @cached_property
-    def _elementary(self) -> dict[int, tuple[complex, complex]]:
-        """e1 and e2 of each prime as Python complex for value(), which rows
-        never need."""
-        loc = self.local
-        return dict(zip(loc.primes.tolist(), zip(loc.e1.tolist(), loc.e2.tolist())))
-
-    def _local_value(self, p: int, a: int, b: int) -> complex:
-        key = (p, a, b)
+    def _local_value(self, i: int, a: int, b: int) -> complex:
+        """A(p^a, p^b) at the i-th prime p of local, memoised."""
+        key = (i, a, b)
         val = self._local_powers.get(key)
         if val is None:
-            e = self._elementary.get(p)
-            if e is None:
-                raise MissingPrimeError(f"no local data for prime {p}")
-            val = schur_from_elementary(a, b, *e)
-            self._local_powers[key] = val
+            e1, e2 = complex(self.local.e1[i]), complex(self.local.e2[i])
+            val = self._local_powers[key] = schur_from_elementary(a, b, e1, e2)
         return val
 
+    def _prime_powers(self, k: int) -> list[tuple[int, int]]:
+        """(index in local, exponent) of each prime of k, primes descending."""
+        at, index, exponent, power = self._walk
+        out = []
+        while k > 1:
+            j = at[k]
+            out.append((index[j], exponent[j]))
+            k //= power[j]
+        return out
+
     def value(self, m: int, n: int) -> complex:
+        """A(m, n): the product from one of the local values A(p^a, p^b) over
+        m's primes ascending, then over the other primes of n, ascending."""
         if not (1 <= m <= self.bound_m and 1 <= n <= self.bound_n):
             raise IndexBoundsError(f"index ({m}, {n}) outside bounds "
                                    f"({self.bound_m}, {self.bound_n})")
-        got = self.entries.get((m, n))
-        if got is not None:
-            return got
-        exps: dict[int, list[int]] = {}
-        for p, e in factorize(m, self._spf):
-            exps[p] = [e, 0]
-        for p, e in factorize(n, self._spf):
-            exps.setdefault(p, [0, 0])[1] = e
+        of_n = dict(self._prime_powers(n))
         val = 1.0 + 0.0j
-        for p, (a, b) in exps.items():
-            val *= self._local_value(p, a, b)
-        self.entries[(m, n)] = val
+        for i, a in reversed(self._prime_powers(m)):
+            val *= self._local_value(i, a, of_n.pop(i, 0))
+        for i in reversed(of_n):
+            val *= self._local_value(i, 0, of_n[i])
         return val
 
     def row(self, X: int, which: str = A_M1) -> np.ndarray:

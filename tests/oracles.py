@@ -17,7 +17,8 @@ with its alias lattice rebuilt on every call, the window polynomial D sieved
 at every point and in Python complex scalars, the limb width tried on
 every limb, A(p, p) from whole arrays of half chords, balanced limbs by a
 boolean scatter, the terms of a Dirichlet polynomial by one comprehension,
-and the second moment on the [Re | Im] block of every batch."""
+the second moment on the [Re | Im] block of every batch, and table values
+A(m, n) from trial division."""
 
 from __future__ import annotations
 
@@ -781,3 +782,19 @@ def second_moment_re_im(polys, T: float) -> list[float]:
         rows = np.einsum("ij,kj->ik", kb, columns[:, lo:])
         quad += 4.0 * np.einsum("ik,ik->k", block, rows)
     return [float(v) for v in quad[: len(polys)] + quad[len(polys) :]]
+
+
+def table_value_trial_division(table, m: int, n: int) -> complex:
+    """`CoefficientTable.value` from trial division: the product from 1 of
+    schur_from_elementary(a, b) on the Python complex e1, e2 of each prime,
+    m's primes ascending, then the primes of n not in m, ascending."""
+    local = table.local
+    index = {p: i for i, p in enumerate(local.primes.tolist())}
+    of_n = dict(factorize(n))
+    exponents = [(p, a, of_n.pop(p, 0)) for p, a in factorize(m)]
+    exponents += [(p, 0, b) for p, b in of_n.items()]
+    val = 1.0 + 0.0j
+    for p, a, b in exponents:
+        i = index[p]
+        val *= schur_from_elementary(a, b, complex(local.e1[i]), complex(local.e2[i]))
+    return val

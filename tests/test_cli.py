@@ -393,8 +393,13 @@ class TestErrorPaths:
           "--out", "x.csv"],
          "field 'bound-n' must keep N * bound-n at most 10^6"),
         (["gen", "--what", "samples", "--count", "0", "--out", "x.csv"],
-         "field 'count' must be at least 1"),
-        (["gen", "--what", "density", "--K", "7", "--out", "x.csv"], "field 'K' must be at least 8"),
+         "field 'count' must lie in [1, 10^6]"),
+        (["gen", "--what", "samples", "--count", "1000001", "--out", "x.csv"],
+         "field 'count' must lie in [1, 10^6]"),
+        (["gen", "--what", "density", "--K", "7", "--out", "x.csv"],
+         "field 'K' must lie in [8, 1000]"),
+        (["gen", "--what", "density", "--K", "1001", "--out", "x.csv"],
+         "field 'K' must lie in [8, 1000]"),
         (["signs", "--X", "0"], "field 'X' must lie in [1, 10^6]"),
         (["signs", "--X", "1000001"], "field 'X' must lie in [1, 10^6]"),
         (["signs", "--X", "5"], "the scan window needs M < H <= (X - H) / 2"),
@@ -411,7 +416,8 @@ class TestErrorPaths:
             "satotate-b-nan", "gen-samples-p", "gen-density-p", "gen-tau-N-zero",
             "gen-gl2-N-big", "gen-table-bound-n-zero", "gen-table-bound-n-above-N",
             "gen-table-cells-past-cap", "gen-table-cells-10-12",
-            "gen-count-zero", "gen-K-small", "signs-X-zero", "signs-X-big",
+            "gen-count-zero", "gen-count-big", "gen-K-small", "gen-K-big",
+            "signs-X-zero", "signs-X-big",
             "signs-window-X-small", "signs-window-M-eq-H", "signs-zero-tol-neg",
             "kato-tol-below-floor", "kato-tol-below-floor-66"])
     def test_bad_size_is_config_error(self, capsys, tmp_path, monkeypatch, argv, message):

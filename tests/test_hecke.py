@@ -25,7 +25,12 @@ from gl3hecke.hecke import (
     sym2_lift,
 )
 from gl3hecke.suites import random_tempered_locals
-from oracles import sieve_row_dense, sym2_triple_by_angles, vandermonde_schur
+from oracles import (
+    sieve_row_dense,
+    sym2_triple_by_angles,
+    table_value_trial_division,
+    vandermonde_schur,
+)
 
 DEGENERATE = SatakeTriple(1.0 + 0j, 1.0 + 0j, 1.0 + 0j)
 
@@ -208,6 +213,19 @@ class TestCoefficientTable:
             rhs = t.value(m1, m2) * t.value(m1p, m2p)
             assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(rhs))
 
+    @pytest.mark.parametrize("bound_m, bound_n", [(360, 40), (40, 360), (1, 1)])
+    def test_value_is_trial_division_bit_for_bit(self, bound_m, bound_n):
+        # every cell: m and n that share primes and m and n that share none,
+        # the prime powers coming from the sieve of the larger bound
+        X = max(bound_m, bound_n)
+        table = CoefficientTable(non_tempered_locals(primes_upto(X), random.Random(39)),
+                                 bound_m, bound_n)
+        cells = [(m, n) for m in range(1, bound_m + 1) for n in range(1, bound_n + 1)]
+        assert {math.gcd(m, n) > 1 for m, n in cells} == ({True, False} if X > 1 else {False})
+        got = [table.value(m, n) for m, n in cells]
+        want = [table_value_trial_division(table, m, n) for m, n in cells]
+        assert np.array_equal(entry_bits(got), entry_bits(want))
+
     def test_csv_export_round_trip(self, tmp_path):
         table = CoefficientTable(degenerate_locals(6), 6, 2)
         path = tmp_path / "table.csv"
@@ -386,7 +404,10 @@ class TestLocalArrays:
         ([2, 3, 5], [1, math.nan, 1], [1, 1, 1], "local data at prime 3 is not finite"),
         ([2, 3, 5], [1, 1, 1], [1, 1, complex(1, math.nan)], "local data at prime 5 is not finite"),
         ([2, 3, 5], [1, 1, math.inf], [1, 1, 1], "local data at prime 5 is not finite"),
-    ], ids=["composite", "one", "duplicate", "nan_e1", "nan_e2_imag", "inf_e1"])
+        ([2, 3, 5], [1, 2, 3, 4], [1, 2, 3], "3 primes, 4 e1 and 3 e2"),
+        ([2, 3, 5, 7], [1, 2, 3], [1, 2, 3], "4 primes, 3 e1 and 3 e2"),
+    ], ids=["composite", "one", "duplicate", "nan_e1", "nan_e2_imag", "inf_e1",
+            "e1_longer", "primes_longer"])
     def test_refusals(self, primes, e1, e2, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             LocalArrays(primes, e1, e2)

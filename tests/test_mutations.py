@@ -116,6 +116,25 @@ def test_local_values_off_by_1e6_beyond_degree_one(monkeypatch):
     assert all(value > 1e-5 for value in failed.values())
 
 
+def test_satake_radius_1_2_at_every_prime(monkeypatch):
+    # alpha1, alpha2 times 1.2 and alpha3 over 1.44 keep the product one, so
+    # the Hecke relation and the Mobius expansion still hold; the Hermitian
+    # symmetry and the Ramanujan bound need |alpha| = 1.  At one prime only
+    # the symmetry would see it: |A(p, 1)| <= 3 can still hold there.
+    real = suites.random_tempered_locals
+
+    def planted(primes, rng):
+        return [hecke.PrimeLocalData(rec.p, hecke.SatakeTriple(
+            rec.satake.alpha1 * 1.2, rec.satake.alpha2 * 1.2, rec.satake.alpha3 / 1.44,
+            tempered=False)) for rec in real(primes, rng)]
+
+    monkeypatch.setattr(suites, "random_tempered_locals", planted)
+    failed = failed_hecke_checks()
+    assert set(failed) == {"hermitian_symmetry_max", "ramanujan_bound_excess"}
+    assert failed["hermitian_symmetry_max"] > 1.0
+    assert failed["ramanujan_bound_excess"] > 0.05
+
+
 def failed_signs_checks():
     return {c.name for c in suites.suite_signs(seed=0) if c.status == "fail"}
 
