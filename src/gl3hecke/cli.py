@@ -281,6 +281,9 @@ def _config_error(args) -> str | None:
     tol = getattr(args, "tol", None)
     if tol is not None and not tol > 0:
         return "field 'tol' must be positive"
+    seed = getattr(args, "seed", None)
+    if seed is not None and not 0 <= seed < 2 ** 64:  # the samplers' 64-bit seeds
+        return "field 'seed' must lie in [0, 2^64)"
     if args.command == "mvt":
         if args.N < 1:
             return "field 'N' must be at least 1"

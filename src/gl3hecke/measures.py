@@ -10,6 +10,7 @@ so every measure here integrates to one over [0, 2pi)^2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,6 +30,11 @@ PLANCHEREL = "plancherel"
 _SQUEEZE = 2.0 ** -10
 # Proposals per batch of `sample_angles`.
 SAMPLE_BATCH = 8192
+# SplitMix64's increment gamma and its two mixing multipliers, as in the
+# reference splitmix64.c.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_MASK64 = 2 ** 64 - 1
 
 
 class EnvelopeError(RuntimeError):
@@ -275,15 +281,68 @@ def trapezoid_resolution(spec: MeasureSpec, l1: int, l2: int, tol: float) -> int
     return None
 
 
+def _in_uint64(value: int, name: str) -> int:
+    """value as a Python int, refused with ValueError outside [0, 2^64)."""
+    value = operator.index(value)
+    if not 0 <= value <= _MASK64:
+        raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
+    return value
+
+
+class _SplitMix64:
+    """SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
+    generators", OOPSLA 2014): output k >= 1 of the stream seeded at s is
+    mix64(s + k gamma mod 2^64), with gamma and the two multipliers of the
+    reference splitmix64.c.  The state is a Python int, masked to 64 bits, as
+    numpy uint64 scalars warn on overflow; up to `size` outputs at a time are
+    mixed with uint64 array operations, which wrap, in the caller's array and
+    one scratch array that every call reuses."""
+
+    def __init__(self, seed: int, size: int = SAMPLE_BATCH):
+        self.state = _in_uint64(seed, "seed")
+        self._steps = np.arange(1, size + 1, dtype=np.uint64)
+        self._steps *= _GAMMA
+        self._t = np.empty(size, np.uint64)
+
+    def skip(self, n: int) -> None:
+        """Advance past the next n outputs."""
+        self.state = (self.state + n * _GAMMA) & _MASK64
+
+    def raw(self, z: np.ndarray) -> None:
+        """Write the next z.size <= size outputs into the uint64 array z."""
+        n = z.size
+        t = self._t[:n]
+        np.add(self._steps[:n], self.state, out=z)
+        self.skip(n)
+        for shift, mul in zip((30, 27), _MIX):
+            np.right_shift(z, shift, out=t)
+            z ^= t
+            z *= mul
+        np.right_shift(z, 31, out=t)
+        z ^= t
+
+    def fill(self, out: np.ndarray, scale: float = 1.0) -> None:
+        """Write the next out.size <= size outputs z into the contiguous
+        float64 array out, mixed in its own memory, as the doubles
+        (z >> 11) 2^-53 scale in [0, scale).  Scaling by a power of two is
+        exact, so each is the double (z >> 11) 2^-53 times scale, bit for
+        bit."""
+        z = out.view(np.uint64)
+        self.raw(z)
+        z >>= 11
+        np.multiply(z, scale * 2.0 ** -53, out=out)
+
+
 def sample_angles(spec: MeasureSpec, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Rejection-sample `count` points; returns (theta1, theta2) arrays.
 
-    Deterministic for a fixed seed: proposals are drawn in batches of
-    SAMPLE_BATCH from a PCG64 stream, into three buffers reused by every
-    batch, and accepted in order straight into the two arrays returned, so a
-    draw holds those and O(SAMPLE_BATCH) more.  A proposal is kept iff
-    u cap <= `density`, and a batch whose density exceeds cap (1 + 1e-9)
-    raises EnvelopeError.
+    Deterministic for a fixed seed in [0, 2^64): proposals are drawn in
+    batches of SAMPLE_BATCH from the SplitMix64 stream seeded at seed
+    (Steele, Lea and Flood, OOPSLA 2014; `_SplitMix64`), t1, t2 and then
+    u cap, into three buffers reused by every batch, and accepted in order
+    straight into the two arrays returned, so a draw holds those and
+    O(SAMPLE_BATCH) more.  A proposal is kept iff u cap <= `density`, and a
+    batch whose density exceeds cap (1 + 1e-9) raises EnvelopeError.
 
     Squeeze (Marsaglia 1977): the density d32 from `_half_chords32` decides
     every proposal with |u cap - d32| > slack = 2^-10 cap alone, and
@@ -307,17 +366,15 @@ def sample_angles(spec: MeasureSpec, count: int, seed: int) -> tuple[np.ndarray,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    stream = _SplitMix64(seed)
     cap = envelope_ratio(spec) / TWO_PI ** 2
     top, slack = cap * (1.0 + 1e-9), _SQUEEZE * cap
     out1, out2 = np.empty(count), np.empty(count)
     t1, t2, bar = (np.empty(SAMPLE_BATCH) for _ in range(3))
     total = 0
     while total < count:
-        # rng.random(out=a) * scale is rng.uniform(0, scale), bit for bit
         for a, scale in ((t1, TWO_PI), (t2, TWO_PI), (bar, cap)):
-            rng.random(out=a)
-            a *= scale
+            stream.fill(a, scale)
         d32 = _density_s(spec, _half_chords32(t1, t2)).astype(float)
         keep = bar <= d32 - slack
         near = np.flatnonzero((np.abs(bar - d32) <= slack) | (d32 >= top - slack))
@@ -337,10 +394,13 @@ def sample_angles(spec: MeasureSpec, count: int, seed: int) -> tuple[np.ndarray,
 
 
 def child_seed(seed: int, index: int) -> int:
-    """Fixed splitting rule for child seeds: entropy is the pair
-    (seed, index), so child streams are reproducible and independent."""
-    ss = np.random.SeedSequence((seed, index))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Fixed splitting rule for child seeds: output index + 1 of the
+    `_SplitMix64` stream seeded at seed, a pure function of (seed, index) in
+    [0, 2^64).  Both must lie in [0, 2^64)."""
+    stream, z = _SplitMix64(seed, 1), np.empty(1, np.uint64)
+    stream.skip(_in_uint64(index, "index"))
+    stream.raw(z)
+    return int(z[0])
 
 
 def schur_on_torus(l1: int, l2: int, theta1, theta2):

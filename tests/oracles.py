@@ -11,7 +11,8 @@ full-square mean-value kernel, the mean-value identity in mpmath, the
 truncated square by Kronecker
 substitution on Python ints, the straddle-refined torus grid for A(p, p)
 cell masses, the distribution function of |e1| by mpmath quadrature, the
-rejection sampler with the float64 density on every proposal,
+SplitMix64 generator one output at a time, the rejection sampler with the
+float64 density on every proposal,
 Gauss-Legendre rules by Newton's method in mpmath, the trapezoid error bound
 with its alias lattice rebuilt on every call, the window polynomial D sieved
 at every point and in Python complex scalars, the limb width tried on
@@ -517,23 +518,38 @@ def radius_cdf_mpmath(p, R: float, dps: int = 17) -> float:
         return float(mp.quad(ring, [0, R] if R <= 1 else [0, 1, R]))
 
 
+def splitmix64(seed: int):
+    """The outputs of the SplitMix64 generator seeded at seed, without end:
+    `next()` of the reference splitmix64.c (Steele, Lea and Flood, OOPSLA
+    2014) transcribed to Python ints, one output per step."""
+    mask = 2 ** 64 - 1
+    x = seed
+    while True:
+        x = (x + 0x9E3779B97F4A7C15) & mask
+        z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
 def sample_angles_float64(spec, count: int, seed: int):
     """`measures.sample_angles` as it was before its float32 squeeze: the
-    float64 density of every proposal decides it."""
+    float64 density of every proposal decides it.  Proposals t1, t2 and u
+    come from the sampler's stream in that order, a batch of each at a time."""
     from gl3hecke.measures import EnvelopeError, TorusPoint, TWO_PI, density, envelope_ratio
 
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    stream = measures._SplitMix64(seed)
     cap = envelope_ratio(spec) / TWO_PI ** 2
     got1: list[np.ndarray] = []
     got2: list[np.ndarray] = []
     total = 0
     batch = 8192
     while total < count:
-        t1 = rng.uniform(0.0, TWO_PI, batch)
-        t2 = rng.uniform(0.0, TWO_PI, batch)
-        u = rng.uniform(0.0, 1.0, batch)
+        t1, t2, u = np.empty(batch), np.empty(batch), np.empty(batch)
+        for a in (t1, t2, u):
+            stream.fill(a)
+        t1, t2 = TWO_PI * t1, TWO_PI * t2
         d = density(spec, TorusPoint(t1, t2))
         worst = float(np.max(d))
         if worst > cap * (1.0 + 1e-9):

@@ -329,7 +329,9 @@ class TestDeterminism:
     def test_reports_are_byte_identical(self, tmp_path):
         pairs = [
             ["kato", "--l1", "1", "--l2", "0", "--p", "3"],
-            ["satotate", "--p", "2", "--samples", "2000", "--seed", "9",
+            # 4 standard errors of the cell's sampled mass inside the default
+            # tol 0.01; at 2000 samples it was 0.9, and a third of seeds exit 1
+            ["satotate", "--p", "2", "--samples", "40000", "--seed", "9",
              "--a", "0.0", "--b", "4.0"],
             ["mvt", "--N", "64", "--T", "16", "--draws", "2", "--seed", "4"],
             ["verify", "--suite", "schur", "--seed", "0"],
@@ -409,6 +411,17 @@ class TestErrorPaths:
          "field 'tol' = 1e-16 is below what Kato quadrature can certify"),
         (["kato", "--l1", "6", "--l2", "6", "--p", "1009", "--tol", "1e-8"],
          "field 'tol' = 1e-08 is below what Kato quadrature can certify"),
+        (["gen", "--what", "samples", "--seed", "-1", "--out", "x.csv"],
+         "field 'seed' must lie in [0, 2^64)"),
+        (["gen", "--what", "samples", "--seed", str(2 ** 64), "--out", "x.csv"],
+         "field 'seed' must lie in [0, 2^64)"),
+        (["satotate", "--p", "2", "--seed", "-1"], "field 'seed' must lie in [0, 2^64)"),
+        (["satotate", "--p", "2", "--seed", str(2 ** 64)], "field 'seed' must lie in [0, 2^64)"),
+        (["verify", "--suite", "satotate", "--seed", "-1"], "field 'seed' must lie in [0, 2^64)"),
+        (["verify", "--suite", "satotate", "--seed", str(2 ** 64)],
+         "field 'seed' must lie in [0, 2^64)"),
+        (["mvt", "--seed", "-1"], "field 'seed' must lie in [0, 2^64)"),
+        (["mvt", "--seed", str(2 ** 64)], "field 'seed' must lie in [0, 2^64)"),
     ], ids=["mvt-T-neg", "mvt-T-zero", "mvt-N-neg", "mvt-N-zero", "mvt-draws-zero",
             "satotate-cells-neg", "signs-M-zero", "signs-H-zero", "signs-H-one",
             "kato-l1-big", "kato-l1-neg", "kato-l2-big", "kato-p-composite", "kato-p-zero",
@@ -419,7 +432,9 @@ class TestErrorPaths:
             "gen-count-zero", "gen-count-big", "gen-K-small", "gen-K-big",
             "signs-X-zero", "signs-X-big",
             "signs-window-X-small", "signs-window-M-eq-H", "signs-zero-tol-neg",
-            "kato-tol-below-floor", "kato-tol-below-floor-66"])
+            "kato-tol-below-floor", "kato-tol-below-floor-66",
+            "gen-seed-neg", "gen-seed-2-64", "satotate-seed-neg", "satotate-seed-2-64",
+            "verify-seed-neg", "verify-seed-2-64", "mvt-seed-neg", "mvt-seed-2-64"])
     def test_bad_size_is_config_error(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 2
@@ -440,6 +455,27 @@ class TestErrorPaths:
         assert run(["signs", "--source", "csv"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--path" in err
+
+
+def test_sampling_commands_never_load_numpy_random(tmp_path):
+    # the sampler's SplitMix64 stream is numpy array arithmetic alone
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = ("import sys\n"
+            "from gl3hecke.cli import main\n"
+            "assert main(['verify', '--suite', 'satotate', '--seed', '0',\n"
+            "             '--out', sys.argv[1]]) == 0\n"
+            "assert main(['gen', '--what', 'samples', '--out', sys.argv[2]]) == 0\n"
+            "print('numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(measures.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "verify.json"),
+                           str(tmp_path / "samples.csv")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 class TestCrossProcessDeterminism:

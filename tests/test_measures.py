@@ -1,5 +1,10 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from conftest import traced_peak
 from oracles import (
     density_exponential,
     sample_angles_float64,
+    splitmix64,
     trapezoid_bound_uncached,
     trapezoid_resolutions_uncached,
 )
@@ -334,7 +340,7 @@ class TestSampling:
     def test_draw_holds_its_outputs_and_a_batch(self):
         # 10^5 angles are 1.6 MB; a draw that kept every batch and joined them
         # at the end peaked above 3.5 MB
-        schuralg.sample_app(2, 10, seed=0)      # numpy.random imported untraced
+        schuralg.sample_app(2, 10, seed=0)      # first-call allocations untraced
         peak, _ = traced_peak(lambda: sample_angles(MeasureSpec.plancherel(2), 10 ** 5, seed=17))
         assert peak <= 2.5e6
 
@@ -342,6 +348,67 @@ class TestSampling:
         seeds = {measures.child_seed(7, i) for i in range(16)}
         assert len(seeds) == 16
         assert measures.child_seed(7, 3) == measures.child_seed(7, 3)
+
+    def test_same_bytes_in_two_processes(self):
+        code = ("import sys\n"
+                "from gl3hecke.measures import MeasureSpec, sample_angles\n"
+                "t1, t2 = sample_angles(MeasureSpec.plancherel(5), 20_000, 7)\n"
+                "sys.stdout.buffer.write(t1.tobytes() + t2.tobytes())")
+        env = {**os.environ, "PYTHONPATH": str(Path(measures.__file__).parents[1])}
+        outs = [subprocess.run([sys.executable, "-c", code], capture_output=True,
+                               env=env, check=True).stdout for _ in range(2)]
+        assert len(outs[0]) == 2 * 20_000 * 8 and outs[0] == outs[1]
+
+
+SEEDS_64 = [0, 1, 2 ** 63, 2 ** 64 - 1]
+
+
+def fills_match_splitmix64(seed: int) -> bool:
+    """Fills of 8192, 5 and 8192 doubles from the sampler's stream against
+    (z >> 11) 2^-53 of the scalar transcription, bit for bit: the second
+    and third cross a batch boundary of the counter."""
+    stream, ref = measures._SplitMix64(seed), splitmix64(seed)
+    for n in (8192, 5, 8192):
+        got = np.empty(n)
+        stream.fill(got)
+        want = np.array([(next(ref) >> 11) * 2.0 ** -53 for _ in range(n)])
+        if got.tobytes() != want.tobytes():
+            return False
+    return True
+
+
+class TestSplitMix64:
+    @pytest.mark.parametrize("seed", SEEDS_64)
+    def test_fills_are_the_reference_outputs(self, seed):
+        assert fills_match_splitmix64(seed)
+
+    def test_a_stream_that_does_not_advance_fails(self, monkeypatch):
+        monkeypatch.setattr(measures._SplitMix64, "skip", lambda self, n: None)
+        assert not any(fills_match_splitmix64(seed) for seed in SEEDS_64)
+
+    @pytest.mark.parametrize("seed", SEEDS_64)
+    def test_child_seed_is_the_reference_output_index_plus_one(self, seed):
+        want = list(itertools.islice(splitmix64(seed), 10))
+        assert [measures.child_seed(seed, i) for i in range(10)] == want
+
+    def test_scaled_fill_is_the_unit_fill_times_scale(self):
+        for scale in (2 * math.pi, measures.envelope_ratio(ST) / (2 * math.pi) ** 2):
+            a, b = measures._SplitMix64(5), measures._SplitMix64(5)
+            got, unit = np.empty(8192), np.empty(8192)
+            a.fill(got, scale)
+            b.fill(unit)
+            assert got.tobytes() == (unit * scale).tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+            sample_angles(ST, 10, seed)
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+            measures.child_seed(seed, 0)
+
+    def test_negative_index_is_refused(self):
+        with pytest.raises(ValueError, match=r"index must lie in \[0, 2\^64\)"):
+            measures.child_seed(3, -1)
 
 
 SQUEEZE_SPECS = [ST] + [MeasureSpec.plancherel(p) for p in (2, 3, 5, 7, 101, 1009)]

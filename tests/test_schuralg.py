@@ -179,7 +179,7 @@ class TestEffectiveSTCompare:
     def test_draw_holds_its_samples_and_a_batch(self):
         # 10^5 samples are 0.8 MB and their angles 1.6 MB; three whole arrays
         # of half chords on top of them took the peak to 6.2 MB
-        sample_app(2, 10, seed=0)               # numpy.random imported untraced
+        sample_app(2, 10, seed=0)               # first-call allocations untraced
         peak, _ = traced_peak(lambda: sample_app(2, 10 ** 5, seed=17))
         assert peak <= 3e6
 
