@@ -30,8 +30,8 @@ def _sieve(n: int) -> bytearray:
 
 @lru_cache(maxsize=None)
 def _small_prime_bits(size: int) -> bytes:
-    """Bit k % 8 of byte k // 8 is 1 iff k is prime, for 0 <= k <= size, a
-    power of two <= 2^20.  Packed, all 20 sizes take about 2^18 bytes."""
+    """Bit k % 8 of byte k // 8 is 1 iff k is prime, for 0 <= k <= size, a power
+    of two: one Eratosthenes pass per size, for is_prime (to 2^20) and prime_array."""
     return np.packbits(np.frombuffer(_sieve(size), dtype=np.uint8), bitorder="little").tobytes()
 
 
@@ -85,8 +85,10 @@ def are_prime(ns: np.ndarray) -> np.ndarray:
 
 
 def prime_array(n: int) -> np.ndarray:
-    """All primes <= n by Eratosthenes, as an int64 array."""
-    return np.flatnonzero(np.frombuffer(_sieve(max(n, 1)), np.uint8)).astype(np.int64, copy=False)
+    """All primes <= n as an int64 array, read from the cached sieve up to the
+    next power of two >= n, so it shares is_prime's Eratosthenes pass."""
+    bits = np.frombuffer(_small_prime_bits(1 << (max(n, 1) - 1).bit_length()), np.uint8)
+    return np.flatnonzero(np.unpackbits(bits, count=max(n, 1) + 1, bitorder="little")).astype(np.int64)
 
 
 def primes_upto(n: int) -> list[int]:

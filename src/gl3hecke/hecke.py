@@ -23,7 +23,8 @@ UNIT_TOL = 1e-12
 
 A_M1 = "A_m1"   # row selector: A(m, 1)
 A_MM = "A_mm"   # row selector: A(m, m)
-_BLOCK = 1 << 14  # entries per step of PrimePowerSieve
+_BLOCK = 1 << 14  # entries per step of the sign statistics
+_CHUNK = 1 << 12  # entries per step of PrimePowerSieve.run
 
 
 class MissingPrimeError(KeyError):
@@ -131,6 +132,9 @@ class _PyComplex:
         return _PyComplex(self.re * other.re - self.im * other.im,
                           self.re * other.im + self.im * other.re)
 
+    def __getitem__(self, key):
+        return _PyComplex(self.re[key], self.im[key])
+
     def __pow__(self, n: int):  # only ** 0, the ring's one
         one = (np.ones_like(self.re), np.zeros_like(self.im))
         return _PyComplex(*one) if n == 0 else NotImplemented
@@ -176,50 +180,44 @@ class PrimePowerSieve:
     `powers`, exponent-major (p, then p^2 <= N, ...), so the primes with p^e <= N
     are a prefix of them, `counts[e - 1]` long; and, allocated first (which keeps
     the peak RSS down), the int32 index `at[m]` in `powers` of q(m), the full
-    power of the largest prime of m, and the int8 count `omega[m]` of its primes."""
+    power of the largest prime of m: 4 bytes per m."""
 
-    __slots__ = ("powers", "counts", "at", "omega")
+    __slots__ = ("powers", "counts", "at")
 
     def __init__(self, N: int, primes: np.ndarray):
-        self.at, self.omega = np.zeros(N + 1, dtype=np.int32), np.zeros(N + 1, dtype=np.int8)
+        self.at = np.zeros(N + 1, dtype=np.int32)
         powers = [primes[:np.searchsorted(primes, N, "right")]]
         while len(q := powers[-1] * powers[0][:len(powers[-1])]) and q[0] <= N:
             powers.append(q[q <= N])
         self.powers, self.counts = np.concatenate(powers), np.array([len(q) for q in powers])
         n_small = len(powers[1]) if len(powers) > 1 else 0  # the p <= sqrt(N)
         starts = np.cumsum(self.counts) - self.counts       # of each exponent in powers
-        for i, p in enumerate(powers[0][:n_small].tolist()):  # ascending: at keeps the largest
-            self.omega[p::p] += 1
+        for i in range(n_small):  # ascending: at keeps the largest prime
             for j in (starts[self.counts > i] + i).tolist():  # p, p^2, ... <= N
                 self.at[self.powers[j]::self.powers[j]] = j
         # m = k p, p > sqrt(N), has k < p: p is its largest prime, to the first power
-        big = powers[0][n_small:]
-        count = N // big
-        first, total = np.cumsum(count) - count, int(count.sum())  # k = 1 of big[b] at first[b]
-        for start in range(0, total, _BLOCK):
-            i = np.arange(start, min(start + _BLOCK, total))
-            b = np.searchsorted(first, i, "right") - 1
-            m = big[b] * (i - first[b] + 1)
-            self.at[m] = b + n_small
-            self.omega[m] += 1
+        big, index = powers[0][n_small:], np.arange(n_small, len(powers[0]), dtype=np.int32)
+        for k in range(1, N // big[0] + 1 if len(big) else 1):
+            n = np.searchsorted(big, N // k, "right")
+            self.at[k * big[:n]] = index[:n]
 
     def run(self, local: list[_PyComplex]) -> np.ndarray:
         """Entries 0..N (entry 0 unused) of the multiplicative f whose values
         at the powers are the parts of local, one after another, by f(m) =
-        f(m/q(m)) f(q(m)) in rounds of equal omega(m), each in blocks of _BLOCK
-        entries: every f(m) is its prime powers' product from 1, primes
-        ascending, rounded as Python's complex; the array is read-only."""
+        f(m/q(m)) f(q(m)) over the chunks [s, min(2s, s + _CHUNK)) ascending,
+        each reading m/q(m) < s: every f(m) is its prime powers' product from
+        1, primes ascending, rounded as Python's complex; the array is read-only."""
         local = _PyComplex(np.concatenate([z.re for z in local]),
                            np.concatenate([z.im for z in local]))
         row = np.zeros(len(self.at), dtype=complex)
-        row[1] = 1.0
-        for k in range(1, int(self.omega.max(initial=0)) + 1):
-            for start in range(0, len(row), _BLOCK):
-                idx = start + np.flatnonzero(self.omega[start:start + _BLOCK] == k)
-                j = self.at[idx]
-                r = idx // self.powers[j]
-                prod = _PyComplex(row.real[r], row.imag[r]) * _PyComplex(local.re[j], local.im[j])
-                row.real[idx], row.imag[idx] = prod.re, prod.im
+        row[1:2] = 1.0  # f(1), the empty product; N = 0 has entry 0 alone
+        end = 2
+        while end < len(row):
+            s, end = end, min(2 * end, end + _CHUNK, len(row))
+            j = self.at[s:end]
+            r = np.arange(s, end) // self.powers[j]
+            prod = _PyComplex(row.real[r], row.imag[r]) * local[j]
+            row.real[s:end], row.imag[s:end] = prod.re, prod.im
         row.flags.writeable = False
         return row
 
@@ -236,8 +234,12 @@ def schur_from_elementary(l1: int, l2: int, e1, e2):
     """
     if l1 < 0 or l2 < 0:
         raise ValueError(f"exponents must be non-negative, got ({l1}, {l2})")
+    return _jacobi_trudi(_complete_homogeneous(e1, e2, l1 + 2 * l2 + 1), l1, l2)
+
+
+def _jacobi_trudi(h: list, l1: int, l2: int):
+    """The (l1, l2) Schur element h_a h_b - h_{a+1} h_{b-1}, a = l1 + l2, b = l2."""
     a, b = l1 + l2, l2
-    h = _complete_homogeneous(e1, e2, a + 1)
     first = h[a] * h[b]
     return first - h[a + 1] * h[b - 1] if b else first
 
@@ -319,8 +321,8 @@ class CoefficientTable:
 
         The whole row, to bound_m or to min(bound_m, bound_n), is sieved on
         the first request and kept; its entries are bit-identical to value().
-        Beside the row's 16 bytes per m the sieve holds 5 per m and one block's
-        temporaries: traced peaks 7.2 MiB at 3e5 (row 4.6 MiB), 22.5 at 10^6 (15.3).
+        Beside the row's 16 bytes per m the sieve holds 4 per m and one chunk's
+        temporaries: traced peaks 6.7 MiB at 3e5 (row 4.6 MiB), 21.3 at 10^6 (15.3).
         """
         if which == A_M1:
             top = self.bound_m
@@ -339,14 +341,14 @@ class CoefficientTable:
 
     def _sieve_row(self, N: int, diagonal: bool) -> np.ndarray:
         """Entries 0..N of a row (entry 0 unused): the PrimePowerSieve of
-        L(p^e) = A(p^e, 1) or A(p^e, p^e), one schur_from_elementary per e on
-        the _PyComplex prefix of e1 and e2, so the row is value()'s bit for bit."""
-        sieve = PrimePowerSieve(N, self.local.primes)
-        e1, e2 = self.local.e1, self.local.e2
-        return sieve.run([schur_from_elementary(e, e if diagonal else 0,
-                                                _PyComplex(e1.real[:n], e1.imag[:n]),
-                                                _PyComplex(e2.real[:n], e2.imag[:n]))
-                          for e, n in enumerate(sieve.counts, 1)])
+        L(p^e) = A(p^e, 1) or A(p^e, p^e), at e = 1 over every p <= N, at e >= 2
+        from one _PyComplex h run over the p <= sqrt(N): value()'s bits."""
+        sieve, d = PrimePowerSieve(N, self.local.primes), int(diagonal)
+        e1, e2 = (_PyComplex(x.real, x.imag) for x in (self.local.e1, self.local.e2))
+        counts = sieve.counts.tolist() + [0]  # per e; counts[1]: the p <= sqrt(N)
+        h = _complete_homogeneous(e1[:counts[1]], e2[:counts[1]], (1 + d) * len(counts))
+        return sieve.run([schur_from_elementary(1, d, e1[:counts[0]], e2[:counts[0]])]
+                         + [_jacobi_trudi(h, e, d * e)[:n] for e, n in enumerate(counts[1:-1], 2)])
 
     def export_csv(self, path: str):
         """Write the full rectangle as rows m,n,re,im."""

@@ -389,6 +389,19 @@ def is_prime_trial(n: int) -> bool:
     return True
 
 
+def primes_by_odd_sieve(n: int) -> list[int]:
+    """The primes <= n: 2, then the odd k whose flag no odd prime's multiples
+    from its square cleared, on a boolean array of the odd numbers."""
+    if n < 2:
+        return []
+    odd = np.ones((n - 1) // 2, dtype=bool)  # 3, 5, ..., the odd k <= n
+    for i in range(math.isqrt(n) // 2):
+        if odd[i]:
+            p = 2 * i + 3
+            odd[(p * p - 3) // 2::p] = False
+    return [2] + (2 * np.flatnonzero(odd) + 3).tolist()
+
+
 def _pack(coeffs: list[int], slot: int) -> int:
     pos = bytearray(len(coeffs) * slot)
     neg = bytearray(len(coeffs) * slot)
@@ -703,8 +716,9 @@ def sieve_row_dense(table, N: int, diagonal: bool) -> np.ndarray:
     distinct primes omega(m).  The largest prime goes last, so every product
     is value()'s ascending-prime product, and _PyComplex rounds as it does.
 
-    The sieve before the blocked `CoefficientTable._sieve_row`: dense int64
-    q(m) and complex L(q) arrays of N + 1 entries, every round at once."""
+    The sieve before `hecke.PrimePowerSieve` and its one ascending pass:
+    dense int64 q(m) and complex L(q) arrays of N + 1 entries, every round
+    at once, and one schur_from_elementary per exponent."""
     top = np.ones(N + 1, dtype=np.int64)      # q(m)
     omega = np.zeros(N + 1, dtype=np.int8)
     local = np.zeros(N + 1, dtype=complex)    # L(q) at the prime powers q

@@ -1,11 +1,16 @@
 """Primality by deterministic Miller-Rabin against trial division."""
 
+import bisect
+import math
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gl3hecke.arith import divisor_power_sums_mod, is_prime, primes_upto
-from oracles import is_prime_trial
+from gl3hecke import arith, hecke, signstats
+from gl3hecke.arith import divisor_power_sums_mod, is_prime, prime_array, primes_upto
+from oracles import is_prime_trial, primes_by_odd_sieve
 
 # Each is the least strong pseudoprime to the primes up to the named base,
 # so each catches a base set cut one prime too short.
@@ -39,6 +44,31 @@ def test_primes_upto_edges():
     assert primes_upto(-1) == primes_upto(1) == []
     assert primes_upto(2) == [2]
     assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_prime_array_is_an_independent_sieve_at_every_power_of_two():
+    ns = [0, 1, 2, 3] + [2 ** k + d for k in range(2, 21) for d in (-1, 0, 1)]
+    want = primes_by_odd_sieve(max(ns))
+    for n in ns:
+        got = prime_array(n)
+        assert got.dtype == np.int64
+        assert got.tolist() == want[:bisect.bisect_right(want, n)], n
+
+
+def test_one_eratosthenes_pass_serves_a_table_and_its_statistics(monkeypatch):
+    # LocalArrays checks its primes with are_prime, the table and
+    # nonvanishing_density list theirs with prime_array: one cached sieve
+    passes, sieve = [], arith._sieve
+    monkeypatch.setattr(arith, "_sieve", lambda n: passes.append(n) or sieve(n))
+    arith._small_prime_bits.cache_clear()
+    X = 300_000
+    primes = prime_array(X)
+    t1, t2 = np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, (2, len(primes)))
+    e1 = np.exp(1j * t1) + np.exp(1j * t2) + np.exp(-1j * (t1 + t2))
+    table = hecke.CoefficientTable(hecke.LocalArrays(primes, e1, e1.conj()), X, X)
+    signstats.sequence_from_table(table, X, hecke.A_MM)
+    signstats.nonvanishing_density(table, X, hecke.A_MM)
+    assert passes == [2 ** 19]
 
 
 @settings(max_examples=200, deadline=None)

@@ -193,6 +193,11 @@ class TestWindowSieve:
             assert (math.isnan(got.real), math.isnan(got.imag)) == (
                 math.isnan(want.real), math.isnan(want.imag))
 
+    def test_d_over_no_d_is_the_empty_sum(self):
+        dpoly = dirichlet.WindowPolynomial(np.zeros(0, np.int64), np.zeros(0, complex), 0)
+        for s in self.POINTS:
+            assert same_bits(dpoly.eval(s), 0j)
+
     def test_squarefree_d_are_sieved_once(self, monkeypatch):
         dpoly = build_MKD(d_table("selfdual", 100), 1000, 100)["D"]
         sieve = dpoly._sieve
@@ -203,7 +208,10 @@ class TestWindowSieve:
         local[:sieve.counts[0]] = 1.0
         row = sieve.run([_PyComplex(local, np.zeros_like(local))])
         assert (np.flatnonzero(row[1:]) + 1).tolist() == [n for n in range(1, 201) if mobius(n)]
-        assert sieve.omega[1:].tolist() == [len(factorize(n)) for n in range(1, 201)]
+        # f = 2 at every prime power is 2^omega(n)
+        two = np.full(len(sieve.powers), 2.0)
+        row = sieve.run([_PyComplex(two, np.zeros_like(two))])
+        assert row[1:].tolist() == [2.0 ** len(factorize(n)) for n in range(1, 201)]
         # no evaluation builds the sieve again
         def refuse(*args):
             raise AssertionError("the sieve was built again")

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_tempered_triple, traced_peak
 from gl3hecke import hecke, signstats, suites, tau
-from gl3hecke.arith import prime_array, primes_upto
+from gl3hecke.arith import factorize, prime_array, primes_upto
 from gl3hecke.hecke import (
     A_M1,
     A_MM,
@@ -295,16 +295,13 @@ class TestRow:
             head[0] = 2.0
 
 
-def expansion_length(N):
-    """Entries of the expansion m = k p, k <= N // p, over the primes
-    sqrt(N) < p <= N."""
-    big = prime_array(N)
-    return int((N // big[big > math.isqrt(N)]).sum())
-
-
-BLOCK = hecke._BLOCK
-EDGE_N = 25_828  # its expansion is one whole block
-SIEVE_NS = [1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1, EDGE_N, 100_000, X_WIDE]
+CHUNK = hecke._CHUNK
+# N at the edges of the ascending pass's chunks: the last doubling one
+# [CHUNK / 2, CHUNK) and the fixed ones after it; around 67^2, where the
+# primes p <= sqrt(N) gain 67; and 25,828, where an expansion once ended
+SIEVE_NS = [1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1,
+            67 ** 2 - 1, 67 ** 2, 67 ** 2 + 1, 4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1,
+            25_828, 100_000, X_WIDE]
 
 
 def non_tempered_locals(primes, rng, radius=1.2):
@@ -319,9 +316,9 @@ def non_tempered_locals(primes, rng, radius=1.2):
 
 
 class TestSieveAgainstDense:
-    """The blocked sieve against the dense one it replaced, bit for bit, on
-    row block edges, on an expansion that ends on a block edge, and to the
-    size of the generic-signs benchmark."""
+    """The ascending sieve against the dense one in rounds of equal omega(m),
+    bit for bit, on its chunk edges, where the primes p <= sqrt(N) change,
+    and to the size of the generic-signs benchmark."""
 
     @pytest.fixture(scope="class", params=["tempered", "selfdual", "sym2_tau", "radius_1.2"])
     def local(self, request, random_table_wide):
@@ -333,10 +330,6 @@ class TestSieveAgainstDense:
             "radius_1.2": lambda: LocalArrays.from_records(
                 non_tempered_locals(primes, random.Random(37))),
         }[request.param]()
-
-    def test_edge_n_ends_the_expansion_on_a_block_edge(self):
-        assert expansion_length(EDGE_N) == BLOCK
-        assert expansion_length(EDGE_N + 1) % BLOCK != 0
 
     @pytest.mark.parametrize("N", SIEVE_NS)
     def test_rows_are_the_dense_sieve_bit_for_bit(self, local, N):
@@ -353,6 +346,22 @@ class TestSieveAgainstDense:
                                   entry_bits(value_walk(table, X, which)))
 
 
+class TestPrimePowerSieve:
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 4, 8, 9, 10, 30, CHUNK + 1, 67 ** 2 + 1])
+    def test_at_is_the_full_power_of_the_largest_prime(self, N):
+        sieve = hecke.PrimePowerSieve(N, prime_array(N + 100))
+        want = [p ** e for p, e in (factorize(m)[-1] for m in range(2, N + 1))]
+        assert sieve.at[:2].tolist() == [0, 0][:N + 1]
+        assert sieve.powers[sieve.at[2:]].tolist() == want
+
+    @pytest.mark.parametrize("N", [0, 1])
+    def test_no_prime_power_leaves_the_empty_product(self, N):
+        # N = 0 has only the unused entry 0
+        sieve = hecke.PrimePowerSieve(N, prime_array(10))
+        empty = np.zeros(0)
+        assert sieve.run([hecke._PyComplex(empty, empty)]).tolist() == [0.0, 1.0][:N + 1]
+
+
 def test_row_peaks_within_its_result_and_6_mib(random_table_wide):
     # the dense sieve held int64 q(m) and complex L(q) for every m and all
     # of a round's temporaries at once: 17.6 MiB beside the row at 3 * 10^5
@@ -364,8 +373,8 @@ def test_row_peaks_within_its_result_and_6_mib(random_table_wide):
 
 
 def test_row_sieve_frees_its_expansion_before_the_rounds(random_table_wide):
-    # the expansion's counts, offsets and last block held to the end took
-    # the peak to 3.4 MiB beside the row at 3 * 10^5; without them it is 2.7
+    # beside the row at 3 * 10^5 the sieve holds at, the powers and their
+    # values, and one chunk's temporaries: 2.2 MiB; chunks of 2^14 take 3.2
     table = CoefficientTable(random_table_wide.local, X_WIDE, X_WIDE)
     peak, _ = traced_peak(lambda: table.row(X_WIDE, A_MM))
     assert peak <= 16 * (X_WIDE + 1) + 3 * 2 ** 20
