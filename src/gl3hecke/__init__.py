@@ -3,7 +3,6 @@ degree-three Hecke eigenvalue data."""
 
 from .hecke import (
     CoefficientTable,
-    GL2FormData,
     IndexBoundsError,
     MissingPrimeError,
     NonTemperedError,

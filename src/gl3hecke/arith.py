@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -40,7 +41,8 @@ def is_prime(n: int) -> bool:
     up to the next power of two >= n; above it trial division by the primes
     <= 37, then Miller-Rabin with bases (2, 3) below 1,373,653, (2, 3, 5, 7)
     below 3,215,031,751 and the twelve primes <= 37 above.  Larger n raise
-    ValueError rather than get a probable answer."""
+    ValueError rather than get a probable answer.  A float n raises TypeError."""
+    n = operator.index(n)
     if n < 2:
         return False
     if n <= _SIEVE_CAP:

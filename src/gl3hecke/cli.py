@@ -46,15 +46,16 @@ def _seq_row(row) -> tuple[int, float]:
 def ingest(path: str, fmt: str):
     """Parse a gl2csv (`p,lambda`) or seqcsv (`m,value`) file.
 
-    gl2csv returns GL2FormData, with a warning when its ramanujan flag is
-    false; seqcsv returns a RealSequence (missing indices are zero).
+    gl2csv returns the arrays (primes, lam), with a warning when some |lambda|
+    > 2; seqcsv returns a RealSequence (missing indices are zero).
     """
     if fmt == "gl2csv":
-        form = hecke.GL2FormData(list(read_csv(path, ("p", "lambda"), "prime", _gl2_row).items()))
-        if not form.ramanujan:
+        rows = read_csv(path, ("p", "lambda"), "prime", _gl2_row)
+        primes, lam = np.fromiter(rows, np.int64), np.fromiter(rows.values(), float)
+        if hecke.nontempered_primes(primes, lam):
             print(f"warning: {path} has |lambda| > 2; ramanujan flag is false",
                   file=sys.stderr)
-        return form
+        return primes, lam
 
     if fmt == "seqcsv":
         values = read_csv(path, ("m", "value"), "index", _seq_row)
@@ -111,7 +112,7 @@ def cmd_gen(args) -> int:
         write_csv(args.out, ("m", "value"), enumerate(tau.ramanujan_tau(args.N), start=1))
         return 0
     if args.what == "gl2":
-        write_csv(args.out, ("p", "lambda"), tau.tau_prime_eigenvalues(args.N))
+        write_csv(args.out, ("p", "lambda"), zip(*tau.tau_prime_eigenvalues(args.N)))
         return 0
     if args.what == "table":
         table = hecke.CoefficientTable(tau.sym2_tau_locals(args.N), args.N, args.bound_n)

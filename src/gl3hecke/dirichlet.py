@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,7 +23,7 @@ TAIL_TOL = 1e-12
 
 @dataclass
 class DirichletPolynomial:
-    """Finite sum F(s) = sum_n a_n n^{-s}; terms maps n -> a_n.
+    """Finite sum F(s) = sum_n a_n n^{-s}; terms maps integers n -> a_n.
 
     terms is fixed once constructed: the first evaluation keeps arrays of
     log n and a_n built from it.
@@ -31,7 +32,7 @@ class DirichletPolynomial:
     terms: dict
 
     def __post_init__(self):
-        self.terms = {int(n): complex(c) for n, c in self.terms.items() if c != 0}
+        self.terms = {operator.index(n): complex(c) for n, c in self.terms.items() if c != 0}
         if min(self.terms, default=1) < 1:
             raise ValueError("frequencies must be positive integers")
 

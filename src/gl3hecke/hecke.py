@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -23,7 +22,6 @@ UNIT_TOL = 1e-12
 
 A_M1 = "A_m1"   # row selector: A(m, 1)
 A_MM = "A_mm"   # row selector: A(m, m)
-_BLOCK = 1 << 14  # entries per step of the sign statistics
 _CHUNK = 1 << 12  # entries per step of PrimePowerSieve.run
 
 
@@ -80,23 +78,12 @@ class PrimeLocalData:
         self.p, self.satake = p, satake
 
 
-def nontempered_primes(pairs) -> list[int]:
-    """Primes of (p, lambda(p)) pairs with |lambda| > 2 + UNIT_TOL, or NaN:
-    one test on the array of lambda, written so that NaN fails it."""
-    lam = np.fromiter((lam for _, lam in pairs), float, len(pairs))
-    return [pairs[i][0] for i in np.flatnonzero(~(np.abs(lam) <= 2.0 + UNIT_TOL)).tolist()]
-
-
-@dataclass
-class GL2FormData:
-    """Real Hecke eigenvalues lambda(p) of a degree-two form, per prime."""
-
-    pairs: list[tuple[int, float]]
-
-    @property
-    def ramanujan(self) -> bool:
-        """Whether every |lambda(p)| <= 2 + UNIT_TOL (`nontempered_primes`)."""
-        return not nontempered_primes(self.pairs)
+def nontempered_primes(primes, lam) -> list[int]:
+    """The primes[i] with |lam[i]| > 2 + UNIT_TOL, or NaN: one test on the array
+    of lambda, written so that NaN fails it; unequal lengths raise ValueError."""
+    if len(primes) != len(lam):
+        raise ValueError(f"{len(primes)} primes and {len(lam)} lambda")
+    return np.asarray(primes)[~(np.abs(lam) <= 2.0 + UNIT_TOL)].tolist()
 
 
 def _complete_homogeneous(e1, e2, n: int) -> list:
@@ -386,18 +373,16 @@ def mobius_expand(table: CoefficientTable, m1: int, m2: int) -> complex:
     return acc
 
 
-def sym2_lift(g: GL2FormData) -> LocalArrays:
-    """Symmetric-square local data: lambda(p) = beta + 1/beta on the unit
-    circle lifts to the Satake triple (beta^2, 1, beta^-2), whose e1 and e2
-    are both beta^2 + 1 + beta^-2 = lambda^2 - 1, the real A(p, 1).
+def sym2_lift(primes, lam) -> LocalArrays:
+    """Symmetric-square local data of lambda(p) = lam[i] at p = primes[i]:
+    lambda = beta + 1/beta on the unit circle lifts to the Satake triple
+    (beta^2, 1, beta^-2), whose e1 = e2 = lambda^2 - 1, the real A(p, 1).
 
     lambda within UNIT_TOL of +-2 is taken as +-2, the triple (1, 1, 1) with
     e1 = e2 = 3.
     """
-    bad = nontempered_primes(g.pairs)
-    if bad:
+    if bad := nontempered_primes(primes, lam):
         raise NonTemperedError(f"|lambda(p)| > 2 at primes {bad}; lift needs tempered input")
-    count = len(g.pairs)
-    lam = np.clip(np.fromiter((lam for _, lam in g.pairs), float, count), -2.0, 2.0)
+    lam = np.clip(np.asarray(lam, dtype=float), -2.0, 2.0)
     e = (lam * lam - 1.0).astype(complex)
-    return LocalArrays(np.fromiter((p for p, _ in g.pairs), np.int64, count), e, e)
+    return LocalArrays(primes, e, e)

@@ -33,30 +33,11 @@ class QPolynomial:
     def monomial(cls, k: int, c: int = 1) -> "QPolynomial":
         return cls((0,) * k + (c,))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPolynomial(
-            [
-                (self.coeffs[k] if k < len(self.coeffs) else 0)
-                + (other.coeffs[k] if k < len(other.coeffs) else 0)
-                for k in range(n)
-            ]
-        )
+        return QPolynomial(map(sum, itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
 
     def __sub__(self, other: "QPolynomial") -> "QPolynomial":
         return self + QPolynomial([-c for c in other.coeffs])
-
-    def __mul__(self, other: "QPolynomial") -> "QPolynomial":
-        if self.is_zero() or other.is_zero():
-            return QPolynomial.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPolynomial(out)
 
     def __call__(self, q):
         """Horner evaluation; exact for Fraction arguments."""

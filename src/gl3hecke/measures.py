@@ -60,8 +60,9 @@ class MeasureSpec:
         if self.kind not in (SATO_TATE, PLANCHEREL):
             raise ValueError(f"unknown measure kind {self.kind!r}")
         if self.kind == PLANCHEREL:
-            if self.p is None or self.p < 2 or not is_prime(self.p):
+            if self.p is None or not is_prime(self.p):
                 raise ValueError(f"plancherel measure needs a prime p, got {self.p}")
+            object.__setattr__(self, "p", operator.index(self.p))  # numpy's p as a Python int
         elif self.p is not None:
             raise ValueError("sato-tate takes no prime")
 
@@ -76,12 +77,12 @@ class MeasureSpec:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Periodic trapezoid rule on [0, 2pi)^2 with K nodes per axis."""
+    """Periodic trapezoid rule on [0, 2pi)^2 with K nodes per axis, K an integer."""
 
     resolution: int
 
     def __post_init__(self):
-        if self.resolution < 8:
+        if operator.index(self.resolution) < 8:
             raise ValueError("resolution must be at least 8")
 
     @property

@@ -18,9 +18,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .arith import prime_array
-from .hecke import _BLOCK, A_M1, A_MM
+from .hecke import A_M1, A_MM
 
 IMAG_TOL = 1e-9
+_BLOCK = 1 << 14  # entries per step of the sign statistics
 
 
 @dataclass

@@ -60,8 +60,7 @@ def random_tempered_locals(primes: list[int], rng: random.Random) -> list[hecke.
 
 
 def random_selfdual_locals(primes: list[int], rng: random.Random) -> hecke.LocalArrays:
-    pairs = [(p, rng.uniform(-2.0, 2.0)) for p in primes]
-    return hecke.sym2_lift(hecke.GL2FormData(pairs))
+    return hecke.sym2_lift(primes, [rng.uniform(-2.0, 2.0) for _ in primes])
 
 
 def suite_hecke(seed: int = 0) -> list[Check]:
@@ -200,7 +199,7 @@ def sym2_tau_table(values: list[int]) -> hecke.CoefficientTable:
     """Coefficient table of the symmetric-square lift of the tau form, from
     values = [tau(1), ..., tau(X)], covering A(m, n) for m <= X (diagonal
     entries available on demand)."""
-    local = hecke.sym2_lift(hecke.GL2FormData(tau.prime_eigenvalues(values)))
+    local = hecke.sym2_lift(*tau.prime_eigenvalues(values))
     return hecke.CoefficientTable(local, len(values), len(values))
 
 

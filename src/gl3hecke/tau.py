@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from . import hecke
-from .arith import primes_upto
+from .arith import prime_array
 
 _CHUNK = 1 << 14                    # outputs rebuilt into Python ints at a time
 _EPS = 2.0 ** -53                   # unit roundoff of float64
@@ -232,22 +232,27 @@ def ramanujan_tau(N: int) -> list[int]:
     return _rebuild(*_tau_words(N))
 
 
-def tau_prime_eigenvalues(N: int) -> list[tuple[int, float]]:
-    """(p, tau(p) / p^{11/2}) for primes p <= N, as `prime_eigenvalues` gives
+def _normalised(primes: np.ndarray, taus: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(primes, tau(p) / p^{11/2}) from the tau(p), one Python division each."""
+    return primes, np.array([t / p ** 5.5 for p, t in zip(primes.tolist(), taus)])
+
+
+def tau_prime_eigenvalues(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes p <= N and tau(p) / p^{11/2}, as `prime_eigenvalues` gives
     them from ramanujan_tau(N), with only the tau(p) rebuilt as Python ints;
     the normalized values lie in (-2, 2) by the proven Ramanujan bound."""
     packed = _tau_words(N)
-    primes = primes_upto(N)
-    taus = _rebuild(*_gather(packed, np.array(primes, dtype=np.int64) - 1))
-    return [(p, t / p ** 5.5) for p, t in zip(primes, taus)]
+    primes = prime_array(N)
+    return _normalised(primes, _rebuild(*_gather(packed, primes - 1)))
 
 
-def prime_eigenvalues(values: list[int]) -> list[tuple[int, float]]:
-    """(p, tau(p) / p^{11/2}) for primes p <= N, from [tau(1), ..., tau(N)]."""
-    return [(p, values[p - 1] / p ** 5.5) for p in primes_upto(len(values))]
+def prime_eigenvalues(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The primes p <= N and tau(p) / p^{11/2}, from [tau(1), ..., tau(N)]."""
+    primes = prime_array(len(values))
+    return _normalised(primes, [values[p - 1] for p in primes.tolist()])
 
 
 def sym2_tau_locals(N: int) -> hecke.LocalArrays:
     """Local data of the symmetric-square lift of the tau form, for all
     primes p <= N."""
-    return hecke.sym2_lift(hecke.GL2FormData(tau_prime_eigenvalues(N)))
+    return hecke.sym2_lift(*tau_prime_eigenvalues(N))

@@ -91,6 +91,17 @@ def test_large_primes():
     assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
 
 
+def test_numpy_integers_are_integers():
+    # numpy integers have no bit_length: is_prime reads n by operator.index
+    for n in [*range(-2, 40), 2**20 - 3, 2**20 + 7, 2**31 - 1]:
+        for dtype in (np.int32, np.int64):
+            assert is_prime(dtype(n)) is is_prime(n)
+    assert is_prime(np.uint64(2**61 - 1))
+    for n in (5.0, 5.5, np.float64(5.0)):
+        with pytest.raises(TypeError):
+            is_prime(n)
+
+
 def test_refuses_beyond_the_proven_range():
     # the least strong pseudoprime to all twelve prime bases <= 37
     with pytest.raises(ValueError, match="proven only below"):

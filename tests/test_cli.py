@@ -2,9 +2,10 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from gl3hecke import cli, hecke, measures, schuralg
+from gl3hecke import cli, hecke, measures, schuralg, tau
 
 
 def run(argv):
@@ -91,10 +92,18 @@ class TestGenAndIngest:
     def test_gl2_round_trip(self, tmp_path):
         path = tmp_path / "gl2.csv"
         assert run(["gen", "--what", "gl2", "--N", "200", "--out", str(path)]) == 0
-        form = cli.ingest(str(path), "gl2csv")
-        assert form.ramanujan is True
-        assert form.pairs[0][0] == 2
-        assert form.pairs[0][1] == pytest.approx(-24 / 2 ** 5.5)
+        primes, lam = cli.ingest(str(path), "gl2csv")
+        assert not hecke.nontempered_primes(primes, lam)
+        assert primes[0] == 2
+        assert lam[0] == pytest.approx(-24 / 2 ** 5.5)
+
+    def test_gl2_ingest_is_tau_prime_eigenvalues_bit_for_bit(self, tmp_path, capsys):
+        path = tmp_path / "gl2.csv"
+        assert run(["gen", "--what", "gl2", "--N", "2000", "--out", str(path)]) == 0
+        got, want = cli.ingest(str(path), "gl2csv"), tau.tau_prime_eigenvalues(2000)
+        assert capsys.readouterr().err == ""
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_tau_csv(self, tmp_path):
         path = tmp_path / "tau.csv"
@@ -170,20 +179,20 @@ class TestGenAndIngest:
     def test_ingest_flags_non_tempered_rows(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
         path.write_text("p,lambda\n2,2.5\n")
-        form = cli.ingest(str(path), "gl2csv")
-        assert form.ramanujan is False
-        assert "warning" in capsys.readouterr().err
+        primes, lam = cli.ingest(str(path), "gl2csv")
+        assert (primes.tolist(), lam.tolist()) == ([2], [2.5])
+        assert capsys.readouterr().err == (
+            f"warning: {path} has |lambda| > 2; ramanujan flag is false\n")
 
     def test_ingest_tempered_within_unit_tol(self, tmp_path, capsys):
-        # the one temperedness test of hecke: |lambda| <= 2 + UNIT_TOL, so the
-        # form's flag agrees with sym2_lift, which lifts to (1, 1, 1), whose
-        # e1 and e2 are 3
+        # the one temperedness test of hecke: |lambda| <= 2 + UNIT_TOL, so
+        # ingest's warning agrees with sym2_lift, which lifts to (1, 1, 1),
+        # whose e1 and e2 are 3
         path = tmp_path / "edge.csv"
         path.write_text("p,lambda\n2,2.0000000000001\n")
-        form = cli.ingest(str(path), "gl2csv")
-        assert form.ramanujan is True
+        primes, lam = cli.ingest(str(path), "gl2csv")
         assert capsys.readouterr().err == ""
-        local = hecke.sym2_lift(form)
+        local = hecke.sym2_lift(primes, lam)
         assert (local.e1.tolist(), local.e2.tolist()) == ([3.0], [3.0])
 
     @pytest.mark.parametrize("m", ["0", "1000001"])

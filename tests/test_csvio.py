@@ -23,9 +23,11 @@ def path(tmp_path_factory):
 @given(st.dictionaries(st.sampled_from(primes_upto(500)), finite, max_size=20))
 def test_gl2_round_trip(path, lam):
     write_csv(path, ("p", "lambda"), lam.items())
-    form = cli.ingest(path, "gl2csv")
-    assert form.pairs == list(lam.items())
-    assert form.ramanujan == all(abs(v) <= 2.0 + hecke.UNIT_TOL for v in lam.values())
+    primes, values = cli.ingest(path, "gl2csv")
+    assert (primes.dtype, values.dtype) == (np.int64, float)
+    assert primes.tolist() == list(lam) and values.tolist() == list(lam.values())
+    assert hecke.nontempered_primes(primes, values) == [
+        p for p, v in lam.items() if not abs(v) <= 2.0 + hecke.UNIT_TOL]
 
 
 @round_trip

@@ -28,7 +28,6 @@ from gl3hecke.dirichlet import (
 )
 from gl3hecke.hecke import (
     CoefficientTable,
-    GL2FormData,
     PrimeLocalData,
     PrimePowerSieve,
     SatakeTriple,
@@ -55,6 +54,15 @@ class TestEvaluation:
     def test_rejects_bad_frequency(self):
         with pytest.raises(ValueError):
             DirichletPolynomial({0: 1.0})
+
+    def test_frequencies_are_integers(self):
+        # a float n was once truncated: {2.5: 1.0} became {2: 1 + 0j}
+        for n in (2.5, 2.0, np.float64(2.0)):
+            with pytest.raises(TypeError):
+                DirichletPolynomial({n: 1.0})
+        poly = DirichletPolynomial({np.int64(2): 1.0, np.int32(3): -1.0})
+        assert poly.terms == {2: 1.0 + 0j, 3: -1.0 + 0j}
+        assert all(type(n) is int for n in poly.terms)
 
     # Fixed before measuring: the array sum may differ from the term-by-term
     # loop by rounding, bounded relative to sum |a_n| n^-sigma.
@@ -237,13 +245,13 @@ class TestEulerFactor:
 
     def test_random_self_dual_local(self):
         rng = random.Random(9)
-        local = sym2_lift(GL2FormData([(3, rng.uniform(-2, 2))]))
+        local = sym2_lift([3], [rng.uniform(-2, 2)])
         rec = euler_factor_check(3, local.e1[0], local.e2[0], 1.5 + 0.0j, J=80)
         assert abs(rec["series"] - rec["closed"]) <= 1e-9
         assert rec["ratio_identity_residual"] <= 1e-9
 
     def test_residuals_on_grid(self, rng):
-        local = sym2_lift(GL2FormData([(p, rng.uniform(-2, 2)) for p in (3, 5, 7, 11, 13)]))
+        local = sym2_lift([3, 5, 7, 11, 13], [rng.uniform(-2, 2) for _ in range(5)])
         x = random_tempered_triple(rng)
         triples = [*zip(local.primes.tolist(), local.e1.tolist(), local.e2.tolist()),
                    (17, x.e1, x.e2)]

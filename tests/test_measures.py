@@ -86,6 +86,17 @@ class TestDensity:
         with pytest.raises(ValueError):
             MeasureSpec("sato-tate", 5)
 
+    def test_numpy_prime_is_kept_as_a_python_int(self):
+        # as a loop over prime_array hands it: p ** -2 on a numpy int raises
+        want = MeasureSpec.plancherel(5)
+        for p in (np.int32(5), np.int64(5)):
+            spec = MeasureSpec.plancherel(p)
+            assert spec == want and type(spec.p) is int
+            assert measures.plancherel_constant(spec.p) == measures.plancherel_constant(5)
+        for p in (5.0, np.float64(5.0)):
+            with pytest.raises(TypeError):
+                MeasureSpec.plancherel(p)
+
 
 class TestIntegrate:
     def test_sato_tate_is_probability_measure(self):
@@ -155,6 +166,10 @@ class TestIntegrate:
     def test_grid_validation_and_weights(self):
         with pytest.raises(ValueError):
             QuadratureGrid(4)
+        for K in (8.5, 16.0):  # not 9 nodes spaced 2 pi / 8.5
+            with pytest.raises(TypeError):
+                QuadratureGrid(K)
+        assert np.array_equal(QuadratureGrid(np.int64(16)).nodes, QuadratureGrid(16).nodes)
         g = QuadratureGrid(16)
         assert g.cell_weight * g.resolution ** 2 == pytest.approx((2 * math.pi) ** 2)
 

@@ -195,6 +195,16 @@ class TestEffectiveSTCompare:
         with pytest.raises(ValueError):
             indicator_mass(5, (-2.0, 0.0))
 
+    def test_numpy_prime_masses_are_bit_identical(self):
+        # each mass is computed afresh: the pushforward memo is cleared first
+        masses = []
+        for p in (np.int32(5), np.int64(5), 5):
+            schuralg._pushforward_piece.cache_clear()
+            masses.append(np.array(indicator_mass(p, (0.0, 1.0)), dtype=float).view(np.int64))
+        assert all(np.array_equal(masses[-1], m) for m in masses)
+        with pytest.raises(TypeError):
+            indicator_mass(5.0, (0.0, 1.0))
+
 
 class TestTemperedRange:
     def test_s11_lies_in_minus_one_eight(self, rng):

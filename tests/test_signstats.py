@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gl3hecke.hecke import (
-    _BLOCK as BLOCK,
     A_M1,
     A_MM,
     CoefficientTable,
@@ -22,6 +21,7 @@ from gl3hecke.arith import factorize, primes_upto
 from gl3hecke import signstats
 from gl3hecke.suites import random_tempered_locals
 from gl3hecke.signstats import (
+    _BLOCK as BLOCK,
     RealSequence,
     ShortIntervalConfig,
     count_sign_changes,

@@ -65,10 +65,10 @@ def test_range_guard():
 
 
 def test_normalized_eigenvalues_are_tempered():
-    pairs = tau.tau_prime_eigenvalues(2000)
-    assert pairs[0][0] == 2
-    assert pairs[0][1] == pytest.approx(-24 / 2 ** 5.5)
-    assert all(abs(lam) < 2.0 for _, lam in pairs)
+    primes, lam = tau.tau_prime_eigenvalues(2000)
+    assert primes[0] == 2
+    assert lam[0] == pytest.approx(-24 / 2 ** 5.5)
+    assert np.all(np.abs(lam) < 2.0)
 
 
 def test_repeat_call_is_consistent():
@@ -298,11 +298,10 @@ def test_eta12_past_int64_is_a_program_fault(monkeypatch, tmp_path):
 def test_prime_eigenvalues_from_the_packed_words(N):
     # tau(p) rebuilt at the primes alone, against every tau(n) rebuilt, over
     # the full supported range: the same primes and the same doubles
-    got = tau.tau_prime_eigenvalues(N)
-    want = tau.prime_eigenvalues(tau.ramanujan_tau(N))
-    assert [p for p, _ in got] == [p for p, _ in want] == primes_upto(N)
-    assert np.array_equal(np.array([lam for _, lam in got]).view(np.int64),
-                          np.array([lam for _, lam in want]).view(np.int64))
+    (got_primes, got), (want_primes, want) = (tau.tau_prime_eigenvalues(N),
+                                              tau.prime_eigenvalues(tau.ramanujan_tau(N)))
+    assert got_primes.tolist() == want_primes.tolist() == primes_upto(N)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_eta24_squarings_match_kronecker():
