@@ -88,9 +88,11 @@ def are_prime(ns: np.ndarray) -> np.ndarray:
 
 def prime_array(n: int) -> np.ndarray:
     """All primes <= n as an int64 array, read from the cached sieve up to the
-    next power of two >= n, so it shares is_prime's Eratosthenes pass."""
-    bits = np.frombuffer(_small_prime_bits(1 << (max(n, 1) - 1).bit_length()), np.uint8)
-    return np.flatnonzero(np.unpackbits(bits, count=max(n, 1) + 1, bitorder="little")).astype(np.int64)
+    next power of two >= n, so it shares is_prime's Eratosthenes pass.  A
+    float n raises TypeError."""
+    n = max(operator.index(n), 1)
+    bits = np.frombuffer(_small_prime_bits(1 << (n - 1).bit_length()), np.uint8)
+    return np.flatnonzero(np.unpackbits(bits, count=n + 1, bitorder="little")).astype(np.int64)
 
 
 def primes_upto(n: int) -> list[int]:

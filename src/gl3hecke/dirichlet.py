@@ -32,8 +32,11 @@ class DirichletPolynomial:
     terms: dict
 
     def __post_init__(self):
-        self.terms = {operator.index(n): complex(c) for n, c in self.terms.items() if c != 0}
-        if min(self.terms, default=1) < 1:
+        terms = self.terms
+        self.terms = {operator.index(n): complex(c) for n, c in terms.items() if c != 0}
+        # the keys of dropped zero terms are frequencies too
+        keys = map(operator.index, terms) if len(self.terms) < len(terms) else self.terms
+        if min(keys, default=1) < 1:
             raise ValueError("frequencies must be positive integers")
 
     @cached_property

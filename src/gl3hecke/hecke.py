@@ -130,14 +130,18 @@ class _PyComplex:
 class LocalArrays:
     """Local data as read-only arrays: the primes, ascending, as int64, and
     the e1, e2 of their Satake triples (e3 = 1) as complex128, checked once:
-    every p is prime and given once, and every e1 and e2 is finite."""
+    the primes are integers (TypeError otherwise), every p is prime and
+    given once, and every e1 and e2 is finite."""
 
     __slots__ = ("primes", "e1", "e2")
 
     def __init__(self, primes, e1, e2):
         if not len(primes) == len(e1) == len(e2):
             raise ValueError(f"{len(primes)} primes, {len(e1)} e1 and {len(e2)} e2")
-        primes = np.asarray(primes, dtype=np.int64)
+        primes = np.asarray(primes)
+        if primes.size and primes.dtype.kind not in "iu":
+            raise TypeError(f"primes must be integers, got dtype {primes.dtype}")
+        primes = primes.astype(np.int64, copy=False)
         order = np.argsort(primes, kind="stable")
         primes, e1, e2 = primes[order], np.asarray(e1, complex)[order], np.asarray(e2, complex)[order]
         composite = primes[~are_prime(primes)]
@@ -157,7 +161,7 @@ class LocalArrays:
     def from_records(cls, records: list[PrimeLocalData]) -> "LocalArrays":
         """The arrays of PrimeLocalData records: each triple's own e1 and e2."""
         count = len(records)
-        return cls(np.fromiter((rec.p for rec in records), np.int64, count),
+        return cls(np.array([rec.p for rec in records]),
                    np.fromiter((rec.satake.e1 for rec in records), complex, count),
                    np.fromiter((rec.satake.e2 for rec in records), complex, count))
 

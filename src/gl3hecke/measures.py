@@ -290,48 +290,24 @@ def _in_uint64(value: int, name: str) -> int:
     return value
 
 
-class _SplitMix64:
-    """SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
-    generators", OOPSLA 2014): output k >= 1 of the stream seeded at s is
-    mix64(s + k gamma mod 2^64), with gamma and the two multipliers of the
-    reference splitmix64.c.  The state is a Python int, masked to 64 bits, as
-    numpy uint64 scalars warn on overflow; up to `size` outputs at a time are
-    mixed with uint64 array operations, which wrap, in the caller's array and
-    one scratch array that every call reuses."""
+# k gamma mod 2^64 for k = 1, ..., SAMPLE_BATCH: the counter steps of one
+# batch of `_splitmix64`, read-only.
+_STEPS = np.arange(1, SAMPLE_BATCH + 1, dtype=np.uint64) * _GAMMA
+_STEPS.flags.writeable = False
 
-    def __init__(self, seed: int, size: int = SAMPLE_BATCH):
-        self.state = _in_uint64(seed, "seed")
-        self._steps = np.arange(1, size + 1, dtype=np.uint64)
-        self._steps *= _GAMMA
-        self._t = np.empty(size, np.uint64)
 
-    def skip(self, n: int) -> None:
-        """Advance past the next n outputs."""
-        self.state = (self.state + n * _GAMMA) & _MASK64
-
-    def raw(self, z: np.ndarray) -> None:
-        """Write the next z.size <= size outputs into the uint64 array z."""
-        n = z.size
-        t = self._t[:n]
-        np.add(self._steps[:n], self.state, out=z)
-        self.skip(n)
-        for shift, mul in zip((30, 27), _MIX):
-            np.right_shift(z, shift, out=t)
-            z ^= t
-            z *= mul
-        np.right_shift(z, 31, out=t)
-        z ^= t
-
-    def fill(self, out: np.ndarray, scale: float = 1.0) -> None:
-        """Write the next out.size <= size outputs z into the contiguous
-        float64 array out, mixed in its own memory, as the doubles
-        (z >> 11) 2^-53 scale in [0, scale).  Scaling by a power of two is
-        exact, so each is the double (z >> 11) 2^-53 times scale, bit for
-        bit."""
-        z = out.view(np.uint64)
-        self.raw(z)
-        z >>= 11
-        np.multiply(z, scale * 2.0 ** -53, out=out)
+def _splitmix64(seed: int, first: int, z: np.ndarray) -> None:
+    """Outputs first + 1, ..., first + z.size <= SAMPLE_BATCH of the SplitMix64
+    stream seeded at seed (Steele, Lea and Flood, OOPSLA 2014) into the uint64
+    array z.  Output k is mix64(seed + k gamma mod 2^64), with gamma and the
+    two multipliers of the reference splitmix64.c: a pure function of
+    (seed, k mod 2^64).  The counter is a Python int, masked, as numpy uint64
+    scalars warn on overflow; the mixing runs in z, where uint64 wraps."""
+    np.add(_STEPS[:z.size], (seed + first * _GAMMA) & _MASK64, out=z)
+    for shift, mul in zip((30, 27), _MIX):
+        z ^= z >> shift
+        z *= mul
+    z ^= z >> 31
 
 
 def sample_angles(spec: MeasureSpec, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -339,11 +315,13 @@ def sample_angles(spec: MeasureSpec, count: int, seed: int) -> tuple[np.ndarray,
 
     Deterministic for a fixed seed in [0, 2^64): proposals are drawn in
     batches of SAMPLE_BATCH from the SplitMix64 stream seeded at seed
-    (Steele, Lea and Flood, OOPSLA 2014; `_SplitMix64`), t1, t2 and then
-    u cap, into three buffers reused by every batch, and accepted in order
-    straight into the two arrays returned, so a draw holds those and
-    O(SAMPLE_BATCH) more.  A proposal is kept iff u cap <= `density`, and a
-    batch whose density exceeds cap (1 + 1e-9) raises EnvelopeError.
+    (`_splitmix64`), t1, t2 and then u cap, into three buffers reused by
+    every batch; each output z becomes, in its own memory, the double
+    (z >> 11) 2^-53 scale, which is (z >> 11) 2^-53 times scale bit for bit,
+    as scaling by 2^-53 is exact.  Proposals are accepted in order straight
+    into the two arrays returned, so a draw holds those and O(SAMPLE_BATCH)
+    more.  A proposal is kept iff u cap <= `density`, and a batch whose
+    density exceeds cap (1 + 1e-9) raises EnvelopeError.
 
     Squeeze (Marsaglia 1977): the density d32 from `_half_chords32` decides
     every proposal with |u cap - d32| > slack = 2^-10 cap alone, and
@@ -367,7 +345,7 @@ def sample_angles(spec: MeasureSpec, count: int, seed: int) -> tuple[np.ndarray,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    stream = _SplitMix64(seed)
+    seed, first = _in_uint64(seed, "seed"), 0
     cap = envelope_ratio(spec) / TWO_PI ** 2
     top, slack = cap * (1.0 + 1e-9), _SQUEEZE * cap
     out1, out2 = np.empty(count), np.empty(count)
@@ -375,7 +353,11 @@ def sample_angles(spec: MeasureSpec, count: int, seed: int) -> tuple[np.ndarray,
     total = 0
     while total < count:
         for a, scale in ((t1, TWO_PI), (t2, TWO_PI), (bar, cap)):
-            stream.fill(a, scale)
+            z = a.view(np.uint64)
+            _splitmix64(seed, first, z)
+            first += SAMPLE_BATCH
+            z >>= 11
+            np.multiply(z, scale * 2.0 ** -53, out=a)
         d32 = _density_s(spec, _half_chords32(t1, t2)).astype(float)
         keep = bar <= d32 - slack
         near = np.flatnonzero((np.abs(bar - d32) <= slack) | (d32 >= top - slack))
@@ -396,11 +378,10 @@ def sample_angles(spec: MeasureSpec, count: int, seed: int) -> tuple[np.ndarray,
 
 def child_seed(seed: int, index: int) -> int:
     """Fixed splitting rule for child seeds: output index + 1 of the
-    `_SplitMix64` stream seeded at seed, a pure function of (seed, index) in
+    `_splitmix64` stream seeded at seed, a pure function of (seed, index) in
     [0, 2^64).  Both must lie in [0, 2^64)."""
-    stream, z = _SplitMix64(seed, 1), np.empty(1, np.uint64)
-    stream.skip(_in_uint64(index, "index"))
-    stream.raw(z)
+    seed, z = _in_uint64(seed, "seed"), np.empty(1, np.uint64)
+    _splitmix64(seed, _in_uint64(index, "index"), z)
     return int(z[0])
 
 

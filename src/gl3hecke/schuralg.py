@@ -81,22 +81,6 @@ E1 = EPoly({(1, 0): 1})
 E2 = EPoly({(0, 1): 1})
 
 
-@dataclass(frozen=True)
-class WInvariantLaurent:
-    """Finite Schur-basis combination (l1, l2) -> exact rational coefficient."""
-
-    schur_coeffs: tuple
-
-    def __init__(self, coeffs=()):
-        object.__setattr__(self, "schur_coeffs", _clean_terms(coeffs))
-
-    def as_dict(self) -> dict:
-        return dict(self.schur_coeffs)
-
-    def coefficient_l1_norm(self) -> Fraction:
-        return sum((abs(c) for _, c in self.schur_coeffs), Fraction(0))
-
-
 @lru_cache(maxsize=None)
 def schur_to_epoly(l1: int, l2: int) -> EPoly:
     """Exact expansion of the (l1, l2) Schur basis element in e1, e2: the
@@ -128,15 +112,15 @@ def _monomial_in_schur(a: int, b: int) -> tuple:
     return tuple(sorted(out.items()))
 
 
-def expand_in_schur(f: EPoly) -> WInvariantLaurent:
-    """Exact Schur-basis coordinates of f, monomial by monomial by the Pieri
-    rule; independent of the Jacobi-Trudi `schur_to_epoly`, so the two check
-    each other."""
-    return WInvariantLaurent(
-        (key, c * m) for (a, b), c in f.terms for key, m in _monomial_in_schur(a, b))
+def expand_in_schur(f: EPoly) -> dict:
+    """Exact Schur-basis coordinates {(l1, l2): Fraction} of f, sorted and
+    zero-free, monomial by monomial by the Pieri rule; independent of the
+    Jacobi-Trudi `schur_to_epoly`, so the two check each other."""
+    return dict(_clean_terms(
+        (key, c * m) for (a, b), c in f.terms for key, m in _monomial_in_schur(a, b)))
 
 
-def bernstein_coeffs(l: int) -> WInvariantLaurent:
+def bernstein_coeffs(l: int) -> dict:
     """Schur-basis coefficients of ((S_{1,1} + 1) / 9)^l = (e1 e2 / 9)^l.
 
     The l^1 norm of the coefficients is at most 1: the expansion of the

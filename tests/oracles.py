@@ -178,19 +178,19 @@ def epoly_eval(epoly, e1, e2):
     return acc
 
 
-def laurent_eval_elementary(laurent, e1, e2):
-    """sum c s_(l1, l2)(e1, e2) over the Schur coefficients of a
-    WInvariantLaurent, each Schur element from the library's recurrence."""
+def laurent_eval_elementary(coeffs: dict, e1, e2):
+    """sum c s_(l1, l2)(e1, e2) over Schur coefficients {(l1, l2): c}, each
+    Schur element from the library's recurrence."""
     acc = e1 * 0
-    for (l1, l2), c in laurent.schur_coeffs:
+    for (l1, l2), c in coeffs.items():
         acc = acc + float(c) * schur_from_elementary(l1, l2, e1, e2)
     return acc
 
 
-def laurent_to_epoly(laurent) -> EPoly:
-    """The exact expansion of a WInvariantLaurent in e1^a e2^b."""
+def laurent_to_epoly(coeffs: dict) -> EPoly:
+    """The exact expansion of Schur coefficients {(l1, l2): c} in e1^a e2^b."""
     acc = EPoly()
-    for (l1, l2), c in laurent.schur_coeffs:
+    for (l1, l2), c in coeffs.items():
         acc = acc + schur_to_epoly(l1, l2).scale(c)
     return acc
 
@@ -552,16 +552,17 @@ def sample_angles_float64(spec, count: int, seed: int):
 
     if count < 1:
         raise ValueError("count must be >= 1")
-    stream = measures._SplitMix64(seed)
     cap = envelope_ratio(spec) / TWO_PI ** 2
     got1: list[np.ndarray] = []
     got2: list[np.ndarray] = []
     total = 0
-    batch = 8192
+    batch, first = 8192, 0
     while total < count:
-        t1, t2, u = np.empty(batch), np.empty(batch), np.empty(batch)
-        for a in (t1, t2, u):
-            stream.fill(a)
+        t1, t2, u = (np.empty(batch, np.uint64) for _ in range(3))
+        for z in (t1, t2, u):
+            measures._splitmix64(seed, first, z)
+            first += batch
+        t1, t2, u = ((z >> 11) * 2.0 ** -53 for z in (t1, t2, u))
         t1, t2 = TWO_PI * t1, TWO_PI * t2
         d = density(spec, TorusPoint(t1, t2))
         worst = float(np.max(d))

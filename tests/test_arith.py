@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gl3hecke import arith, hecke, signstats
+from gl3hecke import arith, hecke, signstats, tau
 from gl3hecke.arith import divisor_power_sums_mod, is_prime, prime_array, primes_upto
 from oracles import is_prime_trial, primes_by_odd_sieve
 
@@ -100,6 +100,32 @@ def test_numpy_integers_are_integers():
     for n in (5.0, 5.5, np.float64(5.0)):
         with pytest.raises(TypeError):
             is_prime(n)
+
+
+def test_numpy_integer_sizes_give_the_same_primes_and_rows():
+    # prime_array reads its size by operator.index, as is_prime reads n
+    local = hecke.sym2_lift(prime_array(60), np.linspace(-1.9, 1.9, 17))
+    for n in (0, 1, 2, 10, 50, 1000):
+        want = prime_array(n)
+        for dtype in (np.int32, np.int64):
+            got = prime_array(dtype(n))
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert primes_upto(dtype(n)) == primes_upto(n)
+    row = hecke.CoefficientTable(local, 50, 1).row(50)
+    primes, lam = tau.tau_prime_eigenvalues(200)
+    for dtype in (np.int32, np.int64):
+        got = hecke.CoefficientTable(local, dtype(50), 1).row(50)
+        assert got.tobytes() == row.tobytes()
+        got = tau.tau_prime_eigenvalues(dtype(200))
+        assert got[0].tobytes() == primes.tobytes() and got[1].tobytes() == lam.tobytes()
+
+
+@pytest.mark.parametrize("n", [7.5, 7.0, np.float64(7.0)])
+def test_float_sizes_are_refused(n):
+    with pytest.raises(TypeError):
+        prime_array(n)
+    with pytest.raises(TypeError):
+        hecke.CoefficientTable(hecke.LocalArrays([], [], []), n, 1)
 
 
 def test_refuses_beyond_the_proven_range():

@@ -64,6 +64,18 @@ class TestEvaluation:
         assert poly.terms == {2: 1.0 + 0j, 3: -1.0 + 0j}
         assert all(type(n) is int for n in poly.terms)
 
+    def test_zero_terms_are_dropped_but_their_keys_checked(self):
+        # {2.5: 0.0} was once accepted as the empty polynomial
+        for terms in ({2.5: 0.0}, {2: 1.0, 2.5: 0}, {np.float64(3.0): 0j}):
+            with pytest.raises(TypeError):
+                DirichletPolynomial(terms)
+        for terms in ({0: 0.0}, {2: 1.0, -1: 0}):
+            with pytest.raises(ValueError, match="frequencies must be positive integers"):
+                DirichletPolynomial(terms)
+        poly = DirichletPolynomial({np.int64(3): 0.0, 2: 1.0, 5: 0j})
+        assert poly.terms == {2: 1.0 + 0j}
+        assert DirichletPolynomial({}).terms == {}
+
     # Fixed before measuring: the array sum may differ from the term-by-term
     # loop by rounding, bounded relative to sum |a_n| n^-sigma.
     EVAL_REL = 1e-12

@@ -420,6 +420,29 @@ class TestLocalArrays:
         with pytest.raises(ValueError, match=f"^{message}$"):
             LocalArrays(primes, e1, e2)
 
+    @pytest.mark.parametrize("primes", [[5.7], [2.0, 3.0], np.array([2.5, 3.9]), [2, 3.5]])
+    def test_non_integer_primes_are_refused_not_truncated(self, primes):
+        # np.asarray(primes, dtype=np.int64) once read 5.7 as the prime 5
+        message = r"^primes must be integers, got dtype float64$"
+        with pytest.raises(TypeError, match=message):
+            LocalArrays(primes, [1.0] * len(primes), [1.0] * len(primes))
+        with pytest.raises(TypeError, match=message):
+            sym2_lift(primes, [1.0] * len(primes))
+        records = [PrimeLocalData(p, SatakeTriple.from_angles(0.1, 0.2)) for p in primes]
+        with pytest.raises(TypeError, match=message):
+            LocalArrays.from_records(records)
+
+    def test_integer_primes_of_any_width_are_accepted(self):
+        want = LocalArrays([3, 2], [1.0, 2.0], [1.0, 2.0])
+        for primes in (np.array([3, 2], np.int32), np.array([3, 2], np.uint64),
+                       [np.int64(3), np.int64(2)]):
+            got = LocalArrays(primes, [1.0, 2.0], [1.0, 2.0])
+            assert got.primes.dtype == np.int64 and got.primes.tolist() == [2, 3]
+            assert got.e1.tobytes() == want.e1.tobytes()
+        records = [PrimeLocalData(np.int64(5), SatakeTriple.from_angles(0.1, 0.2))]
+        assert LocalArrays.from_records(records).primes.tolist() == [5]
+        assert LocalArrays.from_records([]).primes.dtype == np.int64
+
     def test_lift_refuses_non_tempered_lambda(self):
         with pytest.raises(NonTemperedError,
                            match=r"^\|lambda\(p\)\| > 2 at primes \[3, 5\]; lift needs tempered input$"):

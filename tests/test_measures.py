@@ -379,17 +379,22 @@ SEEDS_64 = [0, 1, 2 ** 63, 2 ** 64 - 1]
 
 
 def fills_match_splitmix64(seed: int) -> bool:
-    """Fills of 8192, 5 and 8192 doubles from the sampler's stream against
-    (z >> 11) 2^-53 of the scalar transcription, bit for bit: the second
-    and third cross a batch boundary of the counter."""
-    stream, ref = measures._SplitMix64(seed), splitmix64(seed)
+    """Batches of 8192, 5 and 8192 outputs of `_splitmix64` at the counters
+    0, 8192 and 8197 against the scalar transcription, bit for bit: the
+    second and third start past a batch boundary of the counter."""
+    ref, first = splitmix64(seed), 0
     for n in (8192, 5, 8192):
-        got = np.empty(n)
-        stream.fill(got)
-        want = np.array([(next(ref) >> 11) * 2.0 ** -53 for _ in range(n)])
-        if got.tobytes() != want.tobytes():
+        got = np.empty(n, np.uint64)
+        measures._splitmix64(seed, first, got)
+        first += n
+        if got.tolist() != list(itertools.islice(ref, n)):
             return False
     return True
+
+
+def mix64(x: int) -> int:
+    """The SplitMix64 finaliser of x: output 1 of the stream seeded at x - gamma."""
+    return next(splitmix64((x - measures._GAMMA) % 2 ** 64))
 
 
 class TestSplitMix64:
@@ -398,8 +403,17 @@ class TestSplitMix64:
         assert fills_match_splitmix64(seed)
 
     def test_a_stream_that_does_not_advance_fails(self, monkeypatch):
-        monkeypatch.setattr(measures._SplitMix64, "skip", lambda self, n: None)
+        stream = measures._splitmix64
+        monkeypatch.setattr(measures, "_splitmix64", lambda seed, first, z: stream(seed, 0, z))
         assert not any(fills_match_splitmix64(seed) for seed in SEEDS_64)
+
+    @pytest.mark.parametrize("seed", SEEDS_64)
+    def test_counter_wraps_to_the_seed_itself(self, seed):
+        # outputs 2^64 = 0, 1 and 2 of the stream: mix64(seed), then its start
+        got = np.empty(3, np.uint64)
+        measures._splitmix64(seed, 2 ** 64 - 1, got)
+        assert got.tolist() == [mix64(seed), *itertools.islice(splitmix64(seed), 2)]
+        assert measures.child_seed(seed, 2 ** 64 - 1) == mix64(seed)
 
     @pytest.mark.parametrize("seed", SEEDS_64)
     def test_child_seed_is_the_reference_output_index_plus_one(self, seed):
@@ -407,11 +421,16 @@ class TestSplitMix64:
         assert [measures.child_seed(seed, i) for i in range(10)] == want
 
     def test_scaled_fill_is_the_unit_fill_times_scale(self):
+        # sample_angles' one multiply by scale 2^-53 against the unit
+        # doubles (z >> 11) 2^-53 that the float64 oracle scales afterwards
+        z = np.empty(measures.SAMPLE_BATCH, np.uint64)
+        measures._splitmix64(5, 0, z)
+        unit = (z >> 11) * 2.0 ** -53
         for scale in (2 * math.pi, measures.envelope_ratio(ST) / (2 * math.pi) ** 2):
-            a, b = measures._SplitMix64(5), measures._SplitMix64(5)
-            got, unit = np.empty(8192), np.empty(8192)
-            a.fill(got, scale)
-            b.fill(unit)
+            got = z.copy().view(np.float64)
+            bits = got.view(np.uint64)
+            bits >>= 11
+            np.multiply(bits, scale * 2.0 ** -53, out=got)
             assert got.tobytes() == (unit * scale).tobytes()
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
