@@ -52,8 +52,8 @@ def ingest(path: str, fmt: str):
     if fmt == "gl2csv":
         rows = read_csv(path, ("p", "lambda"), "prime", _gl2_row)
         primes, lam = np.fromiter(rows, np.int64), np.fromiter(rows.values(), float)
-        if hecke.nontempered_primes(primes, lam):
-            print(f"warning: {path} has |lambda| > 2; ramanujan flag is false",
+        if bad := hecke.nontempered_primes(primes, lam):
+            print(f"warning: {path} has |lambda| > 2 at prime {bad[0]}; sym2_lift refuses these rows",
                   file=sys.stderr)
         return primes, lam
 
@@ -85,10 +85,11 @@ def _int_or_auto(text: str):
     return text if text == "auto" else int(text)
 
 
-def _auto_window(X: int, H_arg, M_arg) -> tuple[int, int]:
+def _auto_window(X: int, H_arg) -> tuple[int, int]:
+    """H, and the M that the report keeps: the scan reads X and H alone, but
+    ShortIntervalConfig needs some 0 < M < H."""
     H = math.ceil(X ** (1.0 / 6.0)) if H_arg == "auto" else H_arg
-    M = min(math.ceil(X ** 0.1), H - 1) if M_arg == "auto" else M_arg
-    return H, M
+    return H, min(math.ceil(X ** 0.1), H - 1)
 
 
 def cmd_verify(args) -> int:
@@ -116,7 +117,9 @@ def cmd_gen(args) -> int:
         return 0
     if args.what == "table":
         table = hecke.CoefficientTable(tau.sym2_tau_locals(args.N), args.N, args.bound_n)
-        table.export_csv(args.out)
+        cells = ((m, n, table.value(m, n))
+                 for m in range(1, args.N + 1) for n in range(1, args.bound_n + 1))
+        write_csv(args.out, ("m", "n", "re", "im"), ((m, n, v.real, v.imag) for m, n, v in cells))
         return 0
     spec = (measures.MeasureSpec.plancherel(args.p) if args.measure == "plancherel"
             else measures.MeasureSpec.sato_tate())
@@ -170,7 +173,7 @@ def cmd_signs(args) -> int:
         write_report(report, args.out)
         return 0
     X = args.X
-    H, M = _auto_window(X, args.H, args.M)
+    H, M = _auto_window(X, args.H)
     table = hecke.CoefficientTable(tau.sym2_tau_locals(X), X, X)
     seq = signstats.sequence_from_table(table, X)
     rep = signstats.count_sign_changes(seq, args.zero_tol)
@@ -255,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", default=None, help="input file for --source csv")
     p.add_argument("--X", type=int, default=10_000)
     p.add_argument("--H", type=_int_or_auto, default="auto")
-    p.add_argument("--M", type=_int_or_auto, default="auto")
     p.add_argument("--zero-tol", type=float, default=1e-12)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_signs)
@@ -316,7 +318,7 @@ def _config_error(args) -> str | None:
             return "field 'N' must lie in [1, 10^6]"
         if args.what == "table" and not 1 <= args.bound_n <= args.N:
             return "field 'bound-n' must lie in [1, N]"
-        if args.what == "table" and args.N * args.bound_n > 10**6:  # rows export_csv writes
+        if args.what == "table" and args.N * args.bound_n > 10**6:  # rows the table export writes
             return "field 'bound-n' must keep N * bound-n at most 10^6"
         if args.what == "samples" and not 1 <= args.count <= 10**6:  # two float64 per sample
             return "field 'count' must lie in [1, 10^6]"
@@ -329,15 +331,13 @@ def _config_error(args) -> str | None:
             return "field 'zero-tol' must be non-negative"
         if args.H != "auto" and args.H < 2:
             return "field 'H' must be at least 2"
-        if args.M != "auto" and args.M < 1:
-            return "field 'M' must be at least 1"
         if args.source == "csv":
             return None if args.path is not None else "--source csv needs --path"
         if not 1 <= args.X <= 10**6:
             return "field 'X' must lie in [1, 10^6]"
-        H, M = _auto_window(args.X, args.H, args.M)
-        if not M < H <= (args.X - H) // 2:
-            return f"the scan window needs M < H <= (X - H) / 2, got M={M} H={H} X={args.X}"
+        H, _ = _auto_window(args.X, args.H)
+        if not H <= (args.X - H) // 2:
+            return f"the scan window needs H <= (X - H) / 2, got H={H} X={args.X}"
     return None
 
 

@@ -56,22 +56,27 @@ class DirichletPolynomial:
 @dataclass(frozen=True)
 class WindowPolynomial:
     """D(s) = sum over squarefree d <= n of mu(d) prod_{p|d} g_p(s), with
-    g_p(s) = (a_p p^-s - a_p p^-2s + p^-3s)^2, kept as the primes p <= n,
-    ascending, and their a_p: the sum over d <= n of the multiplicative f
-    with f(p) = -g_p and f(p^k) = 0 for k >= 2.  eval forms g_p in the
-    _PyComplex ring and runs the polynomial's one PrimePowerSieve, so each
-    term is its -g_p multiplied from 1, primes ascending, as Python would."""
+    g_p(s) = (a_p p^-s - a_p p^-2s + p^-3s)^2, kept as the array a of the a_p
+    at the primes p <= n, ascending, and n: the sum over d <= n of the
+    multiplicative f with f(p) = -g_p and f(p^k) = 0 for k >= 2.  The primes
+    are those of the polynomial's one PrimePowerSieve, so an a of another
+    length raises ValueError.  eval forms g_p in the _PyComplex ring and runs
+    the sieve, so each term is its -g_p multiplied from 1, primes ascending,
+    as Python would."""
 
-    primes: np.ndarray
     a: np.ndarray
     n: int
 
+    def __post_init__(self):
+        if len(self.a) != self._sieve.counts[0]:
+            raise ValueError(f"{len(self.a)} a_p for the {self._sieve.counts[0]} primes <= {self.n}")
+
     @cached_property
     def _sieve(self) -> PrimePowerSieve:
-        return PrimePowerSieve(self.n, self.primes)
+        return PrimePowerSieve(self.n)
 
     def eval(self, s: complex) -> complex:
-        x = np.exp(-s * np.log(self.primes))
+        x = np.exp(-s * np.log(self._sieve.powers[:len(self.a)]))
         x, a = _PyComplex(x.real, x.imag), _PyComplex(self.a.real, self.a.imag)
         y = a * x - a * x * x + x * x * x
         g = y * y
@@ -91,7 +96,7 @@ def build_MKD(table, X: int, M: int) -> dict:
     still the sum of products that WindowPolynomial defines.
     """
     primes = prime_array(2 * M)
-    return {"D": WindowPolynomial(primes, table.row(2 * M)[primes - 1], 2 * M)}
+    return {"D": WindowPolynomial(table.row(2 * M)[primes - 1], 2 * M)}
 
 
 def d_estimate_ratio(dpoly: WindowPolynomial, M: int, s: complex) -> float:

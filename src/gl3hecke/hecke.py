@@ -15,7 +15,6 @@ from functools import cached_property
 import numpy as np
 
 from .arith import are_prime, divisors, mobius, prime_array
-from .csvio import write_csv
 
 PRODUCT_TOL = 1e-12
 UNIT_TOL = 1e-12
@@ -38,20 +37,20 @@ class NonTemperedError(ValueError):
 
 
 class SatakeTriple:
-    """Local parameters (alpha1, alpha2, alpha3) with alpha1*alpha2*alpha3 = 1:
-    a slotted record, checked once, never hashed, compared or changed."""
+    """Tempered local parameters (alpha1, alpha2, alpha3), each of modulus one,
+    with alpha1*alpha2*alpha3 = 1: a slotted record, checked once, never
+    hashed, compared or changed.  Non-tempered data are given as LocalArrays."""
 
-    __slots__ = ("alpha1", "alpha2", "alpha3", "tempered")
+    __slots__ = ("alpha1", "alpha2", "alpha3")
 
-    def __init__(self, alpha1: complex, alpha2: complex, alpha3: complex, tempered=True):
+    def __init__(self, alpha1: complex, alpha2: complex, alpha3: complex):
         prod = alpha1 * alpha2 * alpha3
         if not abs(prod - 1.0) <= PRODUCT_TOL:
             raise ValueError(f"Satake product {prod} is not 1 within {PRODUCT_TOL}")
-        if tempered:
-            for a in (alpha1, alpha2, alpha3):
-                if not abs(abs(a) - 1.0) <= UNIT_TOL:
-                    raise ValueError(f"tempered triple has |{a}| != 1")
-        self.alpha1, self.alpha2, self.alpha3, self.tempered = alpha1, alpha2, alpha3, tempered
+        for a in (alpha1, alpha2, alpha3):
+            if not abs(abs(a) - 1.0) <= UNIT_TOL:
+                raise ValueError(f"tempered triple has |{a}| != 1")
+        self.alpha1, self.alpha2, self.alpha3 = alpha1, alpha2, alpha3
 
     @classmethod
     def from_angles(cls, theta1: float, theta2: float) -> "SatakeTriple":
@@ -167,17 +166,17 @@ class LocalArrays:
 
 
 class PrimePowerSieve:
-    """The prime powers q <= N, built once from N and the ascending primes:
-    `powers`, exponent-major (p, then p^2 <= N, ...), so the primes with p^e <= N
-    are a prefix of them, `counts[e - 1]` long; and, allocated first (which keeps
-    the peak RSS down), the int32 index `at[m]` in `powers` of q(m), the full
-    power of the largest prime of m: 4 bytes per m."""
+    """The prime powers q <= N, built once from N alone: `powers`,
+    exponent-major (the primes p <= N ascending, then p^2 <= N, ...), so the
+    primes with p^e <= N are a prefix of them, `counts[e - 1]` long; and,
+    allocated first (which keeps the peak RSS down), the int32 index `at[m]`
+    in `powers` of q(m), the full power of the largest prime of m: 4 bytes per m."""
 
     __slots__ = ("powers", "counts", "at")
 
-    def __init__(self, N: int, primes: np.ndarray):
+    def __init__(self, N: int):
         self.at = np.zeros(N + 1, dtype=np.int32)
-        powers = [primes[:np.searchsorted(primes, N, "right")]]
+        powers = [prime_array(N)]
         while len(q := powers[-1] * powers[0][:len(powers[-1])]) and q[0] <= N:
             powers.append(q[q <= N])
         self.powers, self.counts = np.concatenate(powers), np.array([len(q) for q in powers])
@@ -268,7 +267,7 @@ class CoefficientTable:
         """For value(), which rows never need: the PrimePowerSieve of
         max(bound_m, bound_n) as its index at[m] of q(m), and per prime power
         q the index of its prime in local, its exponent and q, as lists."""
-        sieve = PrimePowerSieve(max(self.bound_m, self.bound_n), self.local.primes)
+        sieve = PrimePowerSieve(max(self.bound_m, self.bound_n))
         index = np.concatenate([np.arange(c) for c in sieve.counts])
         exponent = np.repeat(np.arange(1, len(sieve.counts) + 1), sieve.counts)
         return sieve.at.data, index.tolist(), exponent.tolist(), sieve.powers.tolist()
@@ -334,18 +333,12 @@ class CoefficientTable:
         """Entries 0..N of a row (entry 0 unused): the PrimePowerSieve of
         L(p^e) = A(p^e, 1) or A(p^e, p^e), at e = 1 over every p <= N, at e >= 2
         from one _PyComplex h run over the p <= sqrt(N): value()'s bits."""
-        sieve, d = PrimePowerSieve(N, self.local.primes), int(diagonal)
+        sieve, d = PrimePowerSieve(N), int(diagonal)
         e1, e2 = (_PyComplex(x.real, x.imag) for x in (self.local.e1, self.local.e2))
         counts = sieve.counts.tolist() + [0]  # per e; counts[1]: the p <= sqrt(N)
         h = _complete_homogeneous(e1[:counts[1]], e2[:counts[1]], (1 + d) * len(counts))
         return sieve.run([schur_from_elementary(1, d, e1[:counts[0]], e2[:counts[0]])]
                          + [_jacobi_trudi(h, e, d * e)[:n] for e, n in enumerate(counts[1:-1], 2)])
-
-    def export_csv(self, path: str):
-        """Write the full rectangle as rows m,n,re,im."""
-        cells = ((m, n, self.value(m, n))
-                 for m in range(1, self.bound_m + 1) for n in range(1, self.bound_n + 1))
-        write_csv(path, ("m", "n", "re", "im"), ((m, n, v.real, v.imag) for m, n, v in cells))
 
 
 def hecke_residual(table: CoefficientTable, m: int, m1: int, m2: int) -> float:

@@ -22,9 +22,6 @@ from .klpoly import WEYL
 
 TWO_PI = 2.0 * math.pi
 
-SATO_TATE = "sato-tate"
-PLANCHEREL = "plancherel"
-
 # `sample_angles` decides a proposal from its float32 density alone when
 # u cap lies more than this times cap away from it.
 _SQUEEZE = 2.0 ** -10
@@ -53,26 +50,23 @@ class TorusPoint:
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    kind: str
+    """The p-adic Plancherel measure at the prime p, or Sato-Tate for p = None."""
+
     p: int | None = None
 
     def __post_init__(self):
-        if self.kind not in (SATO_TATE, PLANCHEREL):
-            raise ValueError(f"unknown measure kind {self.kind!r}")
-        if self.kind == PLANCHEREL:
-            if self.p is None or not is_prime(self.p):
+        if self.p is not None:
+            if not is_prime(self.p):  # a non-integer p raises TypeError
                 raise ValueError(f"plancherel measure needs a prime p, got {self.p}")
             object.__setattr__(self, "p", operator.index(self.p))  # numpy's p as a Python int
-        elif self.p is not None:
-            raise ValueError("sato-tate takes no prime")
 
     @classmethod
     def sato_tate(cls) -> "MeasureSpec":
-        return cls(SATO_TATE)
+        return cls()
 
     @classmethod
     def plancherel(cls, p: int) -> "MeasureSpec":
-        return cls(PLANCHEREL, p)
+        return cls(operator.index(p))  # None, Sato-Tate's p, raises TypeError here
 
 
 @dataclass(frozen=True)
@@ -140,7 +134,7 @@ def density(spec: MeasureSpec, pt: TorusPoint):
 def _density_s(spec: MeasureSpec, s: tuple):
     """`density` from the three half-chords s; computed in their dtype."""
     vandermonde = 64.0 * s[0] * s[1] * s[2]
-    if spec.kind == SATO_TATE:
+    if spec.p is None:
         return vandermonde / (24.0 * math.pi ** 2)
     q = 1.0 / spec.p
     denom = 1.0
@@ -179,7 +173,7 @@ def envelope_ratio(spec: MeasureSpec) -> float:
     |e^{i a} - e^{i b}|^2 / |e^{i a} - p^-1 e^{i b}|^2 <= 4 / (1 + 1/p)^2
     cubed, times the normalizing constant.
     """
-    if spec.kind == SATO_TATE:
+    if spec.p is None:
         return 27.0 / 6.0
     return plancherel_constant(spec.p) * 64.0 / (1.0 + 1.0 / spec.p) ** 6
 
@@ -219,7 +213,7 @@ def _alias_bound(spec: MeasureSpec, l1: int, l2: int, aliases: tuple) -> np.ndar
     derives: aliasing (q^||K j - m|| by table lookup, and the far tail) plus
     the rounding floor."""
     K, reach, box, norms = aliases
-    q = 0.0 if spec.kind == SATO_TATE else 1.0 / spec.p
+    q = 0.0 if spec.p is None else 1.0 / spec.p
     powers = np.concatenate(([0.0], q ** np.arange(int(norms.max()))))
     near = np.sum(powers[norms], axis=(1, 2))
     s, x = box + 1, q ** (K / 2.0)

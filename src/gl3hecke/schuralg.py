@@ -45,9 +45,6 @@ class EPoly:
     def __init__(self, terms=()):
         object.__setattr__(self, "terms", _clean_terms(terms))
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
     def __add__(self, other: "EPoly") -> "EPoly":
         out = dict(self.terms)
         for k, v in other.terms:
@@ -261,7 +258,7 @@ def _pushforward_piece(
                 * np.sin(alpha * cos_t ** 2 / (2.0 * (1.0 + sin_t)))
                 + np.maximum(1.0 - r, 0.0) * (r + 3.0) ** 3)
     dens = np.sqrt(delta_sq) / (2.0 * math.pi ** 2)
-    if spec.kind == measures.PLANCHEREL:
+    if spec.p is not None:
         q = 1.0 / spec.p
         dens = dens * (6.0 * measures.plancherel_constant(spec.p)
                        / _macdonald_p(q, r * r, r ** 3 * np.cos(psi)))

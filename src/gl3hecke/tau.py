@@ -199,8 +199,10 @@ def _square_words(c: np.ndarray, N: int) -> tuple[np.ndarray, list[np.ndarray], 
 
 def square_trunc(coeffs: list[int], N: int) -> list[int]:
     """Exact coefficients of the square of the polynomial, truncated to N, by
-    `_square_words`.  Every coefficient must fit in int64; a larger one raises
-    ValueError."""
+    `_square_words`.  Every coefficient must fit in int64 and N must be
+    non-negative; otherwise ValueError."""
+    if N < 0:
+        raise ValueError(f"square_trunc needs N >= 0, got N = {N}")
     try:
         c = np.array(coeffs, dtype=np.int64)[:N]
     except OverflowError as exc:

@@ -30,8 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from gl3hecke import dirichlet, measures, tau
-from gl3hecke.arith import factorize, mobius
-from gl3hecke.hecke import SatakeTriple, _PyComplex, schur_from_elementary
+from gl3hecke.arith import factorize, mobius, prime_array
+from gl3hecke.hecke import LocalArrays, SatakeTriple, _PyComplex, schur_from_elementary
 from gl3hecke.klpoly import Weight
 from gl3hecke.schuralg import EPoly, schur_to_epoly
 from gl3hecke.signstats import SignChangeReport
@@ -67,6 +67,14 @@ def sym2_triple_by_angles(lam: float) -> SatakeTriple:
     beta = cmath.exp(1j * math.acos(half))
     b2 = beta * beta
     return SatakeTriple(b2, 1.0 + 0.0j, 1.0 / b2)
+
+
+def local_arrays_of_triples(primes, triples) -> LocalArrays:
+    """LocalArrays of Satake triples (alpha1, alpha2, alpha3), tempered or
+    not, with e1 and e2 formed as `SatakeTriple.e1` and `.e2` form them, so a
+    table reads the bits it would read from records of the same triples."""
+    return LocalArrays(primes, [a1 + a2 + a3 for a1, a2, a3 in triples],
+                       [a1 * a2 + a1 * a3 + a2 * a3 for a1, a2, a3 in triples])
 
 
 def naive_eta_power(N: int, k: int) -> list[int]:
@@ -451,9 +459,9 @@ def density_exponential(spec, pt):
     for i in range(3):
         for j in range(i + 1, 3):
             vandermonde = vandermonde * np.abs(z[i] - z[j]) ** 2
-            if spec.kind == measures.PLANCHEREL:
+            if spec.p is not None:
                 denom = denom * np.abs(z[i] - z[j] / spec.p) ** 2
-    if spec.kind == measures.SATO_TATE:
+    if spec.p is None:
         return vandermonde / (24.0 * math.pi ** 2)
     return measures.plancherel_constant(spec.p) * vandermonde / denom / measures.TWO_PI ** 2
 
@@ -609,9 +617,8 @@ def trapezoid_bound_uncached(spec, l1: int, l2: int, K: np.ndarray) -> np.ndarra
     """`measures._alias_bound` of `_alias_table(l1, l2, K)` as one pass: the
     alias lattice of every K built, and q^||K j - m|| raised, on every call."""
     from gl3hecke.klpoly import WEYL
-    from gl3hecke.measures import SATO_TATE
 
-    q = 0.0 if spec.kind == SATO_TATE else 1.0 / spec.p
+    q = 0.0 if spec.p is None else 1.0 / spec.p
     top, rho = (l1 + l2 + 2, l2 + 1, 0), (2, 1, 0)
     m = np.array([[top[s[i]] - top[s[2]] - rho[t[i]] + rho[t[2]] for i in (0, 1)]
                   for s, _ in WEYL for t, _ in WEYL]).T
@@ -663,10 +670,11 @@ def window_eval_sieve(dpoly, s: complex) -> complex:
     """`dirichlet.WindowPolynomial.eval` sieving at every point: over d <= n,
     primes ascending, each multiple of p takes the factor -g_p in place and
     each multiple of p^2 becomes 0."""
-    x = np.exp(-s * np.log(dpoly.primes))
+    primes = prime_array(dpoly.n)
+    x = np.exp(-s * np.log(primes))
     g = (dpoly.a * x - dpoly.a * x * x + x * x * x) ** 2
     vals = np.ones(dpoly.n + 1, dtype=complex)
-    for p, gp in zip(dpoly.primes.tolist(), g):
+    for p, gp in zip(primes.tolist(), g):
         vals[p::p] *= -gp
         vals[p * p :: p * p] = 0.0
     return complex(np.sum(vals[1:]))
@@ -677,9 +685,10 @@ def window_eval_python(dpoly, s: complex) -> complex:
     the same p^-s, and for each squarefree d <= n the product of -g_p over
     its primes, ascending, from 1, summed as np.sum over the entries d - 1
     of an array of n."""
-    x = np.exp(-s * np.log(dpoly.primes)).tolist()
+    primes = prime_array(dpoly.n)
+    x = np.exp(-s * np.log(primes)).tolist()
     g = {}
-    for p, a, xp in zip(dpoly.primes.tolist(), dpoly.a.tolist(), x):
+    for p, a, xp in zip(primes.tolist(), dpoly.a.tolist(), x):
         y = a * xp - a * xp * xp + xp * xp * xp
         g[p] = y * y
     vals = np.zeros(dpoly.n, dtype=complex)

@@ -178,11 +178,13 @@ class TestGenAndIngest:
 
     def test_ingest_flags_non_tempered_rows(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
-        path.write_text("p,lambda\n2,2.5\n")
+        path.write_text("p,lambda\n2,1.0\n3,2.5\n5,-3.0\n")
         primes, lam = cli.ingest(str(path), "gl2csv")
-        assert (primes.tolist(), lam.tolist()) == ([2], [2.5])
+        assert (primes.tolist(), lam.tolist()) == ([2, 3, 5], [1.0, 2.5, -3.0])
         assert capsys.readouterr().err == (
-            f"warning: {path} has |lambda| > 2; ramanujan flag is false\n")
+            f"warning: {path} has |lambda| > 2 at prime 3; sym2_lift refuses these rows\n")
+        with pytest.raises(hecke.NonTemperedError):
+            hecke.sym2_lift(primes, lam)
 
     def test_ingest_tempered_within_unit_tol(self, tmp_path, capsys):
         # the one temperedness test of hecke: |lambda| <= 2 + UNIT_TOL, so
@@ -241,12 +243,20 @@ class TestSignsCommand:
     def test_pipeline_report(self, tmp_path):
         out = tmp_path / "signs.json"
         code = run(["signs", "--source", "sym2-tau", "--X", "2000",
-                    "--H", "auto", "--M", "auto", "--out", str(out)])
+                    "--H", "auto", "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
         assert report["H"] == 4  # ceil(2000^(1/6))
+        assert report["M"] == report["scan"]["M"] == 3  # min(ceil(2000^0.1), H - 1)
         assert report["sign_changes"]["changes"] > 0
         assert report["scan"]["total_x"] > 0
+
+    def test_M_is_derived_not_an_option(self, capsys):
+        # the scan reads X and H alone; M is kept in the report, derived from them
+        with pytest.raises(SystemExit) as exc:
+            run(["signs", "--X", "2000", "--M", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --M 3" in capsys.readouterr().err
 
     def test_zero_tol_reaches_every_statistic(self, tmp_path):
         out = tmp_path / "signs.json"
@@ -376,7 +386,6 @@ class TestErrorPaths:
         (["mvt", "--N", "0"], "field 'N'"),
         (["mvt", "--draws", "0"], "field 'draws'"),
         (["satotate", "--p", "5", "--cells", "-1"], "field 'cells'"),
-        (["signs", "--X", "2000", "--M", "0"], "field 'M'"),
         (["signs", "--X", "2000", "--H", "0"], "field 'H'"),
         (["signs", "--X", "2000", "--H", "1"], "field 'H'"),
         (["kato", "--l1", "7", "--l2", "0", "--p", "2"], "field 'l1' must lie in [0, 6]"),
@@ -413,8 +422,7 @@ class TestErrorPaths:
          "field 'K' must lie in [8, 1000]"),
         (["signs", "--X", "0"], "field 'X' must lie in [1, 10^6]"),
         (["signs", "--X", "1000001"], "field 'X' must lie in [1, 10^6]"),
-        (["signs", "--X", "5"], "the scan window needs M < H <= (X - H) / 2"),
-        (["signs", "--X", "2000", "--H", "3", "--M", "3"], "the scan window needs M < H"),
+        (["signs", "--X", "5"], "the scan window needs H <= (X - H) / 2"),
         (["signs", "--X", "100", "--zero-tol", "-1"], "field 'zero-tol' must be non-negative"),
         (["kato", "--l1", "1", "--l2", "1", "--p", "2", "--tol", "1e-16"],
          "field 'tol' = 1e-16 is below what Kato quadrature can certify"),
@@ -432,7 +440,7 @@ class TestErrorPaths:
         (["mvt", "--seed", "-1"], "field 'seed' must lie in [0, 2^64)"),
         (["mvt", "--seed", str(2 ** 64)], "field 'seed' must lie in [0, 2^64)"),
     ], ids=["mvt-T-neg", "mvt-T-zero", "mvt-N-neg", "mvt-N-zero", "mvt-draws-zero",
-            "satotate-cells-neg", "signs-M-zero", "signs-H-zero", "signs-H-one",
+            "satotate-cells-neg", "signs-H-zero", "signs-H-one",
             "kato-l1-big", "kato-l1-neg", "kato-l2-big", "kato-p-composite", "kato-p-zero",
             "satotate-p", "satotate-samples", "satotate-a-low", "satotate-a-above-b",
             "satotate-b-nan", "gen-samples-p", "gen-density-p", "gen-tau-N-zero",
@@ -440,7 +448,7 @@ class TestErrorPaths:
             "gen-table-cells-past-cap", "gen-table-cells-10-12",
             "gen-count-zero", "gen-count-big", "gen-K-small", "gen-K-big",
             "signs-X-zero", "signs-X-big",
-            "signs-window-X-small", "signs-window-M-eq-H", "signs-zero-tol-neg",
+            "signs-window-X-small", "signs-zero-tol-neg",
             "kato-tol-below-floor", "kato-tol-below-floor-66",
             "gen-seed-neg", "gen-seed-2-64", "satotate-seed-neg", "satotate-seed-2-64",
             "verify-seed-neg", "verify-seed-2-64", "mvt-seed-neg", "mvt-seed-2-64"])

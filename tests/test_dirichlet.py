@@ -206,7 +206,7 @@ class TestWindowSieve:
         dpoly = build_MKD(d_table("tempered", 100), 1000, 100)["D"]
         a = dpoly.a.copy()
         a[7] = np.nan
-        bad = dirichlet.WindowPolynomial(dpoly.primes, a, dpoly.n)
+        bad = dirichlet.WindowPolynomial(a, dpoly.n)
         for s in self.POINTS:
             got, want = bad.eval(s), window_eval_sieve(bad, s)
             assert cmath.isnan(got)
@@ -214,9 +214,23 @@ class TestWindowSieve:
                 math.isnan(want.real), math.isnan(want.imag))
 
     def test_d_over_no_d_is_the_empty_sum(self):
-        dpoly = dirichlet.WindowPolynomial(np.zeros(0, np.int64), np.zeros(0, complex), 0)
+        dpoly = dirichlet.WindowPolynomial(np.zeros(0, complex), 0)
         for s in self.POINTS:
             assert same_bits(dpoly.eval(s), 0j)
+
+    @pytest.mark.parametrize("count", [0, 7, 9])
+    def test_a_p_for_other_than_the_primes_up_to_n_is_refused(self, count):
+        # eight primes <= 20: an a_p list that leaves one out, or adds one,
+        # has no prime to pair its entries with
+        with pytest.raises(ValueError, match=f"^{count} a_p for the 8 primes <= 20$"):
+            dirichlet.WindowPolynomial(np.full(count, 0.3 + 0j), 20)
+
+    def test_the_primes_are_those_up_to_n(self):
+        # n = 20, a_p = 0.3, s = 0.75 + i: the squarefree sum over every p <= 20
+        dpoly = dirichlet.WindowPolynomial(np.full(8, 0.3 + 0j), 20)
+        s = complex(0.75, 1.0)
+        assert same_bits(dpoly.eval(s), window_eval_python(dpoly, s))
+        assert dpoly.eval(s) == pytest.approx(1.0471512 + 0.0030295j, abs=1e-7)
 
     def test_squarefree_d_are_sieved_once(self, monkeypatch):
         dpoly = build_MKD(d_table("selfdual", 100), 1000, 100)["D"]

@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 import random
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tempered_triple, traced_peak
-from gl3hecke import hecke, signstats, suites, tau
+from gl3hecke import cli, hecke, signstats, suites, tau
 from gl3hecke.arith import factorize, prime_array, primes_upto
 from gl3hecke.hecke import (
     A_M1,
@@ -25,6 +26,7 @@ from gl3hecke.hecke import (
 )
 from gl3hecke.suites import random_tempered_locals
 from oracles import (
+    local_arrays_of_triples,
     sieve_row_dense,
     sym2_triple_by_angles,
     table_value_trial_division,
@@ -47,8 +49,12 @@ class TestSatakeTriple:
 
     def test_tempered_needs_unit_modulus(self):
         with pytest.raises(ValueError):
-            SatakeTriple(2.0 + 0j, 0.5 + 0j, 1.0 + 0j, tempered=True)
-        SatakeTriple(2.0 + 0j, 0.5 + 0j, 1.0 + 0j, tempered=False)
+            SatakeTriple(2.0 + 0j, 0.5 + 0j, 1.0 + 0j)
+
+    def test_records_are_always_tempered(self):
+        # non-tempered data are LocalArrays: a record has no switch that skips the check
+        assert SatakeTriple.__slots__ == ("alpha1", "alpha2", "alpha3")
+        assert list(inspect.signature(SatakeTriple).parameters) == ["alpha1", "alpha2", "alpha3"]
 
     def test_from_angles_tempered(self):
         x = SatakeTriple.from_angles(0.3, 1.1)
@@ -60,7 +66,6 @@ class TestSatakeTriple:
             x = SatakeTriple.from_angles(t1, t2)
             want = (cmath.exp(1j * t1), cmath.exp(1j * t2), cmath.exp(-1j * (t1 + t2)))
             assert [bits(a) for a in (x.alpha1, x.alpha2, x.alpha3)] == [bits(a) for a in want]
-            assert x.tempered is True
 
     def test_records_are_slotted(self):
         # no per-object __dict__: a table holds tens of thousands of them
@@ -71,8 +76,9 @@ class TestSatakeTriple:
     @pytest.mark.parametrize("make", [
         lambda: SatakeTriple.from_angles(math.nan, 0.0),
         lambda: SatakeTriple.from_angles(math.inf, 0.0),
-        lambda: SatakeTriple(math.nan, 1.0, 1.0, tempered=False),
-        lambda: SatakeTriple(math.inf, 1.0, 1.0, tempered=False),
+        # non-tempered data are LocalArrays, whose e1 and e2 must be finite
+        lambda: local_arrays_of_triples([2], [(math.nan, 1.0, 1.0)]),
+        lambda: local_arrays_of_triples([2], [(math.inf, 1.0, 1.0)]),
         lambda: SatakeTriple(1.0, 1.0, complex(math.nan, 0.0)),
     ], ids=["nan_angle", "inf_angle", "nan_alpha_not_tempered", "inf_alpha_not_tempered",
             "nan_alpha_tempered"])
@@ -226,12 +232,19 @@ class TestCoefficientTable:
         assert np.array_equal(entry_bits(got), entry_bits(want))
 
     def test_csv_export_round_trip(self, tmp_path):
-        table = CoefficientTable(degenerate_locals(6), 6, 2)
+        # the table export is cli's `gen --what table`, on sym^2 tau
+        table = CoefficientTable(tau.sym2_tau_locals(6), 6, 2)
         path = tmp_path / "table.csv"
-        table.export_csv(str(path))
+        assert cli.main(["gen", "--what", "table", "--N", "6", "--bound-n", "2",
+                         "--out", str(path)]) == 0
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "m,n,re,im"
         assert len(lines) == 1 + 6 * 2
+        cells = [line.split(",") for line in lines[1:]]
+        assert [(int(m), int(n)) for m, n, _, _ in cells] == [
+            (m, n) for m in range(1, 7) for n in (1, 2)]
+        assert [complex(float(re), float(im)) for _, _, re, im in cells] == [
+            table.value(m, n) for m in range(1, 7) for n in (1, 2)]
 
 
 def value_walk(table, X, which):
@@ -304,14 +317,14 @@ SIEVE_NS = [1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * 
 
 
 def non_tempered_locals(primes, rng, radius=1.2):
-    """Triples (r e^{i t1}, e^{i t2} / r, e^{-i(t1 + t2)}) off the unit circle."""
-    out = []
-    for p in primes:
+    """LocalArrays of the triples (r e^{i t1}, e^{i t2} / r, e^{-i(t1 + t2)})
+    off the unit circle."""
+    triples = []
+    for _ in primes:
         t1, t2 = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi)
-        out.append(PrimeLocalData(p, SatakeTriple(
-            radius * cmath.exp(1j * t1), cmath.exp(1j * t2) / radius,
-            cmath.exp(-1j * (t1 + t2)), tempered=False)))
-    return out
+        triples.append((radius * cmath.exp(1j * t1), cmath.exp(1j * t2) / radius,
+                        cmath.exp(-1j * (t1 + t2))))
+    return local_arrays_of_triples(primes, triples)
 
 
 class TestSieveAgainstDense:
@@ -326,8 +339,7 @@ class TestSieveAgainstDense:
             "tempered": lambda: random_table_wide.local,
             "selfdual": lambda: suites.random_selfdual_locals(primes, random.Random(36)),
             "sym2_tau": lambda: tau.sym2_tau_locals(X_WIDE),
-            "radius_1.2": lambda: LocalArrays.from_records(
-                non_tempered_locals(primes, random.Random(37))),
+            "radius_1.2": lambda: non_tempered_locals(primes, random.Random(37)),
         }[request.param]()
 
     @pytest.mark.parametrize("N", SIEVE_NS)
@@ -348,7 +360,8 @@ class TestSieveAgainstDense:
 class TestPrimePowerSieve:
     @pytest.mark.parametrize("N", [0, 1, 2, 3, 4, 8, 9, 10, 30, CHUNK + 1, 67 ** 2 + 1])
     def test_at_is_the_full_power_of_the_largest_prime(self, N):
-        sieve = hecke.PrimePowerSieve(N, prime_array(N + 100))
+        sieve = hecke.PrimePowerSieve(N)
+        assert sieve.powers[:sieve.counts[0]].tolist() == primes_upto(N)
         want = [p ** e for p, e in (factorize(m)[-1] for m in range(2, N + 1))]
         assert sieve.at[:2].tolist() == [0, 0][:N + 1]
         assert sieve.powers[sieve.at[2:]].tolist() == want
@@ -356,7 +369,7 @@ class TestPrimePowerSieve:
     @pytest.mark.parametrize("N", [0, 1])
     def test_no_prime_power_leaves_the_empty_product(self, N):
         # N = 0 has only the unused entry 0
-        sieve = hecke.PrimePowerSieve(N, prime_array(10))
+        sieve = hecke.PrimePowerSieve(N)
         empty = np.zeros(0)
         assert sieve.run([hecke._PyComplex(empty, empty)]).tolist() == [0.0, 1.0][:N + 1]
 
@@ -381,13 +394,12 @@ def test_row_sieve_frees_its_expansion_before_the_rounds(random_table_wide):
 
 class TestLocalArrays:
     def test_from_records_is_the_properties_bit_for_bit(self):
-        for make in (random_tempered_locals, non_tempered_locals):
-            recs = make(primes_upto(X_WIDE), random.Random(33))
-            local = LocalArrays.from_records(recs)
-            assert local.primes.tolist() == [rec.p for rec in recs]
-            for name in ("e1", "e2"):
-                want = [getattr(rec.satake, name) for rec in recs]
-                assert np.array_equal(entry_bits(getattr(local, name)), entry_bits(want))
+        recs = random_tempered_locals(primes_upto(X_WIDE), random.Random(33))
+        local = LocalArrays.from_records(recs)
+        assert local.primes.tolist() == [rec.p for rec in recs]
+        for name in ("e1", "e2"):
+            want = [getattr(rec.satake, name) for rec in recs]
+            assert np.array_equal(entry_bits(getattr(local, name)), entry_bits(want))
 
     def test_table_from_arrays_equals_table_from_records(self):
         # the same data as records and as arrays given in descending order

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -79,12 +80,18 @@ class TestDensity:
             assert np.max(np.abs(4 * s - np.abs(z[i] - z[j]) ** 2)) <= 1e-14
 
     def test_spec_validation(self):
+        # a measure is its prime: p = None is Sato-Tate, and nothing else names one
         with pytest.raises(ValueError):
             MeasureSpec.plancherel(4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^plancherel measure needs a prime p, got 4$"):
+            MeasureSpec(4)
+        with pytest.raises(TypeError):
             MeasureSpec("plancherel")
-        with pytest.raises(ValueError):
-            MeasureSpec("sato-tate", 5)
+        with pytest.raises(TypeError):
+            MeasureSpec.plancherel(None)
+        assert MeasureSpec() == MeasureSpec.sato_tate() == MeasureSpec(None)
+        assert MeasureSpec(5) == MeasureSpec.plancherel(5)
+        assert [f.name for f in dataclasses.fields(MeasureSpec)] == ["p"]
 
     def test_numpy_prime_is_kept_as_a_python_int(self):
         # as a loop over prime_array hands it: p ** -2 on a numpy int raises

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from gl3hecke import arith, dirichlet, hecke, klpoly, measures, schuralg, signstats, suites, tau
+from oracles import local_arrays_of_triples
 
 
 def kato_identity(**kwargs):
@@ -124,9 +125,9 @@ def test_satake_radius_1_2_at_every_prime(monkeypatch):
     real = suites.random_tempered_locals
 
     def planted(primes, rng):
-        return [hecke.PrimeLocalData(rec.p, hecke.SatakeTriple(
-            rec.satake.alpha1 * 1.2, rec.satake.alpha2 * 1.2, rec.satake.alpha3 / 1.44,
-            tempered=False)) for rec in real(primes, rng)]
+        return local_arrays_of_triples(primes, [
+            (rec.satake.alpha1 * 1.2, rec.satake.alpha2 * 1.2, rec.satake.alpha3 / 1.44)
+            for rec in real(primes, rng)])
 
     monkeypatch.setattr(suites, "random_tempered_locals", planted)
     failed = failed_hecke_checks()

@@ -38,6 +38,7 @@ from oracles import (
     count_sign_changes_loop,
     d3,
     interval_change_scan_walk,
+    local_arrays_of_triples,
     short_interval_sums_loop,
 )
 
@@ -408,10 +409,10 @@ class TestCalibrations:
     def test_complex_entry_is_named(self):
         # real A(m, 1) and A(m, m) below 7: self-dual triples (e^{it}, 1, e^{-it});
         # at 7 a non-tempered triple whose A(7, 1) and A(7, 7) are complex
-        locs = [PrimeLocalData(p, SatakeTriple.from_angles(0.3 * p, 0.0))
-                for p in primes_upto(60) if p != 7]
-        locs.append(PrimeLocalData(7, SatakeTriple(2.0, 0.5j, -1j, tempered=False)))
-        table = CoefficientTable(locs, 60, 60)
+        primes = primes_upto(60)
+        triples = [(2.0, 0.5j, -1j) if p == 7 else (x.alpha1, x.alpha2, x.alpha3)
+                   for p, x in ((p, SatakeTriple.from_angles(0.3 * p, 0.0)) for p in primes)]
+        table = CoefficientTable(local_arrays_of_triples(primes, triples), 60, 60)
         with pytest.raises(ValueError, match=r"^A\(7,1\) has non-negligible imaginary part"):
             sequence_from_table(table, 60)
         with pytest.raises(ValueError, match=r"^A\(7,7\) has non-negligible imaginary part"):

@@ -94,9 +94,17 @@ coefficient = st.one_of(
 @example([INT64_MIN, INT64_MAX, 0, 2], 7)
 @example([INT64_MIN] * 3, 5)
 @example([15, -15], 2)
+@example([1, 2, 3], 0)
 def test_square_trunc_matches_kronecker(coeffs, N):
     # N runs below, at and above the 2 len - 1 terms of the full square
     assert tau.square_trunc(coeffs, N) == square_trunc_kronecker(coeffs, N)
+
+
+@pytest.mark.parametrize("N", [-3, -1])
+def test_square_trunc_refuses_negative_N(N):
+    # -3 once returned [] and -1 raised numpy's error on an empty reduction
+    with pytest.raises(ValueError, match=f"^square_trunc needs N >= 0, got N = {N}$"):
+        tau.square_trunc([1, 2, 3], N)
 
 
 @pytest.mark.parametrize("c", [2**63, INT64_MIN - 1, 10**40, -(10**4400)],
