@@ -308,8 +308,14 @@ def _config_error(args) -> str | None:
     if args.command == "satotate":
         if args.samples < 100:
             return "field 'samples' must be at least 100"
+        # two float64 angles per sample: 160 MB and about 3 s of sampling at 10^7
+        if args.samples > 10**7:
+            return "field 'samples' must be at most 10^7"
         if args.cells < 0:
             return "field 'cells' must be non-negative"
+        # a pass over the samples per cell: about 20 s and 10 MB masks at 1,000 x 10^7
+        if args.cells > 1000:
+            return "field 'cells' must be at most 1000"
         if not args.cells and not -1.0 <= args.a <= args.b <= 8.0:
             return "fields 'a' and 'b' must satisfy -1 <= a <= b <= 8"
         return _prime_error(args.p)

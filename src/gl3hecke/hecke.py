@@ -170,11 +170,14 @@ class PrimePowerSieve:
     exponent-major (the primes p <= N ascending, then p^2 <= N, ...), so the
     primes with p^e <= N are a prefix of them, `counts[e - 1]` long; and,
     allocated first (which keeps the peak RSS down), the int32 index `at[m]`
-    in `powers` of q(m), the full power of the largest prime of m: 4 bytes per m."""
+    in `powers` of q(m), the full power of the largest prime of m: 4 bytes per m.
+    A negative N raises ValueError; N = 0 and 1 have no prime power."""
 
     __slots__ = ("powers", "counts", "at")
 
     def __init__(self, N: int):
+        if N < 0:
+            raise ValueError(f"prime power sieve needs N >= 0, got N = {N}")
         self.at = np.zeros(N + 1, dtype=np.int32)
         powers = [prime_array(N)]
         while len(q := powers[-1] * powers[0][:len(powers[-1])]) and q[0] <= N:

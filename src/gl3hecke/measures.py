@@ -9,6 +9,7 @@ so every measure here integrates to one over [0, 2pi)^2.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -18,7 +19,6 @@ import numpy as np
 
 from .arith import is_prime
 from .hecke import schur_from_elementary
-from .klpoly import WEYL
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,6 +32,18 @@ SAMPLE_BATCH = 8192
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 _MASK64 = 2 ** 64 - 1
+
+
+def _inversions(sigma: tuple[int, ...]) -> int:
+    return sum(1 for i in range(3) for j in range(i + 1, 3) if sigma[i] > sigma[j])
+
+
+# The Weyl group of A2, the six permutations of the three coordinates, with
+# sign (-1)^length; lengths are 0,1,1,2,2,3.
+WEYL = tuple(
+    (sigma, -1 if _inversions(sigma) % 2 else 1)
+    for sigma in itertools.permutations(range(3))
+)
 
 
 class EnvelopeError(RuntimeError):

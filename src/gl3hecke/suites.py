@@ -50,13 +50,19 @@ def checks_to_json(checks: list[Check]) -> list[dict]:
     return [asdict(c) for c in checks]
 
 
-def random_tempered_locals(primes: list[int], rng: random.Random) -> list[hecke.PrimeLocalData]:
-    out = []
-    for p in primes:
-        t1 = rng.uniform(0.0, 2.0 * math.pi)
-        t2 = rng.uniform(0.0, 2.0 * math.pi)
-        out.append(hecke.PrimeLocalData(p, hecke.SatakeTriple.from_angles(t1, t2)))
-    return out
+def random_tempered_locals(primes: list[int], rng: random.Random) -> hecke.LocalArrays:
+    """Tempered local data at the primes: t1 and then t2 drawn from rng for
+    each prime in turn, and the triple (e^{i t1}, e^{i t2}, e^{-i(t1 + t2)}).
+    e1 and e2 are the triple's sums rounded as Python's complex, e2's
+    products in the _PyComplex ring."""
+    t1, t2 = np.array([(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi))
+                       for _ in primes]).reshape(-1, 2).T
+    z = np.exp([1j * t1, 1j * t2, -1j * (t1 + t2)])
+    a1, a2, a3 = (hecke._PyComplex(x.real, x.imag) for x in z)
+    prod = a1 * a2 + a1 * a3 + a2 * a3
+    e2 = prod.re.astype(complex)
+    e2.imag = prod.im
+    return hecke.LocalArrays(primes, z[0] + z[1] + z[2], e2)
 
 
 def random_selfdual_locals(primes: list[int], rng: random.Random) -> hecke.LocalArrays:
@@ -144,7 +150,7 @@ def suite_measures(seed: int = 0) -> list[Check]:
             base = measures.density(spec, measures.TorusPoint(t1, t2))
             devs += [abs(measures.density(spec, measures.TorusPoint(angles[sigma[0]],
                                                                     angles[sigma[1]])) - base)
-                     for sigma, _ in klpoly.WEYL]
+                     for sigma, _ in measures.WEYL]
     checks.append(Check.le("density_weyl_invariance_max", worst(devs), 1e-12))
 
     pt = measures.TorusPoint(*measures.QuadratureGrid(32).mesh())
@@ -266,8 +272,7 @@ def suite_euler(seed: int = 0) -> list[Check]:
                  abs(res["series"] - res["closed"]), 1e-10),
     ]
 
-    locs = [random_selfdual_locals([3, 5, 7, 11, 13], rng),
-            hecke.LocalArrays.from_records(random_tempered_locals([17, 19], rng))]
+    locs = [random_selfdual_locals([3, 5, 7, 11, 13], rng), random_tempered_locals([17, 19], rng)]
     triples = [t for loc in locs for t in zip(loc.primes.tolist(), loc.e1.tolist(), loc.e2.tolist())]
     # sigma, then t, drawn for each local in turn
     recs = [dmod.euler_factor_check(*triple, complex(rng.choice((1.2, 1.5, 2.0)),

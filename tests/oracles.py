@@ -1,5 +1,6 @@
 """Independent reference implementations used only to cross-check the
-library: determinant-ratio Schur values, naive eta-product expansion,
+library: determinant-ratio Schur values, random tempered data as
+per-prime records, naive eta-product expansion,
 divisor counting, brute-force root-partition enumeration, the Freudenthal
 multiplicity recursion, evaluation of (e1, e2)-polynomials and Schur
 combinations, the Schur-to-monomial expansion, the Simpson-rule second
@@ -31,8 +32,8 @@ import numpy as np
 
 from gl3hecke import dirichlet, measures, tau
 from gl3hecke.arith import factorize, mobius, prime_array
-from gl3hecke.hecke import LocalArrays, SatakeTriple, _PyComplex, schur_from_elementary
-from gl3hecke.klpoly import Weight
+from gl3hecke.hecke import (LocalArrays, PrimeLocalData, SatakeTriple, _PyComplex,
+                            schur_from_elementary)
 from gl3hecke.schuralg import EPoly, schur_to_epoly
 from gl3hecke.signstats import SignChangeReport
 
@@ -69,6 +70,15 @@ def sym2_triple_by_angles(lam: float) -> SatakeTriple:
     return SatakeTriple(b2, 1.0 + 0.0j, 1.0 / b2)
 
 
+def tempered_records(primes, rng) -> list[PrimeLocalData]:
+    """One PrimeLocalData per prime, its triple `SatakeTriple.from_angles` of
+    t1 and then t2 drawn from rng: the records that
+    `suites.random_tempered_locals` packs into arrays from the same draws."""
+    return [PrimeLocalData(p, SatakeTriple.from_angles(rng.uniform(0.0, 2.0 * math.pi),
+                                                       rng.uniform(0.0, 2.0 * math.pi)))
+            for p in primes]
+
+
 def local_arrays_of_triples(primes, triples) -> LocalArrays:
     """LocalArrays of Satake triples (alpha1, alpha2, alpha3), tempered or
     not, with e1 and e2 formed as `SatakeTriple.e1` and `.e2` form them, so a
@@ -103,18 +113,22 @@ def d3(m: int) -> int:
     return count
 
 
-def brute_kostant_counts(beta: Weight, bound: int = 12) -> dict[int, int]:
-    """Number of decompositions of beta into n1*a1 + n2*a2 + n3*(a1+a2),
-    keyed by n1 + n2 + n3, by exhaustive search.  The default bound covers
-    every target with sup-norm at most 6."""
-    target = beta.coords
+def canonical(v) -> tuple[int, int, int]:
+    """The representative of the weight v mod (1, 1, 1) with minimum coordinate 0."""
+    m = min(v)
+    return tuple(x - m for x in v)
+
+
+def brute_kostant_counts(beta: tuple[int, int, int], bound: int = 12) -> dict[int, int]:
+    """Number of decompositions of beta into n1*a1 + n2*a2 + n3*(a1+a2) mod
+    (1, 1, 1), keyed by n1 + n2 + n3, by exhaustive search.  The default
+    bound covers every target with sup-norm at most 6."""
+    target = canonical(beta)
     counts: dict[int, int] = {}
     for n1 in range(bound + 1):
         for n2 in range(bound + 1):
             for n3 in range(bound + 1):
-                raw = (n1 + n3, n2 - n1, -n2 - n3)
-                m = min(raw)
-                if tuple(x - m for x in raw) == target:
+                if canonical((n1 + n3, n2 - n1, -n2 - n3)) == target:
                     total = n1 + n2 + n3
                     counts[total] = counts.get(total, 0) + 1
     return counts
@@ -130,12 +144,13 @@ def _inner(u, v) -> Fraction:
     return sum(a * b for a, b in zip(pu, pv))
 
 
-def freudenthal_multiplicities(lam: Weight) -> dict[Weight, int]:
+def freudenthal_multiplicities(lam: tuple[int, int, int]) -> dict[tuple[int, int, int], int]:
     """Weight multiplicities of the irreducible with highest weight lam via
-    the Freudenthal recursion, exact rational arithmetic throughout."""
+    the Freudenthal recursion, exact rational arithmetic throughout; the
+    weights are `canonical` triples."""
     pos_roots = [(1, -1, 0), (0, 1, -1), (1, 0, -1)]
     rho = (1, 0, -1)
-    lam_raw = lam.coords
+    lam_raw = canonical(lam)
     bound = sum(lam_raw) + 3
     lam_rho = tuple(a + b for a, b in zip(lam_raw, rho))
     lam_norm = _inner(lam_rho, lam_rho)
@@ -174,7 +189,7 @@ def freudenthal_multiplicities(lam: Weight) -> dict[Weight, int]:
         val = acc / denom
         assert val.denominator == 1, "Freudenthal recursion must be integral"
         mult[mu] = int(val)
-    return {Weight(mu): m for mu, m in mult.items() if m > 0}
+    return {canonical(mu): m for mu, m in mult.items() if m > 0}
 
 
 def epoly_eval(epoly, e1, e2):
@@ -616,12 +631,10 @@ def gauss_legendre_mpmath(n: int, dps: int = 40):
 def trapezoid_bound_uncached(spec, l1: int, l2: int, K: np.ndarray) -> np.ndarray:
     """`measures._alias_bound` of `_alias_table(l1, l2, K)` as one pass: the
     alias lattice of every K built, and q^||K j - m|| raised, on every call."""
-    from gl3hecke.klpoly import WEYL
-
     q = 0.0 if spec.p is None else 1.0 / spec.p
     top, rho = (l1 + l2 + 2, l2 + 1, 0), (2, 1, 0)
     m = np.array([[top[s[i]] - top[s[2]] - rho[t[i]] + rho[t[2]] for i in (0, 1)]
-                  for s, _ in WEYL for t, _ in WEYL]).T
+                  for s, _ in measures.WEYL for t, _ in measures.WEYL]).T
     reach = int(np.max(np.abs(m)))
     box = -(-reach // 8)
     j = np.array([(u, v) for u in range(-box, box + 1) for v in range(-box, box + 1) if u or v])

@@ -305,6 +305,15 @@ class TestMvtCommand:
 
 
 class TestSatotateCommand:
+    def test_caps_boundary(self):
+        # 10^7 samples and 1,000 cells are accepted, one more of either refused;
+        # _config_error returns before anything is sampled
+        for samples, cells, ok in ((10**7, 1000, True), (10**7 + 1, 9, False),
+                                   (100_000, 1001, False)):
+            args = cli.build_parser().parse_args(
+                ["satotate", "--p", "5", "--samples", str(samples), "--cells", str(cells)])
+            assert (cli._config_error(args) is None) == ok
+
     def test_interval_report(self, tmp_path):
         out = tmp_path / "st.json"
         code = run(["satotate", "--p", "2", "--samples", "5000", "--seed", "1",
@@ -395,6 +404,10 @@ class TestErrorPaths:
         (["kato", "--l1", "1", "--l2", "1", "--p", "0"], "field 'p' must be a prime"),
         (["satotate", "--p", "9"], "field 'p' must be a prime"),
         (["satotate", "--p", "2", "--samples", "99"], "field 'samples' must be at least 100"),
+        (["satotate", "--p", "2", "--samples", "10000001"], "field 'samples' must be at most 10^7"),
+        (["satotate", "--p", "2", "--samples", str(10 ** 12)], "field 'samples' must be at most 10^7"),
+        (["satotate", "--p", "2", "--cells", "1001"], "field 'cells' must be at most 1000"),
+        (["satotate", "--p", "2", "--cells", str(10 ** 9)], "field 'cells' must be at most 1000"),
         (["satotate", "--p", "2", "--a", "-2"], "-1 <= a <= b <= 8"),
         (["satotate", "--p", "2", "--a", "3", "--b", "2"], "-1 <= a <= b <= 8"),
         (["satotate", "--p", "2", "--b", "nan"], "-1 <= a <= b <= 8"),
@@ -442,7 +455,8 @@ class TestErrorPaths:
     ], ids=["mvt-T-neg", "mvt-T-zero", "mvt-N-neg", "mvt-N-zero", "mvt-draws-zero",
             "satotate-cells-neg", "signs-H-zero", "signs-H-one",
             "kato-l1-big", "kato-l1-neg", "kato-l2-big", "kato-p-composite", "kato-p-zero",
-            "satotate-p", "satotate-samples", "satotate-a-low", "satotate-a-above-b",
+            "satotate-p", "satotate-samples", "satotate-samples-big", "satotate-samples-10-12",
+            "satotate-cells-big", "satotate-cells-10-9", "satotate-a-low", "satotate-a-above-b",
             "satotate-b-nan", "gen-samples-p", "gen-density-p", "gen-tau-N-zero",
             "gen-gl2-N-big", "gen-table-bound-n-zero", "gen-table-bound-n-above-N",
             "gen-table-cells-past-cap", "gen-table-cells-10-12",

@@ -218,6 +218,12 @@ class TestWindowSieve:
         for s in self.POINTS:
             assert same_bits(dpoly.eval(s), 0j)
 
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_negative_n_is_refused(self, n):
+        # n = -1 read as the empty sum, 0j, as if it were n = 0
+        with pytest.raises(ValueError, match=f"^prime power sieve needs N >= 0, got N = {n}$"):
+            dirichlet.WindowPolynomial(np.zeros(0, complex), n)
+
     @pytest.mark.parametrize("count", [0, 7, 9])
     def test_a_p_for_other_than_the_primes_up_to_n_is_refused(self, count):
         # eight primes <= 20: an a_p list that leaves one out, or adds one,

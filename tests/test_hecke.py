@@ -30,6 +30,7 @@ from oracles import (
     sieve_row_dense,
     sym2_triple_by_angles,
     table_value_trial_division,
+    tempered_records,
     vandermonde_schur,
 )
 
@@ -373,6 +374,13 @@ class TestPrimePowerSieve:
         empty = np.zeros(0)
         assert sieve.run([hecke._PyComplex(empty, empty)]).tolist() == [0.0, 1.0][:N + 1]
 
+    @pytest.mark.parametrize("N", [-1, -2])
+    def test_negative_n_is_refused(self, N):
+        # N = -1 built an empty sieve and N = -2 reached numpy's negative
+        # dimensions; neither error named N
+        with pytest.raises(ValueError, match=f"^prime power sieve needs N >= 0, got N = {N}$"):
+            hecke.PrimePowerSieve(N)
+
 
 def test_row_peaks_within_its_result_and_6_mib(random_table_wide):
     # the dense sieve held int64 q(m) and complex L(q) for every m and all
@@ -394,7 +402,7 @@ def test_row_sieve_frees_its_expansion_before_the_rounds(random_table_wide):
 
 class TestLocalArrays:
     def test_from_records_is_the_properties_bit_for_bit(self):
-        recs = random_tempered_locals(primes_upto(X_WIDE), random.Random(33))
+        recs = tempered_records(primes_upto(X_WIDE), random.Random(33))
         local = LocalArrays.from_records(recs)
         assert local.primes.tolist() == [rec.p for rec in recs]
         for name in ("e1", "e2"):
@@ -404,7 +412,7 @@ class TestLocalArrays:
     def test_table_from_arrays_equals_table_from_records(self):
         # the same data as records and as arrays given in descending order
         X = 30_000
-        recs = random_tempered_locals(primes_upto(X), random.Random(34))
+        recs = tempered_records(primes_upto(X), random.Random(34))
         local = LocalArrays([rec.p for rec in recs][::-1], [rec.satake.e1 for rec in recs][::-1],
                             [rec.satake.e2 for rec in recs][::-1])
         tables = [CoefficientTable(recs, X, X), CoefficientTable(local, X, X)]
@@ -504,6 +512,31 @@ class TestLocalArrays:
         for a in (local.primes, local.e1, local.e2):
             with pytest.raises(ValueError):
                 a[0] = 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 33])
+def test_random_tempered_locals_are_the_records_bit_for_bit(seed):
+    # one pass over numpy arrays, from the same draws as one SatakeTriple per
+    # prime: e1 and e2 equal the records' properties to the bit
+    primes = primes_upto(X_WIDE)
+    local = random_tempered_locals(primes, random.Random(seed))
+    want = LocalArrays.from_records(tempered_records(primes, random.Random(seed)))
+    assert np.array_equal(local.primes, want.primes)
+    for name in ("e1", "e2"):
+        assert np.array_equal(entry_bits(getattr(local, name)), entry_bits(getattr(want, name)))
+    assert random_tempered_locals([], random.Random(seed)).primes.tolist() == []
+
+
+def test_suites_build_no_per_prime_records(monkeypatch):
+    # the random tempered data of the hecke and euler suites are arrays
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-prime record was built or converted")
+
+    for cls in (SatakeTriple, PrimeLocalData):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    monkeypatch.setattr(LocalArrays, "from_records", refuse)
+    assert suites.all_passed(suites.suite_hecke(0))
+    assert suites.all_passed(suites.suite_euler(0))
 
 
 def test_sym2_path_builds_no_per_prime_records(monkeypatch):

@@ -4,112 +4,96 @@ import pytest
 
 from gl3hecke import measures
 
-from gl3hecke.klpoly import (
-    ALPHA1,
-    ALPHA2,
-    RHO,
-    WEYL,
-    ZERO,
-    QPolynomial,
-    Weight,
-    hw_weight,
-    kato_check,
-    kato_moment,
-    kostant_partition,
-    lusztig_q_analog,
-)
+from gl3hecke.klpoly import kato_check, kato_moment, kostant_partition, lusztig_q_analog
 from oracles import brute_kostant_counts, freudenthal_multiplicities
 
-
-class TestQPolynomial:
-    def test_trims_trailing_zeros(self):
-        assert QPolynomial([1, 2, 0, 0]).coeffs == (1, 2)
-
-    def test_arithmetic(self):
-        p = QPolynomial([1, 1])
-        assert (p - p).coeffs == ()
-        assert (p + QPolynomial([0, 0, 3])).coeffs == (1, 1, 3)
-
-    def test_exact_fraction_evaluation(self):
-        p = QPolynomial([0, 1, 1])  # q + q^2
-        assert p(Fraction(1, 2)) == Fraction(3, 4)
-
-
-class TestWeight:
-    def test_canonicalization(self):
-        assert Weight((3, -1, 0)).coords == (4, 0, 1)
-        assert Weight((5, 5, 5)) == ZERO
-
-    def test_rho_and_fundamental_weights(self):
-        assert RHO.coords == (2, 1, 0)
-        assert hw_weight(1, 0).coords == (1, 0, 0)
-        assert hw_weight(0, 1).coords == (1, 1, 0)
-        assert hw_weight(1, 1).coords == (2, 1, 0)
+# exact evaluation points: q = 1 counts, the others weigh by root count
+QS = (1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 7))
+ALPHA1, ALPHA2, LONG = (1, -1, 0), (0, 1, -1), (1, 0, -1)
 
 
 class TestKostantPartition:
     def test_zero_weight_has_empty_decomposition(self):
-        assert kostant_partition(ZERO).coeffs == (1,)
+        for q in QS:
+            assert kostant_partition((0, 0, 0), q) == 1
+            assert kostant_partition((4, 4, 4), q) == 1
 
     def test_simple_root(self):
-        assert kostant_partition(ALPHA1).coeffs == (0, 1)
+        for q in QS:
+            assert kostant_partition(ALPHA1, q) == q
+            assert kostant_partition(ALPHA2, q) == q
 
     def test_long_root_two_decompositions(self):
-        assert kostant_partition(ALPHA1 + ALPHA2).coeffs == (0, 1, 1)
+        for q in QS:
+            assert kostant_partition(LONG, q) == q + q ** 2
 
     def test_exhaustive_against_brute_force(self):
         for a in range(7):
             for b in range(7):
                 for c in range(7):
-                    beta = Weight((a, b, c))
-                    counts = {
-                        k: v for k, v in enumerate(kostant_partition(beta).coeffs) if v
-                    }
-                    assert counts == brute_kostant_counts(beta), beta
+                    counts = brute_kostant_counts((a, b, c))
+                    for q in QS:
+                        want = sum(n * q ** k for k, n in counts.items())
+                        assert kostant_partition((a, b, c), q) == want, ((a, b, c), q)
 
     def test_inexpressible_weights_give_zero(self):
-        assert kostant_partition(Weight((1, 0, 0))).coeffs == ()
-        assert kostant_partition(Weight((0, 2, 1))).coeffs == ()
+        # (1, 0, 0) lies outside the root lattice; (0, 2, 1) = -ALPHA1
+        for beta in ((1, 0, 0), (0, 2, 1), (0, 0, 1)):
+            assert brute_kostant_counts(beta) == {}
+            for q in QS:
+                assert kostant_partition(beta, q) == 0
+
+    def test_exact_in_the_type_of_q(self):
+        assert isinstance(kostant_partition(LONG, Fraction(1, 5)), Fraction)
+        assert isinstance(kostant_partition((1, 0, 0), Fraction(1, 5)), Fraction)
+        assert kostant_partition(LONG, 0.5) == 0.75
 
 
 class TestLusztigQAnalog:
     def test_adjoint_zero_weight(self):
-        assert lusztig_q_analog(hw_weight(1, 1), ZERO).coeffs == (0, 1, 1)
+        for q in QS:
+            assert lusztig_q_analog(1, 1, (0, 0, 0), q) == q + q ** 2
 
     def test_standard_rep_has_no_zero_weight(self):
-        assert lusztig_q_analog(hw_weight(1, 0), ZERO).coeffs == ()
+        for q in QS:
+            assert lusztig_q_analog(1, 0, (0, 0, 0), q) == 0
 
     def test_highest_weight_itself(self):
         for l1, l2 in ((0, 0), (1, 0), (2, 1), (3, 3)):
-            lam = hw_weight(l1, l2)
-            assert lusztig_q_analog(lam, lam).coeffs == (1,)
+            for q in QS:
+                assert lusztig_q_analog(l1, l2, (l1 + l2, l2, 0), q) == 1
 
     def test_value_at_one_is_weight_multiplicity(self):
+        # every dominant beta = (a, b, 0), a >= b, in a box past the
+        # weights of lam, including those of multiplicity zero
         for l1 in range(4):
             for l2 in range(4):
-                lam = hw_weight(l1, l2)
-                mult = freudenthal_multiplicities(lam)
-                for beta, m in mult.items():
-                    a, b, c = beta.coords
-                    if a >= b >= c:
-                        assert lusztig_q_analog(lam, beta)(1) == m
+                mult = freudenthal_multiplicities((l1 + l2, l2, 0))
+                for a in range(2 * (l1 + l2) + 3):
+                    for b in range(a + 1):
+                        got = lusztig_q_analog(l1, l2, (a, b, 0), 1)
+                        assert got == mult.get((a, b, 0), 0), (l1, l2, a, b)
 
     def test_antisymmetry_under_shifted_weyl_action(self):
         # replacing lam+rho by w(lam+rho) and multiplying by (-1)^len(w)
         # leaves the alternating sum unchanged
-        lam = hw_weight(2, 1)
-        beta = hw_weight(1, 0)
-        base = lusztig_q_analog(lam, beta)
-        shifted = lam + RHO
-        target = beta + RHO
-        for sigma0, sign0 in WEYL:
-            acc = QPolynomial.zero()
-            start = shifted.permuted(sigma0)
-            for sigma, sign in WEYL:
-                term = kostant_partition(start.permuted(sigma) - target)
-                total_sign = sign0 * sign
-                acc = acc + term if total_sign > 0 else acc - term
-            assert acc.coeffs == base.coeffs
+        shifted = (3 + 2, 1 + 1, 0)  # lam + rho for lam = (3, 1, 0), the (2, 1) element
+        target = (1 + 2, 0 + 1, 0)   # beta + rho for beta = (1, 0, 0)
+        for q in QS:
+            base = lusztig_q_analog(2, 1, (1, 0, 0), q)
+            for sigma0, sign0 in measures.WEYL:
+                start = tuple(shifted[i] for i in sigma0)
+                acc = sum(sign0 * sign * kostant_partition(
+                    tuple(start[i] - t for i, t in zip(sigma, target)), q)
+                    for sigma, sign in measures.WEYL)
+                assert acc == base
+
+    def test_negative_indices_raise(self):
+        for l1, l2 in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="non-negative"):
+                lusztig_q_analog(l1, l2, (0, 0, 0), 1)
+            with pytest.raises(ValueError, match="non-negative"):
+                kato_moment(l1, l2, 2)
 
 
 class TestKatoCheck:
@@ -132,6 +116,21 @@ class TestKatoCheck:
     def test_exact_moment_is_rational(self):
         assert kato_moment(1, 1, 2) == Fraction(3, 4)
         assert kato_moment(1, 1, 5) == Fraction(6, 25)
+        assert isinstance(kato_moment(1, 0, 3), Fraction)
+
+    def test_moment_against_brute_force(self):
+        # the alternating sum over the Weyl group of brute-force partition
+        # counts, at q = 1/p
+        shifted = lambda l1, l2: (l1 + l2 + 2, l2 + 1, 0)
+        for l1 in range(4):
+            for l2 in range(4 - l1):
+                counts = [(sign, brute_kostant_counts(
+                    tuple(shifted(l1, l2)[i] - r for i, r in zip(sigma, (2, 1, 0)))))
+                    for sigma, sign in measures.WEYL]
+                for p in (2, 3, 7):
+                    want = sum(sign * n * Fraction(1, p) ** k
+                               for sign, c in counts for k, n in c.items())
+                    assert kato_moment(l1, l2, p) == want, (l1, l2, p)
 
     def test_full_grid_small_degrees(self):
         for p in (2, 3, 5, 7):

@@ -18,7 +18,7 @@ from oracles import (
     trapezoid_bound_uncached,
     trapezoid_resolutions_uncached,
 )
-from gl3hecke import klpoly, measures, schuralg, suites
+from gl3hecke import measures, schuralg, suites
 from gl3hecke.klpoly import kato_moment
 from gl3hecke.measures import (
     EnvelopeError,
@@ -51,7 +51,7 @@ class TestDensity:
         angles = (t1, t2, t3)
         for spec in (ST, MeasureSpec.plancherel(5)):
             base = density(spec, TorusPoint(t1, t2))
-            for sigma, _ in klpoly.WEYL:
+            for sigma, _ in measures.WEYL:
                 perm = density(spec, TorusPoint(angles[sigma[0]], angles[sigma[1]]))
                 assert abs(perm - base) <= 1e-12
 
@@ -527,13 +527,13 @@ class TestPlancherelConstant:
         return sum(1 for i in range(3) for j in range(i + 1, 3) if sigma[i] > sigma[j])
 
     def test_weyl_signs_are_parities_of_length(self):
-        for sigma, sign in klpoly.WEYL:
+        for sigma, sign in measures.WEYL:
             assert sign == (-1) ** self.length(sigma)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 1009, 10 ** 6 + 3])
     def test_equals_weyl_length_polynomial_over_six(self, p):
         # W(q) = sum over the Weyl group of q^length, exact at q = 1/p
-        want = sum(Fraction(1, p) ** self.length(sigma) for sigma, _ in klpoly.WEYL) / 6
+        want = sum(Fraction(1, p) ** self.length(sigma) for sigma, _ in measures.WEYL) / 6
         got = measures.plancherel_constant(p)
         assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 15) * want
 

@@ -16,7 +16,7 @@ from oracles import (
     sample_app_whole,
 )
 from gl3hecke import measures, schuralg
-from gl3hecke.klpoly import ZERO, hw_weight, kato_moment, lusztig_q_analog
+from gl3hecke.klpoly import kato_moment, lusztig_q_analog
 from gl3hecke.schuralg import (
     E1,
     E2,
@@ -245,7 +245,7 @@ class TestPushforwardMasses:
         # (q = 0 for Sato-Tate)
         if p is None:
             spec = ST
-            moment = lambda l1, l2: lusztig_q_analog(hw_weight(l1, l2), ZERO)(Fraction(0))
+            moment = lambda l1, l2: lusztig_q_analog(l1, l2, (0, 0, 0), 0)
         else:
             spec = measures.MeasureSpec.plancherel(p)
             moment = lambda l1, l2: kato_moment(l1, l2, p)
