@@ -85,6 +85,11 @@ def _int_or_auto(text: str):
     return text if text == "auto" else int(text)
 
 
+def _prime_or_sato_tate(text: str):
+    """A measure's p: an integer, or None for Sato-Tate."""
+    return None if text == "sato-tate" else int(text)
+
+
 def _auto_window(X: int, H_arg) -> tuple[int, int]:
     """H, and the M that the report keeps: the scan reads X and H alone, but
     ShortIntervalConfig needs some 0 < M < H."""
@@ -121,8 +126,7 @@ def cmd_gen(args) -> int:
                  for m in range(1, args.N + 1) for n in range(1, args.bound_n + 1))
         write_csv(args.out, ("m", "n", "re", "im"), ((m, n, v.real, v.imag) for m, n, v in cells))
         return 0
-    spec = (measures.MeasureSpec.plancherel(args.p) if args.measure == "plancherel"
-            else measures.MeasureSpec.sato_tate())
+    spec = measures.MeasureSpec(args.p)
     if args.what == "samples":
         write_csv(args.out, ("theta1", "theta2"),
                   zip(*measures.sample_angles(spec, args.count, args.seed)))
@@ -145,51 +149,37 @@ def cmd_kato(args) -> int:
 
 
 def cmd_satotate(args) -> int:
-    report: dict = {"command": "satotate", "p": args.p, "samples": args.samples,
-                    "seed": args.seed}
-    if args.cells:
-        width = 9.0 / args.cells
-        cells = [(-1.0 + c * width, -1.0 + (c + 1) * width) for c in range(args.cells)]
-        recs = schuralg.effective_st_compare(args.p, args.samples, cells, args.seed)
-        report["cells"] = recs
-        worst = _largest(r["diff"] - r["mass_uncertainty"] for r in recs)
-        report["max_excess_diff"] = worst
-        ok = worst <= args.tol
-    else:
-        rec, = schuralg.effective_st_compare(args.p, args.samples, [(args.a, args.b)], args.seed)
-        report.update(rec)
-        ok = rec["diff"] <= args.tol + rec["mass_uncertainty"]
-    write_report(report, args.out)
-    return 0 if ok else 1
+    cells = suites.equal_cells(args.a, args.b, args.cells)
+    recs = schuralg.effective_st_compare(args.p, args.samples, cells, args.seed)
+    worst = _largest(r["diff"] - r["mass_uncertainty"] for r in recs)
+    write_report({"command": "satotate", "p": args.p, "samples": args.samples,
+                  "seed": args.seed, "cells": recs, "max_excess_diff": worst}, args.out)
+    return 0 if worst <= args.tol else 1
 
 
 def cmd_signs(args) -> int:
-    report: dict = {"command": "signs", "source": args.source}
-    if args.source == "csv":
+    if args.path is not None:
         seq = ingest(args.path, "seqcsv")
-        rep = signstats.count_sign_changes(seq, args.zero_tol)
-        report["X"] = len(seq)
-        report["sign_changes"] = rep.summary()
-        write_report(report, args.out)
-        return 0
-    X = args.X
-    H, M = _auto_window(X, args.H)
-    table = hecke.CoefficientTable(tau.sym2_tau_locals(X), X, X)
-    seq = signstats.sequence_from_table(table, X)
-    rep = signstats.count_sign_changes(seq, args.zero_tol)
-    # scan windows [x, x+H] for x up to 2*scan_X stay inside the table
-    cfg = signstats.ShortIntervalConfig((X - H) // 2, H, M)
-    scan = signstats.interval_change_scan(table, cfg, args.zero_tol)
-    report.update({
-        "X": X, "H": H, "M": M,
-        "sign_changes": rep.summary(),
-        "scan": {"X": cfg.X, "H": H, "M": M,
-                 "total_x": scan["total_x"], "with_change": scan["with_change"]},
-        "partial_sum_abs": signstats.partial_sum_abs(table, X),
-        "rankin_selberg_ratio": signstats.rankin_selberg_ratio(table, X),
-        "sign_balance": signstats.sign_balance(table, X, zero_tol=args.zero_tol),
-        "nonvanishing": signstats.nonvanishing_density(table, X, zero_tol=args.zero_tol),
-    })
+        report: dict = {"source": "csv", "X": len(seq)}
+    else:
+        X = args.X
+        H, M = _auto_window(X, args.H)
+        table = hecke.CoefficientTable(tau.sym2_tau_locals(X), X, X)
+        seq = signstats.sequence_from_table(table, X)
+        # scan windows [x, x+H] for x up to 2*scan_X stay inside the table
+        cfg = signstats.ShortIntervalConfig((X - H) // 2, H, M)
+        scan = signstats.interval_change_scan(table, cfg, args.zero_tol)
+        report = {
+            "source": "sym2-tau", "X": X, "H": H, "M": M,
+            "scan": {"X": cfg.X, "H": H, "M": M,
+                     "total_x": scan["total_x"], "with_change": scan["with_change"]},
+            "partial_sum_abs": signstats.partial_sum_abs(table, X),
+            "rankin_selberg_ratio": signstats.rankin_selberg_ratio(table, X),
+            "sign_balance": signstats.sign_balance(table, X, zero_tol=args.zero_tol),
+            "nonvanishing": signstats.nonvanishing_density(table, X, zero_tol=args.zero_tol),
+        }
+    report["command"] = "signs"
+    report["sign_changes"] = signstats.count_sign_changes(seq, args.zero_tol).summary()
     write_report(report, args.out)
     return 0
 
@@ -225,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["tau", "gl2", "table", "samples", "density"])
     p.add_argument("--N", type=int, default=1000)
     p.add_argument("--bound-n", type=int, default=1)
-    p.add_argument("--measure", default="plancherel", choices=["plancherel", "sato-tate"])
-    p.add_argument("--p", type=int, default=5)
+    p.add_argument("--p", type=_prime_or_sato_tate, default=5,
+                   help="the prime of the Plancherel measure, or sato-tate")
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--K", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
@@ -247,16 +237,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--a", type=float, default=-1.0)
     p.add_argument("--b", type=float, default=8.0)
-    p.add_argument("--cells", type=int, default=0,
-                   help="use an equal partition of [-1,8] instead of [a,b]")
+    p.add_argument("--cells", type=int, default=1, help="compare this many equal cells of [a, b]")
     p.add_argument("--tol", type=float, default=0.01)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_satotate)
 
     p = sub.add_parser("signs", help="sign statistics pipeline")
-    p.add_argument("--source", default="sym2-tau", choices=["sym2-tau", "csv"])
-    p.add_argument("--path", default=None, help="input file for --source csv")
-    p.add_argument("--X", type=int, default=10_000)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--path", default=None, help="an m,value file to count, not sym2 tau")
+    source.add_argument("--X", type=int, default=10_000)
     p.add_argument("--H", type=_int_or_auto, default="auto")
     p.add_argument("--zero-tol", type=float, default=1e-12)
     p.add_argument("--out", default=None)
@@ -288,12 +277,14 @@ def _config_error(args) -> str | None:
     if seed is not None and not 0 <= seed < 2 ** 64:  # the samplers' 64-bit seeds
         return "field 'seed' must lie in [0, 2^64)"
     if args.command == "mvt":
-        if args.N < 1:
-            return "field 'N' must be at least 1"
-        if args.T <= 0:
-            return "field 'T' must be positive"
-        if args.draws < 1:
-            return "field 'draws' must be at least 1"
+        # N^2 kernel terms per draw: 2.7 s and 184 MB peak RSS at N = 10^4, 100 draws
+        if not 1 <= args.N <= 10**4:
+            return "field 'N' must lie in [1, 10^4]"
+        # T log(2N) stays far below 2^53, where sin(T log n) has no digits left
+        if not 0 < args.T <= 10**9:
+            return "field 'T' must lie in (0, 10^9]"
+        if not 1 <= args.draws <= 100:
+            return "field 'draws' must lie in [1, 100]"
     if args.command == "kato":
         for name in ("l1", "l2"):
             if not 0 <= getattr(args, name) <= 6:
@@ -311,12 +302,12 @@ def _config_error(args) -> str | None:
         # two float64 angles per sample: 160 MB and about 3 s of sampling at 10^7
         if args.samples > 10**7:
             return "field 'samples' must be at most 10^7"
-        if args.cells < 0:
-            return "field 'cells' must be non-negative"
+        if args.cells < 1:
+            return "field 'cells' must be at least 1"
         # a pass over the samples per cell: about 20 s and 10 MB masks at 1,000 x 10^7
         if args.cells > 1000:
             return "field 'cells' must be at most 1000"
-        if not args.cells and not -1.0 <= args.a <= args.b <= 8.0:
+        if not -1.0 <= args.a <= args.b <= 8.0:
             return "fields 'a' and 'b' must satisfy -1 <= a <= b <= 8"
         return _prime_error(args.p)
     if args.command == "gen":
@@ -330,15 +321,15 @@ def _config_error(args) -> str | None:
             return "field 'count' must lie in [1, 10^6]"
         if args.what == "density" and not 8 <= args.K <= 1000:  # K^2 rows
             return "field 'K' must lie in [8, 1000]"
-        if args.what in ("samples", "density") and args.measure == "plancherel":
+        if args.what in ("samples", "density") and args.p is not None:
             return _prime_error(args.p)
     if args.command == "signs":
         if not args.zero_tol >= 0:
             return "field 'zero-tol' must be non-negative"
+        if args.path is not None:
+            return None if args.H == "auto" else "field 'H' sets the sym2 tau scan, not --path"
         if args.H != "auto" and args.H < 2:
             return "field 'H' must be at least 2"
-        if args.source == "csv":
-            return None if args.path is not None else "--source csv needs --path"
         if not 1 <= args.X <= 10**6:
             return "field 'X' must lie in [1, 10^6]"
         H, _ = _auto_window(args.X, args.H)

@@ -12,6 +12,7 @@ entry-by-entry walk they replace.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from dataclasses import asdict, dataclass
 
@@ -58,6 +59,12 @@ class ShortIntervalConfig:
     M: int
 
     def __post_init__(self):
+        for name in ("X", "H", "M"):  # slices need integers; numpy's are kept as Python ints
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise TypeError(f"field {name!r} must be an integer, got {value!r}") from None
         if not (0 < self.M < self.H <= self.X):
             raise ValueError(f"need M < H <= X, got M={self.M} H={self.H} X={self.X}")
 

@@ -50,6 +50,14 @@ def checks_to_json(checks: list[Check]) -> list[dict]:
     return [asdict(c) for c in checks]
 
 
+def equal_cells(a: float, b: float, k: int) -> list[tuple[float, float]]:
+    """k equal cells of [a, b]: edge c is a + c (b - a)/k for c < k, the
+    last edge is b itself, and each cell ends where the next one starts."""
+    width = (b - a) / k
+    edges = [a + c * width for c in range(k)] + [b]
+    return list(zip(edges, edges[1:]))
+
+
 def random_tempered_locals(primes: list[int], rng: random.Random) -> hecke.LocalArrays:
     """Tempered local data at the primes: t1 and then t2 drawn from rng for
     each prime in turn, and the triple (e^{i t1}, e^{i t2}, e^{-i(t1 + t2)}).
@@ -161,10 +169,9 @@ def suite_measures(seed: int = 0) -> list[Check]:
     checks.append(Check.le("plancherel_to_st_sup_monotone", 0.0 if monotone else 1.0, 0.0))
 
     gaps = []
-    for cell in range(9):
-        lo, hi = -1.0 + cell, -1.0 + cell + 1.0
-        mp, up = schuralg.indicator_mass(1009, (lo, hi))
-        ms, us = schuralg.indicator_mass(st, (lo, hi))
+    for cell in equal_cells(-1.0, 8.0, 9):
+        mp, up = schuralg.indicator_mass(1009, cell)
+        ms, us = schuralg.indicator_mass(st, cell)
         gaps.append(abs(mp - ms) - up - us)
     checks.append(Check.le("interval_mass_gap_p1009", worst(gaps), 0.02))
     return checks
@@ -192,7 +199,7 @@ def suite_bernstein(seed: int = 0) -> list[Check]:
 def suite_satotate(seed: int = 0) -> list[Check]:
     """Sampled A(p,p) interval masses versus exact masses on the 9-cell
     partition of [-1, 8] for p in {2, 5}, 100,000 samples each."""
-    cells = [(-1.0 + cell, cell + 0.0) for cell in range(9)]
+    cells = equal_cells(-1.0, 8.0, 9)
     checks = []
     for i, p in enumerate((2, 5)):
         recs = schuralg.effective_st_compare(p, 100_000, cells, measures.child_seed(seed, i))

@@ -1,11 +1,15 @@
+import argparse
+import ast
 import csv
+import inspect
 import json
 import math
+import textwrap
 
 import numpy as np
 import pytest
 
-from gl3hecke import cli, hecke, measures, schuralg, tau
+from gl3hecke import cli, hecke, measures, schuralg, suites, tau
 
 
 def run(argv):
@@ -139,7 +143,7 @@ class TestGenAndIngest:
     def test_samples_csv(self, tmp_path):
         path = tmp_path / "samples.csv"
         assert run([
-            "gen", "--what", "samples", "--measure", "plancherel", "--p", "5",
+            "gen", "--what", "samples", "--p", "5",
             "--count", "64", "--seed", "3", "--out", str(path),
         ]) == 0
         rows = list(csv.reader(path.read_text().splitlines()))
@@ -149,7 +153,7 @@ class TestGenAndIngest:
     def test_density_table_csv(self, tmp_path):
         path = tmp_path / "density.csv"
         assert run([
-            "gen", "--what", "density", "--measure", "sato-tate", "--K", "8",
+            "gen", "--what", "density", "--p", "sato-tate", "--K", "8",
             "--out", str(path),
         ]) == 0
         rows = list(csv.reader(path.read_text().splitlines()))
@@ -204,7 +208,7 @@ class TestGenAndIngest:
         path.write_text(f"m,value\n1,1.0\n{m},1.0\n")
         with pytest.raises(cli.IngestError, match=":3: index m = "):
             cli.ingest(str(path), "seqcsv")
-        assert run(["signs", "--source", "csv", "--path", str(path)]) == 2
+        assert run(["signs", "--path", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{path}:3: index m = {m} outside [1, 10^6]" in err
 
@@ -221,7 +225,7 @@ class TestGenAndIngest:
         path.write_text(f"m,value\n1,1.0\n2,{text}\n3,-1.0\n")
         with pytest.raises(cli.IngestError, match=":3: value = "):
             cli.ingest(str(path), "seqcsv")
-        assert run(["signs", "--source", "csv", "--path", str(path)]) == 2
+        assert run(["signs", "--path", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{path}:3: value = {text} is not finite" in err
 
@@ -242,10 +246,10 @@ class TestGenAndIngest:
 class TestSignsCommand:
     def test_pipeline_report(self, tmp_path):
         out = tmp_path / "signs.json"
-        code = run(["signs", "--source", "sym2-tau", "--X", "2000",
-                    "--H", "auto", "--out", str(out)])
+        code = run(["signs", "--X", "2000", "--H", "auto", "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
+        assert report["source"] == "sym2-tau"
         assert report["H"] == 4  # ceil(2000^(1/6))
         assert report["M"] == report["scan"]["M"] == 3  # min(ceil(2000^0.1), H - 1)
         assert report["sign_changes"]["changes"] > 0
@@ -272,9 +276,10 @@ class TestSignsCommand:
         path = tmp_path / "seq.csv"
         path.write_text("m,value\n1,1.0\n2,-1.0\n3,1.0\n")
         out = tmp_path / "signs.json"
-        code = run(["signs", "--source", "csv", "--path", str(path), "--out", str(out)])
+        code = run(["signs", "--path", str(path), "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
+        assert (report["source"], report["X"]) == ("csv", 3)
         assert report["sign_changes"]["changes"] == 2
 
 
@@ -303,6 +308,36 @@ class TestMvtCommand:
                     "--seed", "5", "--out", str(out)]) == 1
         assert math.isnan(json.loads(out.read_text())["max_ratio"])
 
+    def test_caps_boundary(self):
+        # N = 10^4, T = 10^9 and 100 draws are accepted, one more of any refused;
+        # _config_error returns before anything is drawn
+        for N, T, draws, ok in ((10**4, 10**9, 100, True), (10**4 + 1, 512, 5, False),
+                                (512, 10**9 + 1, 5, False), (512, 512, 101, False)):
+            args = cli.build_parser().parse_args(
+                ["mvt", "--N", str(N), "--T", str(T), "--draws", str(draws)])
+            assert (cli._config_error(args) is None) == ok
+
+
+class TestEqualCells:
+    @pytest.mark.parametrize("a,b", [(-1.0, 8.0), (0.0, 4.0), (-1.0, 2.0), (0.1, 0.7),
+                                     (7.9999999, 8.0), (-1.0, -1.0 + 1e-13), (2.5, 2.5)])
+    def test_cells_tile_the_interval(self, a, b):
+        # on [-1, 8] the old last edge -1 + k (9/k) was 8.000000000000002 at
+        # k = 561, which indicator_mass refuses, and 7.999999999999998 at k = 519
+        for k in range(1, 1001):
+            lo, hi = np.array(suites.equal_cells(a, b, k)).T
+            assert len(lo) == k and lo[0] == a and hi[-1] == b
+            assert np.array_equal(hi[:-1], lo[1:])  # contiguous
+            assert np.all((a <= lo) & (lo <= hi) & (hi <= b))
+
+    @pytest.mark.parametrize("k", [1, 7, 9, 100, 519, 561, 1000])
+    def test_inner_edges_are_the_old_report_edges(self, k):
+        # the reports of satotate --cells k stay byte-identical
+        width = 9.0 / k
+        edges = [e for cell in suites.equal_cells(-1.0, 8.0, k) for e in cell]
+        assert edges[:-1] == [e for c in range(k) for e in (-1.0 + c * width,
+                                                           -1.0 + (c + 1) * width)][:-1]
+
 
 class TestSatotateCommand:
     def test_caps_boundary(self):
@@ -320,7 +355,24 @@ class TestSatotateCommand:
                     "--a", "-1", "--b", "8", "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["empirical"] == 1.0
+        assert report["cells"][0]["interval"] == [-1.0, 8.0]
+        assert report["cells"][0]["empirical"] == 1.0
+
+    def test_cells_of_a_and_b(self, tmp_path):
+        out = tmp_path / "st.json"
+        assert run(["satotate", "--p", "5", "--samples", "200", "--cells", "3",
+                    "--a", "0", "--b", "1", "--out", str(out)]) in (0, 1)
+        report = json.loads(out.read_text())
+        assert [c["interval"] for c in report["cells"]] == [
+            [0.0, 1 / 3], [1 / 3, 2 / 3], [2 / 3, 1.0]]
+        assert set(report) == {"command", "p", "samples", "seed", "cells", "max_excess_diff"}
+
+    def test_561_cells_end_at_8(self, tmp_path):
+        out = tmp_path / "st.json"
+        assert run(["satotate", "--p", "5", "--samples", "200", "--cells", "561",
+                    "--out", str(out)]) in (0, 1)
+        cells = json.loads(out.read_text())["cells"]
+        assert len(cells) == 561 and cells[-1]["interval"][1] == 8.0
 
     def test_cells_share_one_draw(self, tmp_path, monkeypatch):
         draws = []
@@ -375,7 +427,7 @@ class TestDeterminism:
 
 class TestErrorPaths:
     def test_missing_file_is_config_error(self):
-        assert run(["signs", "--source", "csv", "--path", "/nonexistent.csv"]) == 2
+        assert run(["signs", "--path", "/nonexistent.csv"]) == 2
 
     @pytest.mark.parametrize("command", ["kato", "satotate", "mvt"])
     @pytest.mark.parametrize("tol", ["0", "-1"])
@@ -394,7 +446,14 @@ class TestErrorPaths:
         (["mvt", "--N", "-3"], "field 'N'"),
         (["mvt", "--N", "0"], "field 'N'"),
         (["mvt", "--draws", "0"], "field 'draws'"),
+        (["mvt", "--N", "10001"], "field 'N' must lie in [1, 10^4]"),
+        (["mvt", "--T", "1000000001"], "field 'T' must lie in (0, 10^9]"),
+        (["mvt", "--T", str(10 ** 400)], "field 'T' must lie in (0, 10^9]"),
+        (["mvt", "--draws", "101"], "field 'draws' must lie in [1, 100]"),
         (["satotate", "--p", "5", "--cells", "-1"], "field 'cells'"),
+        (["satotate", "--p", "5", "--cells", "0"], "field 'cells' must be at least 1"),
+        (["satotate", "--p", "5", "--cells", "9", "--b", "9"], "-1 <= a <= b <= 8"),
+        (["signs", "--path", "x.csv", "--H", "3"], "field 'H' sets the sym2 tau scan, not --path"),
         (["signs", "--X", "2000", "--H", "0"], "field 'H'"),
         (["signs", "--X", "2000", "--H", "1"], "field 'H'"),
         (["kato", "--l1", "7", "--l2", "0", "--p", "2"], "field 'l1' must lie in [0, 6]"),
@@ -453,7 +512,9 @@ class TestErrorPaths:
         (["mvt", "--seed", "-1"], "field 'seed' must lie in [0, 2^64)"),
         (["mvt", "--seed", str(2 ** 64)], "field 'seed' must lie in [0, 2^64)"),
     ], ids=["mvt-T-neg", "mvt-T-zero", "mvt-N-neg", "mvt-N-zero", "mvt-draws-zero",
-            "satotate-cells-neg", "signs-H-zero", "signs-H-one",
+            "mvt-N-big", "mvt-T-big", "mvt-T-10-400", "mvt-draws-big",
+            "satotate-cells-neg", "satotate-cells-zero", "satotate-cells-b-big", "signs-path-H",
+            "signs-H-zero", "signs-H-one",
             "kato-l1-big", "kato-l1-neg", "kato-l2-big", "kato-p-composite", "kato-p-zero",
             "satotate-p", "satotate-samples", "satotate-samples-big", "satotate-samples-10-12",
             "satotate-cells-big", "satotate-cells-10-9", "satotate-a-low", "satotate-a-above-b",
@@ -482,10 +543,46 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match="planted"):
             run(["kato", "--l1", "1", "--l2", "1", "--p", "2"])
 
-    def test_csv_source_without_path_is_config_error(self, capsys):
-        assert run(["signs", "--source", "csv"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "--path" in err
+    @pytest.mark.parametrize("argv,message", [
+        (["signs", "--path", "seq.csv", "--X", "10"],
+         "argument --X: not allowed with argument --path"),
+        (["signs", "--source", "csv", "--path", "seq.csv"], "unrecognized arguments: --source csv"),
+        (["gen", "--what", "samples", "--measure", "sato-tate", "--out", "x.csv"],
+         "unrecognized arguments: --measure sato-tate"),
+    ], ids=["signs-path-and-X", "signs-source", "gen-measure"])
+    def test_path_selecting_flag_is_refused(self, capsys, argv, message):
+        # signs reads --path or else sym2 tau up to --X, and gen's measure is its --p
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+def args_read(fn) -> set[str]:
+    """The names that fn's source reads as args.<name>."""
+    return {node.attr for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn))))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+
+
+SUBCOMMANDS = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_args_read_finds_attribute_reads():
+    def cmd(args, other):
+        return args.X + other.H + getattr(args, "M") + (lambda: args.zero_tol)()
+
+    assert args_read(cmd) == {"X", "zero_tol"}
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_every_flag_is_read(name):
+    # a flag that neither its command nor _config_error reads is a setting
+    # that does nothing
+    parser = SUBCOMMANDS[name]
+    read = args_read(parser.get_default("fn")) | args_read(cli._config_error)
+    assert {a.dest for a in parser._actions if a.dest != "help"} - read == set()
 
 
 def test_sampling_commands_never_load_numpy_random(tmp_path):

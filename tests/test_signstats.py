@@ -143,6 +143,23 @@ class TestShortIntervalSums:
         with pytest.raises(ValueError):
             ShortIntervalConfig(X=100, H=200, M=3)
 
+    @pytest.mark.parametrize("X,H,M,field", [
+        (1000.5, 5, 3, "X"), (np.float64(1000), 5, 3, "X"), (1000, 5.0, 3, "H"),
+        (1000, 5, 2.5, "M"), (1000, "5", 3, "H"),
+    ])
+    def test_non_integer_fields_are_refused(self, X, H, M, field):
+        # the windows slice by X, H and M, and numpy refuses float slice indices
+        with pytest.raises(TypeError, match=f"field '{field}' must be an integer"):
+            ShortIntervalConfig(X=X, H=H, M=M)
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        cfg = ShortIntervalConfig(X=np.int64(1000), H=np.int32(5), M=np.uint8(3))
+        assert [type(v) for v in (cfg.X, cfg.H, cfg.M)] == [int, int, int]
+        assert cfg == ShortIntervalConfig(X=1000, H=5, M=3)
+        table = degenerate_table(3000)
+        assert interval_change_scan(table, cfg) == interval_change_scan(
+            table, ShortIntervalConfig(X=1000, H=5, M=3))
+
     def test_triangle_inequality(self, tau_table_100k):
         cfg = ShortIntervalConfig(X=10_000, H=252, M=3)
         for x in (10_000, 15_000, 19_000):
