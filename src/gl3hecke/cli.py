@@ -12,6 +12,7 @@ import json
 import math
 import random
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -21,48 +22,22 @@ from .arith import _MR_PROOF_BOUND, is_prime
 from .csvio import IngestError, read_csv, write_csv
 
 
-def _finite(text: str, field: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{field} = {text.strip()} is not finite")
-    return value
-
-
-def _gl2_row(row) -> tuple[int, float]:
-    p = int(row[0])
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    return p, _finite(row[1], "lambda")
-
-
 def _seq_row(row) -> tuple[int, float]:
     # ingest allocates a dense sequence up to the largest m: cap it as signs --X
     m = int(row[0])
     if not 1 <= m <= 10**6:
         raise ValueError(f"index m = {m} outside [1, 10^6]")
-    return m, _finite(row[1], "value")
+    value = float(row[1])
+    if not math.isfinite(value):
+        raise ValueError(f"value = {row[1].strip()} is not finite")
+    return m, value
 
 
-def ingest(path: str, fmt: str):
-    """Parse a gl2csv (`p,lambda`) or seqcsv (`m,value`) file.
-
-    gl2csv returns the arrays (primes, lam), with a warning when some |lambda|
-    > 2; seqcsv returns a RealSequence (missing indices are zero).
-    """
-    if fmt == "gl2csv":
-        rows = read_csv(path, ("p", "lambda"), "prime", _gl2_row)
-        primes, lam = np.fromiter(rows, np.int64), np.fromiter(rows.values(), float)
-        if bad := hecke.nontempered_primes(primes, lam):
-            print(f"warning: {path} has |lambda| > 2 at prime {bad[0]}; sym2_lift refuses these rows",
-                  file=sys.stderr)
-        return primes, lam
-
-    if fmt == "seqcsv":
-        values = read_csv(path, ("m", "value"), "index", _seq_row)
-        top = max(values) if values else 0
-        return signstats.RealSequence([values.get(m, 0.0) for m in range(1, top + 1)])
-
-    raise IngestError(f"unknown format {fmt!r}")
+def ingest(path: str) -> signstats.RealSequence:
+    """An `m,value` file as a RealSequence; missing indices are zero."""
+    values = read_csv(path, ("m", "value"), "index", _seq_row)
+    top = max(values) if values else 0
+    return signstats.RealSequence([values.get(m, 0.0) for m in range(1, top + 1)])
 
 
 def write_report(obj, out: str | None) -> None:
@@ -81,13 +56,17 @@ def _largest(values) -> float:
     return float(np.max(np.fromiter(values, float)))
 
 
-def _int_or_auto(text: str):
-    return text if text == "auto" else int(text)
-
-
-def _prime_or_sato_tate(text: str):
-    """A measure's p: an integer, or None for Sato-Tate."""
-    return None if text == "sato-tate" else int(text)
+def _int_or(word: str, value, takes: str):
+    """An argparse type: `value` for the text `word`, else the integer in the
+    text; any other text is refused by saying what the flag takes."""
+    def parse(text: str):
+        if text == word:
+            return value
+        try:
+            return int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {takes}, got {text!r}") from None
+    return parse
 
 
 def _auto_window(X: int, H_arg) -> tuple[int, int]:
@@ -103,11 +82,9 @@ def cmd_verify(args) -> int:
     ok = True
     for name in names:
         checks = suites.SUITES[name](seed=args.seed)
-        report["suites"][name] = {
-            "checks": suites.checks_to_json(checks),
-            "passed": suites.all_passed(checks),
-        }
-        ok = ok and suites.all_passed(checks)
+        passed = suites.all_passed(checks)
+        report["suites"][name] = {"checks": [asdict(c) for c in checks], "passed": passed}
+        ok = ok and passed
     report["passed"] = ok
     write_report(report, args.out)
     return 0 if ok else 1
@@ -131,14 +108,13 @@ def cmd_gen(args) -> int:
         write_csv(args.out, ("theta1", "theta2"),
                   zip(*measures.sample_angles(spec, args.count, args.seed)))
         return 0
-    if args.what == "density":
-        nodes = measures.QuadratureGrid(args.K).nodes
-        write_csv(args.out, ("theta1", "theta2", "density"), (
-            (a, b, measures.density(spec, measures.TorusPoint(float(a), float(b))))
-            for a in nodes for b in nodes
-        ))
-        return 0
-    raise IngestError(f"unknown generator {args.what!r}")
+    # density: argparse's choices leave no other --what
+    nodes = measures.QuadratureGrid(args.K).nodes
+    write_csv(args.out, ("theta1", "theta2", "density"), (
+        (a, b, measures.density(spec, measures.TorusPoint(float(a), float(b))))
+        for a in nodes for b in nodes
+    ))
+    return 0
 
 
 def cmd_kato(args) -> int:
@@ -159,7 +135,7 @@ def cmd_satotate(args) -> int:
 
 def cmd_signs(args) -> int:
     if args.path is not None:
-        seq = ingest(args.path, "seqcsv")
+        seq = ingest(args.path)
         report: dict = {"source": "csv", "X": len(seq)}
     else:
         X = args.X
@@ -215,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["tau", "gl2", "table", "samples", "density"])
     p.add_argument("--N", type=int, default=1000)
     p.add_argument("--bound-n", type=int, default=1)
-    p.add_argument("--p", type=_prime_or_sato_tate, default=5,
-                   help="the prime of the Plancherel measure, or sato-tate")
+    p.add_argument("--p", type=_int_or("sato-tate", None, "a prime or 'sato-tate'"),
+                   default=5, help="the prime of the Plancherel measure, or sato-tate")
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--K", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
@@ -246,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--path", default=None, help="an m,value file to count, not sym2 tau")
     source.add_argument("--X", type=int, default=10_000)
-    p.add_argument("--H", type=_int_or_auto, default="auto")
+    p.add_argument("--H", type=_int_or("auto", "auto", "an integer or 'auto'"),
+                   default="auto")
     p.add_argument("--zero-tol", type=float, default=1e-12)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_signs)

@@ -77,14 +77,6 @@ class PrimeLocalData:
         self.p, self.satake = p, satake
 
 
-def nontempered_primes(primes, lam) -> list[int]:
-    """The primes[i] with |lam[i]| > 2 + UNIT_TOL, or NaN: one test on the array
-    of lambda, written so that NaN fails it; unequal lengths raise ValueError."""
-    if len(primes) != len(lam):
-        raise ValueError(f"{len(primes)} primes and {len(lam)} lambda")
-    return np.asarray(primes)[~(np.abs(lam) <= 2.0 + UNIT_TOL)].tolist()
-
-
 def _complete_homogeneous(e1, e2, n: int) -> list:
     """h_0, ..., h_n from e1, e2 (with e3 = 1) by the recurrence
     h_k = e1 h_{k-1} - e2 h_{k-2} + h_{k-3}, in any ring whose elements
@@ -379,9 +371,13 @@ def sym2_lift(primes, lam) -> LocalArrays:
     (beta^2, 1, beta^-2), whose e1 = e2 = lambda^2 - 1, the real A(p, 1).
 
     lambda within UNIT_TOL of +-2 is taken as +-2, the triple (1, 1, 1) with
-    e1 = e2 = 3.
+    e1 = e2 = 3.  Unequal lengths raise ValueError, and |lambda| > 2 + UNIT_TOL
+    or NaN raises NonTemperedError naming the primes.
     """
-    if bad := nontempered_primes(primes, lam):
+    if len(primes) != len(lam):
+        raise ValueError(f"{len(primes)} primes and {len(lam)} lambda")
+    # written so that NaN fails the test
+    if bad := np.asarray(primes)[~(np.abs(lam) <= 2.0 + UNIT_TOL)].tolist():
         raise NonTemperedError(f"|lambda(p)| > 2 at primes {bad}; lift needs tempered input")
     lam = np.clip(np.asarray(lam, dtype=float), -2.0, 2.0)
     e = (lam * lam - 1.0).astype(complex)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -44,10 +44,6 @@ def worst(values) -> float:
 
 def all_passed(checks: list[Check]) -> bool:
     return all(c.status == "pass" for c in checks)
-
-
-def checks_to_json(checks: list[Check]) -> list[dict]:
-    return [asdict(c) for c in checks]
 
 
 def equal_cells(a: float, b: float, k: int) -> list[tuple[float, float]]:

@@ -9,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from gl3hecke import cli, hecke, measures, schuralg, suites, tau
+from gl3hecke import cli, measures, schuralg, suites, tau
 
 
 def run(argv):
@@ -94,20 +94,18 @@ class TestKatoCommand:
 
 class TestGenAndIngest:
     def test_gl2_round_trip(self, tmp_path):
-        path = tmp_path / "gl2.csv"
-        assert run(["gen", "--what", "gl2", "--N", "200", "--out", str(path)]) == 0
-        primes, lam = cli.ingest(str(path), "gl2csv")
-        assert not hecke.nontempered_primes(primes, lam)
-        assert primes[0] == 2
-        assert lam[0] == pytest.approx(-24 / 2 ** 5.5)
-
-    def test_gl2_ingest_is_tau_prime_eigenvalues_bit_for_bit(self, tmp_path, capsys):
+        # nothing in the package reads a p,lambda file: it is the arrays of
+        # tau_prime_eigenvalues, read back bit for bit by any CSV reader
         path = tmp_path / "gl2.csv"
         assert run(["gen", "--what", "gl2", "--N", "2000", "--out", str(path)]) == 0
-        got, want = cli.ingest(str(path), "gl2csv"), tau.tau_prime_eigenvalues(2000)
-        assert capsys.readouterr().err == ""
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["p", "lambda"]
+        primes, lam = tau.tau_prime_eigenvalues(2000)
+        assert [int(r[0]) for r in rows] == primes.tolist()
+        got = np.array([float(r[1]) for r in rows])
+        assert np.array_equal(got.view(np.int64), lam.view(np.int64))
+        assert lam[0] == pytest.approx(-24 / 2 ** 5.5)
 
     def test_tau_csv(self, tmp_path):
         path = tmp_path / "tau.csv"
@@ -164,42 +162,21 @@ class TestGenAndIngest:
 
     def test_ingest_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("prime,eig\n2,1.0\n")
-        with pytest.raises(cli.IngestError, match="header"):
-            cli.ingest(str(path), "gl2csv")
+        path.write_text("p,lambda\n2,1.0\n")
+        with pytest.raises(cli.IngestError, match=r"bad\.csv:1: expected header 'm,value'$"):
+            cli.ingest(str(path))
 
     def test_ingest_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("p,lambda\n2,1.0\n3,not-a-number\n")
-        with pytest.raises(cli.IngestError, match=":3:"):
-            cli.ingest(str(path), "gl2csv")
+        path.write_text("m,value\n1,1.0\n2,not-a-number\n")
+        with pytest.raises(cli.IngestError, match=r"bad\.csv:3: could not convert"):
+            cli.ingest(str(path))
 
-    def test_ingest_rejects_duplicate_prime(self, tmp_path):
+    def test_ingest_rejects_duplicate_index(self, tmp_path):
         path = tmp_path / "dup.csv"
-        path.write_text("p,lambda\n2,1.0\n2,0.5\n")
-        with pytest.raises(cli.IngestError, match="duplicate prime 2"):
-            cli.ingest(str(path), "gl2csv")
-
-    def test_ingest_flags_non_tempered_rows(self, tmp_path, capsys):
-        path = tmp_path / "big.csv"
-        path.write_text("p,lambda\n2,1.0\n3,2.5\n5,-3.0\n")
-        primes, lam = cli.ingest(str(path), "gl2csv")
-        assert (primes.tolist(), lam.tolist()) == ([2, 3, 5], [1.0, 2.5, -3.0])
-        assert capsys.readouterr().err == (
-            f"warning: {path} has |lambda| > 2 at prime 3; sym2_lift refuses these rows\n")
-        with pytest.raises(hecke.NonTemperedError):
-            hecke.sym2_lift(primes, lam)
-
-    def test_ingest_tempered_within_unit_tol(self, tmp_path, capsys):
-        # the one temperedness test of hecke: |lambda| <= 2 + UNIT_TOL, so
-        # ingest's warning agrees with sym2_lift, which lifts to (1, 1, 1),
-        # whose e1 and e2 are 3
-        path = tmp_path / "edge.csv"
-        path.write_text("p,lambda\n2,2.0000000000001\n")
-        primes, lam = cli.ingest(str(path), "gl2csv")
-        assert capsys.readouterr().err == ""
-        local = hecke.sym2_lift(primes, lam)
-        assert (local.e1.tolist(), local.e2.tolist()) == ([3.0], [3.0])
+        path.write_text("m,value\n1,1.0\n2,1.0\n2,0.5\n")
+        with pytest.raises(cli.IngestError, match=r"dup\.csv:4: duplicate index 2$"):
+            cli.ingest(str(path))
 
     @pytest.mark.parametrize("m", ["0", "1000001"])
     def test_seq_ingest_rejects_index_outside_the_cap(self, tmp_path, capsys, m):
@@ -207,7 +184,7 @@ class TestGenAndIngest:
         path = tmp_path / "seq.csv"
         path.write_text(f"m,value\n1,1.0\n{m},1.0\n")
         with pytest.raises(cli.IngestError, match=":3: index m = "):
-            cli.ingest(str(path), "seqcsv")
+            cli.ingest(str(path))
         assert run(["signs", "--path", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{path}:3: index m = {m} outside [1, 10^6]" in err
@@ -215,7 +192,7 @@ class TestGenAndIngest:
     def test_seq_ingest_accepts_the_cap(self, tmp_path):
         path = tmp_path / "seq.csv"
         path.write_text("m,value\n1000000,-1.0\n")
-        seq = cli.ingest(str(path), "seqcsv")
+        seq = cli.ingest(str(path))
         assert len(seq.values) == 10**6 and seq.values[-1] == -1.0
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
@@ -224,22 +201,15 @@ class TestGenAndIngest:
         path = tmp_path / "seq.csv"
         path.write_text(f"m,value\n1,1.0\n2,{text}\n3,-1.0\n")
         with pytest.raises(cli.IngestError, match=":3: value = "):
-            cli.ingest(str(path), "seqcsv")
+            cli.ingest(str(path))
         assert run(["signs", "--path", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{path}:3: value = {text} is not finite" in err
 
-    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
-    def test_gl2_ingest_rejects_non_finite_values(self, tmp_path, text):
-        path = tmp_path / "gl2.csv"
-        path.write_text(f"p,lambda\n2,1.0\n3,{text}\n")
-        with pytest.raises(cli.IngestError, match=f":3: lambda = {text} is not finite"):
-            cli.ingest(str(path), "gl2csv")
-
     def test_seq_ingest(self, tmp_path):
         path = tmp_path / "seq.csv"
         path.write_text("m,value\n1,1.0\n2,-2.0\n4,0.5\n")
-        seq = cli.ingest(str(path), "seqcsv")
+        seq = cli.ingest(str(path))
         assert seq.values.tolist() == [1.0, -2.0, 0.0, 0.5]
 
 
@@ -557,6 +527,23 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["gen", "--what", "samples", "--p", "foo", "--out", "x.csv"],
+         "gl3hecke gen: error: argument --p: expected a prime or 'sato-tate', got 'foo'"),
+        (["gen", "--what", "density", "--p", "5.0", "--out", "x.csv"],
+         "gl3hecke gen: error: argument --p: expected a prime or 'sato-tate', got '5.0'"),
+        (["signs", "--H", "foo"],
+         "gl3hecke signs: error: argument --H: expected an integer or 'auto', got 'foo'"),
+    ], ids=["gen-p-foo", "gen-p-float", "signs-H-foo"])
+    def test_non_integer_flag_says_what_it_takes(self, capsys, tmp_path, monkeypatch,
+                                                 argv, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == message
+        assert not (tmp_path / "x.csv").exists()
+
 
 def args_read(fn) -> set[str]:
     """The names that fn's source reads as args.<name>."""
@@ -574,6 +561,23 @@ def test_args_read_finds_attribute_reads():
         return args.X + other.H + getattr(args, "M") + (lambda: args.zero_tol)()
 
     assert args_read(cmd) == {"X", "zero_tol"}
+
+
+GEN_HEADERS = {"tau": ["m", "value"], "gl2": ["p", "lambda"], "table": ["m", "n", "re", "im"],
+               "samples": ["theta1", "theta2"], "density": ["theta1", "theta2", "density"]}
+
+
+@pytest.mark.parametrize("what", next(a for a in SUBCOMMANDS["gen"]._actions
+                                      if a.dest == "what").choices)
+def test_each_gen_choice_writes_its_own_header(tmp_path, what):
+    # cmd_gen ends in the density branch, so a --what choice added without
+    # a branch of its own would write density's header
+    path = tmp_path / "out.csv"
+    assert run(["gen", "--what", what, "--N", "10", "--count", "4", "--K", "8",
+                "--out", str(path)]) == 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert next(csv.reader(fh)) == GEN_HEADERS[what]
+    assert len({tuple(h) for h in GEN_HEADERS.values()}) == len(GEN_HEADERS)
 
 
 @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))

@@ -474,8 +474,6 @@ class TestLocalArrays:
         # a ValueError naming both lengths, not the IndexError of the mask
         message = f"^{len(primes)} primes and {len(lam)} lambda$"
         with pytest.raises(ValueError, match=message):
-            hecke.nontempered_primes(primes, lam)
-        with pytest.raises(ValueError, match=message):
             sym2_lift(primes, lam)
         with pytest.raises(ValueError, match=message):
             sym2_lift(np.array(primes, dtype=np.int64), np.array(lam, dtype=float))
@@ -493,7 +491,6 @@ class TestLocalArrays:
 
     def test_lift_of_nothing_is_empty(self):
         for primes, lam in (([], []), (np.array([], dtype=np.int64), np.array([]))):
-            assert hecke.nontempered_primes(primes, lam) == []
             local = sym2_lift(primes, lam)
             assert (local.primes.dtype, local.e1.dtype, local.e2.dtype) == (np.int64, complex, complex)
             assert len(local.primes) == len(local.e1) == len(local.e2) == 0
@@ -502,8 +499,7 @@ class TestLocalArrays:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_lift_refuses_non_finite_lambda(self, bad):
         for primes, lam in (([2], [bad]), (np.array([2, 3]), np.array([0.5, bad]))):
-            assert hecke.nontempered_primes(primes, lam) == [int(primes[-1])]
-            with pytest.raises(NonTemperedError, match=rf"\[{primes[-1]}\]"):
+            with pytest.raises(NonTemperedError, match=rf"at primes \[{primes[-1]}\];"):
                 sym2_lift(primes, lam)
 
     def test_read_only(self):
@@ -734,7 +730,7 @@ class TestSym2Lift:
             sym2_lift([2, 3, 7], [1.0, 2.5, -2.2])
 
     def test_gl2_ramanujan_flag_enforced(self):
-        # the Ramanujan test is nontempered_primes, and sym2_lift is the gate
+        # the Ramanujan test |lambda| <= 2 + UNIT_TOL is sym2_lift's gate
         cases = [
             ([2, 3, 5], [1.0, -2.0, 0.0], None),
             ([2, 3], [1.0, 2.0 + 0.5 * hecke.UNIT_TOL], None),
@@ -743,18 +739,22 @@ class TestSym2Lift:
             ([2, 3, 5], [1.0, 0.5, -2.0 - 2 * hecke.UNIT_TOL], r"\[5\]"),
         ]
         for primes, lam, refused in cases:
-            assert (not hecke.nontempered_primes(primes, lam)) is (refused is None)
             if refused is None:
                 assert sym2_lift(primes, lam).primes.tolist() == primes
             else:
                 with pytest.raises(NonTemperedError, match=refused):
                     sym2_lift(primes, lam)
 
+    def test_lift_within_unit_tol_of_2_is_the_triple_1_1_1(self):
+        # |lambda| <= 2 + UNIT_TOL is tempered, and lambda is taken as +-2,
+        # the triple (1, 1, 1), whose e1 and e2 are 3
+        local = sym2_lift([2, 3], [2.0000000000001, -2.0000000000001])
+        assert (local.e1.tolist(), local.e2.tolist()) == ([3.0, 3.0], [3.0, 3.0])
+
     def test_nan_lambda_is_not_tempered(self):
         # |nan| > 2 is false, so a NaN once passed the test and the lift
         # clamped it to lambda = -2, which gives A(2, 1) = 3
         for primes, lam, refused in (([2, 3], [1.0, math.nan], r"\[3\]"),
                                      ([2], [math.nan], r"\[2\]")):
-            assert hecke.nontempered_primes(primes, lam) == primes[-1:]
             with pytest.raises(NonTemperedError, match=refused):
                 sym2_lift(primes, lam)
