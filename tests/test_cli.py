@@ -94,10 +94,20 @@ class TestKatoCommand:
 
 class TestGenAndIngest:
     def test_gl2_round_trip(self, tmp_path):
+        path = tmp_path / "gl2.csv"
+        assert run(["gen", "--what", "gl2", "--N", "200", "--out", str(path)]) == 0
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["p", "lambda"]
+        assert rows[0][0] == "2"
+        assert float(rows[0][1]) == pytest.approx(-24 / 2 ** 5.5)
+
+    def test_gl2_ingest_is_tau_prime_eigenvalues_bit_for_bit(self, tmp_path, capsys):
         # nothing in the package reads a p,lambda file: it is the arrays of
         # tau_prime_eigenvalues, read back bit for bit by any CSV reader
         path = tmp_path / "gl2.csv"
         assert run(["gen", "--what", "gl2", "--N", "2000", "--out", str(path)]) == 0
+        assert capsys.readouterr().err == ""
         with open(path, newline="", encoding="utf-8") as fh:
             header, *rows = csv.reader(fh)
         assert header == ["p", "lambda"]
@@ -105,7 +115,6 @@ class TestGenAndIngest:
         assert [int(r[0]) for r in rows] == primes.tolist()
         got = np.array([float(r[1]) for r in rows])
         assert np.array_equal(got.view(np.int64), lam.view(np.int64))
-        assert lam[0] == pytest.approx(-24 / 2 ** 5.5)
 
     def test_tau_csv(self, tmp_path):
         path = tmp_path / "tau.csv"
